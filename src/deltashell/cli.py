@@ -164,7 +164,7 @@ def cmd_poles(args) -> None:
 def cmd_table(args) -> None:
     spec = _spec_from_args(args)
     scale = spec.energy_scale
-    records = table_records(spec, args.count, rel_tol=args.rel_tol)
+    records = table_records(spec, args.count)
     rows = []
     for rec in records:
         rows.append(
@@ -228,9 +228,7 @@ def cmd_spectrum(args) -> None:
         pole = find_resonance(spec, args.index)
     else:
         raise InvalidInput("need --index N or --virtual")
-    curve = spectrum_curve(
-        spec, pole, args.emin, args.emax, args.points, rel_tol=args.rel_tol
-    )
+    curve = spectrum_curve(spec, pole, args.emin, args.emax, args.points)
     cols = [("dP_dE", curve.dP_dE)]
     if args.with_companions:
         cols += [
@@ -267,7 +265,6 @@ def cmd_interfere(args) -> None:
         args.emin,
         args.emax,
         args.points,
-        rel_tol=args.rel_tol,
     )
     _emit_curve(args, spec, curve.grid, [("dP_dE", curve.dP_dE)])
 
@@ -379,7 +376,13 @@ def _build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--units", choices=["reduced", "physical"])
     shared.add_argument("--mass", type=float, help="particle mass (physical units)")
     shared.add_argument("--hbar", type=float, help="hbar (physical units)")
-    shared.add_argument("--rel-tol", dest="rel_tol", type=float, help="quadrature tolerance")
+    shared.add_argument(
+        "--rel-tol",
+        dest="rel_tol",
+        type=float,
+        help="kept for compatibility: observables are closed-form residue sums, "
+        "so only meta.rel_tol echoes this value",
+    )
     shared.add_argument("--format", choices=["csv", "json"])
     shared.add_argument("--output", help="write to PATH instead of stdout")
     shared.add_argument("--config", help="key=value config file, overridden by flags")

@@ -13,6 +13,13 @@ E_pole < 0, a proper integral that yields the decay constant directly
 (Gbar itself carries an explicit Gamma_R factor and is identically zero
 for zero-width poles).
 
+With E = k^2 each of these integrals, and the two-resonance
+normalization in spectra, has the form int_{-inf}^{inf} sin^2(ka) R(k) dk
+with R even and rational, so it is a finite sum of residues at the
+S-matrix poles (:func:`_sin2_pair`). That residue sum is the production
+path; the adaptive quadrature of :mod:`deltashell.quadrature` is kept as
+the independent check, and as the engine of :func:`perturbation_rhs`.
+
 The sharp approximations replace the Lorentzian by a delta function:
 Gbar_sharp = 2 pi M^2(E_R), Gamma_sharp = Gbar_sharp / Gamma_R. The
 perturbation-theory right-hand side (the same Lorentzian integral read as
@@ -23,9 +30,9 @@ every resonance of this potential, which is the point of computing it.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -33,7 +40,7 @@ from .errors import InvalidInput
 from .poles import enumerate_poles
 from .potential import PotentialSpec, Pole, PoleKind
 from .quadrature import QuadratureRequest, integrate_semi_infinite
-from .scattering import matrix_element_squared, zeldovich_norm
+from .scattering import _shell_density, matrix_element_squared
 
 __all__ = [
     "ObservablesRecord",
@@ -56,8 +63,10 @@ class ObservablesRecord:
     """One table row: pole identity plus every decay observable.
 
     gamma_bar_sharp, gamma_sharp and c_value are None for bound and
-    virtual rows (their gamma_bar is identically zero and the sharp
-    approximation needs a positive resonant energy).
+    virtual rows (their gamma_bar is identically zero); the sharp values
+    are also None for resonances with E_R <= 0, where the sharp
+    approximation has no energy to sit at. Every observable comes from a
+    closed-form residue sum, so quadrature_error is 0.0.
     """
 
     lam: float
@@ -80,19 +89,6 @@ def _require_kind(pole: Pole, *kinds: PoleKind) -> None:
         raise InvalidInput(f"operation defined for {allowed} poles, got {pole.kind.value}")
 
 
-def _request(spec: PotentialSpec, pole: Pole, rel_tol: float, abs_tol: float) -> QuadratureRequest:
-    hw = 0.5 * pole.gamma_R
-    if hw <= 0.0:
-        hw = 1.0 + 1e-3 * abs(pole.e_R)  # zero-width pole: floor keeps the cutoff finite
-    return QuadratureRequest(
-        peak_center=pole.e_R,
-        peak_halfwidth=hw,
-        oscillation_wavenumber=math.pi / spec.a,
-        rel_tol=rel_tol,
-        abs_tol=abs_tol,
-    )
-
-
 def decay_width_differential(spec: PotentialSpec, pole: Pole, e):
     """dGbar/dE = Gamma_R / ((E-E_R)^2 + (Gamma_R/2)^2) * M^2(E)."""
     _require_kind(pole, PoleKind.RESONANCE)
@@ -111,47 +107,38 @@ def decay_constant_differential(spec: PotentialSpec, pole: Pole, e):
     return float(out) if out.ndim == 0 else out
 
 
-@lru_cache(maxsize=512)
-def _c_integral(spec: PotentialSpec, pole: Pole, rel_tol: float, abs_tol: float):
-    """C = int (1/pi) (G/2)/((E-E_R)^2+(G/2)^2) * sin^2(ka)/k dE, with error."""
-    e_r, hw = pole.e_R, 0.5 * pole.gamma_R
-    a = spec.a
+def _sin2_pair(a: float, q1: complex, q2: complex) -> complex:
+    """S(q1, q2) = int_{-inf}^{inf} sin^2(ka) / ((k^2 - q1^2)(k^2 - q2^2)) dk.
 
-    def f(e):
-        k = np.sqrt(e)
-        return (hw / math.pi) / ((e - e_r) ** 2 + hw * hw) * np.sin(k * a) ** 2 / k
+    Needs Im q1 > 0 and Im q2 > 0. The integrand is even, so sin^2(ka)
+    may be replaced by (1 - e^{2ika})/2; closing the contour in the upper
+    half plane leaves the residues at k = q1 and k = q2:
 
-    return integrate_semi_infinite(f, _request(spec, pole, rel_tol, abs_tol))
+        S = pi i [f(q1) - f(q2)] / (q1^2 - q2^2),  f(q) = (1 - e^{2iqa}) / (2q).
 
+    f uses the complex expm1, whose real part is built from sin^2(a Re q)
+    and expm1(-2a Im q): for a sharp resonance e^{2iqa} is close to 1, and
+    the plain difference would lose about lam * eps.
 
-@lru_cache(maxsize=512)
-def _nonresonant_gamma(spec: PotentialSpec, pole: Pole, rel_tol: float, abs_tol: float):
-    """Gamma for bound/virtual poles: int M^2(E)/(E - E_pole)^2 dE, with error.
-
-    E_pole < 0 never meets the integration range, so the degenerate
-    Lorentzian needs no principal value.
+    The double pole q1 = q2 = q gives pi i f'(q) / (2q), written with
+    u = 2iqa as -pi i e^u (expm1(-u) + u) / (4 q^3), which for u -> 0
+    (a pole near threshold) loses only eps/|u| instead of eps/|u|^2.
     """
-    e_pole = pole.e_R
+    if q1 == q2:
+        u = 2j * q1 * a
+        return -math.pi * 1j * cmath.exp(u) * (complex(np.expm1(-u)) + u) / (4.0 * q1**3)
 
-    def f(e):
-        return matrix_element_squared(spec, pole, e) / (e - e_pole) ** 2
+    def f(q):
+        return -complex(np.expm1(2j * q * a)) / (2.0 * q)
 
-    return integrate_semi_infinite(f, _request(spec, pole, rel_tol, abs_tol))
+    return math.pi * 1j * (f(q1) - f(q2)) / (q1 * q1 - q2 * q2)
 
 
 def _width_prefactor(spec: PotentialSpec, pole: Pole) -> float:
-    norm = zeldovich_norm(spec, pole)
-    return (2.0 * spec.lam**2 / spec.a**2) * norm.abs_n_r_squared * math.exp(
-        2.0 * pole.beta_R * spec.a
-    )
+    return (2.0 * spec.lam**2 / spec.a**2) * _shell_density(spec, pole)
 
 
-def decay_width_total(
-    spec: PotentialSpec,
-    pole: Pole,
-    rel_tol: float = DEFAULT_REL_TOL,
-    abs_tol: float = DEFAULT_ABS_TOL,
-):
+def decay_width_total(spec: PotentialSpec, pole: Pole):
     """Total decay width and the constant C as (gamma_bar, c_value).
 
     Bound and virtual poles return (0.0, None): the width integrand
@@ -160,28 +147,29 @@ def decay_width_total(
     _require_kind(pole, PoleKind.RESONANCE, PoleKind.BOUND, PoleKind.VIRTUAL_STATE)
     if pole.kind is not PoleKind.RESONANCE:
         return 0.0, None
-    c_value, _ = _c_integral(spec, pole, rel_tol, abs_tol)
+    # C = int (1/pi) (G/2)/((E-E_R)^2+(G/2)^2) sin^2(ka)/k dE
+    #   = (Gamma_R / 2 pi) S(-k_R, conj k_R) = Re[(1 - e^{-2 i k_R a}) / (2 k_R)]
+    s = _sin2_pair(spec.a, -pole.k, pole.k.conjugate())
+    c_value = pole.gamma_R / (2.0 * math.pi) * s.real
     return _width_prefactor(spec, pole) * c_value, c_value
 
 
-def decay_constant_total(
-    spec: PotentialSpec,
-    pole: Pole,
-    rel_tol: float = DEFAULT_REL_TOL,
-    abs_tol: float = DEFAULT_ABS_TOL,
-) -> float:
+def decay_constant_total(spec: PotentialSpec, pole: Pole) -> float:
     """Dimensionless decay constant Gamma.
 
-    Resonances: Gamma = Gbar / Gamma_R. Bound and virtual poles: direct
-    quadrature of the degenerate-Lorentzian integral (1 for a bound state,
-    since there the residue normalization coincides with the usual norm).
+    Resonances: Gamma = Gbar / Gamma_R. Bound and virtual poles: the
+    degenerate-Lorentzian integral int M^2(E)/(E + kappa^2)^2 dE with
+    kappa = |Im k|, a double pole of the residue sum,
+    Gamma = (lam^2 / (pi a^2)) |N|^2 exp(2 beta a) S(i kappa, i kappa)
+    (1 for a bound state, since there the residue normalization coincides
+    with the usual norm).
     """
     _require_kind(pole, PoleKind.RESONANCE, PoleKind.BOUND, PoleKind.VIRTUAL_STATE)
     if pole.kind is PoleKind.RESONANCE:
-        gamma_bar, _ = decay_width_total(spec, pole, rel_tol, abs_tol)
+        gamma_bar, _ = decay_width_total(spec, pole)
         return gamma_bar / pole.gamma_R
-    value, _ = _nonresonant_gamma(spec, pole, rel_tol, abs_tol)
-    return value
+    q = 1j * abs(pole.k.imag)
+    return _width_prefactor(spec, pole) / (2.0 * math.pi) * _sin2_pair(spec.a, q, q).real
 
 
 def golden_rule_sharp(spec: PotentialSpec, pole: Pole):
@@ -219,28 +207,28 @@ def perturbation_rhs(
         lor = g_r / ((e_r - e) ** 2 + (0.5 * g_r) ** 2)
         return lor * matrix_element_squared(spec, pole, e)
 
-    value, _ = integrate_semi_infinite(f, _request(spec, pole, rel_tol, abs_tol))
+    req = QuadratureRequest(
+        peak_center=e_r,
+        peak_halfwidth=0.5 * g_r,
+        oscillation_wavenumber=math.pi / spec.a,
+        rel_tol=rel_tol,
+        abs_tol=abs_tol,
+    )
+    value, _ = integrate_semi_infinite(f, req)
     return value
 
 
-def observables_record(
-    spec: PotentialSpec,
-    pole: Pole,
-    rel_tol: float = DEFAULT_REL_TOL,
-    abs_tol: float = DEFAULT_ABS_TOL,
-) -> ObservablesRecord:
+def observables_record(spec: PotentialSpec, pole: Pole) -> ObservablesRecord:
     """Assemble the full table row for one pole."""
     _require_kind(pole, PoleKind.RESONANCE, PoleKind.BOUND, PoleKind.VIRTUAL_STATE)
-    if pole.kind is PoleKind.RESONANCE:
-        c_value, c_err = _c_integral(spec, pole, rel_tol, abs_tol)
-        pref = _width_prefactor(spec, pole)
-        gamma_bar = pref * c_value
-        gamma = gamma_bar / pole.gamma_R
-        gbs, gs = golden_rule_sharp(spec, pole)
-        qerr = pref * c_err
+    gamma_bar, c_value = decay_width_total(spec, pole)
+    gbs = gs = None
+    if pole.kind is not PoleKind.RESONANCE:
+        gamma = decay_constant_total(spec, pole)
     else:
-        gamma, qerr = _nonresonant_gamma(spec, pole, rel_tol, abs_tol)
-        gamma_bar, c_value, gbs, gs = 0.0, None, None, None
+        gamma = gamma_bar / pole.gamma_R
+        if pole.e_R > 0.0:
+            gbs, gs = golden_rule_sharp(spec, pole)
     return ObservablesRecord(
         lam=spec.lam,
         kind=pole.kind,
@@ -253,18 +241,10 @@ def observables_record(
         gamma_bar_sharp=gbs,
         gamma_sharp=gs,
         c_value=c_value,
-        quadrature_error=qerr,
+        quadrature_error=0.0,
     )
 
 
-def table_records(
-    spec: PotentialSpec,
-    count: int,
-    rel_tol: float = DEFAULT_REL_TOL,
-    abs_tol: float = DEFAULT_ABS_TOL,
-) -> list[ObservablesRecord]:
+def table_records(spec: PotentialSpec, count: int) -> list[ObservablesRecord]:
     """Rows for the bound/virtual pole (when present) plus resonances 1..count."""
-    return [
-        observables_record(spec, pole, rel_tol, abs_tol)
-        for pole in enumerate_poles(spec, count)
-    ]
+    return [observables_record(spec, pole) for pole in enumerate_poles(spec, count)]

@@ -1,10 +1,14 @@
 """Adaptive semi-infinite quadrature tuned for resonance integrands.
 
 Every decay observable is an integral over (0, inf) of a narrow Lorentzian
-multiplied by the oscillatory factor sin^2(k a)/k with k = sqrt(E). A
-general-purpose global rule misses peaks a thousand times narrower than the
-oscillation period, so the engine seeds its panel list from the structure
-the caller declares in a :class:`QuadratureRequest`:
+multiplied by the oscillatory factor sin^2(k a)/k with k = sqrt(E). The
+library evaluates those integrals as closed-form residue sums
+(observables._sin2_pair); this engine is the independent check of them,
+and it evaluates the perturbation-theory right-hand side, which is
+compared against them. A general-purpose global rule misses peaks a
+thousand times narrower than the oscillation period, so the engine seeds
+its panel list from the structure the caller declares in a
+:class:`QuadratureRequest`:
 
 * panel boundaries at the sin^2 zeros E = (m pi / a)^2,
 * panel boundaries at peak_center +/- {1, 2, 4, 8, 16, 32} half-widths,

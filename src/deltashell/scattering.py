@@ -8,6 +8,7 @@ scalars or numpy arrays of k (or E) values.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -138,6 +139,21 @@ def resonant_wavefunction(spec: PotentialSpec, pole: Pole, r):
     return complex(u) if u.ndim == 0 else u
 
 
+def _shell_density(spec: PotentialSpec, pole: Pole) -> float:
+    """|N|^2 exp(2 beta a) = |u(a)|^2, formed before any lam^2 factor.
+
+    Near lam = -700 the bound state has |N|^2 ~ 1e306 and exp(2 beta a)
+    ~ 1e-304; multiplying lam^2 into |N|^2 first would overflow.
+    """
+    return zeldovich_norm(spec, pole).abs_n_r_squared * math.exp(2.0 * pole.beta_R * spec.a)
+
+
+def _shell_amplitude(spec: PotentialSpec, pole: Pole) -> complex:
+    """u(a) = N exp(i k a), with N the principal root of N^2."""
+    n_r = np.sqrt(complex(zeldovich_norm(spec, pole).n_r_squared))
+    return n_r * np.exp(1j * pole.k * spec.a)
+
+
 def matrix_element_squared(spec: PotentialSpec, pole: Pole, e):
     """|<E|V|pole>|^2 at scattering energy E > 0 (vectorized).
 
@@ -151,9 +167,7 @@ def matrix_element_squared(spec: PotentialSpec, pole: Pole, e):
     if np.any(e <= 0):
         raise InvalidInput("scattering energy must be positive")
     k = np.sqrt(e)
-    norm = zeldovich_norm(spec, pole)
-    pref = (spec.lam**2 / (np.pi * spec.a**2)) * norm.abs_n_r_squared
-    pref = pref * np.exp(2.0 * pole.beta_R * spec.a)
+    pref = (spec.lam**2 / (np.pi * spec.a**2)) * _shell_density(spec, pole)
     out = pref * np.sin(k * spec.a) ** 2 / k
     return float(out) if out.ndim == 0 else out
 
@@ -171,7 +185,5 @@ def matrix_element(spec: PotentialSpec, pole: Pole, e):
         raise InvalidInput("scattering energy must be positive")
     k = np.sqrt(e)
     chi = np.sqrt(1.0 / np.pi) * e ** (-0.25) * np.sin(k * spec.a)
-    n_r = np.sqrt(complex(zeldovich_norm(spec, pole).n_r_squared))
-    u_a = n_r * np.exp(1j * pole.k * spec.a)
-    out = spec.coupling * chi * u_a
+    out = spec.coupling * chi * _shell_amplitude(spec, pole)
     return complex(out) if out.ndim == 0 else out

@@ -14,22 +14,24 @@ to 1/(E - E_pole)^2 with E_pole < 0).
 Two-resonance interference follows the coherent superposition of the two
 pole terms, |c1 <E|z1> + c2 <E|z2>|^2 with <E|z> = <E|V|z>/(z - E); the
 cross-term phase convention lives in scattering.matrix_element.
+
+Both normalizations, Gamma and the integral of the coherent sum, are
+closed-form residue sums (observables._sin2_pair); the adaptive quadrature
+is the independent check of them, not part of this module.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import InvalidInput
-from .observables import DEFAULT_ABS_TOL, DEFAULT_REL_TOL, decay_constant_total
+from .observables import _sin2_pair, decay_constant_total
 from .poles import find_resonance
 from .potential import PotentialSpec, Pole, PoleKind
-from .quadrature import QuadratureRequest, integrate_semi_infinite
-from .scattering import matrix_element, matrix_element_squared
+from .scattering import _shell_amplitude, matrix_element, matrix_element_squared
 
 __all__ = [
     "SpectrumCurve",
@@ -82,16 +84,15 @@ def decay_energy_spectrum(
     pole: Pole,
     e,
     gamma_total: float | None = None,
-    rel_tol: float = DEFAULT_REL_TOL,
 ):
     """dP/dE at energy e (scalar or array).
 
     gamma_total lets callers reuse a precomputed decay constant; otherwise
-    it is computed on demand (and cached by the observables layer).
+    it is computed on demand.
     """
     _spectrum_kinds(pole)
     if gamma_total is None:
-        gamma_total = decay_constant_total(spec, pole, rel_tol=rel_tol)
+        gamma_total = decay_constant_total(spec, pole)
     e = np.asarray(e, dtype=float)
     denom = (e - pole.e_R) ** 2 + (0.5 * pole.gamma_R) ** 2
     out = matrix_element_squared(spec, pole, e) / denom / gamma_total
@@ -111,7 +112,6 @@ def spectrum_curve(
     e_min: float,
     e_max: float,
     points: int,
-    rel_tol: float = DEFAULT_REL_TOL,
 ) -> SpectrumCurve:
     """Uniformly sampled spectrum with Breit-Wigner and M^2 companions."""
     if not (0.0 < e_min < e_max):
@@ -120,7 +120,7 @@ def spectrum_curve(
         raise InvalidInput("need at least two grid points")
     _spectrum_kinds(pole)
     grid = np.linspace(e_min, e_max, points)
-    gamma_total = decay_constant_total(spec, pole, rel_tol=rel_tol)
+    gamma_total = decay_constant_total(spec, pole)
     return SpectrumCurve(
         grid=grid,
         dP_dE=decay_energy_spectrum(spec, pole, grid, gamma_total=gamma_total),
@@ -136,30 +136,21 @@ def _coherent_sum(spec, pole1, pole2, cfg, e):
     return np.abs(amp) ** 2
 
 
-@lru_cache(maxsize=128)
-def _interference_norm(
-    spec: PotentialSpec,
-    pole1: Pole,
-    pole2: Pole,
-    cfg: InterferenceConfig,
-    rel_tol: float,
-) -> float:
-    req = QuadratureRequest(
-        peak_center=pole1.e_R,
-        peak_halfwidth=0.5 * pole1.gamma_R,
-        oscillation_wavenumber=math.pi / spec.a,
-        rel_tol=rel_tol,
-        abs_tol=DEFAULT_ABS_TOL,
+def _coherent_norm(spec, pole1, pole2, cfg) -> float:
+    """Integral of _coherent_sum over (0, inf) as a residue sum.
+
+    With m_i(E) = g chi(a;E) u_i, g^2 chi^2 = (g^2/pi) sin^2(ka)/k, and
+    E = k^2, each term c_i conj(c_j) m_i conj(m_j) / ((z_i - E)(conj z_j - E))
+    integrates to (g^2/pi) c_i conj(c_j) u_i conj(u_j) S(-k_i, conj k_j).
+    """
+    terms = [(complex(c) * _shell_amplitude(spec, p), p.k) for c, p in
+             ((cfg.c1, pole1), (cfg.c2, pole2))]
+    total = sum(
+        wi * wj.conjugate() * _sin2_pair(spec.a, -ki, kj.conjugate())
+        for wi, ki in terms
+        for wj, kj in terms
     )
-    extra = tuple(
-        pole2.e_R + s * j * 0.5 * pole2.gamma_R
-        for j in (1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
-        for s in (-1.0, 1.0)
-    )
-    value, _ = integrate_semi_infinite(
-        lambda e: _coherent_sum(spec, pole1, pole2, cfg, e), req, extra_edges=extra
-    )
-    return value
+    return spec.coupling**2 / math.pi * total.real
 
 
 def interference_spectrum(
@@ -168,7 +159,6 @@ def interference_spectrum(
     pole2: Pole,
     cfg: InterferenceConfig,
     e,
-    rel_tol: float = DEFAULT_REL_TOL,
 ):
     """Two-resonance decay spectrum at energy e.
 
@@ -184,7 +174,7 @@ def interference_spectrum(
         raise InvalidInput("scattering energy must be positive")
     out = _coherent_sum(spec, pole1, pole2, cfg, e)
     if cfg.renormalize:
-        out = out / _interference_norm(spec, pole1, pole2, cfg, rel_tol)
+        out = out / _coherent_norm(spec, pole1, pole2, cfg)
     return float(out) if out.ndim == 0 else out
 
 
@@ -196,7 +186,6 @@ def interference_curve(
     e_min: float,
     e_max: float,
     points: int,
-    rel_tol: float = DEFAULT_REL_TOL,
 ) -> SpectrumCurve:
     """Sampled interference spectrum (no companion columns)."""
     if not (0.0 < e_min < e_max):
@@ -204,9 +193,7 @@ def interference_curve(
     if points < 2:
         raise InvalidInput("need at least two grid points")
     grid = np.linspace(e_min, e_max, points)
-    norm = (
-        _interference_norm(spec, pole1, pole2, cfg, rel_tol) if cfg.renormalize else 1.0
-    )
+    norm = _coherent_norm(spec, pole1, pole2, cfg) if cfg.renormalize else 1.0
     values = _coherent_sum(spec, pole1, pole2, cfg, grid) / norm
     return SpectrumCurve(
         grid=grid,
@@ -223,10 +210,9 @@ def multi_spectrum(
     e_min: float,
     e_max: float,
     points: int,
-    rel_tol: float = DEFAULT_REL_TOL,
 ) -> list[SpectrumCurve]:
     """Spectrum curves for several resonance indices on a shared window."""
     return [
-        spectrum_curve(spec, find_resonance(spec, n), e_min, e_max, points, rel_tol)
+        spectrum_curve(spec, find_resonance(spec, n), e_min, e_max, points)
         for n in indices
     ]

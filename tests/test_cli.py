@@ -87,6 +87,29 @@ def test_table_bound_row_formatting(capsys):
     assert float(bound["im_k"]) == 50.0 and float(bound["re_z"]) == -2500.0
 
 
+def test_table_below_threshold_leaves_sharp_cells_empty(capsys):
+    # for 0 < lam < ~0.107 the first resonance sits at E_R <= 0, where the
+    # sharp approximation has no energy to sit at
+    code, out = run_main(["table", "--lambda", "0.05", "--count", "4"], capsys)
+    assert code == 0
+    _, rows = parse_csv(out)
+    assert len(rows) == 4
+    assert float(rows[0]["re_z"]) < 0.0
+    assert rows[0]["gamma_bar_sharp"] == "" and rows[0]["gamma_sharp"] == ""
+    assert float(rows[0]["gamma"]) > 0.0
+    for row in rows[1:]:
+        assert float(row["re_z"]) > 0.0 and float(row["gamma_sharp"]) > 0.0
+
+
+def test_table_deep_well_bound_state(capsys):
+    # |N|^2 ~ 1e306 and exp(2 beta a) ~ 1e-304: the prefactor must not overflow
+    code, out = run_main(["table", "--lambda", "-700", "--count", "1"], capsys)
+    assert code == 0
+    _, rows = parse_csv(out)
+    assert rows[0]["kind"] == "bound"
+    assert abs(float(rows[0]["gamma"]) - 1.0) <= 1e-9
+
+
 def test_json_round_trip(capsys):
     code, out = run_main(["table", "--lambda", "10", "--count", "2", "--format", "json"], capsys)
     assert code == 0
