@@ -46,14 +46,23 @@ class NormalizationData:
 
     n_r_squared is the squared normalization constant fixed by the
     S-matrix residue in the k-plane: N^2 = i res_k S = -i J1 / J2'.
-    residue_E = 2 k_R residue_k is the energy-plane residue (chain rule
-    through E = k^2).
+    k is the pole's wave number k_R.
     """
 
     n_r_squared: complex
     abs_n_r_squared: float
     residue_k: complex
-    residue_E: complex
+    k: complex
+
+    @property
+    def residue_E(self) -> complex:
+        """Energy-plane residue 2 k_R residue_k (chain rule through E = k^2).
+
+        Formed on request only: for a deep bound state (lam near -700)
+        |residue_k| ~ 1e306 and the product overflows, but only the
+        resonance cross sections use it.
+        """
+        return 2.0 * self.k * self.residue_k
 
 
 def jost(spec: PotentialSpec, k) -> JostPair:
@@ -116,7 +125,7 @@ def zeldovich_norm(spec: PotentialSpec, pole: Pole) -> NormalizationData:
         n_r_squared=n_r_squared,
         abs_n_r_squared=abs(n_r_squared),
         residue_k=residue_k,
-        residue_E=2.0 * pole.k * residue_k,
+        k=pole.k,
     )
 
 

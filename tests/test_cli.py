@@ -3,12 +3,23 @@
 import json
 import subprocess
 import sys
+import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import deltashell.cli as cli
-from deltashell import NonConvergence
+from deltashell import (
+    InterferenceConfig,
+    NonConvergence,
+    PotentialSpec,
+    cross_section_bundle,
+    find_resonance,
+    interference_curve,
+    spectrum_curve,
+)
+from deltashell.scattering import zeldovich_norm
 from conftest import assert_printed, golden_rows
 
 
@@ -365,3 +376,102 @@ def test_float_format_nine_significant_digits(capsys):
     _, rows = parse_csv(out)
     assert rows[0]["re_k"] == "3.11052683"
     assert "e" not in rows[0]["re_z"].lower() or "e-" in rows[0]["re_z"]
+
+
+def test_overflow_exits_3_without_traceback():
+    # the Lambert W retry seeds overflow math.exp here
+    proc = run_cli("lambertw", "--branch", "-1000", "--re", "1e40")
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("numerical failure: ")
+    assert "Traceback" not in proc.stderr
+
+
+def test_table_deep_well_no_overflow_warning(capsys):
+    zeldovich_norm.cache_clear()  # form the bound state's residue afresh
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["table", "--lambda", "-700", "--count", "1"])
+    assert code == 0
+    assert capsys.readouterr().err == ""
+
+
+def per_cell_curve_bytes(fmt, names, series, meta=None):
+    """Reference serializer: one format() call per cell, as curves were once written."""
+    if fmt == "json":
+        curve = {
+            name: [float(format(float(col[i]), ".9g")) for i in range(len(col))]
+            for name, col in zip(names, series)
+        }
+        return json.dumps({"meta": meta, "curve": curve}, separators=(",", ":")) + "\n"
+    lines = [",".join(names)]
+    lines.extend(
+        ",".join(format(float(col[i]), ".9g") for col in series) for i in range(len(series[0]))
+    )
+    return "\n".join(lines) + "\n"
+
+
+def _spectrum_case(companions):
+    spec = PotentialSpec(lam=100.0)
+    curve = spectrum_curve(spec, find_resonance(spec, 3), 80.0, 94.0, 401)
+    argv = ["spectrum", "--lambda", "100", "--index", "3",
+            "--emin", "80", "--emax", "94", "--points", "401"]
+    names, series = ["E", "dP_dE"], [curve.grid, curve.dP_dE]
+    if companions:
+        names += ["breit_wigner", "matrix_element"]
+        series += [curve.breit_wigner, curve.matrix_element]
+    else:
+        argv.append("--no-companions")
+    return argv, names, series
+
+
+def _interfere_case():
+    spec = PotentialSpec(lam=-17.5)
+    cfg = InterferenceConfig(c1=0.8, c2=complex(0.2, 0.1))
+    curve = interference_curve(
+        spec, find_resonance(spec, 3), find_resonance(spec, 4), cfg, 20.0, 120.0, 401
+    )
+    argv = ["interfere", "--lambda", "-17.5", "--indices", "3,4", "--c1", "0.8,0",
+            "--c2", "0.2,0.1", "--emin", "20", "--emax", "120", "--points", "401"]
+    return argv, ["E", "dP_dE"], [curve.grid, curve.dP_dE]
+
+
+def _cross_section_case():
+    bundle = cross_section_bundle(PotentialSpec(lam=100.0), 1, points=401, second_index=2)
+    argv = ["cross-section", "--lambda", "100", "--index", "1", "--second-index", "2",
+            "--points", "401"]
+    names = ["E", "exact", "laurent", "e_unitarized", "k_unitarized", "two_pole"]
+    series = [getattr(bundle, "grid" if name == "E" else name) for name in names]
+    return argv, names, series
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "case",
+    [
+        lambda: _spectrum_case(True),
+        lambda: _spectrum_case(False),
+        _interfere_case,
+        _cross_section_case,
+    ],
+    ids=["spectrum", "spectrum-no-companions", "interfere", "cross-section-two-pole"],
+)
+def test_curve_bytes_match_per_cell_format(case, fmt, capsys):
+    argv, names, series = case()
+    code, out = run_main(argv + ["--format", fmt], capsys)
+    assert code == 0
+    meta = json.loads(out)["meta"] if fmt == "json" else None
+    assert out == per_cell_curve_bytes(fmt, names, series, meta)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_curve_edge_values_match_per_cell_format(fmt, capsys):
+    values = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 123456789.0, 1e16,
+              1234567891.0, 0.1 + 0.2, 1e-5, 9.999999995e-5]
+    edge = np.resize(np.array(values), 1000)
+    grid = np.arange(1.0, edge.size + 1.0)
+    args = SimpleNamespace(format=fmt, output=None, rel_tol=1e-9, emit_plot_script=False)
+    spec = PotentialSpec(lam=10.0)
+    cli._emit_curve(args, spec, grid, [("v", edge), ("skipped", None), ("w", edge[::-1])])
+    out = capsys.readouterr().out
+    meta = cli._meta(args, spec) if fmt == "json" else None
+    assert out == per_cell_curve_bytes(fmt, ["E", "v", "w"], [grid, edge, edge[::-1]], meta)
