@@ -2,7 +2,7 @@
 
 Poles of the S-matrix in closed form through the multi-branch Lambert W
 function, residue-normalized resonant states, decay widths and decay
-constants by adaptive quadrature, decay-energy-spectrum lineshapes with
+constants as closed-form residue sums, decay-energy-spectrum lineshapes with
 two-resonance interference, and cross-section approximants.
 
 Quick start::

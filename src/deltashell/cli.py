@@ -4,11 +4,23 @@ cross-section curves, and a Lambert W utility, serialized as CSV or JSON.
 Commands: poles, table, spectrum, interfere, cross-section, lambertw.
 Outputs are deterministic: floats are printed with 9 significant digits,
 lowercase exponent, '.' decimal separator; CSV uses a header line and LF
-newlines; JSON carries a `meta` object plus `rows` or `curve`. Curves are
+newlines; JSON carries a `meta` object plus `rows` or `curve`.
+
+Each row command (poles, table, lambertw) has one column spec, an ordered
+tuple of (name, getter) pairs that gives the CSV header, the CSV cells and
+the JSON keys. A getter returns a str, an int, a float or None: a float is
+written as `%.9g` in CSV and as float("%.9g" % x) in JSON, an int with
+str() in CSV and as an int in JSON, None as an empty cell and as null.
+The table's `c_value` (the constant C) is a JSON-only column. Curves are
 formatted column-wise: the float arrays are zipped into rows and every row
 goes through one `%.9g` template. `%.9g` and `format(x, ".9g")` share
 CPython's float formatter, so the bytes equal those of formatting value by
 value.
+
+Every option default sits in its add_argument call. A `--config` file
+holds key=value lines whose keys are the shared long options; each line
+becomes a `--key=value` token right after the subcommand, so argparse casts
+and checks it like a flag, and explicit flags, later on the line, win.
 
 Exit codes: 0 success, 2 invalid input, 3 numerical failure.
 """
@@ -34,39 +46,58 @@ EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_NUMERICAL = 3
 
-_CONFIG_KEYS = ("lambda", "radius", "units", "mass", "hbar", "rel-tol", "format", "output")
+# Column specs: (name, getter(row, energy_scale)).
+_POLE_COLUMNS = (
+    ("kind", lambda p, s: p.kind.value),
+    ("index", lambda p, s: p.index),
+    ("branch", lambda p, s: p.branch),
+    ("re_k", lambda p, s: p.k.real),
+    ("im_k", lambda p, s: p.k.imag),
+    ("re_z", lambda p, s: p.z.real * s),
+    ("im_z", lambda p, s: p.z.imag * s),
+    ("gamma_R", lambda p, s: p.gamma_R * s),
+)
+# an ObservablesRecord carries the pole columns except the branch
+_TABLE_COLUMNS = _POLE_COLUMNS[:2] + _POLE_COLUMNS[3:] + (
+    ("gamma_bar", lambda r, s: r.gamma_bar * s),
+    ("gamma", lambda r, s: r.gamma),
+    ("gamma_bar_sharp",
+     lambda r, s: None if r.gamma_bar_sharp is None else r.gamma_bar_sharp * s),
+    ("gamma_sharp", lambda r, s: r.gamma_sharp),
+)
+_TABLE_JSON_ONLY = (("c_value", lambda r, s: r.c_value),)
+# a lambertw row is (branch, z, w, residual)
+_LAMBERTW_COLUMNS = (
+    ("branch", lambda r, s: r[0]),
+    ("re_z", lambda r, s: r[1].real),
+    ("im_z", lambda r, s: r[1].imag),
+    ("re_w", lambda r, s: r[2].real),
+    ("im_w", lambda r, s: r[2].imag),
+    ("residual", lambda r, s: r[3]),
+)
 
 
-def _fmt(x) -> str:
-    """Fixed float formatting: 9 significant digits, lowercase exponent."""
+def _csv_cell(x) -> str:
     if x is None:
         return ""
-    return format(float(x), ".9g")
+    if isinstance(x, (str, int)):
+        return str(x)
+    return "%.9g" % x
 
 
-def _round9(x):
-    return None if x is None else float(format(float(x), ".9g"))
-
-
-def _csv(header, rows) -> str:
-    lines = [",".join(header)]
-    lines.extend(",".join(row) for row in rows)
-    return "\n".join(lines) + "\n"
+def _json_value(x):
+    return float("%.9g" % x) if isinstance(x, float) else x
 
 
 def _json_doc(meta, payload_key, payload) -> str:
     return json.dumps({"meta": meta, payload_key: payload}, separators=(",", ":")) + "\n"
 
 
-def _meta(args, spec=None) -> dict:
-    meta = {"version": __version__, "rel_tol": _round9(args.rel_tol)}
+def _meta(spec=None) -> dict:
+    meta = {"version": __version__}
     if spec is not None:
         meta.update(
-            {
-                "lambda": _round9(spec.lam),
-                "a": _round9(spec.a),
-                "units": spec.unit_system,
-            }
+            {"lambda": _json_value(spec.lam), "a": _json_value(spec.a), "units": spec.unit_system}
         )
     return meta
 
@@ -77,6 +108,18 @@ def _write(args, text: str) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit_rows(args, meta, columns, rows, scale=1.0, json_only=()) -> None:
+    """One line or JSON object per row, laid out by a column spec."""
+    if args.format == "json":
+        columns += json_only
+        payload = [{name: _json_value(get(r, scale)) for name, get in columns} for r in rows]
+        _write(args, _json_doc(meta, "rows", payload))
+        return
+    lines = [",".join(name for name, _ in columns)]
+    lines += (",".join(_csv_cell(get(r, scale)) for _, get in columns) for r in rows)
+    _write(args, "\n".join(lines) + "\n")
 
 
 _PLOT_SCRIPT = """\
@@ -101,107 +144,26 @@ plt.show()
 """
 
 
-def _maybe_emit_plot_script(args) -> None:
-    if not getattr(args, "emit_plot_script", False):
-        return
-    if not args.output or args.format != "csv":
-        raise InvalidInput("--emit-plot-script needs --format csv and --output PATH")
-    script_path = args.output + "_plot.py"
-    with open(script_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_PLOT_SCRIPT.format(csv=args.output))
-
-
 def _spec_from_args(args) -> PotentialSpec:
     if args.lam is None:
         raise InvalidInput("--lambda is required")
     return PotentialSpec(
-        lam=args.lam,
-        a=args.radius,
-        unit_system=args.units,
-        mass=args.mass,
-        hbar=args.hbar,
+        lam=args.lam, a=args.radius, unit_system=args.units, mass=args.mass, hbar=args.hbar
     )
-
-
-def _pole_row(spec, pole, scale):
-    return {
-        "kind": pole.kind.value,
-        "index": pole.index,
-        "branch": pole.branch,
-        "re_k": _round9(pole.k.real),
-        "im_k": _round9(pole.k.imag),
-        "re_z": _round9(pole.z.real * scale),
-        "im_z": _round9(pole.z.imag * scale),
-        "gamma_R": _round9(pole.gamma_R * scale),
-    }
 
 
 def cmd_poles(args) -> None:
     spec = _spec_from_args(args)
-    scale = spec.energy_scale
     poles = enumerate_poles(spec, args.count)
     if args.include_antiresonances:
         poles.extend(find_anti_resonance(spec, n) for n in range(1, args.count + 1))
-    rows = [_pole_row(spec, p, scale) for p in poles]
-    if args.format == "json":
-        _write(args, _json_doc(_meta(args, spec), "rows", rows))
-        return
-    header = ["kind", "index", "branch", "re_k", "im_k", "re_z", "im_z", "gamma_R"]
-    _write(
-        args,
-        _csv(
-            header,
-            (
-                [r["kind"], str(r["index"]), str(r["branch"])]
-                + [_fmt(r[h]) for h in header[3:]]
-                for r in rows
-            ),
-        ),
-    )
+    _emit_rows(args, _meta(spec), _POLE_COLUMNS, poles, spec.energy_scale)
 
 
 def cmd_table(args) -> None:
     spec = _spec_from_args(args)
-    scale = spec.energy_scale
     records = table_records(spec, args.count)
-    rows = []
-    for rec in records:
-        rows.append(
-            {
-                "kind": rec.kind.value,
-                "index": rec.index,
-                "re_k": _round9(rec.k.real),
-                "im_k": _round9(rec.k.imag),
-                "re_z": _round9(rec.z.real * scale),
-                "im_z": _round9(rec.z.imag * scale),
-                "gamma_R": _round9(rec.gamma_R * scale),
-                "gamma_bar": _round9(rec.gamma_bar * scale),
-                "gamma": _round9(rec.gamma),
-                "gamma_bar_sharp": _round9(
-                    None if rec.gamma_bar_sharp is None else rec.gamma_bar_sharp * scale
-                ),
-                "gamma_sharp": _round9(rec.gamma_sharp),
-                "c_value": _round9(rec.c_value),
-                "quadrature_error": _round9(rec.quadrature_error),
-            }
-        )
-    if args.format == "json":
-        _write(args, _json_doc(_meta(args, spec), "rows", rows))
-        return
-    header = [
-        "kind", "index", "re_k", "im_k", "re_z", "im_z",
-        "gamma_R", "gamma_bar", "gamma", "gamma_bar_sharp", "gamma_sharp",
-    ]
-    _write(
-        args,
-        _csv(
-            header,
-            (
-                [r["kind"], str(r["index"])] + [_fmt(r[h]) for h in header[2:]]
-                for r in rows
-            ),
-        ),
-    )
+    _emit_rows(args, _meta(spec), _TABLE_COLUMNS, records, spec.energy_scale, _TABLE_JSON_ONLY)
 
 
 def _emit_curve(args, spec, grid, columns) -> None:
@@ -219,12 +181,14 @@ def _emit_curve(args, spec, grid, columns) -> None:
             name: list(map(float, map("%.9g".__mod__, col)))
             for name, col in zip(names, series)
         }
-        _write(args, _json_doc(_meta(args, spec), "curve", curve))
+        _write(args, _json_doc(_meta(spec), "curve", curve))
         return
     row = ",".join(["%.9g"] * len(series))
     body = "\n".join(map(row.__mod__, zip(*series)))
     _write(args, f"{','.join(names)}\n{body}\n")
-    _maybe_emit_plot_script(args)
+    if args.emit_plot_script:  # main has checked --output and --format csv
+        with open(args.output + "_plot.py", "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(_PLOT_SCRIPT.format(csv=args.output))
 
 
 def cmd_spectrum(args) -> None:
@@ -236,173 +200,86 @@ def cmd_spectrum(args) -> None:
     else:
         raise InvalidInput("need --index N or --virtual")
     curve = spectrum_curve(spec, pole, args.emin, args.emax, args.points)
-    cols = [("dP_dE", curve.dP_dE)]
-    if args.with_companions:
-        cols += [
-            ("breit_wigner", curve.breit_wigner),
-            ("matrix_element", curve.matrix_element),
-        ]
-    _emit_curve(args, spec, curve.grid, cols)
+    names = ("dP_dE", "breit_wigner", "matrix_element") if args.with_companions else ("dP_dE",)
+    _emit_curve(args, spec, curve.grid, [(name, getattr(curve, name)) for name in names])
 
 
-def _parse_complex_pair(text: str) -> complex:
-    try:
-        re_part, im_part = (float(part) for part in text.split(","))
-    except ValueError:
-        raise InvalidInput(f"expected 're,im', got {text!r}") from None
+# argparse types; the name is in argparse's message for a bad value
+def index_pair(text: str) -> tuple[int, int]:
+    i, j = map(int, text.split(","))
+    return i, j
+
+
+def complex_pair(text: str) -> complex:
+    re_part, im_part = map(float, text.split(","))
     return complex(re_part, im_part)
 
 
 def cmd_interfere(args) -> None:
     spec = _spec_from_args(args)
-    try:
-        i1, i2 = (int(part) for part in args.indices.split(","))
-    except ValueError:
-        raise InvalidInput(f"expected --indices i,j, got {args.indices!r}") from None
-    cfg = InterferenceConfig(
-        c1=_parse_complex_pair(args.c1),
-        c2=_parse_complex_pair(args.c2),
-        renormalize=args.renormalize,
-    )
-    curve = interference_curve(
-        spec,
-        find_resonance(spec, i1),
-        find_resonance(spec, i2),
-        cfg,
-        args.emin,
-        args.emax,
-        args.points,
-    )
+    cfg = InterferenceConfig(c1=args.c1, c2=args.c2, renormalize=args.renormalize)
+    pole1, pole2 = (find_resonance(spec, i) for i in args.indices)
+    curve = interference_curve(spec, pole1, pole2, cfg, args.emin, args.emax, args.points)
     _emit_curve(args, spec, curve.grid, [("dP_dE", curve.dP_dE)])
 
 
 def cmd_cross_section(args) -> None:
     spec = _spec_from_args(args)
     bundle = cross_section_bundle(
-        spec,
-        args.index,
-        e_min=args.emin,
-        e_max=args.emax,
-        points=args.points,
-        second_index=args.second_index,
+        spec, args.index, args.emin, args.emax, args.points, second_index=args.second_index
     )
-    _emit_curve(
-        args,
-        spec,
-        bundle.grid,
-        [
-            ("exact", bundle.exact),
-            ("laurent", bundle.laurent),
-            ("e_unitarized", bundle.e_unitarized),
-            ("k_unitarized", bundle.k_unitarized),
-            ("two_pole", bundle.two_pole),
-        ],
-    )
+    names = ("exact", "laurent", "e_unitarized", "k_unitarized", "two_pole")
+    _emit_curve(args, spec, bundle.grid, [(name, getattr(bundle, name)) for name in names])
 
 
 def cmd_lambertw(args) -> None:
-    w = lambert_w(args.branch, complex(args.re, args.im))
-    resid = lambert_w_residual(w, complex(args.re, args.im))
-    if args.format == "json":
-        payload = {
-            "branch": args.branch,
-            "re_z": _round9(args.re),
-            "im_z": _round9(args.im),
-            "re_w": _round9(w.real),
-            "im_w": _round9(w.imag),
-            "residual": _round9(resid),
-        }
-        _write(args, _json_doc({"version": __version__}, "rows", [payload]))
-        return
-    _write(
-        args,
-        _csv(
-            ["branch", "re_z", "im_z", "re_w", "im_w", "residual"],
-            [[str(args.branch), _fmt(args.re), _fmt(args.im), _fmt(w.real), _fmt(w.imag), _fmt(resid)]],
-        ),
-    )
+    z = complex(args.re, args.im)
+    w = lambert_w(args.branch, z)
+    _emit_rows(args, _meta(), _LAMBERTW_COLUMNS, [(args.branch, z, w, lambert_w_residual(w, z))])
 
 
-def _load_config(path: str) -> dict:
-    values = {}
+def _config_tokens(path: str, shared: argparse.ArgumentParser) -> list[str]:
+    """`--key=value` tokens from a key=value file; keys are the shared long options."""
+    keys = {
+        opt[2:] for action in shared._actions for opt in action.option_strings
+        if opt.startswith("--")
+    } - {"config"}
+    tokens = []
     with open(path, encoding="utf-8") as fh:
         for raw in fh:
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            if "=" not in line:
+            key, eq, value = (part.strip() for part in line.partition("="))
+            if not eq:
                 raise InvalidInput(f"config line is not key=value: {line!r}")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key not in _CONFIG_KEYS:
+            if key not in keys:
                 raise InvalidInput(f"unknown config key {key!r}")
-            values[key] = value.strip()
-    return values
+            tokens.append(f"--{key}={value}")
+    return tokens
 
 
-def _apply_config(args) -> None:
-    if not args.config:
-        return
-    cfg = _load_config(args.config)
-    casts = {
-        "lambda": ("lam", float),
-        "radius": ("radius", float),
-        "units": ("units", str),
-        "mass": ("mass", float),
-        "hbar": ("hbar", float),
-        "rel-tol": ("rel_tol", float),
-        "format": ("format", str),
-        "output": ("output", str),
-    }
-    for key, value in cfg.items():
-        dest, cast = casts[key]
-        if getattr(args, dest, None) is None:
-            setattr(args, dest, cast(value))
-
-
-_DEFAULTS = {
-    "radius": 1.0,
-    "units": "reduced",
-    "mass": 1.0,
-    "hbar": 1.0,
-    "rel_tol": 1e-9,
-    "format": "csv",
-}
-
-
-def _fill_defaults(args) -> None:
-    for dest, value in _DEFAULTS.items():
-        if getattr(args, dest, None) is None:
-            setattr(args, dest, value)
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--lambda", dest="lam", type=float, help="shell strength")
-    shared.add_argument("--radius", type=float, help="shell radius (default 1)")
-    shared.add_argument("--units", choices=["reduced", "physical"])
-    shared.add_argument("--mass", type=float, help="particle mass (physical units)")
-    shared.add_argument("--hbar", type=float, help="hbar (physical units)")
-    shared.add_argument(
-        "--rel-tol",
-        dest="rel_tol",
-        type=float,
-        help="kept for compatibility: observables are closed-form residue sums, "
-        "so only meta.rel_tol echoes this value",
-    )
-    shared.add_argument("--format", choices=["csv", "json"])
-    shared.add_argument("--output", help="write to PATH instead of stdout")
-    shared.add_argument("--config", help="key=value config file, overridden by flags")
-
-    grid = argparse.ArgumentParser(add_help=False)
-    grid.add_argument("--emin", type=float, help="window lower edge")
-    grid.add_argument("--emax", type=float, help="window upper edge")
-    grid.add_argument("--points", type=int, default=2001)
-    grid.add_argument(
-        "--emit-plot-script",
-        action="store_true",
+def _add_grid(p: argparse.ArgumentParser, window_required: bool) -> None:
+    p.add_argument("--emin", type=float, required=window_required, help="window lower edge")
+    p.add_argument("--emax", type=float, required=window_required, help="window upper edge")
+    p.add_argument("--points", type=int, default=2001)
+    p.add_argument(
+        "--emit-plot-script", action="store_true",
         help="also write a matplotlib script next to the CSV output",
     )
+
+
+def _build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
+    """The command-line parser and its shared-options parent."""
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--lambda", dest="lam", type=float, help="shell strength")
+    shared.add_argument("--radius", type=float, default=1.0, help="shell radius (default 1)")
+    shared.add_argument("--units", choices=["reduced", "physical"], default="reduced")
+    shared.add_argument("--mass", type=float, default=1.0, help="particle mass (physical units)")
+    shared.add_argument("--hbar", type=float, default=1.0, help="hbar (physical units)")
+    shared.add_argument("--format", choices=["csv", "json"], default="csv")
+    shared.add_argument("--output", help="write to PATH instead of stdout")
+    shared.add_argument("--config", help="key=value file of the flags above, overridden by flags")
 
     parser = argparse.ArgumentParser(
         prog="deltashell",
@@ -420,30 +297,31 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=8)
     p.set_defaults(func=cmd_table)
 
-    p = sub.add_parser("spectrum", parents=[shared, grid], help="decay energy spectrum")
+    p = sub.add_parser("spectrum", parents=[shared], help="decay energy spectrum")
+    _add_grid(p, window_required=True)
     p.add_argument("--index", type=int, help="resonance index (1 = lowest)")
     p.add_argument("--virtual", action="store_true", help="virtual-state spectrum")
     p.add_argument(
-        "--no-companions",
-        dest="with_companions",
-        action="store_false",
+        "--no-companions", dest="with_companions", action="store_false",
         help="omit the Breit-Wigner and matrix-element columns",
     )
-    p.set_defaults(func=cmd_spectrum, with_companions=True)
+    p.set_defaults(func=cmd_spectrum)
 
-    p = sub.add_parser("interfere", parents=[shared, grid], help="two-resonance spectrum")
-    p.add_argument("--indices", required=True, help="pair of resonance indices: i,j")
-    p.add_argument("--c1", default="0.7071067811865476,0", help="coefficient c1 as re,im")
-    p.add_argument("--c2", default="0.7071067811865476,0", help="coefficient c2 as re,im")
+    p = sub.add_parser("interfere", parents=[shared], help="two-resonance spectrum")
+    _add_grid(p, window_required=True)
+    p.add_argument("--indices", type=index_pair, required=True, help="resonance indices: i,j")
+    p.add_argument("--c1", type=complex_pair, default="0.7071067811865476,0", help="c1 as re,im")
+    p.add_argument("--c2", type=complex_pair, default="0.7071067811865476,0", help="c2 as re,im")
     p.add_argument(
         "--no-renormalize", dest="renormalize", action="store_false",
         help="emit the raw superposition instead of a unit-area density",
     )
-    p.set_defaults(func=cmd_interfere, renormalize=True)
+    p.set_defaults(func=cmd_interfere)
 
     p = sub.add_parser(
-        "cross-section", parents=[shared, grid], help="exact cross section and approximants"
+        "cross-section", parents=[shared], help="exact cross section and approximants"
     )
+    _add_grid(p, window_required=False)
     p.add_argument("--index", type=int, required=True)
     p.add_argument("--second-index", dest="second_index", type=int)
     p.set_defaults(func=cmd_cross_section)
@@ -453,16 +331,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--re", type=float, required=True)
     p.add_argument("--im", type=float, default=0.0)
     p.set_defaults(func=cmd_lambertw)
-    return parser
+    return parser, shared
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, shared = _build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config(args)
-        _fill_defaults(args)
-        _validate_window(args)
+        if args.config:
+            at = argv.index(args.command) + 1
+            args = parser.parse_args(argv[:at] + _config_tokens(args.config, shared) + argv[at:])
+        if getattr(args, "emit_plot_script", False) and (args.format != "csv" or not args.output):
+            raise InvalidInput("--emit-plot-script needs --format csv and --output PATH")
         args.func(args)
     except (InvalidInput, NoSuchPole) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -476,21 +357,6 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     return EXIT_OK
-
-
-def _validate_window(args) -> None:
-    if getattr(args, "points", None) is not None and args.command in (
-        "spectrum",
-        "interfere",
-        "cross-section",
-    ):
-        if args.points < 2:
-            raise InvalidInput("--points must be at least 2")
-        if args.command in ("spectrum", "interfere"):
-            if args.emin is None or args.emax is None:
-                raise InvalidInput("--emin and --emax are required")
-            if not (0.0 < args.emin < args.emax):
-                raise InvalidInput("need 0 < --emin < --emax")
 
 
 if __name__ == "__main__":

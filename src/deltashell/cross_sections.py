@@ -23,7 +23,8 @@ import numpy as np
 from .errors import InvalidInput
 from .poles import find_resonance
 from .potential import PotentialSpec, Pole, PoleKind
-from .scattering import s_matrix, zeldovich_norm
+from .scattering import _lorentz_denominator, _scalar_or_array, s_matrix, zeldovich_norm
+from .spectra import _grid
 
 __all__ = [
     "CrossSectionBundle",
@@ -67,7 +68,7 @@ def cross_section_exact(spec: PotentialSpec, e):
     e = _energies(e)
     s = s_matrix(spec, np.sqrt(e).astype(complex))
     out = np.pi / e * np.abs(s - 1.0) ** 2
-    return float(out) if out.ndim == 0 else out
+    return _scalar_or_array(out)
 
 
 def cross_section_laurent(spec: PotentialSpec, pole: Pole, e):
@@ -75,16 +76,16 @@ def cross_section_laurent(spec: PotentialSpec, pole: Pole, e):
     _require_resonance(pole)
     e = _energies(e)
     r_e = abs(zeldovich_norm(spec, pole).residue_E)
-    out = np.pi / e * r_e**2 / ((e - pole.e_R) ** 2 + (0.5 * pole.gamma_R) ** 2)
-    return float(out) if out.ndim == 0 else out
+    out = np.pi / e * r_e**2 / _lorentz_denominator(pole, e)
+    return _scalar_or_array(out)
 
 
 def cross_section_e_unitarized(spec: PotentialSpec, pole: Pole, e):
     """(pi/k^2) Gamma_R^2 / ((E-E_R)^2 + (Gamma_R/2)^2); peak value 4 pi / E_R."""
     _require_resonance(pole)
     e = _energies(e)
-    out = np.pi / e * pole.gamma_R**2 / ((e - pole.e_R) ** 2 + (0.5 * pole.gamma_R) ** 2)
-    return float(out) if out.ndim == 0 else out
+    out = np.pi / e * pole.gamma_R**2 / _lorentz_denominator(pole, e)
+    return _scalar_or_array(out)
 
 
 def cross_section_k_unitarized(spec: PotentialSpec, pole: Pole, e):
@@ -93,7 +94,7 @@ def cross_section_k_unitarized(spec: PotentialSpec, pole: Pole, e):
     e = _energies(e)
     k = np.sqrt(e)
     out = np.pi / e * (2.0 * pole.beta_R) ** 2 / ((k - pole.alpha_R) ** 2 + pole.beta_R**2)
-    return float(out) if out.ndim == 0 else out
+    return _scalar_or_array(out)
 
 
 def unitarized_ratio(spec: PotentialSpec, pole: Pole, e):
@@ -112,7 +113,7 @@ def unitarized_ratio(spec: PotentialSpec, pole: Pole, e):
     )
     if np.any(np.abs(ratio - quotient) > 1e-12 * np.abs(ratio)):
         raise ArithmeticError("unitarized-ratio identity violated; inconsistent pole")
-    return float(ratio) if np.ndim(ratio) == 0 else ratio
+    return _scalar_or_array(ratio)
 
 
 def cross_section_two_pole(spec: PotentialSpec, pole1: Pole, pole2: Pole, e):
@@ -126,11 +127,10 @@ def cross_section_two_pole(spec: PotentialSpec, pole1: Pole, pole2: Pole, e):
     e = _energies(e)
     r1 = zeldovich_norm(spec, pole1).residue_E
     r2 = zeldovich_norm(spec, pole2).residue_E
-    d1 = (e - pole1.e_R) ** 2 + (0.5 * pole1.gamma_R) ** 2
-    d2 = (e - pole2.e_R) ** 2 + (0.5 * pole2.gamma_R) ** 2
+    d1, d2 = _lorentz_denominator(pole1, e), _lorentz_denominator(pole2, e)
     cross = 2.0 * np.real(r1 * np.conj(r2) / ((e - pole1.z) * (e - np.conj(pole2.z))))
     out = np.pi / e * (abs(r1) ** 2 / d1 + abs(r2) ** 2 / d2 + cross)
-    return float(out) if out.ndim == 0 else out
+    return _scalar_or_array(out)
 
 
 def cross_section_bundle(
@@ -146,16 +146,12 @@ def cross_section_bundle(
     The default window is E_R +/- 10 Gamma_R clipped to positive energies,
     which resolves sharp peaks; pass e_min/e_max to override.
     """
-    if points < 2:
-        raise InvalidInput("need at least two grid points")
     pole = find_resonance(spec, index)
     if e_min is None:
         e_min = max(pole.e_R - 10.0 * pole.gamma_R, 1e-6 * abs(pole.e_R))
     if e_max is None:
         e_max = pole.e_R + 10.0 * pole.gamma_R
-    if not (0.0 < e_min < e_max):
-        raise InvalidInput("need 0 < e_min < e_max")
-    grid = np.linspace(e_min, e_max, points)
+    grid = _grid(e_min, e_max, points)
     two_pole = None
     if second_index is not None:
         second = find_resonance(spec, second_index)

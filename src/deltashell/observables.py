@@ -40,7 +40,12 @@ from .errors import InvalidInput
 from .poles import enumerate_poles
 from .potential import PotentialSpec, Pole, PoleKind
 from .quadrature import QuadratureRequest, integrate_semi_infinite
-from .scattering import _shell_density, matrix_element_squared
+from .scattering import (
+    _lorentz_denominator,
+    _scalar_or_array,
+    _shell_density,
+    matrix_element_squared,
+)
 
 __all__ = [
     "ObservablesRecord",
@@ -54,10 +59,6 @@ __all__ = [
     "table_records",
 ]
 
-DEFAULT_REL_TOL = 1e-9
-DEFAULT_ABS_TOL = 1e-12
-
-
 @dataclass(frozen=True)
 class ObservablesRecord:
     """One table row: pole identity plus every decay observable.
@@ -66,7 +67,7 @@ class ObservablesRecord:
     virtual rows (their gamma_bar is identically zero); the sharp values
     are also None for resonances with E_R <= 0, where the sharp
     approximation has no energy to sit at. Every observable comes from a
-    closed-form residue sum, so quadrature_error is 0.0.
+    closed-form residue sum.
     """
 
     lam: float
@@ -80,7 +81,6 @@ class ObservablesRecord:
     gamma_bar_sharp: float | None
     gamma_sharp: float | None
     c_value: float | None
-    quadrature_error: float
 
 
 def _require_kind(pole: Pole, *kinds: PoleKind) -> None:
@@ -93,18 +93,17 @@ def decay_width_differential(spec: PotentialSpec, pole: Pole, e):
     """dGbar/dE = Gamma_R / ((E-E_R)^2 + (Gamma_R/2)^2) * M^2(E)."""
     _require_kind(pole, PoleKind.RESONANCE)
     e = np.asarray(e, dtype=float)
-    lor = pole.gamma_R / ((e - pole.e_R) ** 2 + (0.5 * pole.gamma_R) ** 2)
+    lor = pole.gamma_R / _lorentz_denominator(pole, e)
     out = lor * matrix_element_squared(spec, pole, e)
-    return float(out) if out.ndim == 0 else out
+    return _scalar_or_array(out)
 
 
 def decay_constant_differential(spec: PotentialSpec, pole: Pole, e):
     """dGamma/dE = M^2(E) / ((E-E_R)^2 + (Gamma_R/2)^2); any pole kind."""
     _require_kind(pole, PoleKind.RESONANCE, PoleKind.BOUND, PoleKind.VIRTUAL_STATE)
     e = np.asarray(e, dtype=float)
-    denom = (e - pole.e_R) ** 2 + (0.5 * pole.gamma_R) ** 2
-    out = matrix_element_squared(spec, pole, e) / denom
-    return float(out) if out.ndim == 0 else out
+    out = matrix_element_squared(spec, pole, e) / _lorentz_denominator(pole, e)
+    return _scalar_or_array(out)
 
 
 def _sin2_pair(a: float, q1: complex, q2: complex) -> complex:
@@ -190,8 +189,8 @@ def golden_rule_sharp(spec: PotentialSpec, pole: Pole):
 def perturbation_rhs(
     spec: PotentialSpec,
     pole: Pole,
-    rel_tol: float = DEFAULT_REL_TOL,
-    abs_tol: float = DEFAULT_ABS_TOL,
+    rel_tol: float = 1e-9,
+    abs_tol: float = 1e-12,
 ) -> float:
     """RHS of the second-order perturbation-theory width equation.
 
@@ -201,15 +200,13 @@ def perturbation_rhs(
     of 1.
     """
     _require_kind(pole, PoleKind.RESONANCE)
-    e_r, g_r = pole.e_R, pole.gamma_R
 
     def f(e):
-        lor = g_r / ((e_r - e) ** 2 + (0.5 * g_r) ** 2)
-        return lor * matrix_element_squared(spec, pole, e)
+        return pole.gamma_R / _lorentz_denominator(pole, e) * matrix_element_squared(spec, pole, e)
 
     req = QuadratureRequest(
-        peak_center=e_r,
-        peak_halfwidth=0.5 * g_r,
+        peak_center=pole.e_R,
+        peak_halfwidth=0.5 * pole.gamma_R,
         oscillation_wavenumber=math.pi / spec.a,
         rel_tol=rel_tol,
         abs_tol=abs_tol,
@@ -241,7 +238,6 @@ def observables_record(spec: PotentialSpec, pole: Pole) -> ObservablesRecord:
         gamma_bar_sharp=gbs,
         gamma_sharp=gs,
         c_value=c_value,
-        quadrature_error=0.0,
     )
 
 

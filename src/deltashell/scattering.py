@@ -65,6 +65,16 @@ class NormalizationData:
         return 2.0 * self.k * self.residue_k
 
 
+def _scalar_or_array(out):
+    """A Python float or complex for a 0-d result, else the array itself."""
+    return out.item() if out.ndim == 0 else out
+
+
+def _lorentz_denominator(pole: Pole, e):
+    """(E - E_R)^2 + (Gamma_R/2)^2 = |E - z|^2, the pole's Lorentzian denominator."""
+    return (e - pole.e_R) ** 2 + (0.5 * pole.gamma_R) ** 2
+
+
 def jost(spec: PotentialSpec, k) -> JostPair:
     """Jost functions J1, J2 at complex wave number k (vectorized).
 
@@ -92,7 +102,7 @@ def s_matrix(spec: PotentialSpec, k):
     if np.any(np.abs(j2) <= _POLE_HIT_TOL * np.maximum(1.0, np.abs(j1))):
         raise PoleHit("S-matrix evaluated on top of a pole")
     s = -j1 / j2
-    return complex(s) if s.ndim == 0 else s
+    return _scalar_or_array(s)
 
 
 def s_matrix_energy(spec: PotentialSpec, e):
@@ -145,7 +155,7 @@ def resonant_wavefunction(spec: PotentialSpec, pole: Pole, r):
     inside = n_r * np.sin(pole.k * r) / j1
     outside = n_r * np.exp(1j * pole.k * r)
     u = np.where(r < spec.a, inside, outside)
-    return complex(u) if u.ndim == 0 else u
+    return _scalar_or_array(u)
 
 
 def _shell_density(spec: PotentialSpec, pole: Pole) -> float:
@@ -178,7 +188,7 @@ def matrix_element_squared(spec: PotentialSpec, pole: Pole, e):
     k = np.sqrt(e)
     pref = (spec.lam**2 / (np.pi * spec.a**2)) * _shell_density(spec, pole)
     out = pref * np.sin(k * spec.a) ** 2 / k
-    return float(out) if out.ndim == 0 else out
+    return _scalar_or_array(out)
 
 
 def matrix_element(spec: PotentialSpec, pole: Pole, e):
@@ -195,4 +205,4 @@ def matrix_element(spec: PotentialSpec, pole: Pole, e):
     k = np.sqrt(e)
     chi = np.sqrt(1.0 / np.pi) * e ** (-0.25) * np.sin(k * spec.a)
     out = spec.coupling * chi * _shell_amplitude(spec, pole)
-    return complex(out) if out.ndim == 0 else out
+    return _scalar_or_array(out)

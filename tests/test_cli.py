@@ -15,9 +15,14 @@ from deltashell import (
     NonConvergence,
     PotentialSpec,
     cross_section_bundle,
+    enumerate_poles,
+    find_anti_resonance,
     find_resonance,
     interference_curve,
+    lambert_w,
+    lambert_w_residual,
     spectrum_curve,
+    table_records,
 )
 from deltashell.scattering import zeldovich_norm
 from conftest import assert_printed, golden_rows
@@ -315,6 +320,24 @@ def test_plot_script_requires_output(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "extra", [["--format", "json", "--output", "x.json"], []], ids=["json-output", "no-output"]
+)
+def test_plot_script_flag_checked_before_any_output(extra, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code, out = run_main(
+        [
+            "spectrum", "--lambda", "100", "--index", "3",
+            "--emin", "80", "--emax", "94", "--points", "11", "--emit-plot-script",
+        ]
+        + extra,
+        capsys,
+    )
+    assert code == 2
+    assert out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_config_file_with_flag_override(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# defaults\nlambda=100\nformat=json\n")
@@ -336,6 +359,19 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     cfg.write_text("wibble=1\n")
     code, _ = run_main(["poles", "--config", str(cfg), "--lambda", "10"], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "line", ["format=xml", "lambda=abc", "units=bogus", "rel-tol=1e-9"]
+)
+def test_bad_config_value_exits_2_without_traceback(line, tmp_path):
+    # config values go through argparse like flags: cast, choices and known keys
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"lambda=10\n{line}\n")
+    proc = run_cli("poles", "--config", str(cfg), "--count", "2")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
 
 
 def test_missing_lambda_exits_2(capsys):
@@ -410,6 +446,75 @@ def per_cell_curve_bytes(fmt, names, series, meta=None):
     return "\n".join(lines) + "\n"
 
 
+def per_cell_row_bytes(fmt, names, rows, meta=None):
+    """Reference serializer for the row commands, one cell at a time.
+
+    Floats as format(x, ".9g"), ints with str(), None as an empty cell; in
+    JSON, floats rounded to 9 digits and the rest as they are. A trailing
+    c_value column (the table's constant C) is JSON-only.
+    """
+    if fmt == "json":
+        payload = [
+            {name: float(format(x, ".9g")) if isinstance(x, float) else x
+             for name, x in zip(names, row)}
+            for row in rows
+        ]
+        return json.dumps({"meta": meta, "rows": payload}, separators=(",", ":")) + "\n"
+
+    def cell(x):
+        if x is None:
+            return ""
+        return str(x) if isinstance(x, (str, int)) else format(float(x), ".9g")
+
+    width = names.index("c_value") if "c_value" in names else len(names)
+    lines = [",".join(names[:width])]
+    lines.extend(",".join(cell(x) for x in row[:width]) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+ROW_COMMANDS = ("poles", "table", "lambertw")
+
+
+def _poles_case():
+    spec = PotentialSpec(lam=-0.5)
+    poles = enumerate_poles(spec, 3) + [find_anti_resonance(spec, n) for n in (1, 2, 3)]
+    argv = ["poles", "--lambda", "-0.5", "--count", "3", "--include-antiresonances"]
+    names = ["kind", "index", "branch", "re_k", "im_k", "re_z", "im_z", "gamma_R"]
+    rows = [[p.kind.value, p.index, p.branch, p.k.real, p.k.imag, p.z.real, p.z.imag,
+             p.gamma_R] for p in poles]
+    return argv, names, rows
+
+
+def _table_case(lam, count, physical=False):
+    units = {"unit_system": "physical", "mass": 2.0, "hbar": 1.5} if physical else {}
+    spec = PotentialSpec(lam=lam, **units)
+    s = spec.energy_scale
+    argv = ["table", "--lambda", repr(lam), "--count", str(count)]
+    if physical:
+        argv += ["--units", "physical", "--mass", "2", "--hbar", "1.5"]
+    names = ["kind", "index", "re_k", "im_k", "re_z", "im_z", "gamma_R", "gamma_bar",
+             "gamma", "gamma_bar_sharp", "gamma_sharp", "c_value"]
+    rows = [
+        [r.kind.value, r.index, r.k.real, r.k.imag, r.z.real * s, r.z.imag * s,
+         r.gamma_R * s, r.gamma_bar * s, r.gamma,
+         None if r.gamma_bar_sharp is None else r.gamma_bar_sharp * s, r.gamma_sharp,
+         r.c_value]
+        for r in table_records(spec, count)
+    ]
+    return argv, names, rows
+
+
+def _lambertw_case():
+    z = complex(-0.2, 0.0)
+    w = lambert_w(-1, z)
+    argv = ["lambertw", "--branch", "-1", "--re", "-0.2"]
+    names = ["branch", "re_z", "im_z", "re_w", "im_w", "residual"]
+    return argv, names, [[-1, z.real, z.imag, w.real, w.imag, lambert_w_residual(w, z)]]
+
+
+TABLE_CASES = [(0.5, 8), (-0.5, 8), (100.0, 8), (-100.0, 8), (-700.0, 4), (0.05, 4)]
+
+
 def _spectrum_case(companions):
     spec = PotentialSpec(lam=100.0)
     curve = spectrum_curve(spec, find_resonance(spec, 3), 80.0, 94.0, 401)
@@ -452,15 +557,35 @@ def _cross_section_case():
         lambda: _spectrum_case(False),
         _interfere_case,
         _cross_section_case,
+        _poles_case,
+        *[lambda lam=lam, count=count: _table_case(lam, count) for lam, count in TABLE_CASES],
+        lambda: _table_case(10.0, 3, physical=True),
+        _lambertw_case,
     ],
-    ids=["spectrum", "spectrum-no-companions", "interfere", "cross-section-two-pole"],
+    ids=["spectrum", "spectrum-no-companions", "interfere", "cross-section-two-pole",
+         "poles-antiresonances", *[f"table{lam:+g}" for lam, _ in TABLE_CASES],
+         "table-physical", "lambertw"],
 )
 def test_curve_bytes_match_per_cell_format(case, fmt, capsys):
-    argv, names, series = case()
+    argv, names, data = case()
     code, out = run_main(argv + ["--format", fmt], capsys)
     assert code == 0
     meta = json.loads(out)["meta"] if fmt == "json" else None
-    assert out == per_cell_curve_bytes(fmt, names, series, meta)
+    reference = per_cell_row_bytes if argv[0] in ROW_COMMANDS else per_cell_curve_bytes
+    assert out == reference(fmt, names, data, meta)
+
+
+@pytest.mark.parametrize("case", [_poles_case, lambda: _table_case(-100.0, 3), _lambertw_case],
+                         ids=ROW_COMMANDS)
+def test_row_json_keys_equal_csv_header(case, capsys):
+    argv, _, _ = case()
+    _, csv_out = run_main(argv, capsys)
+    _, json_out = run_main(argv + ["--format", "json"], capsys)
+    header = csv_out.split("\n", 1)[0].split(",")
+    doc = json.loads(json_out)
+    extra = ["c_value"] if argv[0] == "table" else []  # C is a JSON-only column
+    assert all(list(row) == header + extra for row in doc["rows"])
+    assert "rel_tol" not in doc["meta"]
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -469,9 +594,9 @@ def test_curve_edge_values_match_per_cell_format(fmt, capsys):
               1234567891.0, 0.1 + 0.2, 1e-5, 9.999999995e-5]
     edge = np.resize(np.array(values), 1000)
     grid = np.arange(1.0, edge.size + 1.0)
-    args = SimpleNamespace(format=fmt, output=None, rel_tol=1e-9, emit_plot_script=False)
+    args = SimpleNamespace(format=fmt, output=None, emit_plot_script=False)
     spec = PotentialSpec(lam=10.0)
     cli._emit_curve(args, spec, grid, [("v", edge), ("skipped", None), ("w", edge[::-1])])
     out = capsys.readouterr().out
-    meta = cli._meta(args, spec) if fmt == "json" else None
+    meta = cli._meta(spec) if fmt == "json" else None
     assert out == per_cell_curve_bytes(fmt, ["E", "v", "w"], [grid, edge, edge[::-1]], meta)
