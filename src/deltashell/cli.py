@@ -17,6 +17,13 @@ goes through one `%.9g` template. `%.9g` and `format(x, ".9g")` share
 CPython's float formatter, so the bytes equal those of formatting value by
 value.
 
+The parser is built once per process, on the first main() call, and
+reused: parse_args makes a fresh Namespace every time. main() finds the
+handler by name, cmd_<command>, when it runs, so a cmd_* replaced on the
+module after the parser was built is still the one called. A word that
+starts with a minus and a digit (-1e-3, -2.5e1, -0.5,0.3) is read as a
+value, never as a flag.
+
 Every option default sits in its add_argument call. A `--config` file
 holds key=value lines whose keys are the shared long options; each line
 becomes a `--key=value` token right after the subcommand, so argparse casts
@@ -28,7 +35,9 @@ Exit codes: 0 success, 2 invalid input, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import re
 import sys
 
 import numpy as np
@@ -269,8 +278,24 @@ def _add_grid(p: argparse.ArgumentParser, window_required: bool) -> None:
     )
 
 
+# A minus followed by a digit or by '.' and a digit starts a value, never an
+# option: no option of this CLI is spelled that way. argparse's own pattern
+# admits only plain decimals, so it reads -1e-3, -2.5e1 and the pair
+# -0.5,0.3 as unknown flags.
+_NEGATIVE_VALUE = re.compile(r"-\.?\d")
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads a leading-minus number or pair as a value."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_VALUE
+
+
+@functools.cache
 def _build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
-    """The command-line parser and its shared-options parent."""
+    """The command-line parser and its shared-options parent, built once per process."""
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--lambda", dest="lam", type=float, help="shell strength")
     shared.add_argument("--radius", type=float, default=1.0, help="shell radius (default 1)")
@@ -281,7 +306,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     shared.add_argument("--output", help="write to PATH instead of stdout")
     shared.add_argument("--config", help="key=value file of the flags above, overridden by flags")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="deltashell",
         description="Resonance observables of the delta-shell potential.",
     )
@@ -291,11 +316,9 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     p = sub.add_parser("poles", parents=[shared], help="enumerate S-matrix poles")
     p.add_argument("--count", type=int, default=8)
     p.add_argument("--include-antiresonances", action="store_true")
-    p.set_defaults(func=cmd_poles)
 
     p = sub.add_parser("table", parents=[shared], help="full observables table")
     p.add_argument("--count", type=int, default=8)
-    p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("spectrum", parents=[shared], help="decay energy spectrum")
     _add_grid(p, window_required=True)
@@ -305,7 +328,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
         "--no-companions", dest="with_companions", action="store_false",
         help="omit the Breit-Wigner and matrix-element columns",
     )
-    p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("interfere", parents=[shared], help="two-resonance spectrum")
     _add_grid(p, window_required=True)
@@ -316,7 +338,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
         "--no-renormalize", dest="renormalize", action="store_false",
         help="emit the raw superposition instead of a unit-area density",
     )
-    p.set_defaults(func=cmd_interfere)
 
     p = sub.add_parser(
         "cross-section", parents=[shared], help="exact cross section and approximants"
@@ -324,13 +345,11 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     _add_grid(p, window_required=False)
     p.add_argument("--index", type=int, required=True)
     p.add_argument("--second-index", dest="second_index", type=int)
-    p.set_defaults(func=cmd_cross_section)
 
     p = sub.add_parser("lambertw", parents=[shared], help="evaluate one Lambert W branch")
     p.add_argument("--branch", type=int, required=True)
     p.add_argument("--re", type=float, required=True)
     p.add_argument("--im", type=float, default=0.0)
-    p.set_defaults(func=cmd_lambertw)
     return parser, shared
 
 
@@ -344,7 +363,8 @@ def main(argv=None) -> int:
             args = parser.parse_args(argv[:at] + _config_tokens(args.config, shared) + argv[at:])
         if getattr(args, "emit_plot_script", False) and (args.format != "csv" or not args.output):
             raise InvalidInput("--emit-plot-script needs --format csv and --output PATH")
-        args.func(args)
+        # by name, so a cmd_* replaced on the module after the build is called
+        globals()["cmd_" + args.command.replace("-", "_")](args)
     except (InvalidInput, NoSuchPole) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -8,9 +8,9 @@ scalars or numpy arrays of k (or E) values.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -116,19 +116,22 @@ def s_matrix_energy(spec: PotentialSpec, e):
     return s_matrix(spec, np.sqrt(np.asarray(e, dtype=complex)))
 
 
-def _jost2_derivative_at_pole(spec: PotentialSpec, k: complex) -> complex:
+def zeldovich_norm(spec: PotentialSpec, pole: Pole) -> NormalizationData:
+    """Residue of S at the pole and the squared normalization constant.
+
+    Scalar and uncached: J1(k_R) and J2'(k_R) are formed with cmath in
+    Python complex arithmetic, so every field is a Python complex or float.
+    """
+    k = complex(pole.k)
+    if k == 0:
+        raise InvalidInput("Jost functions are singular at k = 0")
     # J2 = [2ika + lam(e^{2ika}-1)]/(4ka); on a pole the bracket vanishes,
     # leaving J2'(k_R) = i (1 + lam e^{2 i k_R a}) / (2 k_R).
-    return 1j * (1.0 + spec.lam * np.exp(2j * k * spec.a)) / (2.0 * k)
-
-
-@lru_cache(maxsize=512)
-def zeldovich_norm(spec: PotentialSpec, pole: Pole) -> NormalizationData:
-    """Residue of S at the pole and the squared normalization constant."""
-    j2p = _jost2_derivative_at_pole(spec, pole.k)
+    j2p = 1j * (1.0 + spec.lam * cmath.exp(2j * k * spec.a)) / (2.0 * k)
     if abs(j2p) < _DEGENERATE_TOL:
         raise DegeneratePole(f"J2'({pole.k}) is numerically zero; double pole?")
-    j1 = jost(spec, pole.k).j1
+    g = spec.lam / spec.a
+    j1 = (-2j * k + g * (cmath.exp(-2j * k * spec.a) - 1.0)) / (4.0 * k)
     residue_k = -j1 / j2p
     n_r_squared = 1j * residue_k
     return NormalizationData(

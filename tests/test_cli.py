@@ -24,7 +24,6 @@ from deltashell import (
     spectrum_curve,
     table_records,
 )
-from deltashell.scattering import zeldovich_norm
 from conftest import assert_printed, golden_rows
 
 
@@ -374,6 +373,43 @@ def test_bad_config_value_exits_2_without_traceback(line, tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_parser_reused_across_calls(tmp_path, monkeypatch, capsys):
+    # one process, one parser: no option value may leak from call to call
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("lambda=-10\nformat=json\n")
+    calls = [
+        ["table", "--config", str(cfg), "--count", "3"],
+        ["poles", "--lambda", "100", "--count", "3", "--format", "json"],
+        ["table", "--lambda", "0.5", "--count", "3"],
+    ]
+    for argv in calls:
+        code, out = run_main(argv, capsys)
+        alone = run_cli(*argv)
+        assert code == alone.returncode == 0
+        assert out == alone.stdout
+    assert cli._build_parser() is cli._build_parser()
+
+    seen = []
+    monkeypatch.setattr(cli, "cmd_table", seen.append)
+    assert cli.main(["table", "--lambda", "10"]) == 0
+    assert [args.lam for args in seen] == [10.0]
+
+
+@pytest.mark.parametrize("argv,at", [
+    (["table", "--lambda", "-1e-3", "--count", "3"], 1),
+    (["table", "--lambda", "-2.5e1", "--count", "3"], 1),
+    (["table", "--lambda", "-.5", "--count", "3"], 1),
+    (["interfere", "--lambda", "12", "--indices", "2,3", "--c1", "-0.5,0.3",
+      "--c2", "0.5,0.5", "--emin", "30", "--emax", "60", "--points", "201"], 7),
+], ids=["exponent", "exponent-positive", "leading-dot", "pair"])
+def test_leading_minus_value_is_not_a_flag(argv, at, capsys):
+    # the same value joined to its option with '=' never looked like a flag
+    joined = argv[:at] + [argv[at] + "=" + argv[at + 1]] + argv[at + 2:]
+    code, out = run_main(argv, capsys)
+    assert code == 0
+    assert run_main(joined, capsys) == (0, out)
+
+
 def test_missing_lambda_exits_2(capsys):
     code, _ = run_main(["poles", "--count", "2"], capsys)
     assert code == 2
@@ -423,7 +459,6 @@ def test_overflow_exits_3_without_traceback():
 
 
 def test_table_deep_well_no_overflow_warning(capsys):
-    zeldovich_norm.cache_clear()  # form the bound state's residue afresh
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code = cli.main(["table", "--lambda", "-700", "--count", "1"])

@@ -3,11 +3,13 @@
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from deltashell import (
     InvalidInput,
+    Pole,
     PoleHit,
     PoleKind,
     PotentialSpec,
@@ -135,6 +137,46 @@ def test_bound_state_norm_is_real_positive():
     norm = zeldovich_norm(spec, find_bound_state(spec))
     assert abs(norm.n_r_squared.imag) <= 1e-12 * norm.abs_n_r_squared
     assert norm.n_r_squared.real > 0.0
+
+
+def _mp_residue(spec, k):
+    """-J1(k)/J2'(k) at the given double k, in 30-digit mpmath, and the
+    condition number of the double-precision formula: its term sizes over
+    the results, since e^{-2ika} - 1 and -2ik + g(...) cancel at large |lam|.
+    """
+    with mp.workdps(30):
+        k, a, lam = mp.mpc(k), mp.mpf(spec.a), mp.mpf(spec.lam)
+        up, dn = mp.exp(-2j * k * a), mp.exp(2j * k * a)
+        j1 = (-2j * k + lam / a * (up - 1)) / (4 * k)
+        j2p = 1j * (1 + lam * dn) / (2 * k)
+        cond = ((2 * abs(k) + abs(lam / a) * (abs(up) + 1)) / abs(4 * k * j1)
+                + (1 + abs(lam * dn)) / abs(1 + lam * dn))
+        return -j1 / j2p, float(cond)
+
+
+# every pole of n <= 15, except at |lam| = 700 where the absolute pole gate
+# rejects the higher resonances (ROADMAP item 2)
+@pytest.mark.parametrize("lam,count", [
+    (700.0, 4), (-700.0, 5), (100.0, 15), (-100.0, 15), (10.0, 15), (-10.0, 15),
+    (0.5, 15), (-0.5, 15), (1e-3, 15), (-1e-3, 15),
+])
+def test_zeldovich_norm_scalar_and_matches_mpmath(lam, count):
+    spec = PotentialSpec(lam=lam)
+    for pole in enumerate_poles(spec, count):
+        norm = zeldovich_norm(spec, pole)
+        assert type(norm.residue_k) is complex and type(norm.n_r_squared) is complex
+        assert type(norm.abs_n_r_squared) is float
+        assert type(norm.residue_E) is complex
+        ref, cond = _mp_residue(spec, pole.k)
+        err = abs(mp.mpc(norm.residue_k) - ref) / abs(ref)
+        # 2e-15 where the formula is well posed; eps * cond where it cancels
+        assert err <= max(2e-15, 2.2e-16 * cond), (pole, float(err), cond)
+
+
+def test_zeldovich_norm_rejects_zero_k():
+    pole = Pole(kind=PoleKind.BOUND, branch=0, index=0, k=0j, z=0j)
+    with pytest.raises(InvalidInput):
+        zeldovich_norm(PotentialSpec(lam=-1.0), pole)
 
 
 def test_wavefunction_regular_at_origin(spec100, table1_poles):
