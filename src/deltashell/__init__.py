@@ -5,6 +5,12 @@ function, residue-normalized resonant states, decay widths and decay
 constants as closed-form residue sums, decay-energy-spectrum lineshapes with
 two-resonance interference, and cross-section approximants.
 
+Two layers. The scalar layer (errors, lambertw, potential, poles,
+observables) is plain Python and cmath; its names are imported with the
+package. The grid layer (scattering, spectra, cross_sections, quadrature)
+works on numpy arrays; its names are in __all__ too, but each is bound on
+first access, which imports its module and numpy.
+
 Quick start::
 
     >>> from deltashell import PotentialSpec, find_resonance, observables_record
@@ -15,16 +21,8 @@ Quick start::
     1.9924
 """
 
-from .cross_sections import (
-    CrossSectionBundle,
-    cross_section_bundle,
-    cross_section_e_unitarized,
-    cross_section_exact,
-    cross_section_k_unitarized,
-    cross_section_laurent,
-    cross_section_two_pole,
-    unitarized_ratio,
-)
+import importlib
+
 from .errors import (
     DegeneratePole,
     DeltaShellError,
@@ -37,56 +35,65 @@ from .errors import (
 from .lambertw import lambert_w, lambert_w_residual
 from .observables import (
     ObservablesRecord,
-    decay_constant_differential,
     decay_constant_total,
-    decay_width_differential,
     decay_width_total,
     golden_rule_sharp,
     observables_record,
-    perturbation_rhs,
     table_records,
 )
 from .poles import (
+    NormalizationData,
     enumerate_poles,
     find_anti_resonance,
     find_bound_state,
     find_resonance,
     find_virtual_state,
     transcendental_residual,
-)
-from .potential import Pole, PoleKind, PotentialSpec
-from .quadrature import QuadratureRequest, integrate_semi_infinite
-from .scattering import (
-    JostPair,
-    NormalizationData,
-    jost,
-    matrix_element,
-    matrix_element_squared,
-    resonant_wavefunction,
-    s_matrix,
-    s_matrix_energy,
     zeldovich_norm,
 )
-from .spectra import (
-    InterferenceConfig,
-    SpectrumCurve,
-    decay_energy_spectrum,
-    interference_curve,
-    interference_spectrum,
-    multi_spectrum,
-    spectrum_curve,
-)
+from .potential import Pole, PoleKind, PotentialSpec
+
+# Grid-layer names, by module: bound on first access, since their modules
+# import numpy and the scalar layer above does not.
+_GRID = {
+    "cross_sections": (
+        "CrossSectionBundle", "cross_section_bundle", "cross_section_e_unitarized",
+        "cross_section_exact", "cross_section_k_unitarized", "cross_section_laurent",
+        "cross_section_two_pole", "unitarized_ratio",
+    ),
+    "quadrature": ("QuadratureRequest", "integrate_semi_infinite"),
+    "scattering": (
+        "JostPair", "jost", "matrix_element", "matrix_element_squared",
+        "resonant_wavefunction", "s_matrix", "s_matrix_energy",
+    ),
+    "spectra": (
+        "InterferenceConfig", "SpectrumCurve", "decay_constant_differential",
+        "decay_energy_spectrum", "decay_width_differential", "interference_curve",
+        "interference_spectrum", "multi_spectrum", "perturbation_rhs", "spectrum_curve",
+    ),
+}
+_LAZY = {name: module for module, names in _GRID.items() for name in names}
+
+
+def __getattr__(name):
+    """Import a grid-layer name's module on first access and keep the name."""
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))
+
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "CrossSectionBundle",
     "DegeneratePole",
     "DeltaShellError",
-    "InterferenceConfig",
     "InvalidInput",
-    "JostPair",
     "NonConvergence",
     "NormalizationData",
     "NoSuchPole",
@@ -95,19 +102,8 @@ __all__ = [
     "PoleHit",
     "PoleKind",
     "PotentialSpec",
-    "QuadratureRequest",
-    "SpectrumCurve",
     "ToleranceNotMet",
-    "cross_section_bundle",
-    "cross_section_e_unitarized",
-    "cross_section_exact",
-    "cross_section_k_unitarized",
-    "cross_section_laurent",
-    "cross_section_two_pole",
-    "decay_constant_differential",
     "decay_constant_total",
-    "decay_energy_spectrum",
-    "decay_width_differential",
     "decay_width_total",
     "enumerate_poles",
     "find_anti_resonance",
@@ -115,23 +111,11 @@ __all__ = [
     "find_resonance",
     "find_virtual_state",
     "golden_rule_sharp",
-    "integrate_semi_infinite",
-    "interference_curve",
-    "interference_spectrum",
-    "jost",
     "lambert_w",
     "lambert_w_residual",
-    "matrix_element",
-    "matrix_element_squared",
-    "multi_spectrum",
     "observables_record",
-    "perturbation_rhs",
-    "resonant_wavefunction",
-    "s_matrix",
-    "s_matrix_energy",
-    "spectrum_curve",
     "table_records",
     "transcendental_residual",
-    "unitarized_ratio",
     "zeldovich_norm",
+    *_LAZY,
 ]

@@ -24,6 +24,12 @@ module after the parser was built is still the one called. A word that
 starts with a minus and a digit (-1e-3, -2.5e1, -0.5,0.3) is read as a
 value, never as a flag.
 
+The module imports no numpy, so poles, table and lambertw never load it.
+The curve functions (spectrum_curve, interference_curve, InterferenceConfig,
+cross_section_bundle) are bound by module __getattr__ on first use, which
+imports their grid-layer module and numpy; each cmd_* looks its function
+up on the module when it runs, so a replacement set there is the one called.
+
 Every option default sits in its add_argument call. A `--config` file
 holds key=value lines whose keys are the shared long options; each line
 becomes a `--key=value` token right after the subcommand, so argparse casts
@@ -40,20 +46,32 @@ import json
 import re
 import sys
 
-import numpy as np
-
 from . import __version__
-from .cross_sections import cross_section_bundle
 from .errors import InvalidInput, NoSuchPole
 from .lambertw import lambert_w, lambert_w_residual
 from .observables import table_records
 from .poles import enumerate_poles, find_anti_resonance, find_resonance, find_virtual_state
 from .potential import PotentialSpec
-from .spectra import InterferenceConfig, interference_curve, spectrum_curve
 
 EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_NUMERICAL = 3
+
+# The curve functions: grid-layer names, bound on first access.
+_CURVES = ("spectrum_curve", "interference_curve", "InterferenceConfig", "cross_section_bundle")
+
+
+def __getattr__(name):
+    """Bind a curve function through the package's lazy import (and numpy) on first access."""
+    if name not in _CURVES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(sys.modules[__package__], name)
+    return value
+
+
+def _curve(name):
+    """A curve name as the module binds it at call time; a replacement is honoured."""
+    return getattr(sys.modules[__name__], name)
 
 # Column specs: (name, getter(row, energy_scale)).
 _POLE_COLUMNS = (
@@ -183,8 +201,7 @@ def _emit_curve(args, spec, grid, columns) -> None:
     no column is copied.
     """
     kept = [("E", grid)] + [(name, col) for name, col in columns if col is not None]
-    names = [name for name, _ in kept]
-    series = [np.asarray(col, dtype=float) for _, col in kept]
+    names, series = zip(*kept)  # the library returns every column as a float64 array
     if args.format == "json":
         curve = {
             name: list(map(float, map("%.9g".__mod__, col)))
@@ -208,7 +225,7 @@ def cmd_spectrum(args) -> None:
         pole = find_resonance(spec, args.index)
     else:
         raise InvalidInput("need --index N or --virtual")
-    curve = spectrum_curve(spec, pole, args.emin, args.emax, args.points)
+    curve = _curve("spectrum_curve")(spec, pole, args.emin, args.emax, args.points)
     names = ("dP_dE", "breit_wigner", "matrix_element") if args.with_companions else ("dP_dE",)
     _emit_curve(args, spec, curve.grid, [(name, getattr(curve, name)) for name in names])
 
@@ -226,15 +243,17 @@ def complex_pair(text: str) -> complex:
 
 def cmd_interfere(args) -> None:
     spec = _spec_from_args(args)
-    cfg = InterferenceConfig(c1=args.c1, c2=args.c2, renormalize=args.renormalize)
+    cfg = _curve("InterferenceConfig")(c1=args.c1, c2=args.c2, renormalize=args.renormalize)
     pole1, pole2 = (find_resonance(spec, i) for i in args.indices)
-    curve = interference_curve(spec, pole1, pole2, cfg, args.emin, args.emax, args.points)
+    curve = _curve("interference_curve")(
+        spec, pole1, pole2, cfg, args.emin, args.emax, args.points
+    )
     _emit_curve(args, spec, curve.grid, [("dP_dE", curve.dP_dE)])
 
 
 def cmd_cross_section(args) -> None:
     spec = _spec_from_args(args)
-    bundle = cross_section_bundle(
+    bundle = _curve("cross_section_bundle")(
         spec, args.index, args.emin, args.emax, args.points, second_index=args.second_index
     )
     names = ("exact", "laurent", "e_unitarized", "k_unitarized", "two_pole")

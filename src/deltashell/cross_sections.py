@@ -21,9 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput
-from .poles import find_resonance
+from .poles import find_resonance, zeldovich_norm
 from .potential import PotentialSpec, Pole, PoleKind
-from .scattering import _lorentz_denominator, _scalar_or_array, s_matrix, zeldovich_norm
+from .scattering import _lorentz_denominator, _scalar_or_array, s_matrix
 from .spectra import _grid
 
 __all__ = [

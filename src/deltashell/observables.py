@@ -18,14 +18,14 @@ normalization in spectra, has the form int_{-inf}^{inf} sin^2(ka) R(k) dk
 with R even and rational, so it is a finite sum of residues at the
 S-matrix poles (:func:`_sin2_pair`). That residue sum is the production
 path; the adaptive quadrature of :mod:`deltashell.quadrature` is kept as
-the independent check, and as the engine of :func:`perturbation_rhs`.
+the independent check.
 
 The sharp approximations replace the Lorentzian by a delta function:
-Gbar_sharp = 2 pi M^2(E_R), Gamma_sharp = Gbar_sharp / Gamma_R. The
-perturbation-theory right-hand side (the same Lorentzian integral read as
-an implicit equation for the pole width) is exposed separately so its
-numerical value can be compared against Gamma_R: the two disagree for
-every resonance of this potential, which is the point of computing it.
+Gbar_sharp = 2 pi M^2(E_R), Gamma_sharp = Gbar_sharp / Gamma_R.
+
+Everything here is scalar Python arithmetic with no numpy import; the
+integrands on energy grids (dGbar/dE, dGamma/dE) and the quadrature of
+the perturbation-theory width live in :mod:`deltashell.spectra`.
 """
 
 from __future__ import annotations
@@ -34,27 +34,15 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import InvalidInput
-from .poles import enumerate_poles
+from .poles import _shell_density, enumerate_poles
 from .potential import PotentialSpec, Pole, PoleKind
-from .quadrature import QuadratureRequest, integrate_semi_infinite
-from .scattering import (
-    _lorentz_denominator,
-    _scalar_or_array,
-    _shell_density,
-    matrix_element_squared,
-)
 
 __all__ = [
     "ObservablesRecord",
-    "decay_width_differential",
-    "decay_constant_differential",
     "decay_width_total",
     "decay_constant_total",
     "golden_rule_sharp",
-    "perturbation_rhs",
     "observables_record",
     "table_records",
 ]
@@ -89,23 +77,6 @@ def _require_kind(pole: Pole, *kinds: PoleKind) -> None:
         raise InvalidInput(f"operation defined for {allowed} poles, got {pole.kind.value}")
 
 
-def decay_width_differential(spec: PotentialSpec, pole: Pole, e):
-    """dGbar/dE = Gamma_R / ((E-E_R)^2 + (Gamma_R/2)^2) * M^2(E)."""
-    _require_kind(pole, PoleKind.RESONANCE)
-    e = np.asarray(e, dtype=float)
-    lor = pole.gamma_R / _lorentz_denominator(pole, e)
-    out = lor * matrix_element_squared(spec, pole, e)
-    return _scalar_or_array(out)
-
-
-def decay_constant_differential(spec: PotentialSpec, pole: Pole, e):
-    """dGamma/dE = M^2(E) / ((E-E_R)^2 + (Gamma_R/2)^2); any pole kind."""
-    _require_kind(pole, PoleKind.RESONANCE, PoleKind.BOUND, PoleKind.VIRTUAL_STATE)
-    e = np.asarray(e, dtype=float)
-    out = matrix_element_squared(spec, pole, e) / _lorentz_denominator(pole, e)
-    return _scalar_or_array(out)
-
-
 def _sin2_pair(a: float, q1: complex, q2: complex) -> complex:
     """S(q1, q2) = int_{-inf}^{inf} sin^2(ka) / ((k^2 - q1^2)(k^2 - q2^2)) dk.
 
@@ -125,16 +96,47 @@ def _sin2_pair(a: float, q1: complex, q2: complex) -> complex:
     """
     if q1 == q2:
         u = 2j * q1 * a
-        return -math.pi * 1j * cmath.exp(u) * (complex(np.expm1(-u)) + u) / (4.0 * q1**3)
+        return -math.pi * 1j * cmath.exp(u) * (_expm1(-u) + u) / (4.0 * q1**3)
 
     def f(q):
-        return -complex(np.expm1(2j * q * a)) / (2.0 * q)
+        return -_expm1(2j * q * a) / (2.0 * q)
 
     return math.pi * 1j * (f(q1) - f(q2)) / (q1 * q1 - q2 * q2)
 
 
+def _expm1(z: complex) -> complex:
+    """e^z - 1 by numpy's complex expm1 formula, bit for bit the same as np.expm1.
+
+    Re = expm1(x) cos y - 2 sin^2(y/2) keeps its digits when e^z is close to 1.
+    Unlike numpy it raises OverflowError, not a warning, for Re z > ~709.78.
+    """
+    x, y = z.real, z.imag
+    half = math.sin(y / 2.0)
+    return complex(math.expm1(x) * math.cos(y) - 2.0 * half * half, math.exp(x) * math.sin(y))
+
+
 def _width_prefactor(spec: PotentialSpec, pole: Pole) -> float:
+    """(2 lam^2 / a^2) |N|^2 exp(2 beta a): the one residue normalization of a row."""
     return (2.0 * spec.lam**2 / spec.a**2) * _shell_density(spec, pole)
+
+
+def _resonance_width(spec: PotentialSpec, pole: Pole, prefactor: float):
+    # C = int (1/pi) (G/2)/((E-E_R)^2+(G/2)^2) sin^2(ka)/k dE
+    #   = (Gamma_R / 2 pi) S(-k_R, conj k_R) = Re[(1 - e^{-2 i k_R a}) / (2 k_R)]
+    s = _sin2_pair(spec.a, -pole.k, pole.k.conjugate())
+    c_value = pole.gamma_R / (2.0 * math.pi) * s.real
+    return prefactor * c_value, c_value
+
+
+def _threshold_constant(spec: PotentialSpec, pole: Pole, prefactor: float) -> float:
+    q = 1j * abs(pole.k.imag)
+    return prefactor / (2.0 * math.pi) * _sin2_pair(spec.a, q, q).real
+
+
+def _sharp(spec: PotentialSpec, pole: Pole, prefactor: float):
+    kt = math.sqrt(pole.e_R)
+    gbs = prefactor * math.sin(kt * spec.a) ** 2 / kt
+    return gbs, gbs / pole.gamma_R
 
 
 def decay_width_total(spec: PotentialSpec, pole: Pole):
@@ -146,11 +148,7 @@ def decay_width_total(spec: PotentialSpec, pole: Pole):
     _require_kind(pole, PoleKind.RESONANCE, PoleKind.BOUND, PoleKind.VIRTUAL_STATE)
     if pole.kind is not PoleKind.RESONANCE:
         return 0.0, None
-    # C = int (1/pi) (G/2)/((E-E_R)^2+(G/2)^2) sin^2(ka)/k dE
-    #   = (Gamma_R / 2 pi) S(-k_R, conj k_R) = Re[(1 - e^{-2 i k_R a}) / (2 k_R)]
-    s = _sin2_pair(spec.a, -pole.k, pole.k.conjugate())
-    c_value = pole.gamma_R / (2.0 * math.pi) * s.real
-    return _width_prefactor(spec, pole) * c_value, c_value
+    return _resonance_width(spec, pole, _width_prefactor(spec, pole))
 
 
 def decay_constant_total(spec: PotentialSpec, pole: Pole) -> float:
@@ -167,8 +165,7 @@ def decay_constant_total(spec: PotentialSpec, pole: Pole) -> float:
     if pole.kind is PoleKind.RESONANCE:
         gamma_bar, _ = decay_width_total(spec, pole)
         return gamma_bar / pole.gamma_R
-    q = 1j * abs(pole.k.imag)
-    return _width_prefactor(spec, pole) / (2.0 * math.pi) * _sin2_pair(spec.a, q, q).real
+    return _threshold_constant(spec, pole, _width_prefactor(spec, pole))
 
 
 def golden_rule_sharp(spec: PotentialSpec, pole: Pole):
@@ -181,51 +178,22 @@ def golden_rule_sharp(spec: PotentialSpec, pole: Pole):
     _require_kind(pole, PoleKind.RESONANCE)
     if pole.e_R <= 0.0:
         raise InvalidInput("sharp approximation needs a positive resonant energy")
-    kt = math.sqrt(pole.e_R)
-    gbs = _width_prefactor(spec, pole) * math.sin(kt * spec.a) ** 2 / kt
-    return gbs, gbs / pole.gamma_R
-
-
-def perturbation_rhs(
-    spec: PotentialSpec,
-    pole: Pole,
-    rel_tol: float = 1e-9,
-    abs_tol: float = 1e-12,
-) -> float:
-    """RHS of the second-order perturbation-theory width equation.
-
-    int Gamma_R / ((E_R - E)^2 + (Gamma_R/2)^2) M^2(E) dE. Were the
-    perturbative identity exact, this would equal Gamma_R; numerically it
-    equals Gbar, so RHS / Gamma_R reproduces the decay constant instead
-    of 1.
-    """
-    _require_kind(pole, PoleKind.RESONANCE)
-
-    def f(e):
-        return pole.gamma_R / _lorentz_denominator(pole, e) * matrix_element_squared(spec, pole, e)
-
-    req = QuadratureRequest(
-        peak_center=pole.e_R,
-        peak_halfwidth=0.5 * pole.gamma_R,
-        oscillation_wavenumber=math.pi / spec.a,
-        rel_tol=rel_tol,
-        abs_tol=abs_tol,
-    )
-    value, _ = integrate_semi_infinite(f, req)
-    return value
+    return _sharp(spec, pole, _width_prefactor(spec, pole))
 
 
 def observables_record(spec: PotentialSpec, pole: Pole) -> ObservablesRecord:
-    """Assemble the full table row for one pole."""
+    """Assemble the full table row for one pole, normalizing the pole once."""
     _require_kind(pole, PoleKind.RESONANCE, PoleKind.BOUND, PoleKind.VIRTUAL_STATE)
-    gamma_bar, c_value = decay_width_total(spec, pole)
+    prefactor = _width_prefactor(spec, pole)
+    gamma_bar, c_value = 0.0, None
     gbs = gs = None
     if pole.kind is not PoleKind.RESONANCE:
-        gamma = decay_constant_total(spec, pole)
+        gamma = _threshold_constant(spec, pole, prefactor)
     else:
+        gamma_bar, c_value = _resonance_width(spec, pole, prefactor)
         gamma = gamma_bar / pole.gamma_R
         if pole.e_R > 0.0:
-            gbs, gs = golden_rule_sharp(spec, pole)
+            gbs, gs = _sharp(spec, pole, prefactor)
     return ObservablesRecord(
         lam=spec.lam,
         kind=pole.kind,

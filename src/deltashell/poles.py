@@ -21,28 +21,35 @@ for some branch n of the Lambert W function. Branch bookkeeping:
 Each Lambert-W root is polished with one or two Newton steps on the
 transcendental equation itself, which drives the equation residual to the
 evaluation noise floor (~1e-13 for |lam| = 100).
+
+The residue normalization of each pole, N^2 = i res_k S, is formed here
+too, in scalar complex arithmetic like the poles themselves.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from dataclasses import dataclass
 
-from .errors import InvalidInput, NonConvergence, NoSuchPole
+from .errors import DegeneratePole, InvalidInput, NonConvergence, NoSuchPole
 from .lambertw import lambert_w
 from .potential import PotentialSpec, Pole, PoleKind
 
 __all__ = [
+    "NormalizationData",
     "find_resonance",
     "find_anti_resonance",
     "find_bound_state",
     "find_virtual_state",
     "enumerate_poles",
     "transcendental_residual",
+    "zeldovich_norm",
 ]
 
 _RESIDUAL_TOL = 1e-12
 _DEGENERACY_BAND = 1e-10  # |lam + 1| below this: branch-point collision at k = 0
+_DEGENERATE_TOL = 1e-13
 
 
 def transcendental_residual(spec: PotentialSpec, k: complex) -> float:
@@ -152,3 +159,63 @@ def enumerate_poles(spec: PotentialSpec, count: int) -> list[Pole]:
         poles.append(find_virtual_state(spec))
     poles.extend(find_resonance(spec, n) for n in range(1, count + 1))
     return poles
+
+
+@dataclass(frozen=True)
+class NormalizationData:
+    """Residue-based normalization of one resonant state.
+
+    n_r_squared is the squared normalization constant fixed by the
+    S-matrix residue in the k-plane: N^2 = i res_k S = -i J1 / J2'.
+    k is the pole's wave number k_R.
+    """
+
+    n_r_squared: complex
+    abs_n_r_squared: float
+    residue_k: complex
+    k: complex
+
+    @property
+    def residue_E(self) -> complex:
+        """Energy-plane residue 2 k_R residue_k (chain rule through E = k^2).
+
+        Formed on request only: for a deep bound state (lam near -700)
+        |residue_k| ~ 1e306 and the product overflows, but only the
+        resonance cross sections use it.
+        """
+        return 2.0 * self.k * self.residue_k
+
+
+def zeldovich_norm(spec: PotentialSpec, pole: Pole) -> NormalizationData:
+    """Residue of S at the pole and the squared normalization constant.
+
+    Scalar and uncached: J1(k_R) and J2'(k_R) are formed with cmath in
+    Python complex arithmetic, so every field is a Python complex or float.
+    """
+    k = complex(pole.k)
+    if k == 0:
+        raise InvalidInput("Jost functions are singular at k = 0")
+    # J2 = [2ika + lam(e^{2ika}-1)]/(4ka); on a pole the bracket vanishes,
+    # leaving J2'(k_R) = i (1 + lam e^{2 i k_R a}) / (2 k_R).
+    j2p = 1j * (1.0 + spec.lam * cmath.exp(2j * k * spec.a)) / (2.0 * k)
+    if abs(j2p) < _DEGENERATE_TOL:
+        raise DegeneratePole(f"J2'({pole.k}) is numerically zero; double pole?")
+    g = spec.lam / spec.a
+    j1 = (-2j * k + g * (cmath.exp(-2j * k * spec.a) - 1.0)) / (4.0 * k)
+    residue_k = -j1 / j2p
+    n_r_squared = 1j * residue_k
+    return NormalizationData(
+        n_r_squared=n_r_squared,
+        abs_n_r_squared=abs(n_r_squared),
+        residue_k=residue_k,
+        k=pole.k,
+    )
+
+
+def _shell_density(spec: PotentialSpec, pole: Pole) -> float:
+    """|N|^2 exp(2 beta a) = |u(a)|^2, formed before any lam^2 factor.
+
+    Near lam = -700 the bound state has |N|^2 ~ 1e306 and exp(2 beta a)
+    ~ 1e-304; multiplying lam^2 into |N|^2 first would overflow.
+    """
+    return zeldovich_norm(spec, pole).abs_n_r_squared * math.exp(2.0 * pole.beta_R * spec.a)

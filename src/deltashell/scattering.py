@@ -1,35 +1,32 @@
-"""Jost functions, S-matrix, residues and the resonant matrix element.
+"""Jost functions, S-matrix, resonant wavefunction and matrix element on grids.
 
 The wave number k is the canonical variable throughout; energy-plane
 objects are defined through E = k^2 (reduced units), which sidesteps the
 square-root branch ambiguity in the energy plane. All evaluators accept
-scalars or numpy arrays of k (or E) values.
+scalars or numpy arrays of k (or E) values. The residue normalization
+they rest on is scalar and lives in :mod:`deltashell.poles`.
 """
 
 from __future__ import annotations
 
-import cmath
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegeneratePole, InvalidInput, PoleHit
+from .errors import InvalidInput, PoleHit
+from .poles import _shell_density, zeldovich_norm
 from .potential import PotentialSpec, Pole
 
 __all__ = [
     "JostPair",
-    "NormalizationData",
     "jost",
     "s_matrix",
-    "zeldovich_norm",
     "resonant_wavefunction",
     "matrix_element_squared",
     "matrix_element",
 ]
 
 _POLE_HIT_TOL = 1e-13
-_DEGENERATE_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -38,31 +35,6 @@ class JostPair:
 
     j1: complex
     j2: complex
-
-
-@dataclass(frozen=True)
-class NormalizationData:
-    """Residue-based normalization of one resonant state.
-
-    n_r_squared is the squared normalization constant fixed by the
-    S-matrix residue in the k-plane: N^2 = i res_k S = -i J1 / J2'.
-    k is the pole's wave number k_R.
-    """
-
-    n_r_squared: complex
-    abs_n_r_squared: float
-    residue_k: complex
-    k: complex
-
-    @property
-    def residue_E(self) -> complex:
-        """Energy-plane residue 2 k_R residue_k (chain rule through E = k^2).
-
-        Formed on request only: for a deep bound state (lam near -700)
-        |residue_k| ~ 1e306 and the product overflows, but only the
-        resonance cross sections use it.
-        """
-        return 2.0 * self.k * self.residue_k
 
 
 def _scalar_or_array(out):
@@ -116,32 +88,6 @@ def s_matrix_energy(spec: PotentialSpec, e):
     return s_matrix(spec, np.sqrt(np.asarray(e, dtype=complex)))
 
 
-def zeldovich_norm(spec: PotentialSpec, pole: Pole) -> NormalizationData:
-    """Residue of S at the pole and the squared normalization constant.
-
-    Scalar and uncached: J1(k_R) and J2'(k_R) are formed with cmath in
-    Python complex arithmetic, so every field is a Python complex or float.
-    """
-    k = complex(pole.k)
-    if k == 0:
-        raise InvalidInput("Jost functions are singular at k = 0")
-    # J2 = [2ika + lam(e^{2ika}-1)]/(4ka); on a pole the bracket vanishes,
-    # leaving J2'(k_R) = i (1 + lam e^{2 i k_R a}) / (2 k_R).
-    j2p = 1j * (1.0 + spec.lam * cmath.exp(2j * k * spec.a)) / (2.0 * k)
-    if abs(j2p) < _DEGENERATE_TOL:
-        raise DegeneratePole(f"J2'({pole.k}) is numerically zero; double pole?")
-    g = spec.lam / spec.a
-    j1 = (-2j * k + g * (cmath.exp(-2j * k * spec.a) - 1.0)) / (4.0 * k)
-    residue_k = -j1 / j2p
-    n_r_squared = 1j * residue_k
-    return NormalizationData(
-        n_r_squared=n_r_squared,
-        abs_n_r_squared=abs(n_r_squared),
-        residue_k=residue_k,
-        k=pole.k,
-    )
-
-
 def resonant_wavefunction(spec: PotentialSpec, pole: Pole, r):
     """Pole eigenfunction u(r): N sin(k r)/J1(k) inside, N exp(i k r) outside.
 
@@ -159,15 +105,6 @@ def resonant_wavefunction(spec: PotentialSpec, pole: Pole, r):
     outside = n_r * np.exp(1j * pole.k * r)
     u = np.where(r < spec.a, inside, outside)
     return _scalar_or_array(u)
-
-
-def _shell_density(spec: PotentialSpec, pole: Pole) -> float:
-    """|N|^2 exp(2 beta a) = |u(a)|^2, formed before any lam^2 factor.
-
-    Near lam = -700 the bound state has |N|^2 ~ 1e306 and exp(2 beta a)
-    ~ 1e-304; multiplying lam^2 into |N|^2 first would overflow.
-    """
-    return zeldovich_norm(spec, pole).abs_n_r_squared * math.exp(2.0 * pole.beta_R * spec.a)
 
 
 def _shell_amplitude(spec: PotentialSpec, pole: Pole) -> complex:

@@ -1,4 +1,9 @@
-"""Normalized decay-energy-spectrum lineshapes.
+"""Differential decay widths and normalized decay-energy-spectrum lineshapes.
+
+dGbar/dE = Gamma_R M^2(E) / ((E - E_R)^2 + (Gamma_R/2)^2) and
+dGamma/dE = M^2(E) / ((E - E_R)^2 + (Gamma_R/2)^2) are the integrands of
+the widths and constants that observables sums in closed form; the
+perturbation-theory right-hand side integrates dGbar/dE by quadrature.
 
 The spectrum of a single pole is the Lorentzian modulated by the squared
 interaction matrix element and divided by the decay constant,
@@ -17,7 +22,12 @@ cross-term phase convention lives in scattering.matrix_element.
 
 Both normalizations, Gamma and the integral of the coherent sum, are
 closed-form residue sums (observables._sin2_pair); the adaptive quadrature
-is the independent check of them, not part of this module.
+is the independent check of them, and runs here only in perturbation_rhs.
+
+The perturbation-theory right-hand side reads the Lorentzian integral of
+dGbar/dE as an implicit equation for the pole width. It is exposed so its
+numerical value can be compared against Gamma_R: the two disagree for
+every resonance of this potential, which is the point of computing it.
 """
 
 from __future__ import annotations
@@ -28,9 +38,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput
-from .observables import _sin2_pair, decay_constant_total
+from .observables import _require_kind, _sin2_pair, decay_constant_total
 from .poles import find_resonance
 from .potential import PotentialSpec, Pole, PoleKind
+from .quadrature import QuadratureRequest, integrate_semi_infinite
 from .scattering import (
     _lorentz_denominator,
     _scalar_or_array,
@@ -40,6 +51,9 @@ from .scattering import (
 )
 
 __all__ = [
+    "decay_width_differential",
+    "decay_constant_differential",
+    "perturbation_rhs",
     "SpectrumCurve",
     "InterferenceConfig",
     "decay_energy_spectrum",
@@ -80,6 +94,48 @@ class InterferenceConfig:
             raise InvalidInput("at least one interference coefficient must be nonzero")
 
 
+def decay_width_differential(spec: PotentialSpec, pole: Pole, e):
+    """dGbar/dE = Gamma_R / ((E-E_R)^2 + (Gamma_R/2)^2) * M^2(E)."""
+    _require_kind(pole, PoleKind.RESONANCE)
+    e = np.asarray(e, dtype=float)
+    lor = pole.gamma_R / _lorentz_denominator(pole, e)
+    out = lor * matrix_element_squared(spec, pole, e)
+    return _scalar_or_array(out)
+
+
+def decay_constant_differential(spec: PotentialSpec, pole: Pole, e):
+    """dGamma/dE = M^2(E) / ((E-E_R)^2 + (Gamma_R/2)^2); any pole kind."""
+    _require_kind(pole, PoleKind.RESONANCE, PoleKind.BOUND, PoleKind.VIRTUAL_STATE)
+    e = np.asarray(e, dtype=float)
+    out = matrix_element_squared(spec, pole, e) / _lorentz_denominator(pole, e)
+    return _scalar_or_array(out)
+
+
+def perturbation_rhs(
+    spec: PotentialSpec,
+    pole: Pole,
+    rel_tol: float = 1e-9,
+    abs_tol: float = 1e-12,
+) -> float:
+    """RHS of the second-order perturbation-theory width equation.
+
+    int Gamma_R / ((E_R - E)^2 + (Gamma_R/2)^2) M^2(E) dE. Were the
+    perturbative identity exact, this would equal Gamma_R; numerically it
+    equals Gbar, so RHS / Gamma_R reproduces the decay constant instead
+    of 1.
+    """
+    _require_kind(pole, PoleKind.RESONANCE)
+    req = QuadratureRequest(
+        peak_center=pole.e_R,
+        peak_halfwidth=0.5 * pole.gamma_R,
+        oscillation_wavenumber=math.pi / spec.a,
+        rel_tol=rel_tol,
+        abs_tol=abs_tol,
+    )
+    value, _ = integrate_semi_infinite(lambda e: decay_width_differential(spec, pole, e), req)
+    return value
+
+
 def _spectrum_kinds(pole: Pole) -> None:
     if pole.kind not in (PoleKind.RESONANCE, PoleKind.BOUND, PoleKind.VIRTUAL_STATE):
         raise InvalidInput("decay spectra are defined for resonance, bound and virtual poles")
@@ -99,9 +155,7 @@ def decay_energy_spectrum(
     _spectrum_kinds(pole)
     if gamma_total is None:
         gamma_total = decay_constant_total(spec, pole)
-    e = np.asarray(e, dtype=float)
-    out = matrix_element_squared(spec, pole, e) / _lorentz_denominator(pole, e) / gamma_total
-    return _scalar_or_array(out)
+    return decay_constant_differential(spec, pole, e) / gamma_total
 
 
 def _grid(e_min: float, e_max: float, points: int) -> np.ndarray:

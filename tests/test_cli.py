@@ -635,3 +635,108 @@ def test_curve_edge_values_match_per_cell_format(fmt, capsys):
     out = capsys.readouterr().out
     meta = cli._meta(spec) if fmt == "json" else None
     assert out == per_cell_curve_bytes(fmt, ["E", "v", "w"], [grid, edge, edge[::-1]], meta)
+
+
+# -- import graph: the row commands run on the scalar layer alone
+
+
+def run_python(code):
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+_QUIET_MAIN = """
+import contextlib, io, sys
+import deltashell.cli as cli
+
+def quiet(argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+"""
+
+
+def test_row_commands_never_import_numpy():
+    run_python("""
+import sys
+import deltashell
+assert "numpy" not in sys.modules, "import deltashell"
+""" + _QUIET_MAIN + """
+assert "numpy" not in sys.modules, "import deltashell.cli"
+for argv in (
+    ["table", "--lambda", "10"],
+    ["table", "--lambda", "-0.5", "--format", "json"],
+    ["table", "--lambda", "-10"],
+    ["poles", "--lambda", "100", "--include-antiresonances"],
+    ["lambertw", "--branch", "-1", "--re", "-0.2"],
+):
+    quiet(argv)
+    assert "numpy" not in sys.modules, argv
+""")
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--lambda", "10", "--index", "1", "--emin", "1", "--emax", "30", "--points", "5"],
+    ["interfere", "--lambda", "10", "--indices", "1,2", "--emin", "1", "--emax", "60",
+     "--points", "5"],
+    ["cross-section", "--lambda", "10", "--index", "1", "--points", "5"],
+])
+def test_curve_command_loads_numpy(argv):
+    run_python(_QUIET_MAIN + f"""
+assert "numpy" not in sys.modules
+quiet({argv!r})
+assert "numpy" in sys.modules
+""")
+
+
+def test_public_names_resolve_lazily():
+    run_python("""
+import importlib, sys
+import deltashell
+lazy = {"CrossSectionBundle", "QuadratureRequest", "jost", "perturbation_rhs",
+        "spectrum_curve", "decay_width_differential", "interference_curve"}
+assert lazy <= set(deltashell.__all__) <= set(dir(deltashell))
+assert not lazy & set(vars(deltashell)), "bound before first access"
+assert "numpy" not in sys.modules
+for name in deltashell.__all__:
+    value = getattr(deltashell, name)
+    assert getattr(deltashell, name) is value, name
+    module = getattr(value, "__module__", None)
+    if module and module.startswith("deltashell."):
+        assert getattr(importlib.import_module(module), name) is value, name
+namespace = {}
+exec("from deltashell import *", namespace)
+assert set(deltashell.__all__) - {"__version__"} <= set(namespace)
+try:
+    deltashell.no_such_name
+except AttributeError:
+    pass
+else:
+    raise AssertionError("unknown name resolved")
+from deltashell import quadrature, spectra  # submodules, not lazy names
+assert spectra.spectrum_curve is deltashell.spectrum_curve
+""")
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("spectrum_curve",
+     ["spectrum", "--lambda", "10", "--index", "1", "--emin", "1", "--emax", "30", "--points", "5"]),
+    ("interference_curve",
+     ["interfere", "--lambda", "10", "--indices", "1,2", "--emin", "1", "--emax", "60",
+      "--points", "5"]),
+    ("cross_section_bundle", ["cross-section", "--lambda", "10", "--index", "1", "--points", "5"]),
+])
+def test_curve_function_replaced_on_module_is_called(name, argv):
+    # what a span tracer does: read the lazy name on the module, set a wrapper
+    run_python(_QUIET_MAIN + f"""
+original = getattr(cli, {name!r})
+calls = []
+
+def wrapper(*args, **kwargs):
+    calls.append(args)
+    return original(*args, **kwargs)
+
+setattr(cli, {name!r}, wrapper)
+quiet({argv!r})
+assert len(calls) == 1, calls
+""")

@@ -11,6 +11,7 @@ residue sum, observables._sin2_pair. Each is checked two ways:
   float rewriting (expm1 forms, order of the products).
 """
 
+import cmath
 import math
 
 import mpmath as mp
@@ -34,7 +35,7 @@ from deltashell import (
     integrate_semi_infinite,
     matrix_element_squared,
 )
-from deltashell.observables import _sin2_pair
+from deltashell.observables import _expm1, _sin2_pair
 
 LAMBDAS = (100.0, -100.0, 10.0, -10.0, 0.5, -0.5, 1e-3, -1e-3)
 MAX_INDEX = 15
@@ -136,6 +137,51 @@ def test_sin2_pair_double_pole_near_threshold():
         with mp.workdps(DIGITS):
             ref = complex(_mp_sin2_pair(mp.mpf(1), mp.mpc(0, kappa), mp.mpc(0, kappa)))
         assert abs(got - ref) <= 1e-15 / kappa * abs(ref)
+
+
+def _np_sin2_pair(a, q1, q2):
+    """_sin2_pair written with np.expm1, as it was before the pure-Python expm1."""
+    if q1 == q2:
+        u = 2j * q1 * a
+        return -math.pi * 1j * cmath.exp(u) * (complex(np.expm1(-u)) + u) / (4.0 * q1**3)
+
+    def f(q):
+        return -complex(np.expm1(2j * q * a)) / (2.0 * q)
+
+    return math.pi * 1j * (f(q1) - f(q2)) / (q1 * q1 - q2 * q2)
+
+
+def _bits(z):
+    return z.real.hex(), z.imag.hex()  # hex keeps the sign of a zero
+
+
+def _signed_log_uniform(rng, shape, lo, hi):
+    return rng.choice((-1.0, 1.0), size=shape) * 10.0 ** rng.uniform(
+        math.log10(lo), math.log10(hi), size=shape
+    )
+
+
+def test_expm1_equals_numpy_bit_for_bit():
+    rng = np.random.default_rng(6021)
+    parts = _signed_log_uniform(rng, (12000, 2), 1e-8, 700.0)
+    zs = [complex(x, y) for x, y in parts]
+    zs += [complex(x, y) for x in (0.0, -0.0, 1e-8, -1e-8, 700.0, -700.0)
+           for y in (0.0, -0.0, 1e-8, -1e-8, 700.0, -700.0)]
+    mismatched = [z for z in zs if _bits(_expm1(z)) != _bits(complex(np.expm1(z)))]
+    assert not mismatched, mismatched[:5]
+
+
+def test_sin2_pair_equals_numpy_formula_bit_for_bit():
+    rng = np.random.default_rng(6022)
+    # Im q > 0 throughout; |2 a Im q| <= 600 keeps the double pole's
+    # expm1(-2iqa) below overflow
+    re = _signed_log_uniform(rng, (3000, 2), 1e-8, 300.0)
+    im = 10.0 ** rng.uniform(-8.0, math.log10(300.0), size=(3000, 2))
+    a = rng.uniform(0.5, 1.0, size=3000)
+    for (r1, r2), (i1, i2), ai in zip(re, im, a):
+        q1, q2 = complex(r1, i1), complex(r2, i2)
+        for pair in ((q1, q2), (q1, q1), (1j * i1, 1j * i1)):
+            assert _bits(_sin2_pair(ai, *pair)) == _bits(_np_sin2_pair(ai, *pair)), (ai, pair)
 
 
 # -- C for resonances

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import deltashell.poles as poles
 from deltashell import (
     InvalidInput,
     Pole,
@@ -23,6 +24,7 @@ from deltashell import (
     matrix_element_squared,
     observables_record,
     perturbation_rhs,
+    table_records,
 )
 from conftest import TABLE_LAMBDAS, assert_printed, golden_rows, place_tol, sigfig_tol
 
@@ -193,3 +195,18 @@ def test_records_stable_under_tighter_tolerance():
     for rel_tol in (1e-9, 5e-10):
         rhs = perturbation_rhs(spec, pole, rel_tol=rel_tol)
         assert rhs == pytest.approx(rec.gamma_bar, rel=rel_tol)
+
+
+@pytest.mark.parametrize("lam, rows", [(10.0, 8), (-0.5, 9)])
+def test_table_row_normalizes_its_pole_once(lam, rows, monkeypatch):
+    calls = []
+    norm = poles.zeldovich_norm
+
+    def counted(spec, pole):
+        calls.append(pole.index)
+        return norm(spec, pole)
+
+    monkeypatch.setattr(poles, "zeldovich_norm", counted)
+    records = table_records(PotentialSpec(lam=lam), 8)
+    assert len(records) == rows  # -0.5 adds the virtual-state row
+    assert len(calls) == rows
