@@ -12,10 +12,15 @@ the JSON keys. A getter returns a str, an int, a float or None: a float is
 written as `%.9g` in CSV and as float("%.9g" % x) in JSON, an int with
 str() in CSV and as an int in JSON, None as an empty cell and as null.
 The table's `c_value` (the constant C) is a JSON-only column. Curves are
-formatted column-wise: the float arrays are zipped into rows and every row
-goes through one `%.9g` template. `%.9g` and `format(x, ".9g")` share
-CPython's float formatter, so the bytes equal those of formatting value by
-value.
+formatted column-wise. In CSV the float arrays are zipped into rows and
+every row goes through one `%.9g` template. `%.9g` and `format(x, ".9g")`
+share CPython's float formatter, so the bytes equal those of formatting
+value by value. In JSON each value is written as its `%.9g` token: for a
+finite normal double that token is already the shortest repr of its own
+rounding. The round trip through float() and json's float repr, which
+forms those digits a second time, was most of a JSON curve's cost. A numpy
+mask flags the cells where the two spellings can differ, and json.dumps
+writes those alone, so the bytes equal json.dumps over float("%.9g" % x).
 
 The parser is built once per process, on the first main() call, and
 reused: parse_args makes a fresh Namespace every time. main() finds the
@@ -116,10 +121,6 @@ def _json_value(x):
     return float("%.9g" % x) if isinstance(x, float) else x
 
 
-def _json_doc(meta, payload_key, payload) -> str:
-    return json.dumps({"meta": meta, payload_key: payload}, separators=(",", ":")) + "\n"
-
-
 def _meta(spec=None) -> dict:
     meta = {"version": __version__}
     if spec is not None:
@@ -142,7 +143,7 @@ def _emit_rows(args, meta, columns, rows, scale=1.0, json_only=()) -> None:
     if args.format == "json":
         columns += json_only
         payload = [{name: _json_value(get(r, scale)) for name, get in columns} for r in rows]
-        _write(args, _json_doc(meta, "rows", payload))
+        _write(args, json.dumps({"meta": meta, "rows": payload}, separators=(",", ":")) + "\n")
         return
     lines = [",".join(name for name, _ in columns)]
     lines += (",".join(_csv_cell(get(r, scale)) for _, get in columns) for r in rows)
@@ -193,21 +194,50 @@ def cmd_table(args) -> None:
     _emit_rows(args, _meta(spec), _TABLE_COLUMNS, records, spec.energy_scale, _TABLE_JSON_ONLY)
 
 
+def _json_array(col) -> str:
+    """A float64 array as the JSON array json.dumps writes for its `%.9g` roundings.
+
+    For a finite normal double the `%.9g` token is already the shortest
+    repr of its own rounding: no other decimal of at most 9 digits lies
+    within half an ulp of it, and both formats lay the digits out alike.
+    They differ only for a rounding that is an integer (3 vs 3.0), for
+    |x| >= 999999999.5 (%.9g turns to an exponent, repr does so at 1e16),
+    for subnormals and for inf and nan. The mask flags a superset of those
+    cells, and json.dumps writes them as before. Its integer test,
+    |x - rint(x)| <= 1e-8 |x|, holds for every |x| >= 5e7, so it also
+    flags the exponent case.
+    """
+    import numpy as np  # curves are numpy arrays already; row commands never get here
+
+    tokens = list(map("%.9g".__mod__, col.tolist()))
+    size = np.abs(col)
+    with np.errstate(invalid="ignore"):  # inf - rint(inf)
+        flagged = np.flatnonzero(
+            ~np.isfinite(col) | (size < 2.2250738585072014e-308)
+            | (np.abs(col - np.rint(col)) <= 1e-8 * size)
+        ).tolist()
+    if flagged:
+        exact = json.dumps([float(tokens[i]) for i in flagged], separators=(",", ":"))
+        for i, text in zip(flagged, exact[1:-1].split(",")):
+            tokens[i] = text
+    return f"[{','.join(tokens)}]"
+
+
 def _emit_curve(args, spec, grid, columns) -> None:
     """columns: ordered (name, array-or-None) pairs; None columns are dropped.
 
-    The float arrays feed one `%.9g` template per CSV row (one `%.9g` per
-    JSON value) through map and zip, so no Python code runs per cell and
-    no column is copied.
+    The float arrays feed one `%.9g` template per CSV row through map and
+    zip, so no Python code runs per cell and no column is copied. JSON
+    writes each value's `%.9g` token, and json.dumps only the cells where
+    that token is not json's float repr (see _json_array), one column at
+    a time.
     """
     kept = [("E", grid)] + [(name, col) for name, col in columns if col is not None]
     names, series = zip(*kept)  # the library returns every column as a float64 array
     if args.format == "json":
-        curve = {
-            name: list(map(float, map("%.9g".__mod__, col)))
-            for name, col in zip(names, series)
-        }
-        _write(args, _json_doc(_meta(spec), "curve", curve))
+        meta = json.dumps(_meta(spec), separators=(",", ":"))
+        curve = ",".join(f"{json.dumps(name)}:{_json_array(col)}" for name, col in kept)
+        _write(args, f'{{"meta":{meta},"curve":{{{curve}}}}}\n')
         return
     row = ",".join(["%.9g"] * len(series))
     body = "\n".join(map(row.__mod__, zip(*series)))

@@ -160,8 +160,8 @@ def decay_energy_spectrum(
 
 def _grid(e_min: float, e_max: float, points: int) -> np.ndarray:
     """Uniform energy grid; the window check shared by every sampled curve."""
-    if not (0.0 < e_min < e_max):
-        raise InvalidInput("need 0 < e_min < e_max")
+    if not (0.0 < e_min < e_max < math.inf):
+        raise InvalidInput("need 0 < e_min < e_max < inf")
     if points < 2:
         raise InvalidInput("need at least two grid points")
     return np.linspace(e_min, e_max, points)

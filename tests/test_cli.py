@@ -1,5 +1,7 @@
 """Command-line surface: schemas, determinism, exit codes."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -8,6 +10,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import deltashell.cli as cli
 from deltashell import (
@@ -18,6 +22,7 @@ from deltashell import (
     enumerate_poles,
     find_anti_resonance,
     find_resonance,
+    find_virtual_state,
     interference_curve,
     lambert_w,
     lambert_w_residual,
@@ -196,6 +201,18 @@ def test_spectrum_bad_points_exits_2():
         "--emin", "80", "--emax", "94", "--points", "1",
     )
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--lambda", "5", "--index", "1", "--format", "json"],
+    ["cross-section", "--lambda", "5", "--index", "1"],
+    ["interfere", "--lambda", "5", "--indices", "1,2"],
+])
+def test_non_finite_window_exits_2_without_traceback(argv):
+    proc = run_cli(*argv, "--emin", "1", "--emax", "inf", "--points", "3")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
 
 
 def test_spectrum_virtual_missing_exits_2():
@@ -635,6 +652,49 @@ def test_curve_edge_values_match_per_cell_format(fmt, capsys):
     out = capsys.readouterr().out
     meta = cli._meta(spec) if fmt == "json" else None
     assert out == per_cell_curve_bytes(fmt, ["E", "v", "w"], [grid, edge, edge[::-1]], meta)
+
+
+_NEAR_INTEGERS = st.builds(
+    lambda n, rel: n + rel * abs(n),
+    st.integers(-10**12, 10**12).map(float),
+    st.floats(-1e-7, 1e-7),
+)
+_CURVE_VALUES = st.one_of(
+    st.floats(),  # nan, +-inf and subnormals included
+    _NEAR_INTEGERS,
+    st.floats(9.9e8, 1.01e9),
+    st.floats(9.9e15, 1.01e16),
+)
+
+
+@settings(deadline=None)
+@given(values=st.lists(_CURVE_VALUES, min_size=1, max_size=60))
+def test_curve_token_fast_path_matches_per_cell_format(values):
+    v = np.array(values)
+    grid, w = v[::-1].copy(), -v  # -v: the negative side of every case
+    spec = PotentialSpec(lam=10.0)
+    for fmt in ("csv", "json"):
+        args = SimpleNamespace(format=fmt, output=None, emit_plot_script=False)
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            cli._emit_curve(args, spec, grid, [("v", v), ("w", w)])
+        meta = cli._meta(spec) if fmt == "json" else None
+        assert out.getvalue() == per_cell_curve_bytes(fmt, ["E", "v", "w"], [grid, v, w], meta)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_virtual_spectrum_zero_column_matches_per_cell_format(fmt, capsys):
+    # a zero-width pole has an all-zero Breit-Wigner: every JSON cell is flagged
+    spec = PotentialSpec(lam=-0.5)
+    curve = spectrum_curve(spec, find_virtual_state(spec), 0.001, 2.0, 401)
+    assert not curve.breit_wigner.any()
+    argv = ["spectrum", "--lambda", "-0.5", "--virtual", "--emin", "0.001", "--emax", "2",
+            "--points", "401", "--format", fmt]
+    code, out = run_main(argv, capsys)
+    assert code == 0
+    names = ["E", "dP_dE", "breit_wigner", "matrix_element"]
+    series = [getattr(curve, "grid" if name == "E" else name) for name in names]
+    meta = json.loads(out)["meta"] if fmt == "json" else None
+    assert out == per_cell_curve_bytes(fmt, names, series, meta)
 
 
 # -- import graph: the row commands run on the scalar layer alone
