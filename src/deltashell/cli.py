@@ -11,16 +11,18 @@ tuple of (name, getter) pairs that gives the CSV header, the CSV cells and
 the JSON keys. A getter returns a str, an int, a float or None: a float is
 written as `%.9g` in CSV and as float("%.9g" % x) in JSON, an int with
 str() in CSV and as an int in JSON, None as an empty cell and as null.
-The table's `c_value` (the constant C) is a JSON-only column. Curves are
-formatted column-wise. In CSV the float arrays are zipped into rows and
-every row goes through one `%.9g` template. `%.9g` and `format(x, ".9g")`
-share CPython's float formatter, so the bytes equal those of formatting
-value by value. In JSON each value is written as its `%.9g` token: for a
-finite normal double that token is already the shortest repr of its own
-rounding. The round trip through float() and json's float repr, which
-forms those digits a second time, was most of a JSON curve's cost. A numpy
-mask flags the cells where the two spellings can differ, and json.dumps
-writes those alone, so the bytes equal json.dumps over float("%.9g" % x).
+The table's `c_value` (the constant C) is a JSON-only column.
+
+Curve bodies are written by `%` templates, one call per block of cells,
+so no Python code runs per row or per cell. In CSV the columns are stacked
+into rows and each block of at most _BLOCK rows is one `%` call on a
+template of that many `%.9g` rows. `%.9g` and `format(x, ".9g")` share
+CPython's float formatter, so the bytes equal those of formatting value by
+value. In JSON each column is one `%` call: a finite normal double is
+written as its `%.9g` token, which is already the shortest repr of its own
+rounding. A numpy mask flags the cells where the two spellings can differ;
+those are `%s` cells that take json.dumps' tokens for their roundings, so
+the bytes equal json.dumps over float("%.9g" % x).
 
 The parser is built once per process, on the first main() call, and
 reused: parse_args makes a fresh Namespace every time. main() finds the
@@ -194,6 +196,11 @@ def cmd_table(args) -> None:
     _emit_rows(args, _meta(spec), _TABLE_COLUMNS, records, spec.energy_scale, _TABLE_JSON_ONLY)
 
 
+# Rows per `%` call in a CSV curve: the row template repeated this often
+# and its argument tuple stay small however long the curve.
+_BLOCK = 4096
+
+
 def _json_array(col) -> str:
     """A float64 array as the JSON array json.dumps writes for its `%.9g` roundings.
 
@@ -203,35 +210,40 @@ def _json_array(col) -> str:
     They differ only for a rounding that is an integer (3 vs 3.0), for
     |x| >= 999999999.5 (%.9g turns to an exponent, repr does so at 1e16),
     for subnormals and for inf and nan. The mask flags a superset of those
-    cells, and json.dumps writes them as before. Its integer test,
-    |x - rint(x)| <= 1e-8 |x|, holds for every |x| >= 5e7, so it also
-    flags the exponent case.
+    cells. Its integer test, |x - rint(x)| <= 1e-8 |x|, holds for every
+    |x| >= 5e7, so it also flags the exponent case.
+
+    The column is one `%` call on one template: `%.9g` per cell, `%s` in
+    the flagged cells, whose values are the tokens json.dumps writes for
+    their roundings.
     """
     import numpy as np  # curves are numpy arrays already; row commands never get here
 
-    tokens = list(map("%.9g".__mod__, col.tolist()))
     size = np.abs(col)
     with np.errstate(invalid="ignore"):  # inf - rint(inf)
-        flagged = np.flatnonzero(
+        flagged = (
             ~np.isfinite(col) | (size < 2.2250738585072014e-308)
             | (np.abs(col - np.rint(col)) <= 1e-8 * size)
-        ).tolist()
-    if flagged:
-        exact = json.dumps([float(tokens[i]) for i in flagged], separators=(",", ":"))
-        for i, text in zip(flagged, exact[1:-1].split(",")):
-            tokens[i] = text
-    return f"[{','.join(tokens)}]"
+        )
+    values = col.astype(object)  # Python floats
+    if flagged.any():
+        rounded = list(map(float, map("%.9g".__mod__, col[flagged].tolist())))
+        values[flagged] = json.dumps(rounded, separators=(",", ":"))[1:-1].split(",")
+    template = ",".join(np.where(flagged, "%s", "%.9g").tolist())
+    return f"[{template % tuple(values.tolist())}]"
 
 
 def _emit_curve(args, spec, grid, columns) -> None:
     """columns: ordered (name, array-or-None) pairs; None columns are dropped.
 
-    The float arrays feed one `%.9g` template per CSV row through map and
-    zip, so no Python code runs per cell and no column is copied. JSON
-    writes each value's `%.9g` token, and json.dumps only the cells where
-    that token is not json's float repr (see _json_array), one column at
-    a time.
+    CSV formats the curve in blocks of at most _BLOCK rows: each block is
+    one `%` call on a template of that many `%.9g` rows, applied to the
+    block's values in row order. JSON writes each column with one `%` call
+    (see _json_array). No Python code runs per row or per cell, and every
+    value is rounded by the `%.9g` formatter.
     """
+    import numpy as np  # curves are numpy arrays already; row commands never get here
+
     kept = [("E", grid)] + [(name, col) for name, col in columns if col is not None]
     names, series = zip(*kept)  # the library returns every column as a float64 array
     if args.format == "json":
@@ -239,8 +251,10 @@ def _emit_curve(args, spec, grid, columns) -> None:
         curve = ",".join(f"{json.dumps(name)}:{_json_array(col)}" for name, col in kept)
         _write(args, f'{{"meta":{meta},"curve":{{{curve}}}}}\n')
         return
+    table = np.column_stack(series)
     row = ",".join(["%.9g"] * len(series))
-    body = "\n".join(map(row.__mod__, zip(*series)))
+    blocks = (table[start:start + _BLOCK] for start in range(0, len(table), _BLOCK))
+    body = "\n".join("\n".join([row] * len(b)) % tuple(b.ravel().tolist()) for b in blocks)
     _write(args, f"{','.join(names)}\n{body}\n")
     if args.emit_plot_script:  # main has checked --output and --format csv
         with open(args.output + "_plot.py", "w", encoding="utf-8", newline="\n") as fh:

@@ -43,8 +43,13 @@ def _scalar_or_array(out):
 
 
 def _lorentz_denominator(pole: Pole, e):
-    """(E - E_R)^2 + (Gamma_R/2)^2 = |E - z|^2, the pole's Lorentzian denominator."""
-    return (e - pole.e_R) ** 2 + (0.5 * pole.gamma_R) ** 2
+    """(E - E_R)^2 + (Gamma_R/2)^2 = |E - z|^2, the pole's Lorentzian denominator.
+
+    Far out in a finite window the square overflows to inf; every quotient
+    over it is then 0, which is its limit.
+    """
+    with np.errstate(over="ignore"):
+        return (e - pole.e_R) ** 2 + (0.5 * pole.gamma_R) ** 2
 
 
 def jost(spec: PotentialSpec, k) -> JostPair:

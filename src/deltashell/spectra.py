@@ -172,8 +172,10 @@ def _breit_wigner(pole: Pole, e: np.ndarray) -> np.ndarray:
     if hw <= 0.0:
         return np.zeros_like(e)
     # not _lorentz_denominator: hw * hw and libm's hw ** 2 differ by an ulp
-    # for about 1 pole in 1500, which could move a printed digit
-    return (hw / np.pi) / ((e - pole.e_R) ** 2 + hw * hw)
+    # for about 1 pole in 1500, which could move a printed digit. A square
+    # that overflows makes the quotient 0, its limit.
+    with np.errstate(over="ignore"):
+        return (hw / np.pi) / ((e - pole.e_R) ** 2 + hw * hw)
 
 
 def spectrum_curve(

@@ -215,6 +215,21 @@ def test_non_finite_window_exits_2_without_traceback(argv):
     assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
 
 
+@pytest.mark.parametrize("argv, zero_columns", [
+    (["spectrum", "--lambda", "5", "--index", "1"], ["dP_dE", "breit_wigner"]),
+    (["cross-section", "--lambda", "5", "--index", "1"],
+     ["exact", "laurent", "e_unitarized", "k_unitarized"]),
+])
+def test_huge_finite_window_is_quiet_and_tends_to_zero(argv, zero_columns):
+    # (E - E_R)^2 overflows at E = 1e308; the Lorentzians take their limit 0
+    proc = run_cli(*argv, "--emin", "1", "--emax", "1e308", "--points", "3")
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    header, rows = parse_csv(proc.stdout)
+    assert rows[-1]["E"] == "1e+308"
+    assert [rows[-1][name] for name in zero_columns] == ["0"] * len(zero_columns)
+
+
 def test_spectrum_virtual_missing_exits_2():
     proc = run_cli(
         "spectrum", "--lambda", "0.5", "--virtual",
@@ -641,10 +656,13 @@ def test_row_json_keys_equal_csv_header(case, capsys):
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_curve_edge_values_match_per_cell_format(fmt, capsys):
+@pytest.mark.parametrize(
+    "length", [1000, 1, cli._BLOCK - 1, cli._BLOCK, cli._BLOCK + 1, 2 * cli._BLOCK + 1]
+)
+def test_curve_edge_values_match_per_cell_format(length, fmt, capsys):
     values = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 123456789.0, 1e16,
               1234567891.0, 0.1 + 0.2, 1e-5, 9.999999995e-5]
-    edge = np.resize(np.array(values), 1000)
+    edge = np.resize(np.array(values), length)
     grid = np.arange(1.0, edge.size + 1.0)
     args = SimpleNamespace(format=fmt, output=None, emit_plot_script=False)
     spec = PotentialSpec(lam=10.0)
