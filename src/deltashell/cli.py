@@ -6,12 +6,12 @@ Outputs are deterministic: floats are printed with 9 significant digits,
 lowercase exponent, '.' decimal separator; CSV uses a header line and LF
 newlines; JSON carries a `meta` object plus `rows` or `curve`.
 
-Each row command (poles, table, lambertw) has one column spec, an ordered
-tuple of (name, getter) pairs that gives the CSV header, the CSV cells and
-the JSON keys. A getter returns a str, an int, a float or None: a float is
-written as `%.9g` in CSV and as float("%.9g" % x) in JSON, an int with
-str() in CSV and as an int in JSON, None as an empty cell and as null.
-The table's `c_value` (the constant C) is a JSON-only column.
+Each row command (poles, table, lambertw) has one column spec of (name,
+attribute path, CSV cell format) triples, which gives the CSV header and
+cells and the JSON keys. A float is written as `%.9g` in CSV and as
+float("%.9g" % x) in JSON, a str or an int as itself, None as an empty
+cell and as null. The CSV body is one `%` call, with no Python code per
+cell. The table's `c_value` (the constant C) is a JSON-only column.
 
 Curve bodies are written by `%` templates, one call per block of cells,
 so no Python code runs per row or per cell. In CSV the columns are stacked
@@ -24,12 +24,12 @@ rounding. A numpy mask flags the cells where the two spellings can differ;
 those are `%s` cells that take json.dumps' tokens for their roundings, so
 the bytes equal json.dumps over float("%.9g" % x).
 
-The parser is built once per process, on the first main() call, and
-reused: parse_args makes a fresh Namespace every time. main() finds the
-handler by name, cmd_<command>, when it runs, so a cmd_* replaced on the
-module after the parser was built is still the one called. A word that
-starts with a minus and a digit (-1e-3, -2.5e1, -0.5,0.3) is read as a
-value, never as a flag.
+The parser is built once per process and reused; each parse makes a
+fresh Namespace. A line that starts with a command goes straight to that
+command's subparser (see _parse). main() finds the handler by name,
+cmd_<command>, when it runs, so a cmd_* replaced on the module after the
+parser was built is still the one called. A word that starts with a minus
+and a digit (-1e-3, -2.5e1, -0.5,0.3) is read as a value, never as a flag.
 
 The module imports no numpy, so poles, table and lambertw never load it.
 The curve functions (spectrum_curve, interference_curve, InterferenceConfig,
@@ -50,8 +50,10 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import operator
 import re
 import sys
+from itertools import chain
 
 from . import __version__
 from .errors import InvalidInput, NoSuchPole
@@ -80,43 +82,23 @@ def _curve(name):
     """A curve name as the module binds it at call time; a replacement is honoured."""
     return getattr(sys.modules[__name__], name)
 
-# Column specs: (name, getter(row, energy_scale)).
+# Column specs: (name, attribute path, CSV cell format). "E" marks an energy,
+# written as %.9g after scaling by energy_scale; None marks a JSON-only column.
 _POLE_COLUMNS = (
-    ("kind", lambda p, s: p.kind.value),
-    ("index", lambda p, s: p.index),
-    ("branch", lambda p, s: p.branch),
-    ("re_k", lambda p, s: p.k.real),
-    ("im_k", lambda p, s: p.k.imag),
-    ("re_z", lambda p, s: p.z.real * s),
-    ("im_z", lambda p, s: p.z.imag * s),
-    ("gamma_R", lambda p, s: p.gamma_R * s),
+    ("kind", "kind.value", "%s"), ("index", "index", "%s"), ("branch", "branch", "%s"),
+    ("re_k", "k.real", "%.9g"), ("im_k", "k.imag", "%.9g"),
+    ("re_z", "z.real", "E"), ("im_z", "z.imag", "E"), ("gamma_R", "gamma_R", "E"),
 )
 # an ObservablesRecord carries the pole columns except the branch
 _TABLE_COLUMNS = _POLE_COLUMNS[:2] + _POLE_COLUMNS[3:] + (
-    ("gamma_bar", lambda r, s: r.gamma_bar * s),
-    ("gamma", lambda r, s: r.gamma),
-    ("gamma_bar_sharp",
-     lambda r, s: None if r.gamma_bar_sharp is None else r.gamma_bar_sharp * s),
-    ("gamma_sharp", lambda r, s: r.gamma_sharp),
+    ("gamma_bar", "gamma_bar", "E"), ("gamma", "gamma", "%.9g"),
+    ("gamma_bar_sharp", "gamma_bar_sharp", "E"), ("gamma_sharp", "gamma_sharp", "%.9g"),
+    ("c_value", "c_value", None),
 )
-_TABLE_JSON_ONLY = (("c_value", lambda r, s: r.c_value),)
-# a lambertw row is (branch, z, w, residual)
 _LAMBERTW_COLUMNS = (
-    ("branch", lambda r, s: r[0]),
-    ("re_z", lambda r, s: r[1].real),
-    ("im_z", lambda r, s: r[1].imag),
-    ("re_w", lambda r, s: r[2].real),
-    ("im_w", lambda r, s: r[2].imag),
-    ("residual", lambda r, s: r[3]),
+    ("branch", "branch", "%s"), ("re_z", "z.real", "%.9g"), ("im_z", "z.imag", "%.9g"),
+    ("re_w", "w.real", "%.9g"), ("im_w", "w.imag", "%.9g"), ("residual", "residual", "%.9g"),
 )
-
-
-def _csv_cell(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, (str, int)):
-        return str(x)
-    return "%.9g" % x
 
 
 def _json_value(x):
@@ -140,16 +122,32 @@ def _write(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _emit_rows(args, meta, columns, rows, scale=1.0, json_only=()) -> None:
-    """One line or JSON object per row, laid out by a column spec."""
+def _emit_rows(args, spec, columns, rows) -> None:
+    """One line or JSON object per row, laid out by a column spec.
+
+    One attrgetter call reads a row; the CSV body is one `%` call on the
+    rows' templates, which hold `%.0s` (an empty cell) for a None. Energies
+    are scaled unless energy_scale is 1.0 (x * 1.0 is x, bit for bit)."""
+    if args.format == "csv":
+        columns = [column for column in columns if column[2]]
+    rows = list(map(operator.attrgetter(*[path for _, path, _ in columns]), rows))
+    scale = 1.0 if spec is None else spec.energy_scale
+    if scale != 1.0:
+        rows = [[x * scale if fmt == "E" and x is not None else x
+                 for x, (_, _, fmt) in zip(row, columns)] for row in rows]
+    names = [name for name, _, _ in columns]
     if args.format == "json":
-        columns += json_only
-        payload = [{name: _json_value(get(r, scale)) for name, get in columns} for r in rows]
-        _write(args, json.dumps({"meta": meta, "rows": payload}, separators=(",", ":")) + "\n")
+        payload = [dict(zip(names, map(_json_value, row))) for row in rows]
+        doc = json.dumps({"meta": _meta(spec), "rows": payload}, separators=(",", ":"))
+        _write(args, doc + "\n")
         return
-    lines = [",".join(name for name, _ in columns)]
-    lines += (",".join(_csv_cell(get(r, scale)) for _, get in columns) for r in rows)
-    _write(args, "\n".join(lines) + "\n")
+    cells = ["%.9g" if fmt == "E" else fmt for _, _, fmt in columns]
+    lines = [",".join(names)] + [
+        ",".join(cells) if None not in row
+        else ",".join("%.0s" if x is None else cell for cell, x in zip(cells, row))
+        for row in rows
+    ]
+    _write(args, "\n".join(lines) % tuple(chain.from_iterable(rows)) + "\n")
 
 
 _PLOT_SCRIPT = """\
@@ -187,13 +185,12 @@ def cmd_poles(args) -> None:
     poles = enumerate_poles(spec, args.count)
     if args.include_antiresonances:
         poles.extend(find_anti_resonance(spec, n) for n in range(1, args.count + 1))
-    _emit_rows(args, _meta(spec), _POLE_COLUMNS, poles, spec.energy_scale)
+    _emit_rows(args, spec, _POLE_COLUMNS, poles)
 
 
 def cmd_table(args) -> None:
     spec = _spec_from_args(args)
-    records = table_records(spec, args.count)
-    _emit_rows(args, _meta(spec), _TABLE_COLUMNS, records, spec.energy_scale, _TABLE_JSON_ONLY)
+    _emit_rows(args, spec, _TABLE_COLUMNS, table_records(spec, args.count))
 
 
 # Rows per `%` call in a CSV curve: the row template repeated this often
@@ -307,7 +304,8 @@ def cmd_cross_section(args) -> None:
 def cmd_lambertw(args) -> None:
     z = complex(args.re, args.im)
     w = lambert_w(args.branch, z)
-    _emit_rows(args, _meta(), _LAMBERTW_COLUMNS, [(args.branch, z, w, lambert_w_residual(w, z))])
+    row = argparse.Namespace(branch=args.branch, z=z, w=w, residual=lambert_w_residual(w, z))
+    _emit_rows(args, None, _LAMBERTW_COLUMNS, [row])
 
 
 def _config_tokens(path: str, shared: argparse.ArgumentParser) -> list[str]:
@@ -357,8 +355,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 @functools.cache
-def _build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
-    """The command-line parser and its shared-options parent, built once per process."""
+def _build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser, dict]:
+    """The parser, its shared-options parent and each command's subparser, built once."""
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--lambda", dest="lam", type=float, help="shell strength")
     shared.add_argument("--radius", type=float, default=1.0, help="shell radius (default 1)")
@@ -376,14 +374,16 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("poles", parents=[shared], help="enumerate S-matrix poles")
+    commands = {}
+    add = functools.partial(sub.add_parser, parents=[shared])
+    p = commands["poles"] = add("poles", help="enumerate S-matrix poles")
     p.add_argument("--count", type=int, default=8)
     p.add_argument("--include-antiresonances", action="store_true")
 
-    p = sub.add_parser("table", parents=[shared], help="full observables table")
+    p = commands["table"] = add("table", help="full observables table")
     p.add_argument("--count", type=int, default=8)
 
-    p = sub.add_parser("spectrum", parents=[shared], help="decay energy spectrum")
+    p = commands["spectrum"] = add("spectrum", help="decay energy spectrum")
     _add_grid(p, window_required=True)
     p.add_argument("--index", type=int, help="resonance index (1 = lowest)")
     p.add_argument("--virtual", action="store_true", help="virtual-state spectrum")
@@ -392,7 +392,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
         help="omit the Breit-Wigner and matrix-element columns",
     )
 
-    p = sub.add_parser("interfere", parents=[shared], help="two-resonance spectrum")
+    p = commands["interfere"] = add("interfere", help="two-resonance spectrum")
     _add_grid(p, window_required=True)
     p.add_argument("--indices", type=index_pair, required=True, help="resonance indices: i,j")
     p.add_argument("--c1", type=complex_pair, default="0.7071067811865476,0", help="c1 as re,im")
@@ -402,28 +402,40 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
         help="emit the raw superposition instead of a unit-area density",
     )
 
-    p = sub.add_parser(
-        "cross-section", parents=[shared], help="exact cross section and approximants"
-    )
+    p = commands["cross-section"] = add("cross-section",
+                                        help="exact cross section and approximants")
     _add_grid(p, window_required=False)
     p.add_argument("--index", type=int, required=True)
     p.add_argument("--second-index", dest="second_index", type=int)
 
-    p = sub.add_parser("lambertw", parents=[shared], help="evaluate one Lambert W branch")
+    p = commands["lambertw"] = add("lambertw", help="evaluate one Lambert W branch")
     p.add_argument("--branch", type=int, required=True)
     p.add_argument("--re", type=float, required=True)
     p.add_argument("--im", type=float, default=0.0)
-    return parser, shared
+    return parser, shared, commands
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """Parse a line; one that starts with a command goes straight to that command's
+    subparser, as the full parser would. The full parser runs, and prints its own error,
+    only for a first word that is no command, a word starting with '--=' (an ambiguous
+    option of its own) or words the subparser leaves over."""
+    parser, _, commands = _build_parser()
+    if argv and argv[0] in commands and not any(word.startswith("--=") for word in argv):
+        namespace = argparse.Namespace(command=argv[0])
+        args, extra = commands[argv[0]].parse_known_args(argv[1:], namespace)
+        if not extra:
+            return args
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser, shared = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(argv)
     try:
         if args.config:
             at = argv.index(args.command) + 1
-            args = parser.parse_args(argv[:at] + _config_tokens(args.config, shared) + argv[at:])
+            args = _parse(argv[:at] + _config_tokens(args.config, _build_parser()[1]) + argv[at:])
         if getattr(args, "emit_plot_script", False) and (args.format != "csv" or not args.output):
             raise InvalidInput("--emit-plot-script needs --format csv and --output PATH")
         # by name, so a cmd_* replaced on the module after the build is called

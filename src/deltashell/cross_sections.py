@@ -121,14 +121,16 @@ def cross_section_two_pole(spec: PotentialSpec, pole1: Pole, pole2: Pole, e):
 
     (pi/k^2) [ |r1|^2/D1 + |r2|^2/D2
                + 2 Re( r1 conj(r2) / ((E-z1)(E-conj(z2))) ) ]
-    with energy-plane residues r_i.
+    with energy-plane residues r_i. The cross term is formed as Re u1 Re u2 + Im u1 Im u2,
+    u_i = r_i / (E - z_i): swapping the poles keeps its bits, and no E^2 product overflows.
     """
     _require_resonance(pole1, pole2)
     e = _energies(e)
     r1 = zeldovich_norm(spec, pole1).residue_E
     r2 = zeldovich_norm(spec, pole2).residue_E
     d1, d2 = _lorentz_denominator(pole1, e), _lorentz_denominator(pole2, e)
-    cross = 2.0 * np.real(r1 * np.conj(r2) / ((e - pole1.z) * (e - np.conj(pole2.z))))
+    u1, u2 = r1 / (e - pole1.z), r2 / (e - pole2.z)
+    cross = 2.0 * (u1.real * u2.real + u1.imag * u2.imag)
     out = np.pi / e * (abs(r1) ** 2 / d1 + abs(r2) ** 2 / d2 + cross)
     return _scalar_or_array(out)
 

@@ -62,10 +62,12 @@ def _branch_point_series(p: complex) -> complex:
 
 
 def _halley(w: complex, z: complex) -> complex | None:
+    abs_z = abs(z)
     for _ in range(_MAX_ITER):
         ew = cmath.exp(w)
-        f = w * ew - z
-        if abs(f) <= 2e-16 * (abs(w * ew) + abs(z)):
+        wew = w * ew
+        f = wew - z
+        if abs(f) <= 2e-16 * (abs(wew) + abs_z):
             # residual at the rounding floor; near the branch point the
             # step criterion below stalls on noise and would never fire
             return w

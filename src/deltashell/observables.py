@@ -123,7 +123,10 @@ def _width_prefactor(spec: PotentialSpec, pole: Pole) -> float:
 def _resonance_width(spec: PotentialSpec, pole: Pole, prefactor: float):
     # C = int (1/pi) (G/2)/((E-E_R)^2+(G/2)^2) sin^2(ka)/k dE
     #   = (Gamma_R / 2 pi) S(-k_R, conj k_R) = Re[(1 - e^{-2 i k_R a}) / (2 k_R)]
-    s = _sin2_pair(spec.a, -pole.k, pole.k.conjugate())
+    # S(-k_R, conj k_R) with f(conj k_R) = -conj f(-k_R): one expm1, not two
+    q1, q2 = -pole.k, pole.k.conjugate()
+    f1 = -_expm1(2j * q1 * spec.a) / (2.0 * q1)
+    s = math.pi * 1j * (f1 + f1.conjugate()) / (q1 * q1 - q2 * q2)
     c_value = pole.gamma_R / (2.0 * math.pi) * s.real
     return prefactor * c_value, c_value
 

@@ -64,8 +64,9 @@ def _polish_complex(spec: PotentialSpec, k: complex, steps: int = 2) -> complex:
     lam, a = spec.lam, spec.a
     for _ in range(steps):
         x = 2j * k * a
-        f = x + lam * (cmath.exp(x) - 1.0)
-        fp = 2j * a * (1.0 + lam * cmath.exp(x))
+        e = cmath.exp(x)
+        f = x + lam * (e - 1.0)
+        fp = 2j * a * (1.0 + lam * e)
         if fp == 0:
             break
         k = k - f / fp
