@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 
 from .errors import InvalidInput, NonConvergence
 
@@ -63,8 +64,9 @@ def _branch_point_series(p: complex) -> complex:
 
 def _halley(w: complex, z: complex) -> complex | None:
     abs_z = abs(z)
+    exp = cmath.exp
     for _ in range(_MAX_ITER):
-        ew = cmath.exp(w)
+        ew = exp(w)
         wew = w * ew
         f = wew - z
         if abs(f) <= 2e-16 * (abs(wew) + abs_z):
@@ -79,32 +81,35 @@ def _halley(w: complex, z: complex) -> complex | None:
             return None
         dw = f / denom
         w = w - dw
-        if abs(dw) <= _STEP_TOL * max(abs(w), 1e-290):
+        aw = abs(w)
+        if abs(dw) <= _STEP_TOL * (1e-290 if aw < 1e-290 else aw):
             return w
     return None
 
 
 def _seed(branch: int, z: complex) -> complex:
-    if branch == 0:
-        if abs(z + _INV_E) < 0.3:
-            return _branch_point_series(cmath.sqrt(2.0 * (math.e * z + 1.0)))
-        if abs(z) < 0.3:
-            return z * (1.0 + z * (-1.0 + 1.5 * z))
-        if abs(z) < 4.0:
-            if abs(z + 1.0) > 0.05:
-                return cmath.log(1.0 + z)
-            # near z = -1 the log1p seed collapses; park next to W_0(-1)
-            return complex(-0.3, 1.3 if z.imag >= 0 else -1.3)
-    if branch == -1:
-        if abs(z + _INV_E) < 0.3 and z.imag >= 0:
+    if -1 <= branch <= 1:
+        # special seeds for the branches meeting at 0 or -1/e; others go asymptotic
+        if branch == 0:
+            if abs(z + _INV_E) < 0.3:
+                return _branch_point_series(cmath.sqrt(2.0 * (math.e * z + 1.0)))
+            if abs(z) < 0.3:
+                return z * (1.0 + z * (-1.0 + 1.5 * z))
+            if abs(z) < 4.0:
+                if abs(z + 1.0) > 0.05:
+                    return cmath.log(1.0 + z)
+                # near z = -1 the log1p seed collapses; park next to W_0(-1)
+                return complex(-0.3, 1.3 if z.imag >= 0 else -1.3)
+        if branch == -1:
+            if abs(z + _INV_E) < 0.3 and z.imag >= 0:
+                return _branch_point_series(-cmath.sqrt(2.0 * (math.e * z + 1.0)))
+            if z.imag == 0.0 and -_INV_E <= z.real < 0.0:
+                lx = math.log(-z.real)
+                return complex(lx - math.log(-lx), 0.0)
+        if branch == 1 and z.imag < 0.0 and abs(z + _INV_E) < 0.3:
+            # below the axis the sheet colliding with the principal branch at
+            # -1/e is +1, the mirror of -1 above it
             return _branch_point_series(-cmath.sqrt(2.0 * (math.e * z + 1.0)))
-        if z.imag == 0.0 and -_INV_E <= z.real < 0.0:
-            lx = math.log(-z.real)
-            return complex(lx - math.log(-lx), 0.0)
-    if branch == 1 and z.imag < 0.0 and abs(z + _INV_E) < 0.3:
-        # below the axis the sheet colliding with the principal branch at
-        # -1/e is +1, the mirror of -1 above it
-        return _branch_point_series(-cmath.sqrt(2.0 * (math.e * z + 1.0)))
     l1 = cmath.log(z) + 1j * _TWO_PI * branch
     l2 = cmath.log(l1)
     return l1 - l2 + l2 / l1
@@ -130,12 +135,16 @@ def lambert_w(branch: int, z: complex) -> complex:
     Raises
     ------
     InvalidInput
-        If z is non-finite, or z = 0 with branch != 0.
+        If branch is not an integer (``operator.index`` refuses it), z is
+        non-finite, or z = 0 with branch != 0.
     NonConvergence
         If Halley iteration does not reach tolerance (not observed for
         finite arguments away from the unreachable overflow range).
     """
-    branch = int(branch)
+    try:
+        branch = operator.index(branch)
+    except TypeError:
+        raise InvalidInput(f"lambert_w branch must be an integer, not {branch!r}") from None
     z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise InvalidInput("lambert_w requires a finite argument")

@@ -12,10 +12,11 @@ for some branch n of the Lambert W function. Branch bookkeeping:
   lam < 0 branch -1 is taken by the virtual state (or by the trivial
   self-root ``W(lam e^lam) = lam`` when lam < -1), so resonances start at
   branch -2. User-facing index n = 1 is always the lowest resonance.
-* anti-resonances (third quadrant): branch +n for every lam. For a
-  negative real argument the conjugation identity picks up a unit branch
-  offset across the cut, conj(W_{-m}) = W_{m-1}, which is exactly what
-  keeps k_{-n} = -conj(k_n) paired with the resonance above.
+* anti-resonances (third quadrant): k_{-n} = -conj(k_n), formed as that
+  mirror of resonance n; for real lam f(-conj k) = conj f(k) holds bit for
+  bit, so both share one residual. The oracle's closed form is branch +n
+  for every lam: for a negative real argument the conjugation identity
+  picks up a unit branch offset across the cut, conj(W_{-m}) = W_{m-1}.
 * bound state (lam < -1): branch 0.  virtual state (-1 < lam < 0): branch -1.
 
 Each Lambert-W root is polished with one or two Newton steps on the
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 
 from .errors import DegeneratePole, InvalidInput, NonConvergence, NoSuchPole
@@ -62,9 +64,10 @@ def _polish_complex(spec: PotentialSpec, k: complex, steps: int = 2) -> complex:
     # Newton on f(k) = 2ika + lam(e^{2ika} - 1); recovers the precision lost
     # to cancellation in lam - W when |lam| is large.
     lam, a = spec.lam, spec.a
+    exp = cmath.exp
     for _ in range(steps):
         x = 2j * k * a
-        e = cmath.exp(x)
+        e = exp(x)
         f = x + lam * (e - 1.0)
         fp = 2j * a * (1.0 + lam * e)
         if fp == 0:
@@ -98,30 +101,37 @@ def _checked(spec: PotentialSpec, pole: Pole) -> Pole:
     return pole
 
 
+def _positive(n, what: str) -> int:
+    try:  # operator.index takes numpy integers, but neither 2.5 nor 2.0
+        if (n := operator.index(n)) >= 1:
+            return n
+    except TypeError:
+        pass
+    raise InvalidInput(f"{what} must be a positive integer")
+
+
 def find_resonance(spec: PotentialSpec, n: int) -> Pole:
     """Return the n-th resonance (n = 1 is the lowest, ordered by Re k).
 
     Uses branch -n of W for positive strength and branch -(n+1) for
     negative strength, so the caller's indexing is uniform in sign.
+    A found resonance is memoized on ``spec``; a failed find stores nothing.
     """
-    if n < 1:
-        raise InvalidInput("resonance index must be a positive integer")
-    m = n if spec.lam > 0 else n + 1
-    w = lambert_w(-m, _w_argument(spec))
-    k = _polish_complex(spec, (spec.lam - w) / (2j * spec.a))
-    if not (k.real > 0 and k.imag < 0):
-        raise NonConvergence(f"branch {-m} root {k} is not in the fourth quadrant")
-    return _checked(spec, Pole(PoleKind.RESONANCE, -m, n, k, k * k))
+    n = _positive(n, "resonance index")
+    if (pole := spec._resonances.get(n)) is None:
+        m = n if spec.lam > 0 else n + 1
+        w = lambert_w(-m, _w_argument(spec))
+        k = _polish_complex(spec, (spec.lam - w) / (2j * spec.a))
+        if not (k.real > 0 and k.imag < 0):
+            raise NonConvergence(f"branch {-m} root {k} is not in the fourth quadrant")
+        pole = spec._resonances[n] = _checked(spec, Pole(PoleKind.RESONANCE, -m, n, k, k * k))
+    return pole
 
 
 def find_anti_resonance(spec: PotentialSpec, n: int) -> Pole:
-    """Return the n-th anti-resonance, the mirror -conj(k_n) of resonance n."""
-    if n < 1:
-        raise InvalidInput("anti-resonance index must be a positive integer")
-    w = lambert_w(n, _w_argument(spec))
-    k = _polish_complex(spec, (spec.lam - w) / (2j * spec.a))
-    if not (k.real < 0 and k.imag < 0):
-        raise NonConvergence(f"branch {n} root {k} is not in the third quadrant")
+    """Return anti-resonance n, the mirror -conj(k_n) of ``find_resonance(spec, n)``."""
+    n = _positive(n, "anti-resonance index")
+    k = -find_resonance(spec, n).k.conjugate()
     return _checked(spec, Pole(PoleKind.ANTI_RESONANCE, n, n, k, k * k))
 
 
@@ -151,8 +161,7 @@ def find_virtual_state(spec: PotentialSpec) -> Pole:
 
 def enumerate_poles(spec: PotentialSpec, count: int) -> list[Pole]:
     """Bound or virtual pole (when present) followed by resonances 1..count."""
-    if count < 1:
-        raise InvalidInput("count must be a positive integer")
+    count = _positive(count, "count")
     poles: list[Pole] = []
     if spec.lam < -1.0 and abs(spec.lam + 1.0) >= _DEGENERACY_BAND:
         poles.append(find_bound_state(spec))

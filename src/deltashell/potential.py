@@ -41,6 +41,9 @@ class PotentialSpec:
         "physical": energies are rescaled by hbar^2/2m for reporting.
     mass, hbar : float
         Only consulted in physical mode.
+
+    Resonances found on a spec are memoized on it outside the fields, so
+    ``==``, ``hash``, ``repr`` and ``asdict`` ignore them; ``replace`` starts anew.
     """
 
     lam: float
@@ -60,6 +63,7 @@ class PotentialSpec:
             raise InvalidInput(f"unknown unit system {self.unit_system!r}")
         if self.unit_system == "physical" and not (self.mass > 0.0 and self.hbar > 0.0):
             raise InvalidInput("physical units need positive mass and hbar")
+        object.__setattr__(self, "_resonances", {})
 
     @property
     def energy_scale(self) -> float:
@@ -106,12 +110,13 @@ class Pole:
         return -self.k.imag
 
     def __post_init__(self):
-        if self.kind in (PoleKind.BOUND, PoleKind.VIRTUAL_STATE):
-            if self.k.real != 0.0 or self.z.imag != 0.0:
-                raise InvalidInput(f"{self.kind.value} pole must sit on the imaginary k-axis")
-        elif self.kind is PoleKind.RESONANCE:
-            if not (self.k.real > 0.0 and self.k.imag < 0.0):
+        kind, k = self.kind, self.k
+        if kind is PoleKind.RESONANCE:
+            if not (k.real > 0.0 and k.imag < 0.0):
                 raise InvalidInput("resonance pole must lie in the fourth quadrant")
-        elif self.kind is PoleKind.ANTI_RESONANCE:
-            if not (self.k.real < 0.0 and self.k.imag < 0.0):
+        elif kind is PoleKind.ANTI_RESONANCE:
+            if not (k.real < 0.0 and k.imag < 0.0):
                 raise InvalidInput("anti-resonance pole must lie in the third quadrant")
+        elif kind in (PoleKind.BOUND, PoleKind.VIRTUAL_STATE):
+            if k.real != 0.0 or self.z.imag != 0.0:
+                raise InvalidInput(f"{kind.value} pole must sit on the imaginary k-axis")

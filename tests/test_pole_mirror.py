@@ -1,0 +1,167 @@
+"""Anti-resonances as mirrors of resonances, the per-spec resonance memo,
+and the integer checks on pole indices and Lambert W branches."""
+
+import copy
+import dataclasses
+import math
+import pickle
+import random
+import struct
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import deltashell.cli as cli
+import deltashell.poles as poles_module
+from deltashell import (
+    DeltaShellError,
+    InvalidInput,
+    NonConvergence,
+    PoleKind,
+    PotentialSpec,
+    enumerate_poles,
+    find_anti_resonance,
+    find_resonance,
+    lambert_w,
+)
+from deltashell.poles import _polish_complex
+
+
+def _branch_solve(spec, n):
+    """Anti-resonance n solved on its own: branch +n of W, then Newton polish."""
+    w = lambert_w(n, spec.lam * math.exp(spec.lam))
+    return _polish_complex(spec, (spec.lam - w) / (2j * spec.a))
+
+
+def _ulps(x, y):
+    # distance in representable doubles; x and y share a sign here
+    a, b = struct.unpack("<2q", struct.pack("<2d", x, y))
+    return abs(a - b)
+
+
+def _hex(c):
+    return c.real.hex(), c.imag.hex()
+
+
+def test_mirror_matches_independent_branch_solve():
+    # bit-equal for a barrier; for a well the branch +n seed is not the
+    # mirror of the resonance's seed, so the two roots may part by 4 ulp
+    rng = random.Random(20171)
+    for i in range(300):
+        lam = math.copysign(math.exp(rng.uniform(math.log(0.15), math.log(100.0))), (-1) ** i)
+        spec = PotentialSpec(lam=lam)
+        for n in range(1, 9):
+            mirror = find_anti_resonance(spec, n).k
+            reference = _branch_solve(spec, n)
+            if lam > 0:
+                assert _hex(mirror) == _hex(reference), (lam, n)
+            else:
+                assert _ulps(mirror.real, reference.real) <= 4, (lam, n)
+                assert _ulps(mirror.imag, reference.imag) <= 4, (lam, n)
+    # the one anti-resonance in the first 20,000 pole_atlas ops of seed 5
+    # that the mirror moves: Im k by 1 ulp
+    spec = PotentialSpec(lam=-0.2674010056098198)
+    mirror, reference = find_anti_resonance(spec, 10).k, _branch_solve(spec, 10)
+    assert mirror.real == reference.real and _ulps(mirror.imag, reference.imag) == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    mag=st.floats(0.15, 100.0),
+    sign=st.sampled_from((1.0, -1.0)),
+    n=st.integers(1, 12),
+)
+def test_anti_resonance_is_bitwise_mirror_of_resonance(mag, sign, n):
+    lam = sign * mag
+    try:
+        res = find_resonance(PotentialSpec(lam=lam), n)
+    except DeltaShellError as exc:
+        with pytest.raises(DeltaShellError) as info:
+            find_anti_resonance(PotentialSpec(lam=lam), n)
+        assert type(info.value) is type(exc)
+        return
+    held = PotentialSpec(lam=lam)
+    find_resonance(held, n)
+    for spec in (PotentialSpec(lam=lam), held):
+        anti = find_anti_resonance(spec, n)
+        assert (anti.kind, anti.branch, anti.index) == (PoleKind.ANTI_RESONANCE, n, n)
+        assert _hex(anti.k) == ((-res.k.real).hex(), res.k.imag.hex())
+        assert _hex(anti.z) == _hex(anti.k * anti.k)
+
+
+def test_repeat_find_returns_the_stored_pole():
+    spec = PotentialSpec(lam=10.0)
+    first = find_resonance(spec, 3)
+    assert find_resonance(spec, 3) is first
+    assert find_resonance(spec, np.int64(3)) is first
+    assert enumerate_poles(spec, 4)[2] is first
+
+
+def test_memo_is_invisible_to_value_semantics():
+    used = PotentialSpec(lam=-10.0)
+    enumerate_poles(used, 6)
+    find_anti_resonance(used, 3)
+    fresh = PotentialSpec(lam=-10.0)
+    assert used == fresh
+    assert hash(used) == hash(fresh)
+    assert repr(used) == repr(fresh)
+    assert dataclasses.fields(used) == dataclasses.fields(fresh)
+    assert dataclasses.asdict(used) == dataclasses.asdict(fresh)
+    expected = enumerate_poles(PotentialSpec(lam=-10.0), 6)
+    for clone in (pickle.loads(pickle.dumps(used)), copy.copy(used), copy.deepcopy(used)):
+        assert clone == used
+        assert enumerate_poles(clone, 6) == expected
+    moved = dataclasses.replace(used, lam=10.0)
+    assert enumerate_poles(moved, 6) == enumerate_poles(PotentialSpec(lam=10.0), 6)
+    assert find_anti_resonance(moved, 2) == find_anti_resonance(PotentialSpec(lam=10.0), 2)
+
+
+def test_failed_find_stores_nothing():
+    # lam = 250, n = 12 is a known defect: the absolute residual gate rejects it
+    spec = PotentialSpec(lam=250.0)
+    for _ in range(2):
+        with pytest.raises(NonConvergence):
+            find_resonance(spec, 12)
+        with pytest.raises(NonConvergence):
+            find_anti_resonance(spec, 12)
+
+
+@pytest.mark.parametrize("lam, extra", ((10.0, 0), (-0.5, 1), (-10.0, 1)))
+def test_poles_with_antiresonances_solves_each_resonance_once(lam, extra, monkeypatch, capsys):
+    branches = []
+
+    def counted(branch, z):
+        branches.append(branch)
+        return lambert_w(branch, z)
+
+    monkeypatch.setattr(poles_module, "lambert_w", counted)
+    argv = ["poles", "--lambda", repr(lam), "--count", "6", "--include-antiresonances"]
+    assert cli.main(argv) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 12 + extra
+    # one solve per resonance plus the bound or virtual state; none on branch +n
+    assert len(branches) == 6 + extra
+    assert all(b <= 0 for b in branches)
+
+
+@pytest.mark.parametrize("bad", (2.5, 2.0, np.float64(2.0), "2", None))
+def test_non_integral_indices_are_invalid_input(bad):
+    spec = PotentialSpec(lam=10.0)
+    with pytest.raises(InvalidInput):
+        find_resonance(spec, bad)
+    with pytest.raises(InvalidInput):
+        find_anti_resonance(spec, bad)
+    with pytest.raises(InvalidInput):
+        enumerate_poles(spec, bad)
+    with pytest.raises(InvalidInput):
+        lambert_w(bad, 1.0)
+
+
+def test_numpy_integer_indices_give_plain_ints():
+    spec = PotentialSpec(lam=-10.0)
+    for pole in (find_resonance(spec, np.int64(2)), find_anti_resonance(spec, np.int32(2))):
+        assert type(pole.index) is int and type(pole.branch) is int
+    assert find_resonance(spec, np.int64(2)) == find_resonance(PotentialSpec(lam=-10.0), 2)
+    assert len(enumerate_poles(spec, np.int16(3))) == 4
+    assert lambert_w(np.int64(-2), 1.0) == lambert_w(-2, 1.0)
