@@ -13,7 +13,7 @@ delta function. Their ratios carry the physics:
   that the delta-function step is what breaks the perturbative identity.
 """
 
-from deltashell import PotentialSpec, find_resonance, perturbation_rhs, table_records
+from deltashell import PotentialSpec, decay_width_total, find_resonance, table_records
 
 LAM = -10.0
 
@@ -39,10 +39,12 @@ print(
 )
 
 # second-order perturbation theory claims the Lorentzian integral returns
-# the pole width itself; evaluating it shows otherwise for every resonance
+# the pole width itself; that integral is the decay width, and evaluating
+# it shows otherwise for every resonance
 print("perturbative width equation, RHS / pole width (would be 1 if the")
 print("perturbative identity held):")
 for n in (1, 2, 3):
     pole = find_resonance(spec, n)
-    ratio = perturbation_rhs(spec, pole) / pole.gamma_R
+    gamma_bar, _ = decay_width_total(spec, pole)
+    ratio = gamma_bar / pole.gamma_R
     print(f"  n={n}:  {ratio:.4f}")

@@ -7,9 +7,9 @@ two-resonance interference, and cross-section approximants.
 
 Two layers. The scalar layer (errors, lambertw, potential, poles,
 observables) is plain Python and cmath; its names are imported with the
-package. The grid layer (scattering, spectra, cross_sections, quadrature)
-works on numpy arrays; its names are in __all__ too, but each is bound on
-first access, which imports its module and numpy.
+package. The grid layer (scattering, spectra, cross_sections) works on
+numpy arrays; its names are in __all__ too, but each is bound on first
+access, which imports its module and numpy.
 
 Quick start::
 
@@ -30,7 +30,6 @@ from .errors import (
     NonConvergence,
     NoSuchPole,
     PoleHit,
-    ToleranceNotMet,
 )
 from .lambertw import lambert_w, lambert_w_residual
 from .observables import (
@@ -61,7 +60,6 @@ _GRID = {
         "cross_section_exact", "cross_section_k_unitarized", "cross_section_laurent",
         "cross_section_two_pole", "unitarized_ratio",
     ),
-    "quadrature": ("QuadratureRequest", "integrate_semi_infinite"),
     "scattering": (
         "JostPair", "jost", "matrix_element", "matrix_element_squared",
         "resonant_wavefunction", "s_matrix", "s_matrix_energy",
@@ -69,7 +67,7 @@ _GRID = {
     "spectra": (
         "InterferenceConfig", "SpectrumCurve", "decay_constant_differential",
         "decay_energy_spectrum", "decay_width_differential", "interference_curve",
-        "interference_spectrum", "multi_spectrum", "perturbation_rhs", "spectrum_curve",
+        "interference_spectrum", "multi_spectrum", "spectrum_curve",
     ),
 }
 _LAZY = {name: module for module, names in _GRID.items() for name in names}
@@ -102,7 +100,6 @@ __all__ = [
     "PoleHit",
     "PoleKind",
     "PotentialSpec",
-    "ToleranceNotMet",
     "decay_constant_total",
     "decay_width_total",
     "enumerate_poles",

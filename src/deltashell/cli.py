@@ -444,8 +444,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except ArithmeticError as exc:
-        # the library's NonConvergence, ToleranceNotMet, DegeneratePole and
-        # PoleHit, plus OverflowError and bare ArithmeticError from numerics
+        # the library's NonConvergence, DegeneratePole and PoleHit, plus
+        # OverflowError and bare ArithmeticError from numerics
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as exc:

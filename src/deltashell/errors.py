@@ -23,16 +23,3 @@ class PoleHit(DeltaShellError, ZeroDivisionError):
 
 class DegeneratePole(DeltaShellError, ArithmeticError):
     """The Jost-function derivative vanishes at the pole (double pole)."""
-
-
-class ToleranceNotMet(DeltaShellError, ArithmeticError):
-    """Quadrature exhausted its budget before reaching the tolerance.
-
-    The best value and its honest error estimate are attached so callers
-    can still inspect the result.
-    """
-
-    def __init__(self, message, value=None, error_estimate=None):
-        super().__init__(message)
-        self.value = value
-        self.error_estimate = error_estimate

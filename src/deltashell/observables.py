@@ -16,16 +16,16 @@ for zero-width poles).
 With E = k^2 each of these integrals, and the two-resonance
 normalization in spectra, has the form int_{-inf}^{inf} sin^2(ka) R(k) dk
 with R even and rational, so it is a finite sum of residues at the
-S-matrix poles (:func:`_sin2_pair`). That residue sum is the production
-path; the adaptive quadrature of :mod:`deltashell.quadrature` is kept as
-the independent check.
+S-matrix poles (:func:`_sin2_pair`). That residue sum is the only path
+the library has; the test suite checks it against an independent
+adaptive quadrature.
 
 The sharp approximations replace the Lorentzian by a delta function:
 Gbar_sharp = 2 pi M^2(E_R), Gamma_sharp = Gbar_sharp / Gamma_R.
 
 Everything here is scalar Python arithmetic with no numpy import; the
-integrands on energy grids (dGbar/dE, dGamma/dE) and the quadrature of
-the perturbation-theory width live in :mod:`deltashell.spectra`.
+integrands on energy grids (dGbar/dE, dGamma/dE) live in
+:mod:`deltashell.spectra`.
 """
 
 from __future__ import annotations
@@ -144,6 +144,12 @@ def _sharp(spec: PotentialSpec, pole: Pole, prefactor: float):
 
 def decay_width_total(spec: PotentialSpec, pole: Pole):
     """Total decay width and the constant C as (gamma_bar, c_value).
+
+    gamma_bar is also the right-hand side of the second-order
+    perturbation-theory width equation, int Gamma_R M^2(E) /
+    ((E - E_R)^2 + (Gamma_R/2)^2) dE. Were that equation exact it would
+    equal Gamma_R; gamma_bar / Gamma_R is the decay constant instead,
+    which differs from 1 for every resonance of this potential.
 
     Bound and virtual poles return (0.0, None): the width integrand
     carries an explicit factor of the pole width, which is zero there.

@@ -2,8 +2,7 @@
 
 dGbar/dE = Gamma_R M^2(E) / ((E - E_R)^2 + (Gamma_R/2)^2) and
 dGamma/dE = M^2(E) / ((E - E_R)^2 + (Gamma_R/2)^2) are the integrands of
-the widths and constants that observables sums in closed form; the
-perturbation-theory right-hand side integrates dGbar/dE by quadrature.
+the widths and constants that observables sums in closed form.
 
 The spectrum of a single pole is the Lorentzian modulated by the squared
 interaction matrix element and divided by the decay constant,
@@ -21,13 +20,7 @@ pole terms, |c1 <E|z1> + c2 <E|z2>|^2 with <E|z> = <E|V|z>/(z - E); the
 cross-term phase convention lives in scattering.matrix_element.
 
 Both normalizations, Gamma and the integral of the coherent sum, are
-closed-form residue sums (observables._sin2_pair); the adaptive quadrature
-is the independent check of them, and runs here only in perturbation_rhs.
-
-The perturbation-theory right-hand side reads the Lorentzian integral of
-dGbar/dE as an implicit equation for the pole width. It is exposed so its
-numerical value can be compared against Gamma_R: the two disagree for
-every resonance of this potential, which is the point of computing it.
+closed-form residue sums (observables._sin2_pair).
 """
 
 from __future__ import annotations
@@ -41,7 +34,6 @@ from .errors import InvalidInput
 from .observables import _require_kind, _sin2_pair, decay_constant_total
 from .poles import find_resonance
 from .potential import PotentialSpec, Pole, PoleKind
-from .quadrature import QuadratureRequest, integrate_semi_infinite
 from .scattering import (
     _lorentz_denominator,
     _scalar_or_array,
@@ -53,7 +45,6 @@ from .scattering import (
 __all__ = [
     "decay_width_differential",
     "decay_constant_differential",
-    "perturbation_rhs",
     "SpectrumCurve",
     "InterferenceConfig",
     "decay_energy_spectrum",
@@ -111,31 +102,6 @@ def decay_constant_differential(spec: PotentialSpec, pole: Pole, e):
     return _scalar_or_array(out)
 
 
-def perturbation_rhs(
-    spec: PotentialSpec,
-    pole: Pole,
-    rel_tol: float = 1e-9,
-    abs_tol: float = 1e-12,
-) -> float:
-    """RHS of the second-order perturbation-theory width equation.
-
-    int Gamma_R / ((E_R - E)^2 + (Gamma_R/2)^2) M^2(E) dE. Were the
-    perturbative identity exact, this would equal Gamma_R; numerically it
-    equals Gbar, so RHS / Gamma_R reproduces the decay constant instead
-    of 1.
-    """
-    _require_kind(pole, PoleKind.RESONANCE)
-    req = QuadratureRequest(
-        peak_center=pole.e_R,
-        peak_halfwidth=0.5 * pole.gamma_R,
-        oscillation_wavenumber=math.pi / spec.a,
-        rel_tol=rel_tol,
-        abs_tol=abs_tol,
-    )
-    value, _ = integrate_semi_infinite(lambda e: decay_width_differential(spec, pole, e), req)
-    return value
-
-
 def _spectrum_kinds(pole: Pole) -> None:
     if pole.kind not in (PoleKind.RESONANCE, PoleKind.BOUND, PoleKind.VIRTUAL_STATE):
         raise InvalidInput("decay spectra are defined for resonance, bound and virtual poles")
@@ -164,7 +130,10 @@ def _grid(e_min: float, e_max: float, points: int) -> np.ndarray:
         raise InvalidInput("need 0 < e_min < e_max < inf")
     if points < 2:
         raise InvalidInput("need at least two grid points")
-    return np.linspace(e_min, e_max, points)
+    try:
+        return np.linspace(e_min, e_max, points)
+    except (MemoryError, ValueError) as exc:  # numpy's refusal of an oversized array
+        raise InvalidInput(f"cannot allocate a grid of {points} points") from exc
 
 
 def _breit_wigner(pole: Pole, e: np.ndarray) -> np.ndarray:

@@ -1,14 +1,15 @@
-"""Adaptive semi-infinite quadrature tuned for resonance integrands.
+"""Adaptive semi-infinite quadrature: the test suite's independent oracle.
+
+The library evaluates every decay observable as a closed-form residue sum
+(deltashell.observables._sin2_pair). The tests check those sums, and the
+perturbation-theory right-hand side, against this engine, which knows
+nothing of the residue algebra.
 
 Every decay observable is an integral over (0, inf) of a narrow Lorentzian
-multiplied by the oscillatory factor sin^2(k a)/k with k = sqrt(E). The
-library evaluates those integrals as closed-form residue sums
-(observables._sin2_pair); this engine is the independent check of them,
-and it evaluates the perturbation-theory right-hand side, which is
-compared against them. A general-purpose global rule misses peaks a
-thousand times narrower than the oscillation period, so the engine seeds
-its panel list from the structure the caller declares in a
-:class:`QuadratureRequest`:
+multiplied by the oscillatory factor sin^2(k a)/k with k = sqrt(E). A
+general-purpose global rule misses peaks a thousand times narrower than
+the oscillation period, so the engine seeds its panel list from the
+structure the caller declares in a :class:`QuadratureRequest`:
 
 * panel boundaries at the sin^2 zeros E = (m pi / a)^2,
 * panel boundaries at peak_center +/- {1, 2, 4, 8, 16, 32} half-widths,
@@ -36,9 +37,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidInput, ToleranceNotMet
-
-__all__ = ["QuadratureRequest", "integrate_semi_infinite"]
+from deltashell import InvalidInput, Pole, PotentialSpec
+from deltashell.spectra import decay_width_differential
 
 # 15-point Kronrod extension of 7-point Gauss on [-1, 1] (nodes symmetric;
 # Gauss points sit at the odd Kronrod indices).
@@ -65,6 +65,19 @@ _WG = np.array([
 _MAX_PANELS = 40000
 _MAX_ROUNDS = 200
 _ENVELOPE_LATTICE_CAP = 6000  # max number of oscillation cells in the head
+
+
+class ToleranceNotMet(ArithmeticError):
+    """Quadrature exhausted its budget before reaching the tolerance.
+
+    The best value and its honest error estimate are attached so callers
+    can still inspect the result.
+    """
+
+    def __init__(self, message, value=None, error_estimate=None):
+        super().__init__(message)
+        self.value = value
+        self.error_estimate = error_estimate
 
 
 @dataclass(frozen=True)
@@ -212,3 +225,27 @@ def integrate_semi_infinite(
             error_estimate=err,
         )
     return value, err
+
+
+def perturbation_rhs(
+    spec: PotentialSpec,
+    pole: Pole,
+    rel_tol: float = 1e-9,
+    abs_tol: float = 1e-12,
+) -> float:
+    """RHS of the second-order perturbation-theory width equation, by quadrature.
+
+    int Gamma_R / ((E_R - E)^2 + (Gamma_R/2)^2) M^2(E) dE. Were the
+    perturbative identity exact, this would equal Gamma_R; numerically it
+    equals Gbar, so RHS / Gamma_R reproduces the decay constant instead
+    of 1.
+    """
+    req = QuadratureRequest(
+        peak_center=pole.e_R,
+        peak_halfwidth=0.5 * pole.gamma_R,
+        oscillation_wavenumber=math.pi / spec.a,
+        rel_tol=rel_tol,
+        abs_tol=abs_tol,
+    )
+    value, _ = integrate_semi_infinite(lambda e: decay_width_differential(spec, pole, e), req)
+    return value

@@ -16,7 +16,6 @@ import pytest
 from deltashell import (
     InterferenceConfig,
     PoleKind,
-    QuadratureRequest,
     cross_section_e_unitarized,
     cross_section_exact,
     cross_section_k_unitarized,
@@ -26,17 +25,16 @@ from deltashell import (
     find_anti_resonance,
     find_resonance,
     find_virtual_state,
-    integrate_semi_infinite,
     interference_spectrum,
     lambert_w,
     lambert_w_residual,
     multi_spectrum,
-    perturbation_rhs,
     spectrum_curve,
     transcendental_residual,
     unitarized_ratio,
 )
 from conftest import TABLE_LAMBDAS, assert_printed, golden_rows, sigfig_tol
+from quadrature_oracle import QuadratureRequest, integrate_semi_infinite, perturbation_rhs
 
 
 def report(num, text):

@@ -215,6 +215,22 @@ def test_non_finite_window_exits_2_without_traceback(argv):
     assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
 
 
+@pytest.mark.parametrize("points", ["1000000000000000", "10000000000000000000"])
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--lambda", "10", "--index", "1", "--emin", "1", "--emax", "30"],
+    ["interfere", "--lambda", "10", "--indices", "1,2", "--emin", "1", "--emax", "60"],
+    ["cross-section", "--lambda", "10", "--index", "1"],
+], ids=["spectrum", "interfere", "cross-section"])
+def test_oversized_points_exits_2(argv, points, capsys):
+    # both sizes are refused by numpy's allocator before any memory is touched:
+    # 7 PiB raises MemoryError, and past the int64 array limit a ValueError
+    code = cli.main(argv + ["--points", points])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 @pytest.mark.parametrize("argv, zero_columns", [
     (["spectrum", "--lambda", "5", "--index", "1"], ["dP_dE", "breit_wigner"]),
     (["cross-section", "--lambda", "5", "--index", "1"],
@@ -771,8 +787,17 @@ def test_public_names_resolve_lazily():
     run_python("""
 import importlib, sys
 import deltashell
-lazy = {"CrossSectionBundle", "QuadratureRequest", "jost", "perturbation_rhs",
-        "spectrum_curve", "decay_width_differential", "interference_curve"}
+lazy = {"CrossSectionBundle", "jost", "spectrum_curve", "decay_width_differential",
+        "interference_curve"}
+removed = {"QuadratureRequest", "integrate_semi_infinite", "ToleranceNotMet", "perturbation_rhs"}
+assert not removed & set(deltashell.__all__)
+for name in removed:
+    try:
+        getattr(deltashell, name)
+    except AttributeError:
+        pass
+    else:
+        raise AssertionError(f"{name} still resolves on deltashell")
 assert lazy <= set(deltashell.__all__) <= set(dir(deltashell))
 assert not lazy & set(vars(deltashell)), "bound before first access"
 assert "numpy" not in sys.modules
@@ -791,7 +816,7 @@ except AttributeError:
     pass
 else:
     raise AssertionError("unknown name resolved")
-from deltashell import quadrature, spectra  # submodules, not lazy names
+from deltashell import spectra  # a submodule, not a lazy name
 assert spectra.spectrum_curve is deltashell.spectrum_curve
 """)
 

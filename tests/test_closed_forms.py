@@ -4,8 +4,8 @@ The production path computes the oscillation constant C, the bound and
 virtual decay constant Gamma and the two-resonance normalization from one
 residue sum, observables._sin2_pair. Each is checked two ways:
 
-* against integrate_semi_infinite at rel_tol 1e-12, which knows nothing of
-  the residue algebra;
+* against the test oracle's integrate_semi_infinite at rel_tol 1e-12,
+  which knows nothing of the residue algebra;
 * against the same residue sum written plainly and evaluated by mpmath at
   30 digits on poles refined at 30 digits, which knows nothing of the
   float rewriting (expm1 forms, order of the products).
@@ -20,22 +20,21 @@ import pytest
 
 import deltashell.cli as cli
 import deltashell.observables as observables
-import deltashell.quadrature as quadrature
 import deltashell.spectra as spectra
+import quadrature_oracle
 from deltashell import (
     InterferenceConfig,
     PoleKind,
     PotentialSpec,
-    QuadratureRequest,
     decay_constant_total,
     decay_width_total,
     find_bound_state,
     find_resonance,
     find_virtual_state,
-    integrate_semi_infinite,
     matrix_element_squared,
 )
 from deltashell.observables import _expm1, _sin2_pair
+from quadrature_oracle import QuadratureRequest, integrate_semi_infinite
 
 LAMBDAS = (100.0, -100.0, 10.0, -10.0, 0.5, -0.5, 1e-3, -1e-3)
 MAX_INDEX = 15
@@ -294,7 +293,7 @@ def test_production_path_runs_no_quadrature(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("quadrature ran on the production path")
 
-    for module in (quadrature, observables, spectra):
+    for module in (quadrature_oracle, observables, spectra):
         monkeypatch.setattr(module, "integrate_semi_infinite", refuse, raising=False)
 
     for lam in (100.0, -0.5, -10.0, 0.05):

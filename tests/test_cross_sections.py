@@ -92,7 +92,7 @@ def test_unitarized_ratio_identity_and_value():
     spec = PotentialSpec(lam=100.0)
     pole = find_resonance(spec, 3)
     e = np.linspace(pole.e_R - 10 * pole.gamma_R, pole.e_R + 10 * pole.gamma_R, 1000)
-    ratio = unitarized_ratio(spec, pole, e)  # raises if the identity breaks
+    ratio = unitarized_ratio(spec, pole, e)
     quotient = cross_section_e_unitarized(spec, pole, e) / cross_section_k_unitarized(
         spec, pole, e
     )

@@ -23,10 +23,10 @@ from deltashell import (
     golden_rule_sharp,
     matrix_element_squared,
     observables_record,
-    perturbation_rhs,
     table_records,
 )
 from conftest import TABLE_LAMBDAS, assert_printed, golden_rows, place_tol, sigfig_tol
+from quadrature_oracle import perturbation_rhs
 
 
 @pytest.mark.parametrize("lam", TABLE_LAMBDAS)

@@ -1,16 +1,12 @@
-"""Quadrature engine: closed forms, brute-force oracles, error honesty."""
+"""Quadrature oracle: closed forms, brute-force oracles, error honesty."""
 
 import math
 
 import numpy as np
 import pytest
 
-from deltashell import (
-    InvalidInput,
-    QuadratureRequest,
-    ToleranceNotMet,
-    integrate_semi_infinite,
-)
+from deltashell import InvalidInput
+from quadrature_oracle import QuadratureRequest, ToleranceNotMet, integrate_semi_infinite
 
 GENERIC = QuadratureRequest(peak_center=1.0, peak_halfwidth=1.0, oscillation_wavenumber=np.pi)
 

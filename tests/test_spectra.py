@@ -9,7 +9,6 @@ from deltashell import (
     InterferenceConfig,
     InvalidInput,
     PotentialSpec,
-    QuadratureRequest,
     decay_constant_total,
     decay_energy_spectrum,
     decay_width_differential,
@@ -17,12 +16,12 @@ from deltashell import (
     find_anti_resonance,
     find_resonance,
     find_virtual_state,
-    integrate_semi_infinite,
     interference_curve,
     interference_spectrum,
     multi_spectrum,
     spectrum_curve,
 )
+from quadrature_oracle import QuadratureRequest, integrate_semi_infinite
 
 
 def spectrum_norm(spec, pole, rel_tol=1e-9):
