@@ -45,9 +45,10 @@ print(f"\npeak:  exact {bundle.exact.max():.5f} at E = {bundle.grid[np.argmax(bu
 print(f"background zero of the exact curve near E = {bundle.grid[i_zero]:.3f}, "
       f"where the approximants stay at {bundle.laurent[i_zero]:.5f}")
 
-res = zeldovich_norm(spec, pole)
+# |residue_E| = |2 k_R res_k S| = 2 |k_R| |N^2|, with N^2 = i res_k S
+residue_e = 2.0 * abs(pole.k) * abs(zeldovich_norm(spec, pole))
 print(f"\nLaurent / e-unitarized constant ratio: "
-      f"{(abs(res.residue_E) / pole.gamma_R) ** 2:.6f}")
+      f"{(residue_e / pole.gamma_R) ** 2:.6f}")
 ratios = unitarized_ratio(spec, pole, bundle.grid)
 print(f"e-unitarized / k-unitarized across the window: "
       f"{ratios.min():.6f} .. {ratios.max():.6f}")

@@ -41,7 +41,6 @@ from .observables import (
     table_records,
 )
 from .poles import (
-    NormalizationData,
     enumerate_poles,
     find_anti_resonance,
     find_bound_state,
@@ -61,7 +60,7 @@ _GRID = {
         "cross_section_two_pole", "unitarized_ratio",
     ),
     "scattering": (
-        "JostPair", "jost", "matrix_element", "matrix_element_squared",
+        "jost", "matrix_element", "matrix_element_squared",
         "resonant_wavefunction", "s_matrix", "s_matrix_energy",
     ),
     "spectra": (
@@ -93,7 +92,6 @@ __all__ = [
     "DeltaShellError",
     "InvalidInput",
     "NonConvergence",
-    "NormalizationData",
     "NoSuchPole",
     "ObservablesRecord",
     "Pole",

@@ -20,10 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput
+from .observables import _require_kind
 from .poles import find_resonance, zeldovich_norm
 from .potential import PotentialSpec, Pole, PoleKind
-from .scattering import _lorentz_denominator, _scalar_or_array, s_matrix
+from .scattering import _energies, _lorentz_denominator, _scalar_or_array, s_matrix
 from .spectra import _grid
 
 __all__ = [
@@ -50,17 +50,9 @@ class CrossSectionBundle:
     two_pole: np.ndarray | None = None
 
 
-def _energies(e):
-    e = np.asarray(e, dtype=float)
-    if np.any(e <= 0):
-        raise InvalidInput("scattering energy must be positive")
-    return e
-
-
-def _require_resonance(*poles: Pole) -> None:
-    for pole in poles:
-        if pole.kind is not PoleKind.RESONANCE:
-            raise InvalidInput("cross-section approximants need resonance poles")
+def _residue_e(spec: PotentialSpec, pole: Pole) -> complex:
+    """Energy-plane residue of S at a pole: 2k res_k S = -2ik N^2."""
+    return -2j * pole.k * zeldovich_norm(spec, pole)
 
 
 def cross_section_exact(spec: PotentialSpec, e):
@@ -73,16 +65,16 @@ def cross_section_exact(spec: PotentialSpec, e):
 
 def cross_section_laurent(spec: PotentialSpec, pole: Pole, e):
     """Breit-Wigner form (pi/k^2) |r_R|^2 / ((E-E_R)^2 + (Gamma_R/2)^2)."""
-    _require_resonance(pole)
+    _require_kind(pole, PoleKind.RESONANCE)
     e = _energies(e)
-    r_e = abs(zeldovich_norm(spec, pole).residue_E)
+    r_e = abs(_residue_e(spec, pole))
     out = np.pi / e * r_e**2 / _lorentz_denominator(pole, e)
     return _scalar_or_array(out)
 
 
 def cross_section_e_unitarized(spec: PotentialSpec, pole: Pole, e):
     """(pi/k^2) Gamma_R^2 / ((E-E_R)^2 + (Gamma_R/2)^2); peak value 4 pi / E_R."""
-    _require_resonance(pole)
+    _require_kind(pole, PoleKind.RESONANCE)
     e = _energies(e)
     out = np.pi / e * pole.gamma_R**2 / _lorentz_denominator(pole, e)
     return _scalar_or_array(out)
@@ -90,7 +82,7 @@ def cross_section_e_unitarized(spec: PotentialSpec, pole: Pole, e):
 
 def cross_section_k_unitarized(spec: PotentialSpec, pole: Pole, e):
     """(pi/k^2) (2 beta_R)^2 / ((k-alpha_R)^2 + beta_R^2), k = sqrt(E)."""
-    _require_resonance(pole)
+    _require_kind(pole, PoleKind.RESONANCE)
     e = _energies(e)
     k = np.sqrt(e)
     out = np.pi / e * (2.0 * pole.beta_R) ** 2 / ((k - pole.alpha_R) ** 2 + pole.beta_R**2)
@@ -99,7 +91,7 @@ def cross_section_k_unitarized(spec: PotentialSpec, pole: Pole, e):
 
 def unitarized_ratio(spec: PotentialSpec, pole: Pole, e):
     """Ratio e-unitarized / k-unitarized: 4 alpha^2 / ((k+alpha)^2 + beta^2)."""
-    _require_resonance(pole)
+    _require_kind(pole, PoleKind.RESONANCE)
     k = np.sqrt(_energies(e))
     alpha, beta = pole.alpha_R, pole.beta_R
     return _scalar_or_array(4.0 * alpha**2 / ((k + alpha) ** 2 + beta**2))
@@ -113,10 +105,10 @@ def cross_section_two_pole(spec: PotentialSpec, pole1: Pole, pole2: Pole, e):
     with energy-plane residues r_i. The cross term is formed as Re u1 Re u2 + Im u1 Im u2,
     u_i = r_i / (E - z_i): swapping the poles keeps its bits, and no E^2 product overflows.
     """
-    _require_resonance(pole1, pole2)
+    _require_kind(pole1, PoleKind.RESONANCE)
+    _require_kind(pole2, PoleKind.RESONANCE)
     e = _energies(e)
-    r1 = zeldovich_norm(spec, pole1).residue_E
-    r2 = zeldovich_norm(spec, pole2).residue_E
+    r1, r2 = _residue_e(spec, pole1), _residue_e(spec, pole2)
     d1, d2 = _lorentz_denominator(pole1, e), _lorentz_denominator(pole2, e)
     u1, u2 = r1 / (e - pole1.z), r2 / (e - pole2.z)
     cross = 2.0 * (u1.real * u2.real + u1.imag * u2.imag)

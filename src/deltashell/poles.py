@@ -24,7 +24,12 @@ transcendental equation itself, which drives the equation residual to the
 evaluation noise floor (~1e-13 for |lam| = 100).
 
 The residue normalization of each pole, N^2 = i res_k S, is formed here
-too, in scalar complex arithmetic like the poles themselves.
+too, as one closed form in t = lam e^{2ika} = W_n (lam e^lam):
+
+    N^2 = 2 a k^2 / (t (1 + t)),
+
+valid only on a pole of the spec, and degenerate (a double pole) where
+1 + t = (1 + lam) - 2ika vanishes. No Jost function is evaluated.
 """
 
 from __future__ import annotations
@@ -32,14 +37,12 @@ from __future__ import annotations
 import cmath
 import math
 import operator
-from dataclasses import dataclass
 
 from .errors import DegeneratePole, InvalidInput, NonConvergence, NoSuchPole
 from .lambertw import lambert_w
 from .potential import PotentialSpec, Pole, PoleKind
 
 __all__ = [
-    "NormalizationData",
     "find_resonance",
     "find_anti_resonance",
     "find_bound_state",
@@ -135,91 +138,83 @@ def find_anti_resonance(spec: PotentialSpec, n: int) -> Pole:
     return _checked(spec, Pole(PoleKind.ANTI_RESONANCE, n, n, k, k * k))
 
 
+def _threshold_kind(spec: PotentialSpec) -> PoleKind | None:
+    """BOUND for lam < -1, VIRTUAL_STATE for -1 < lam < 0, else None.
+
+    None also inside the degeneracy band around lam = -1, where both
+    threshold poles collide with the branch point at k = 0.
+    """
+    if spec.lam >= 0.0 or abs(spec.lam + 1.0) < _DEGENERACY_BAND:
+        return None
+    return PoleKind.BOUND if spec.lam < -1.0 else PoleKind.VIRTUAL_STATE
+
+
+# kind: (Lambert-W branch, name, side of the imaginary k-axis)
+_THRESHOLD_POLES = {
+    PoleKind.BOUND: (0, "bound", "positive"),
+    PoleKind.VIRTUAL_STATE: (-1, "virtual", "negative"),
+}
+
+
+def _threshold_pole(spec: PotentialSpec, kind: PoleKind) -> Pole:
+    branch, name, side = _THRESHOLD_POLES[kind]
+    if _threshold_kind(spec) is not kind:
+        raise NoSuchPole(f"no {name} state for strength {spec.lam}")
+    w = lambert_w(branch, _w_argument(spec))
+    y = _polish_imaginary(spec, -(spec.lam - w.real) / (2.0 * spec.a))
+    if not (y > 0 if side == "positive" else y < 0):
+        raise NonConvergence(f"{name}-state root left the {side} imaginary axis")
+    k = complex(0.0, y)
+    return _checked(spec, Pole(kind, branch, 0, k, complex(-y * y, 0.0)))
+
+
 def find_bound_state(spec: PotentialSpec) -> Pole:
     """Return the bound-state pole (exists only for lam < -1)."""
-    if not spec.lam < -1.0 or abs(spec.lam + 1.0) < _DEGENERACY_BAND:
-        raise NoSuchPole(f"no bound state for strength {spec.lam}")
-    w = lambert_w(0, _w_argument(spec))
-    y = _polish_imaginary(spec, -(spec.lam - w.real) / (2.0 * spec.a))
-    if not y > 0:
-        raise NonConvergence("bound-state root left the positive imaginary axis")
-    k = complex(0.0, y)
-    return _checked(spec, Pole(PoleKind.BOUND, 0, 0, k, complex(-y * y, 0.0)))
+    return _threshold_pole(spec, PoleKind.BOUND)
 
 
 def find_virtual_state(spec: PotentialSpec) -> Pole:
     """Return the virtual (anti-bound) pole (exists only for -1 < lam < 0)."""
-    if not (-1.0 < spec.lam < 0.0) or abs(spec.lam + 1.0) < _DEGENERACY_BAND:
-        raise NoSuchPole(f"no virtual state for strength {spec.lam}")
-    w = lambert_w(-1, _w_argument(spec))
-    y = _polish_imaginary(spec, -(spec.lam - w.real) / (2.0 * spec.a))
-    if not y < 0:
-        raise NonConvergence("virtual-state root left the negative imaginary axis")
-    k = complex(0.0, y)
-    return _checked(spec, Pole(PoleKind.VIRTUAL_STATE, -1, 0, k, complex(-y * y, 0.0)))
+    return _threshold_pole(spec, PoleKind.VIRTUAL_STATE)
 
 
 def enumerate_poles(spec: PotentialSpec, count: int) -> list[Pole]:
     """Bound or virtual pole (when present) followed by resonances 1..count."""
     count = _positive(count, "count")
     poles: list[Pole] = []
-    if spec.lam < -1.0 and abs(spec.lam + 1.0) >= _DEGENERACY_BAND:
+    if (kind := _threshold_kind(spec)) is PoleKind.BOUND:
         poles.append(find_bound_state(spec))
-    elif -1.0 < spec.lam < 0.0 and abs(spec.lam + 1.0) >= _DEGENERACY_BAND:
+    elif kind is PoleKind.VIRTUAL_STATE:
         poles.append(find_virtual_state(spec))
     poles.extend(find_resonance(spec, n) for n in range(1, count + 1))
     return poles
 
 
-@dataclass(frozen=True)
-class NormalizationData:
-    """Residue-based normalization of one resonant state.
+def zeldovich_norm(spec: PotentialSpec, pole: Pole) -> complex:
+    """N^2 = i res_k S, the squared residue normalization of a pole of ``spec``.
 
-    n_r_squared is the squared normalization constant fixed by the
-    S-matrix residue in the k-plane: N^2 = i res_k S = -i J1 / J2'.
-    k is the pole's wave number k_R.
-    """
+    ``pole`` must be a pole of ``spec``: the closed form below holds only
+    there. With x = 2ika the pole equation reads t = lam - x = lam e^x,
+    which is W_n(lam e^lam) of the pole's branch, and
 
-    n_r_squared: complex
-    abs_n_r_squared: float
-    residue_k: complex
-    k: complex
+        N^2 = 2 a k^2 / (t (1 + t)) = 2 a k^2 / (lam e^x ((1 + lam) - x)),
 
-    @property
-    def residue_E(self) -> complex:
-        """Energy-plane residue 2 k_R residue_k (chain rule through E = k^2).
+    the 1/(1 + W) factor of W'(z) = W / (z (1 + W)). 1 + t is formed as
+    (1 + lam) - x, exact near lam = -1, and t as lam e^x, which does not
+    cancel for the deep bound state at lam = -700. The energy-plane
+    residue is 2k res_k S = -2ik N^2.
 
-        Formed on request only: for a deep bound state (lam near -700)
-        |residue_k| ~ 1e306 and the product overflows, but only the
-        resonance cross sections use it.
-        """
-        return 2.0 * self.k * self.residue_k
-
-
-def zeldovich_norm(spec: PotentialSpec, pole: Pole) -> NormalizationData:
-    """Residue of S at the pole and the squared normalization constant.
-
-    Scalar and uncached: J1(k_R) and J2'(k_R) are formed with cmath in
-    Python complex arithmetic, so every field is a Python complex or float.
+    Raises DegeneratePole when |(1 + lam) - x| < 1e-13 * 2|k|, i.e. when
+    J2'(k) = i (1 + t) / (2k) is numerically zero (a double pole).
     """
     k = complex(pole.k)
     if k == 0:
         raise InvalidInput("Jost functions are singular at k = 0")
-    # J2 = [2ika + lam(e^{2ika}-1)]/(4ka); on a pole the bracket vanishes,
-    # leaving J2'(k_R) = i (1 + lam e^{2 i k_R a}) / (2 k_R).
-    j2p = 1j * (1.0 + spec.lam * cmath.exp(2j * k * spec.a)) / (2.0 * k)
-    if abs(j2p) < _DEGENERATE_TOL:
+    x = 2j * k * spec.a
+    one_plus_t = (1.0 + spec.lam) - x
+    if abs(one_plus_t) < _DEGENERATE_TOL * 2.0 * abs(k):
         raise DegeneratePole(f"J2'({pole.k}) is numerically zero; double pole?")
-    g = spec.lam / spec.a
-    j1 = (-2j * k + g * (cmath.exp(-2j * k * spec.a) - 1.0)) / (4.0 * k)
-    residue_k = -j1 / j2p
-    n_r_squared = 1j * residue_k
-    return NormalizationData(
-        n_r_squared=n_r_squared,
-        abs_n_r_squared=abs(n_r_squared),
-        residue_k=residue_k,
-        k=pole.k,
-    )
+    return 2.0 * spec.a * k * k / (spec.lam * cmath.exp(x) * one_plus_t)
 
 
 def _shell_density(spec: PotentialSpec, pole: Pole) -> float:
@@ -228,4 +223,4 @@ def _shell_density(spec: PotentialSpec, pole: Pole) -> float:
     Near lam = -700 the bound state has |N|^2 ~ 1e306 and exp(2 beta a)
     ~ 1e-304; multiplying lam^2 into |N|^2 first would overflow.
     """
-    return zeldovich_norm(spec, pole).abs_n_r_squared * math.exp(2.0 * pole.beta_R * spec.a)
+    return abs(zeldovich_norm(spec, pole)) * math.exp(2.0 * pole.beta_R * spec.a)

@@ -40,7 +40,8 @@ class PotentialSpec:
         "reduced" (default): hbar^2/2m = 1, so E = k^2.
         "physical": energies are rescaled by hbar^2/2m for reporting.
     mass, hbar : float
-        Only consulted in physical mode.
+        Only consulted in physical mode, where both must be finite and
+        positive and give a finite, nonzero ``energy_scale``.
 
     Resonances found on a spec are memoized on it outside the fields, so
     ``==``, ``hash``, ``repr`` and ``asdict`` ignore them; ``replace`` starts anew.
@@ -61,8 +62,15 @@ class PotentialSpec:
             raise InvalidInput("shell radius must be positive and finite")
         if self.unit_system not in ("reduced", "physical"):
             raise InvalidInput(f"unknown unit system {self.unit_system!r}")
-        if self.unit_system == "physical" and not (self.mass > 0.0 and self.hbar > 0.0):
-            raise InvalidInput("physical units need positive mass and hbar")
+        if self.unit_system == "physical":
+            if not (0.0 < self.mass < math.inf and 0.0 < self.hbar < math.inf):
+                raise InvalidInput("physical units need finite positive mass and hbar")
+            try:
+                scale = self.energy_scale
+            except OverflowError:  # float ** raises where * would give inf
+                scale = math.inf
+            if not 0.0 < scale < math.inf:
+                raise InvalidInput(f"energy scale hbar^2/2m = {scale!r} is not finite and nonzero")
         object.__setattr__(self, "_resonances", {})
 
     @property

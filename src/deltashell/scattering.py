@@ -9,8 +9,6 @@ they rest on is scalar and lives in :mod:`deltashell.poles`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InvalidInput, PoleHit
@@ -18,7 +16,6 @@ from .poles import _shell_density, zeldovich_norm
 from .potential import PotentialSpec, Pole
 
 __all__ = [
-    "JostPair",
     "jost",
     "s_matrix",
     "resonant_wavefunction",
@@ -29,17 +26,17 @@ __all__ = [
 _POLE_HIT_TOL = 1e-13
 
 
-@dataclass(frozen=True)
-class JostPair:
-    """Outgoing/incoming Jost function values at one (or an array of) k."""
-
-    j1: complex
-    j2: complex
-
-
 def _scalar_or_array(out):
     """A Python float or complex for a 0-d result, else the array itself."""
     return out.item() if out.ndim == 0 else out
+
+
+def _energies(e) -> np.ndarray:
+    """Scattering energies as a float array; every one must be positive."""
+    e = np.asarray(e, dtype=float)
+    if np.any(e <= 0):
+        raise InvalidInput("scattering energy must be positive")
+    return e
 
 
 def _lorentz_denominator(pole: Pole, e):
@@ -52,8 +49,8 @@ def _lorentz_denominator(pole: Pole, e):
         return (e - pole.e_R) ** 2 + (0.5 * pole.gamma_R) ** 2
 
 
-def jost(spec: PotentialSpec, k) -> JostPair:
-    """Jost functions J1, J2 at complex wave number k (vectorized).
+def jost(spec: PotentialSpec, k):
+    """Jost functions (J1, J2) at complex wave number k (vectorized).
 
     J_{1,2} = (1/4k) [ -/+ 2ik + (lam/a) (exp(-/+ 2ika) - 1) ].
     For real k > 0, J1 = conj(J2), which makes |S| = 1 on the real axis.
@@ -67,15 +64,13 @@ def jost(spec: PotentialSpec, k) -> JostPair:
     j1 = (-2j * k + g * (up - 1.0)) / (4.0 * k)
     j2 = (+2j * k + g * (dn - 1.0)) / (4.0 * k)
     if j1.ndim == 0:
-        return JostPair(complex(j1), complex(j2))
-    return JostPair(j1, j2)
+        return complex(j1), complex(j2)
+    return j1, j2
 
 
 def s_matrix(spec: PotentialSpec, k):
     """S(k) = -J1(k)/J2(k); unitary for real k, poles at the J2 zeros."""
-    pair = jost(spec, k)
-    j1 = np.asarray(pair.j1, dtype=complex)
-    j2 = np.asarray(pair.j2, dtype=complex)
+    j1, j2 = map(np.asarray, jost(spec, k))
     if np.any(np.abs(j2) <= _POLE_HIT_TOL * np.maximum(1.0, np.abs(j1))):
         raise PoleHit("S-matrix evaluated on top of a pole")
     s = -j1 / j2
@@ -104,8 +99,8 @@ def resonant_wavefunction(spec: PotentialSpec, pole: Pole, r):
     r = np.asarray(r, dtype=float)
     if np.any(r < 0):
         raise InvalidInput("radius must be nonnegative")
-    n_r = np.sqrt(complex(zeldovich_norm(spec, pole).n_r_squared))
-    j1 = jost(spec, pole.k).j1
+    n_r = np.sqrt(zeldovich_norm(spec, pole))
+    j1, _ = jost(spec, pole.k)
     inside = n_r * np.sin(pole.k * r) / j1
     outside = n_r * np.exp(1j * pole.k * r)
     u = np.where(r < spec.a, inside, outside)
@@ -114,7 +109,7 @@ def resonant_wavefunction(spec: PotentialSpec, pole: Pole, r):
 
 def _shell_amplitude(spec: PotentialSpec, pole: Pole) -> complex:
     """u(a) = N exp(i k a), with N the principal root of N^2."""
-    n_r = np.sqrt(complex(zeldovich_norm(spec, pole).n_r_squared))
+    n_r = np.sqrt(zeldovich_norm(spec, pole))
     return n_r * np.exp(1j * pole.k * spec.a)
 
 
@@ -127,9 +122,7 @@ def matrix_element_squared(spec: PotentialSpec, pole: Pole, e):
     the prefactor is fixed by matching the differential decay width against
     its Lorentzian-times-matrix-element form.
     """
-    e = np.asarray(e, dtype=float)
-    if np.any(e <= 0):
-        raise InvalidInput("scattering energy must be positive")
+    e = _energies(e)
     k = np.sqrt(e)
     pref = (spec.lam**2 / (np.pi * spec.a**2)) * _shell_density(spec, pole)
     out = pref * np.sin(k * spec.a) ** 2 / k
@@ -144,9 +137,7 @@ def matrix_element(spec: PotentialSpec, pole: Pole, e):
     u(a) = N exp(i k_R a) with N the principal root of N^2. The squared
     modulus reproduces matrix_element_squared exactly.
     """
-    e = np.asarray(e, dtype=float)
-    if np.any(e <= 0):
-        raise InvalidInput("scattering energy must be positive")
+    e = _energies(e)
     k = np.sqrt(e)
     chi = np.sqrt(1.0 / np.pi) * e ** (-0.25) * np.sin(k * spec.a)
     out = spec.coupling * chi * _shell_amplitude(spec, pole)

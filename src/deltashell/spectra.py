@@ -25,6 +25,7 @@ closed-form residue sums (observables._sin2_pair).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -35,6 +36,7 @@ from .observables import _require_kind, _sin2_pair, decay_constant_total
 from .poles import find_resonance
 from .potential import PotentialSpec, Pole, PoleKind
 from .scattering import (
+    _energies,
     _lorentz_denominator,
     _scalar_or_array,
     _shell_amplitude,
@@ -81,6 +83,8 @@ class InterferenceConfig:
     renormalize: bool = True
 
     def __post_init__(self):
+        if not (cmath.isfinite(self.c1) and cmath.isfinite(self.c2)):
+            raise InvalidInput("interference coefficients must be finite")
         if self.c1 == 0 and self.c2 == 0:
             raise InvalidInput("at least one interference coefficient must be nonzero")
 
@@ -102,11 +106,6 @@ def decay_constant_differential(spec: PotentialSpec, pole: Pole, e):
     return _scalar_or_array(out)
 
 
-def _spectrum_kinds(pole: Pole) -> None:
-    if pole.kind not in (PoleKind.RESONANCE, PoleKind.BOUND, PoleKind.VIRTUAL_STATE):
-        raise InvalidInput("decay spectra are defined for resonance, bound and virtual poles")
-
-
 def decay_energy_spectrum(
     spec: PotentialSpec,
     pole: Pole,
@@ -116,9 +115,8 @@ def decay_energy_spectrum(
     """dP/dE at energy e (scalar or array).
 
     gamma_total lets callers reuse a precomputed decay constant; otherwise
-    it is computed on demand.
+    it is computed on demand. Both paths check the pole kind first.
     """
-    _spectrum_kinds(pole)
     if gamma_total is None:
         gamma_total = decay_constant_total(spec, pole)
     return decay_constant_differential(spec, pole, e) / gamma_total
@@ -156,7 +154,6 @@ def spectrum_curve(
 ) -> SpectrumCurve:
     """Uniformly sampled spectrum with Breit-Wigner and M^2 companions."""
     grid = _grid(e_min, e_max, points)
-    _spectrum_kinds(pole)
     gamma_total = decay_constant_total(spec, pole)
     return SpectrumCurve(
         grid=grid,
@@ -204,11 +201,9 @@ def interference_spectrum(
     with cfg.renormalize the curve is divided by its own integral over
     (0, inf) so it is again a probability density.
     """
-    if pole1.kind is not PoleKind.RESONANCE or pole2.kind is not PoleKind.RESONANCE:
-        raise InvalidInput("interference spectra are defined for resonance pairs")
-    e = np.asarray(e, dtype=float)
-    if np.any(e <= 0):
-        raise InvalidInput("scattering energy must be positive")
+    _require_kind(pole1, PoleKind.RESONANCE)
+    _require_kind(pole2, PoleKind.RESONANCE)
+    e = _energies(e)
     out = _coherent_sum(spec, pole1, pole2, cfg, e)
     if cfg.renormalize:
         out = out / _coherent_norm(spec, pole1, pole2, cfg)

@@ -90,6 +90,36 @@ def test_invalid_strength_exits_2():
     assert "error" in proc.stderr
 
 
+@pytest.mark.parametrize("units", [
+    ["--hbar", "inf"], ["--mass", "inf"], ["--mass", "nan"], ["--mass", "1e-320"],
+    ["--mass", "1e300", "--hbar", "1e-300"], ["--hbar", "1e200"],
+])
+def test_physical_units_without_finite_energy_scale_exit_2(units, capsys):
+    # hbar^2/2m must be finite and nonzero, or every energy prints inf or 0
+    code = cli.main(["table", "--lambda", "10", "--units", "physical", *units])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("c1", ["nan,0", "inf,0", "0,-inf"])
+def test_interfere_non_finite_coefficient_exits_2(c1):
+    proc = run_cli("interfere", "--lambda", "10", "--indices", "1,2", f"--c1={c1}",
+                   "--emin", "1", "--emax", "50")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and "Warning" not in proc.stderr
+
+
+def test_table_virtual_state_gamma_at_threshold(capsys):
+    # 1 + lam e^{2ika} is formed as (1 + lam) - 2ika: true Gamma 0.99999973
+    code, out = run_main(["table", "--lambda", "-0.9999999", "--count", "1"], capsys)
+    assert code == 0
+    _, rows = parse_csv(out)
+    assert rows[0]["kind"] == "virtual_state" and rows[0]["gamma"] == "0.999999733"
+
+
 def test_table_bound_row_formatting(capsys):
     code, out = run_main(["table", "--lambda", "-100", "--count", "8"], capsys)
     assert code == 0
@@ -789,7 +819,8 @@ import importlib, sys
 import deltashell
 lazy = {"CrossSectionBundle", "jost", "spectrum_curve", "decay_width_differential",
         "interference_curve"}
-removed = {"QuadratureRequest", "integrate_semi_infinite", "ToleranceNotMet", "perturbation_rhs"}
+removed = {"QuadratureRequest", "integrate_semi_infinite", "ToleranceNotMet", "perturbation_rhs",
+           "NormalizationData", "JostPair"}
 assert not removed & set(deltashell.__all__)
 for name in removed:
     try:

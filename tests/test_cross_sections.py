@@ -48,7 +48,8 @@ def test_laurent_proportional_to_e_unitarized():
     pole = find_resonance(spec, 3)
     e = np.linspace(60.0, 110.0, 500)
     ratio = cross_section_laurent(spec, pole, e) / cross_section_e_unitarized(spec, pole, e)
-    expected = abs(zeldovich_norm(spec, pole).residue_E) ** 2 / pole.gamma_R**2
+    residue_e = -2j * pole.k * zeldovich_norm(spec, pole)  # 2k res_k S, N^2 = i res_k S
+    expected = abs(residue_e) ** 2 / pole.gamma_R**2
     assert np.allclose(ratio, expected, rtol=1e-12)
 
 

@@ -3,8 +3,11 @@ algebraic identities."""
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import deltashell.poles as poles
 from deltashell import (
@@ -69,6 +72,35 @@ def test_virtual_state_decay_constant():
     spec = PotentialSpec(lam=-0.5)
     gamma = decay_constant_total(spec, find_virtual_state(spec))
     assert abs(gamma - 0.18817) <= 1e-3 * 0.18817
+
+
+def _mp_threshold_constant(lam):
+    """Decay constant of the bound or virtual pole at lam (a = 1), in 50 digits.
+
+    The pole is mp.lambertw's, N^2 = -i J1/J2' from the Jost functions, and
+    S(i kappa, i kappa) = pi (1 - (1 + 2 kappa) e^{-2 kappa}) / (4 kappa^3)
+    is the integral of sin^2 k / (k^2 + kappa^2)^2 over the real line.
+    """
+    with mp.workdps(50):
+        lam = mp.mpf(lam)
+        k = (lam - mp.lambertw(lam * mp.exp(lam), 0 if lam < -1 else -1)) / 2j
+        j1 = (-2j * k + lam * (mp.exp(-2j * k) - 1)) / (4 * k)
+        j2p = 1j * (1 + lam * mp.exp(2j * k)) / (2 * k)
+        kappa, beta = abs(k.imag), -k.imag
+        s = mp.pi * (1 - (1 + 2 * kappa) * mp.exp(-2 * kappa)) / (4 * kappa**3)
+        return 2 * lam**2 * abs(j1 / j2p) * mp.exp(2 * beta) * s / (2 * mp.pi)
+
+
+@settings(max_examples=60, deadline=None)
+@given(log_mu=st.floats(-7.0, -2.0), sign=st.sampled_from((1.0, -1.0)))
+@example(log_mu=-7.0, sign=1.0)
+@example(log_mu=-7.0, sign=-1.0)
+def test_threshold_decay_constant_against_mpmath(log_mu, sign):
+    # bound (lam < -1) and virtual (lam > -1) Gamma for 1e-7 <= |lam + 1| <= 1e-2
+    spec = PotentialSpec(lam=-1.0 + sign * 10.0**log_mu)
+    pole = find_bound_state(spec) if spec.lam < -1.0 else find_virtual_state(spec)
+    ref = _mp_threshold_constant(spec.lam)
+    assert abs(decay_constant_total(spec, pole) - ref) <= 5e-9 * ref, (spec.lam, ref)
 
 
 def test_total_width_reference_spot_checks():

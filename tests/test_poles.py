@@ -124,6 +124,17 @@ def test_invalid_strengths():
         enumerate_poles(PotentialSpec(lam=1.0), 0)
 
 
+@pytest.mark.parametrize("mass, hbar", [
+    (math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0), (0.0, 1.0), (1.0, -1.0),
+    (1e-320, 1.0), (1e300, 1e-300), (1.0, 1e200),
+])
+def test_physical_units_need_finite_nonzero_energy_scale(mass, hbar):
+    # the last three give hbar^2/2m = inf, 0 and an OverflowError in hbar**2
+    with pytest.raises(InvalidInput):
+        PotentialSpec(lam=10.0, unit_system="physical", mass=mass, hbar=hbar)
+    PotentialSpec(lam=10.0, mass=mass, hbar=hbar)  # reduced units never read them
+
+
 def test_enumeration_order_and_composition():
     poles = enumerate_poles(PotentialSpec(lam=-10.0), 8)
     assert poles[0].kind is PoleKind.BOUND

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from deltashell import (
+    DegeneratePole,
     InvalidInput,
     Pole,
     PoleHit,
@@ -42,13 +43,14 @@ def test_jost_conjugate_pair_on_real_axis():
     for lam in (0.5, 10.0, -0.5, -10.0):
         spec = PotentialSpec(lam=lam)
         for k in rng.uniform(0.05, 60.0, size=40):
-            pair = jost(spec, complex(k))
-            assert abs(pair.j1 - pair.j2.conjugate()) <= 1e-14 * max(1.0, abs(pair.j1))
+            j1, j2 = jost(spec, complex(k))
+            assert abs(j1 - j2.conjugate()) <= 1e-14 * max(1.0, abs(j1))
 
 
 def test_jost_vanishes_at_pole(spec100, table1_poles):
     for pole in table1_poles:
-        assert abs(jost(spec100, pole.k).j2) <= 1e-12
+        _, j2 = jost(spec100, pole.k)
+        assert abs(j2) <= 1e-12
 
 
 def test_jost_rejects_zero():
@@ -58,9 +60,9 @@ def test_jost_rejects_zero():
 
 def test_free_particle_limit():
     spec = PotentialSpec(lam=1e-12)
-    pair = jost(spec, 2.0 + 0j)
-    assert abs(pair.j1 - (-0.5j)) < 1e-12
-    assert abs(pair.j2 - 0.5j) < 1e-12
+    j1, j2 = jost(spec, 2.0 + 0j)
+    assert abs(j1 - (-0.5j)) < 1e-12
+    assert abs(j2 - 0.5j) < 1e-12
     assert abs(s_matrix(spec, 2.0 + 0j) - 1.0) < 1e-11
 
 
@@ -90,7 +92,7 @@ def test_jost_derivative_against_finite_differences(spec100, table1_poles):
     h = 1e-6
     for pole in table1_poles:
         analytic = 1j * (1.0 + spec100.lam * cmath.exp(2j * pole.k * spec100.a)) / (2.0 * pole.k)
-        fd = (jost(spec100, pole.k + h).j2 - jost(spec100, pole.k - h).j2) / (2.0 * h)
+        fd = (jost(spec100, pole.k + h)[1] - jost(spec100, pole.k - h)[1]) / (2.0 * h)
         assert abs(analytic - fd) <= 1e-6 * abs(analytic)
 
 
@@ -109,22 +111,23 @@ def _contour_residue(spec, pole, samples=4096):
 def test_energy_residue_against_contour_oracle(lam, n):
     spec = PotentialSpec(lam=lam)
     pole = find_resonance(spec, n)
-    norm = zeldovich_norm(spec, pole)
+    residue_e = -2j * pole.k * zeldovich_norm(spec, pole)  # 2k res_k S, N^2 = i res_k S
     oracle = _contour_residue(spec, pole)
-    assert abs(norm.residue_E - oracle) <= 1e-8 * abs(oracle)
+    assert abs(residue_e - oracle) <= 1e-8 * abs(oracle)
 
 
 def test_normalization_identities(spec100, table1_poles):
+    # the closed form is i res_k S = -i J1(k_R) / J2'(k_R) from the Jost functions
     for pole in table1_poles:
-        norm = zeldovich_norm(spec100, pole)
-        assert norm.n_r_squared == 1j * norm.residue_k
-        assert abs(norm.residue_E - 2.0 * pole.k * norm.residue_k) == 0.0
-        assert norm.abs_n_r_squared == abs(norm.n_r_squared)
+        n2 = zeldovich_norm(spec100, pole)
+        j1, _ = jost(spec100, pole.k)
+        j2p = 1j * (1.0 + spec100.lam * cmath.exp(2j * pole.k * spec100.a)) / (2.0 * pole.k)
+        assert abs(n2 - (-1j * j1 / j2p)) <= 1e-10 * abs(n2)
 
 
 def test_pole_strength_along_shrinking_ray(spec100):
     pole = find_resonance(spec100, 1)
-    res_k = zeldovich_norm(spec100, pole).residue_k
+    res_k = -1j * zeldovich_norm(spec100, pole)
     direction = cmath.exp(0.3j)
     for t, tol in ((1e-6, 1e-3), (1e-9, 1e-6)):
         k = pole.k + t * direction
@@ -134,43 +137,68 @@ def test_pole_strength_along_shrinking_ray(spec100):
 
 def test_bound_state_norm_is_real_positive():
     spec = PotentialSpec(lam=-10.0)
-    norm = zeldovich_norm(spec, find_bound_state(spec))
-    assert abs(norm.n_r_squared.imag) <= 1e-12 * norm.abs_n_r_squared
-    assert norm.n_r_squared.real > 0.0
+    n2 = zeldovich_norm(spec, find_bound_state(spec))
+    assert abs(n2.imag) <= 1e-12 * abs(n2)
+    assert n2.real > 0.0
 
 
-def _mp_residue(spec, k):
-    """-J1(k)/J2'(k) at the given double k, in 30-digit mpmath, and the
-    condition number of the double-precision formula: its term sizes over
-    the results, since e^{-2ika} - 1 and -2ik + g(...) cancel at large |lam|.
-    """
-    with mp.workdps(30):
+def _mp_closed_form(spec, k):
+    """2ak^2 / (lam e^x ((1 + lam) - x)), x = 2ika, in 40-digit mpmath at the given k."""
+    with mp.workdps(40):
         k, a, lam = mp.mpc(k), mp.mpf(spec.a), mp.mpf(spec.lam)
-        up, dn = mp.exp(-2j * k * a), mp.exp(2j * k * a)
-        j1 = (-2j * k + lam / a * (up - 1)) / (4 * k)
-        j2p = 1j * (1 + lam * dn) / (2 * k)
-        cond = ((2 * abs(k) + abs(lam / a) * (abs(up) + 1)) / abs(4 * k * j1)
-                + (1 + abs(lam * dn)) / abs(1 + lam * dn))
-        return -j1 / j2p, float(cond)
+        x = 2j * k * a
+        return 2 * a * k**2 / (lam * mp.exp(x) * ((1 + lam) - x))
+
+
+def _mp_true_norm(spec, pole):
+    """-i J1/J2' from the Jost functions at the 50-digit pole of the same branch."""
+    with mp.workdps(50):
+        a, lam = mp.mpf(spec.a), mp.mpf(spec.lam)
+        k = (lam - mp.lambertw(lam * mp.exp(lam), pole.branch)) / (2j * a)
+        j1 = (-2j * k + lam / a * (mp.exp(-2j * k * a) - 1)) / (4 * k)
+        j2p = 1j * (1 + lam * mp.exp(2j * k * a)) / (2 * k)
+        return k, -1j * j1 / j2p
 
 
 # every pole of n <= 15, except at |lam| = 700 where the absolute pole gate
-# rejects the higher resonances (ROADMAP item 2)
+# rejects the higher resonances (ROADMAP item 2), and both threshold poles
 @pytest.mark.parametrize("lam,count", [
     (700.0, 4), (-700.0, 5), (100.0, 15), (-100.0, 15), (10.0, 15), (-10.0, 15),
     (0.5, 15), (-0.5, 15), (1e-3, 15), (-1e-3, 15),
+    (-1.0 - 1e-7, 3), (-1.0 + 1e-7, 3), (-1.001, 3), (-0.999, 3),
 ])
 def test_zeldovich_norm_scalar_and_matches_mpmath(lam, count):
     spec = PotentialSpec(lam=lam)
     for pole in enumerate_poles(spec, count):
-        norm = zeldovich_norm(spec, pole)
-        assert type(norm.residue_k) is complex and type(norm.n_r_squared) is complex
-        assert type(norm.abs_n_r_squared) is float
-        assert type(norm.residue_E) is complex
-        ref, cond = _mp_residue(spec, pole.k)
-        err = abs(mp.mpc(norm.residue_k) - ref) / abs(ref)
-        # 2e-15 where the formula is well posed; eps * cond where it cancels
-        assert err <= max(2e-15, 2.2e-16 * cond), (pole, float(err), cond)
+        n2 = zeldovich_norm(spec, pole)
+        assert type(n2) is complex
+        # rounding: the same closed form at the same double k
+        ref = _mp_closed_form(spec, pole.k)
+        assert abs(mp.mpc(n2) - ref) / abs(ref) <= 2e-15, (pole, n2, ref)
+        # algebra: the Jost-function residue at the true pole; not for the
+        # threshold pole at |lam + 1| = 1e-7, whose double kappa is itself
+        # off by ~6e-11 (ROADMAP item 1, the kappa part)
+        if pole.kind is not PoleKind.RESONANCE and abs(lam + 1.0) < 1e-3:
+            continue
+        k_true, true = _mp_true_norm(spec, pole)
+        assert abs(mp.mpc(pole.k) - k_true) <= 1e-12 * abs(k_true), (pole, k_true)
+        assert abs(mp.mpc(n2) - true) / abs(true) <= 1e-14, (pole, n2, true)
+
+
+@pytest.mark.parametrize("offset, raises", [
+    (0.0, True), (4e-14, True), (-4e-14, True), (6e-14, False), (-6e-14, False),
+])
+def test_zeldovich_norm_degenerate_band(offset, raises):
+    # k = 0.25i, a = 1: x = 2ika = -0.5 and (1 + lam) - x = 0.5 + lam, so
+    # lam = -1.5 + offset puts 1 + t at offset against the tolerance
+    # 1e-13 * 2|k| = 5e-14
+    pole = Pole(kind=PoleKind.BOUND, branch=0, index=0, k=0.25j, z=complex(-0.0625, 0.0))
+    spec = PotentialSpec(lam=-1.5 + offset)
+    if raises:
+        with pytest.raises(DegeneratePole):
+            zeldovich_norm(spec, pole)
+    else:
+        assert math.isfinite(abs(zeldovich_norm(spec, pole)))
 
 
 def test_zeldovich_norm_rejects_zero_k():
@@ -187,9 +215,8 @@ def test_wavefunction_regular_at_origin(spec100, table1_poles):
 def test_wavefunction_continuity_at_shell(spec100, table1_poles):
     a = spec100.a
     for pole in table1_poles:
-        norm = zeldovich_norm(spec100, pole)
-        n_r = np.sqrt(complex(norm.n_r_squared))
-        inside = n_r * np.sin(pole.k * a) / jost(spec100, pole.k).j1
+        n_r = np.sqrt(zeldovich_norm(spec100, pole))
+        inside = n_r * np.sin(pole.k * a) / jost(spec100, pole.k)[0]
         outside = n_r * np.exp(1j * pole.k * a)
         assert abs(inside - outside) <= 1e-10 * abs(outside)
 

@@ -181,6 +181,15 @@ def test_grid_validation():
         spectrum_curve(spec, pole, 1.0, 10.0, 1)
 
 
+@pytest.mark.parametrize("c1, c2", [
+    (math.nan, 0.0), (complex(math.inf, 0.0), 0.0), (0.5, complex(0.0, -math.inf)),
+    (1.0, complex(math.nan, math.nan)),
+])
+def test_interference_config_rejects_non_finite_coefficients(c1, c2):
+    with pytest.raises(InvalidInput):
+        InterferenceConfig(c1=c1, c2=c2)
+
+
 def test_interference_single_pole_reduction():
     spec = PotentialSpec(lam=100.0)
     p1 = find_resonance(spec, 1)
