@@ -50,6 +50,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import operator
 import re
 import sys
@@ -122,18 +123,28 @@ def _write(args, text: str) -> None:
         sys.stdout.write(text)
 
 
+def _scaled(energy: float, scale: float) -> float:
+    """A reduced energy times energy_scale; InvalidInput where a finite one overflows."""
+    value = energy * scale
+    if math.isinf(value) and not math.isinf(energy):
+        raise InvalidInput(f"energy {energy!r} times the energy scale {scale!r} overflows")
+    return value
+
+
 def _emit_rows(args, spec, columns, rows) -> None:
     """One line or JSON object per row, laid out by a column spec.
 
     One attrgetter call reads a row; the CSV body is one `%` call on the
     rows' templates, which hold `%.0s` (an empty cell) for a None. Energies
-    are scaled unless energy_scale is 1.0 (x * 1.0 is x, bit for bit)."""
+    are scaled unless energy_scale is 1.0 (x * 1.0 is x, bit for bit); a
+    scaled energy that overflows to inf is refused before anything is
+    written."""
     if args.format == "csv":
         columns = [column for column in columns if column[2]]
     rows = list(map(operator.attrgetter(*[path for _, path, _ in columns]), rows))
     scale = 1.0 if spec is None else spec.energy_scale
     if scale != 1.0:
-        rows = [[x * scale if fmt == "E" and x is not None else x
+        rows = [[_scaled(x, scale) if fmt == "E" and x is not None else x
                  for x, (_, _, fmt) in zip(row, columns)] for row in rows]
     names = [name for name, _, _ in columns]
     if args.format == "json":

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 from .errors import InvalidInput
 from .poles import _shell_density, enumerate_poles
-from .potential import PotentialSpec, Pole, PoleKind
+from .potential import _BOUND, _RESONANCE, _VIRTUAL_STATE, PotentialSpec, Pole, PoleKind
 
 __all__ = [
     "ObservablesRecord",
@@ -47,6 +47,10 @@ __all__ = [
     "table_records",
 ]
 
+# the kinds that have a table row
+_ROW_KINDS = (_RESONANCE, _BOUND, _VIRTUAL_STATE)
+
+
 @dataclass(frozen=True)
 class ObservablesRecord:
     """One table row: pole identity plus every decay observable.
@@ -56,6 +60,10 @@ class ObservablesRecord:
     are also None for resonances with E_R <= 0, where the sharp
     approximation has no energy to sit at. Every observable comes from a
     closed-form residue sum.
+
+    A frozen dataclass with its own ``__init__``, which writes the fields
+    straight into the instance ``__dict__`` (see :mod:`deltashell.potential`);
+    the dataclass semantics are those of the generated init.
     """
 
     lam: float
@@ -69,6 +77,21 @@ class ObservablesRecord:
     gamma_bar_sharp: float | None
     gamma_sharp: float | None
     c_value: float | None
+
+    def __init__(self, lam, kind, index, k, z, gamma_R, gamma_bar, gamma,
+                 gamma_bar_sharp, gamma_sharp, c_value):
+        fields = self.__dict__
+        fields["lam"] = lam
+        fields["kind"] = kind
+        fields["index"] = index
+        fields["k"] = k
+        fields["z"] = z
+        fields["gamma_R"] = gamma_R
+        fields["gamma_bar"] = gamma_bar
+        fields["gamma"] = gamma
+        fields["gamma_bar_sharp"] = gamma_bar_sharp
+        fields["gamma_sharp"] = gamma_sharp
+        fields["c_value"] = c_value
 
 
 def _require_kind(pole: Pole, *kinds: PoleKind) -> None:
@@ -154,8 +177,8 @@ def decay_width_total(spec: PotentialSpec, pole: Pole):
     Bound and virtual poles return (0.0, None): the width integrand
     carries an explicit factor of the pole width, which is zero there.
     """
-    _require_kind(pole, PoleKind.RESONANCE, PoleKind.BOUND, PoleKind.VIRTUAL_STATE)
-    if pole.kind is not PoleKind.RESONANCE:
+    _require_kind(pole, *_ROW_KINDS)
+    if pole.kind is not _RESONANCE:
         return 0.0, None
     return _resonance_width(spec, pole, _width_prefactor(spec, pole))
 
@@ -170,8 +193,8 @@ def decay_constant_total(spec: PotentialSpec, pole: Pole) -> float:
     (1 for a bound state, since there the residue normalization coincides
     with the usual norm).
     """
-    _require_kind(pole, PoleKind.RESONANCE, PoleKind.BOUND, PoleKind.VIRTUAL_STATE)
-    if pole.kind is PoleKind.RESONANCE:
+    _require_kind(pole, *_ROW_KINDS)
+    if pole.kind is _RESONANCE:
         gamma_bar, _ = decay_width_total(spec, pole)
         return gamma_bar / pole.gamma_R
     return _threshold_constant(spec, pole, _width_prefactor(spec, pole))
@@ -184,7 +207,7 @@ def golden_rule_sharp(spec: PotentialSpec, pole: Pole):
     Gbar_sharp = (2 lam^2/a^2) sin^2(k~ a)/k~ * |N|^2 exp(2 beta a) with
     k~ = sqrt(E_R); identically equal to 2 pi M^2(E_R).
     """
-    _require_kind(pole, PoleKind.RESONANCE)
+    _require_kind(pole, _RESONANCE)
     if pole.e_R <= 0.0:
         raise InvalidInput("sharp approximation needs a positive resonant energy")
     return _sharp(spec, pole, _width_prefactor(spec, pole))
@@ -192,11 +215,11 @@ def golden_rule_sharp(spec: PotentialSpec, pole: Pole):
 
 def observables_record(spec: PotentialSpec, pole: Pole) -> ObservablesRecord:
     """Assemble the full table row for one pole, normalizing the pole once."""
-    _require_kind(pole, PoleKind.RESONANCE, PoleKind.BOUND, PoleKind.VIRTUAL_STATE)
+    _require_kind(pole, *_ROW_KINDS)
     prefactor = _width_prefactor(spec, pole)
     gamma_bar, c_value = 0.0, None
     gbs = gs = None
-    if pole.kind is not PoleKind.RESONANCE:
+    if pole.kind is not _RESONANCE:
         gamma = _threshold_constant(spec, pole, prefactor)
     else:
         gamma_bar, c_value = _resonance_width(spec, pole, prefactor)

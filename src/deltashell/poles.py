@@ -40,7 +40,9 @@ import operator
 
 from .errors import DegeneratePole, InvalidInput, NonConvergence, NoSuchPole
 from .lambertw import lambert_w
-from .potential import PotentialSpec, Pole, PoleKind
+from .potential import (
+    _ANTI_RESONANCE, _BOUND, _RESONANCE, _VIRTUAL_STATE, PotentialSpec, Pole, PoleKind,
+)
 
 __all__ = [
     "find_resonance",
@@ -127,15 +129,22 @@ def find_resonance(spec: PotentialSpec, n: int) -> Pole:
         k = _polish_complex(spec, (spec.lam - w) / (2j * spec.a))
         if not (k.real > 0 and k.imag < 0):
             raise NonConvergence(f"branch {-m} root {k} is not in the fourth quadrant")
-        pole = spec._resonances[n] = _checked(spec, Pole(PoleKind.RESONANCE, -m, n, k, k * k))
+        pole = spec._resonances[n] = _checked(spec, Pole(_RESONANCE, -m, n, k, k * k))
     return pole
 
 
 def find_anti_resonance(spec: PotentialSpec, n: int) -> Pole:
-    """Return anti-resonance n, the mirror -conj(k_n) of ``find_resonance(spec, n)``."""
+    """Return anti-resonance n, the mirror -conj(k_n) of ``find_resonance(spec, n)``.
+
+    Resonance n is read straight from the memo on ``spec``; only on a miss
+    is it found (and memoized) by ``find_resonance``. Either way the mirror
+    is gated on its own residual and quadrant, like every pole.
+    """
     n = _positive(n, "anti-resonance index")
-    k = -find_resonance(spec, n).k.conjugate()
-    return _checked(spec, Pole(PoleKind.ANTI_RESONANCE, n, n, k, k * k))
+    if (pole := spec._resonances.get(n)) is None:
+        pole = find_resonance(spec, n)
+    k = -pole.k.conjugate()
+    return _checked(spec, Pole(_ANTI_RESONANCE, n, n, k, k * k))
 
 
 def _threshold_kind(spec: PotentialSpec) -> PoleKind | None:
@@ -146,13 +155,13 @@ def _threshold_kind(spec: PotentialSpec) -> PoleKind | None:
     """
     if spec.lam >= 0.0 or abs(spec.lam + 1.0) < _DEGENERACY_BAND:
         return None
-    return PoleKind.BOUND if spec.lam < -1.0 else PoleKind.VIRTUAL_STATE
+    return _BOUND if spec.lam < -1.0 else _VIRTUAL_STATE
 
 
 # kind: (Lambert-W branch, name, side of the imaginary k-axis)
 _THRESHOLD_POLES = {
-    PoleKind.BOUND: (0, "bound", "positive"),
-    PoleKind.VIRTUAL_STATE: (-1, "virtual", "negative"),
+    _BOUND: (0, "bound", "positive"),
+    _VIRTUAL_STATE: (-1, "virtual", "negative"),
 }
 
 
@@ -170,21 +179,21 @@ def _threshold_pole(spec: PotentialSpec, kind: PoleKind) -> Pole:
 
 def find_bound_state(spec: PotentialSpec) -> Pole:
     """Return the bound-state pole (exists only for lam < -1)."""
-    return _threshold_pole(spec, PoleKind.BOUND)
+    return _threshold_pole(spec, _BOUND)
 
 
 def find_virtual_state(spec: PotentialSpec) -> Pole:
     """Return the virtual (anti-bound) pole (exists only for -1 < lam < 0)."""
-    return _threshold_pole(spec, PoleKind.VIRTUAL_STATE)
+    return _threshold_pole(spec, _VIRTUAL_STATE)
 
 
 def enumerate_poles(spec: PotentialSpec, count: int) -> list[Pole]:
     """Bound or virtual pole (when present) followed by resonances 1..count."""
     count = _positive(count, "count")
     poles: list[Pole] = []
-    if (kind := _threshold_kind(spec)) is PoleKind.BOUND:
+    if (kind := _threshold_kind(spec)) is _BOUND:
         poles.append(find_bound_state(spec))
-    elif kind is PoleKind.VIRTUAL_STATE:
+    elif kind is _VIRTUAL_STATE:
         poles.append(find_virtual_state(spec))
     poles.extend(find_resonance(spec, n) for n in range(1, count + 1))
     return poles

@@ -5,6 +5,15 @@ the dimensionless strength ``lambda = 2 m g a / hbar^2`` and the radius
 ``a``. All internal computations run in reduced units (``hbar^2/2m = 1``,
 energies ``E = k^2``); the ``physical`` unit system only rescales energies
 by ``hbar^2 / 2m`` at the reporting boundary.
+
+Both records are frozen dataclasses, so ``==``, ``hash``, ``repr``,
+``fields``, ``asdict``, ``replace``, pickling and ``FrozenInstanceError``
+behave as for any frozen dataclass. Each class defines its own
+``__init__``, which the dataclass decorator keeps: it checks its arguments
+and writes the fields straight into the instance ``__dict__``. The
+generated init of a frozen dataclass makes one ``object.__setattr__``
+call per field, which costs more than twice as much, and poles are built
+on the hot path of every pole and table query.
 """
 
 from __future__ import annotations
@@ -23,6 +32,16 @@ class PoleKind(str, enum.Enum):
     ANTI_RESONANCE = "anti_resonance"
     BOUND = "bound"
     VIRTUAL_STATE = "virtual_state"
+
+
+# Members bound once: on CPython 3.10 and 3.11 each PoleKind.X load is a
+# metaclass lookup of tens of nanoseconds, a module global one of a few.
+# The hot paths in poles and observables import them from here.
+_RESONANCE = PoleKind.RESONANCE
+_ANTI_RESONANCE = PoleKind.ANTI_RESONANCE
+_BOUND = PoleKind.BOUND
+_VIRTUAL_STATE = PoleKind.VIRTUAL_STATE
+_AXIS_KINDS = (_BOUND, _VIRTUAL_STATE)
 
 
 @dataclass(frozen=True)
@@ -53,17 +72,23 @@ class PotentialSpec:
     mass: float = 1.0
     hbar: float = 1.0
 
-    def __post_init__(self):
-        if not math.isfinite(self.lam) or self.lam == 0.0:
+    def __init__(self, lam, a=1.0, unit_system="reduced", mass=1.0, hbar=1.0):
+        if not math.isfinite(lam) or lam == 0.0:
             raise InvalidInput("potential strength must be finite and nonzero")
-        if abs(self.lam) > 700.0:
+        if abs(lam) > 700.0:
             raise InvalidInput("strength magnitude beyond 700 overflows lambda*exp(lambda)")
-        if not (self.a > 0.0 and math.isfinite(self.a)):
+        if not (a > 0.0 and math.isfinite(a)):
             raise InvalidInput("shell radius must be positive and finite")
-        if self.unit_system not in ("reduced", "physical"):
-            raise InvalidInput(f"unknown unit system {self.unit_system!r}")
-        if self.unit_system == "physical":
-            if not (0.0 < self.mass < math.inf and 0.0 < self.hbar < math.inf):
+        if unit_system not in ("reduced", "physical"):
+            raise InvalidInput(f"unknown unit system {unit_system!r}")
+        fields = self.__dict__
+        fields["lam"] = lam
+        fields["a"] = a
+        fields["unit_system"] = unit_system
+        fields["mass"] = mass
+        fields["hbar"] = hbar
+        if unit_system == "physical":
+            if not (0.0 < mass < math.inf and 0.0 < hbar < math.inf):
                 raise InvalidInput("physical units need finite positive mass and hbar")
             try:
                 scale = self.energy_scale
@@ -71,7 +96,7 @@ class PotentialSpec:
                 scale = math.inf
             if not 0.0 < scale < math.inf:
                 raise InvalidInput(f"energy scale hbar^2/2m = {scale!r} is not finite and nonzero")
-        object.__setattr__(self, "_resonances", {})
+        fields["_resonances"] = {}
 
     @property
     def energy_scale(self) -> float:
@@ -101,6 +126,23 @@ class Pole:
     k: complex
     z: complex
 
+    def __init__(self, kind, branch, index, k, z):
+        if kind is _RESONANCE:
+            if not (k.real > 0.0 and k.imag < 0.0):
+                raise InvalidInput("resonance pole must lie in the fourth quadrant")
+        elif kind is _ANTI_RESONANCE:
+            if not (k.real < 0.0 and k.imag < 0.0):
+                raise InvalidInput("anti-resonance pole must lie in the third quadrant")
+        elif kind in _AXIS_KINDS:
+            if k.real != 0.0 or z.imag != 0.0:
+                raise InvalidInput(f"{kind.value} pole must sit on the imaginary k-axis")
+        fields = self.__dict__
+        fields["kind"] = kind
+        fields["branch"] = branch
+        fields["index"] = index
+        fields["k"] = k
+        fields["z"] = z
+
     @property
     def e_R(self) -> float:
         return self.z.real
@@ -116,15 +158,3 @@ class Pole:
     @property
     def beta_R(self) -> float:
         return -self.k.imag
-
-    def __post_init__(self):
-        kind, k = self.kind, self.k
-        if kind is PoleKind.RESONANCE:
-            if not (k.real > 0.0 and k.imag < 0.0):
-                raise InvalidInput("resonance pole must lie in the fourth quadrant")
-        elif kind is PoleKind.ANTI_RESONANCE:
-            if not (k.real < 0.0 and k.imag < 0.0):
-                raise InvalidInput("anti-resonance pole must lie in the third quadrant")
-        elif kind in (PoleKind.BOUND, PoleKind.VIRTUAL_STATE):
-            if k.real != 0.0 or self.z.imag != 0.0:
-                raise InvalidInput(f"{kind.value} pole must sit on the imaginary k-axis")

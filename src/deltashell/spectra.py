@@ -219,7 +219,9 @@ def interference_curve(
     e_max: float,
     points: int,
 ) -> SpectrumCurve:
-    """Sampled interference spectrum (no companion columns)."""
+    """Sampled interference spectrum (no companion columns); both poles are resonances."""
+    _require_kind(pole1, PoleKind.RESONANCE)
+    _require_kind(pole2, PoleKind.RESONANCE)
     grid = _grid(e_min, e_max, points)
     norm = _coherent_norm(spec, pole1, pole2, cfg) if cfg.renormalize else 1.0
     values = _coherent_sum(spec, pole1, pole2, cfg, grid) / norm

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import subprocess
 import sys
 import warnings
@@ -598,13 +599,13 @@ def _poles_case():
     return argv, names, rows
 
 
-def _table_case(lam, count, physical=False):
-    units = {"unit_system": "physical", "mass": 2.0, "hbar": 1.5} if physical else {}
-    spec = PotentialSpec(lam=lam, **units)
+def _table_case(lam, count, physical=False, mass="2", hbar="1.5"):
+    units = {"unit_system": "physical", "mass": float(mass), "hbar": float(hbar)}
+    spec = PotentialSpec(lam=lam, **units) if physical else PotentialSpec(lam=lam)
     s = spec.energy_scale
     argv = ["table", "--lambda", repr(lam), "--count", str(count)]
     if physical:
-        argv += ["--units", "physical", "--mass", "2", "--hbar", "1.5"]
+        argv += ["--units", "physical", "--mass", mass, "--hbar", hbar]
     names = ["kind", "index", "re_k", "im_k", "re_z", "im_z", "gamma_R", "gamma_bar",
              "gamma", "gamma_bar_sharp", "gamma_sharp", "c_value"]
     rows = [
@@ -686,6 +687,36 @@ def test_curve_bytes_match_per_cell_format(case, fmt, capsys):
     meta = json.loads(out)["meta"] if fmt == "json" else None
     reference = per_cell_row_bytes if argv[0] in ROW_COMMANDS else per_cell_curve_bytes
     assert out == reference(fmt, names, data, meta)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_physical_table_near_overflow_keeps_its_bytes(fmt, capsys):
+    # hbar^2/2m = 5e304: every scaled energy is large but finite, so the
+    # overflow check must leave the bytes of x * scale as they are
+    argv, names, rows = _table_case(100.0, 8, physical=True, mass="1e-305", hbar="1")
+    energies = [x for row in rows for x in row[4:8]]
+    assert max(map(abs, energies)) > 1e305 and all(map(math.isfinite, energies))
+    code, out = run_main(argv + ["--format", fmt], capsys)
+    assert code == 0
+    meta = json.loads(out)["meta"] if fmt == "json" else None
+    assert out == per_cell_row_bytes(fmt, names, rows, meta)
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "output"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("command", ["table", "poles"])
+def test_physical_energy_overflow_exits_2(command, fmt, to_file, tmp_path, capsys):
+    # hbar^2/2m = 5e306 is finite, but re_z of resonances 2-8 times it is not
+    target = tmp_path / "rows.out"
+    argv = [command, "--lambda", "100", "--units", "physical", "--mass", "1e-307",
+            "--count", "8", "--format", fmt] + (["--output", str(target)] if to_file else [])
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "overflows" in captured.err
+    assert not target.exists()
 
 
 @pytest.mark.parametrize("case", [_poles_case, lambda: _table_case(-100.0, 3), _lambertw_case],

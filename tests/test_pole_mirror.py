@@ -118,6 +118,55 @@ def test_memo_is_invisible_to_value_semantics():
     assert find_anti_resonance(moved, 2) == find_anti_resonance(PotentialSpec(lam=10.0), 2)
 
 
+@pytest.mark.parametrize("lam", (10.0, -0.5, -10.0))
+def test_anti_resonance_reads_a_memoized_resonance(lam, monkeypatch):
+    spec = PotentialSpec(lam=lam)
+    resonances = enumerate_poles(spec, 5)[-5:]
+
+    def refuse(*args):
+        raise AssertionError("find_resonance entered on a memo hit")
+
+    monkeypatch.setattr(poles_module, "find_resonance", refuse)
+    monkeypatch.setattr(poles_module, "lambert_w", refuse)
+    for n, res in enumerate(resonances, start=1):
+        anti = find_anti_resonance(spec, np.int64(n))
+        assert anti.kind is PoleKind.ANTI_RESONANCE and anti.branch == anti.index == n
+        assert _hex(anti.k) == ((-res.k.real).hex(), res.k.imag.hex())
+        assert _hex(anti.z) == _hex(anti.k * anti.k)
+        assert spec._resonances[n] is res
+
+
+@pytest.mark.parametrize("lam", (10.0, -0.5, -10.0))
+def test_anti_resonance_solves_a_missing_resonance_once(lam, monkeypatch):
+    spec = PotentialSpec(lam=lam)
+    branches = []
+
+    def counted(branch, z):
+        branches.append(branch)
+        return lambert_w(branch, z)
+
+    monkeypatch.setattr(poles_module, "lambert_w", counted)
+    anti = find_anti_resonance(spec, 3)
+    assert branches == [-3 if lam > 0 else -4]
+    stored = spec._resonances[3]
+    assert list(spec._resonances) == [3]
+    assert _hex(anti.k) == ((-stored.k.real).hex(), stored.k.imag.hex())
+    assert find_anti_resonance(spec, 3) == anti
+    assert find_resonance(spec, 3) is stored
+    assert len(branches) == 1
+    assert stored == find_resonance(PotentialSpec(lam=lam), 3)
+
+
+def test_anti_resonance_gates_its_own_residual():
+    # the mirror is read from the memo, so its own gate is the one that sees
+    # a stored resonance that is not a root
+    spec = PotentialSpec(lam=10.0)
+    good = find_resonance(spec, 2)
+    spec._resonances[2] = dataclasses.replace(good, k=good.k * (1.0 + 1e-9))
+    with pytest.raises(NonConvergence, match="pole anti_resonance n=2 residual"):
+        find_anti_resonance(spec, 2)
+
+
 def test_failed_find_stores_nothing():
     # lam = 250, n = 12 is a known defect: the absolute residual gate rejects it
     spec = PotentialSpec(lam=250.0)

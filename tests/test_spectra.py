@@ -261,6 +261,28 @@ def test_interference_requires_resonances():
         interference_spectrum(spec, res, anti, InterferenceConfig(), 1.0)
 
 
+@pytest.mark.parametrize("lam, kinds", (
+    (10.0, ("anti", "anti")),
+    (10.0, ("res", "anti")),
+    (10.0, ("anti", "res")),
+    (-0.5, ("res", "virtual")),
+    (-0.5, ("virtual", "res")),
+    (-0.5, ("virtual", "anti")),
+))
+def test_interference_curve_and_spectrum_require_resonances(lam, kinds):
+    spec = PotentialSpec(lam=lam)
+    make = {
+        "res": lambda i: find_resonance(spec, i),
+        "anti": lambda i: find_anti_resonance(spec, i),
+        "virtual": lambda i: find_virtual_state(spec),
+    }
+    p1, p2 = (make[kind](i) for i, kind in enumerate(kinds, start=1))
+    with pytest.raises(InvalidInput, match="operation defined for resonance poles"):
+        interference_spectrum(spec, p1, p2, InterferenceConfig(), 1.0)
+    with pytest.raises(InvalidInput, match="operation defined for resonance poles"):
+        interference_curve(spec, p1, p2, InterferenceConfig(), 1.0, 50.0, 5)
+
+
 def test_interference_config_validation():
     with pytest.raises(InvalidInput):
         InterferenceConfig(c1=0.0, c2=0.0)
