@@ -24,6 +24,12 @@ rounding. A numpy mask flags the cells where the two spellings can differ;
 those are `%s` cells that take json.dumps' tokens for their roundings, so
 the bytes equal json.dumps over float("%.9g" % x).
 
+Units. The library works in reduced units (ħ²/2m = 1, E = k²); this module
+alone owns ħ²/2m = hbar**2 / (2.0 * mass), which _spec_from_args computes
+and checks once, after the spec. `poles` and `table` with --units physical
+scale their energy columns by it; a nonzero energy that overflows or loses
+its digits exits 2 with nothing written. Curve commands refuse physical units.
+
 The parser is built once per process and reused; each parse makes a
 fresh Namespace. A line that starts with a command goes straight to that
 command's subparser (see _parse). main() finds the handler by name,
@@ -84,7 +90,7 @@ def _curve(name):
     return getattr(sys.modules[__name__], name)
 
 # Column specs: (name, attribute path, CSV cell format). "E" marks an energy,
-# written as %.9g after scaling by energy_scale; None marks a JSON-only column.
+# written as %.9g after scaling by the energy scale; None marks a JSON-only column.
 _POLE_COLUMNS = (
     ("kind", "kind.value", "%s"), ("index", "index", "%s"), ("branch", "branch", "%s"),
     ("re_k", "k.real", "%.9g"), ("im_k", "k.imag", "%.9g"),
@@ -106,12 +112,10 @@ def _json_value(x):
     return float("%.9g" % x) if isinstance(x, float) else x
 
 
-def _meta(spec=None) -> dict:
+def _meta(spec=None, units="reduced") -> dict:
     meta = {"version": __version__}
     if spec is not None:
-        meta.update(
-            {"lambda": _json_value(spec.lam), "a": _json_value(spec.a), "units": spec.unit_system}
-        )
+        meta.update({"lambda": _json_value(spec.lam), "a": _json_value(spec.a), "units": units})
     return meta
 
 
@@ -124,32 +128,34 @@ def _write(args, text: str) -> None:
 
 
 def _scaled(energy: float, scale: float) -> float:
-    """A reduced energy times energy_scale; InvalidInput where a finite one overflows."""
+    """A reduced energy times the energy scale; InvalidInput where a finite
+    nonzero one overflows to inf or loses its digits to 0 or a subnormal."""
     value = energy * scale
-    if math.isinf(value) and not math.isinf(energy):
-        raise InvalidInput(f"energy {energy!r} times the energy scale {scale!r} overflows")
+    if energy and math.isfinite(energy) and not sys.float_info.min <= abs(value) < math.inf:
+        what = "overflows" if math.isinf(value) else "loses its digits"
+        raise InvalidInput(f"energy {energy!r} times the energy scale {scale!r} {what}")
     return value
 
 
-def _emit_rows(args, spec, columns, rows) -> None:
+def _emit_rows(args, spec, columns, rows, scale=1.0) -> None:
     """One line or JSON object per row, laid out by a column spec.
 
     One attrgetter call reads a row; the CSV body is one `%` call on the
     rows' templates, which hold `%.0s` (an empty cell) for a None. Energies
-    are scaled unless energy_scale is 1.0 (x * 1.0 is x, bit for bit); a
-    scaled energy that overflows to inf is refused before anything is
-    written."""
+    are scaled unless the scale is 1.0 (x * 1.0 is x, bit for bit); a
+    scaled energy that overflows or loses its digits is refused before
+    anything is written."""
     if args.format == "csv":
         columns = [column for column in columns if column[2]]
     rows = list(map(operator.attrgetter(*[path for _, path, _ in columns]), rows))
-    scale = 1.0 if spec is None else spec.energy_scale
     if scale != 1.0:
         rows = [[_scaled(x, scale) if fmt == "E" and x is not None else x
                  for x, (_, _, fmt) in zip(row, columns)] for row in rows]
     names = [name for name, _, _ in columns]
     if args.format == "json":
         payload = [dict(zip(names, map(_json_value, row))) for row in rows]
-        doc = json.dumps({"meta": _meta(spec), "rows": payload}, separators=(",", ":"))
+        doc = json.dumps({"meta": _meta(spec, args.units), "rows": payload},
+                         separators=(",", ":"))
         _write(args, doc + "\n")
         return
     cells = ["%.9g" if fmt == "E" else fmt for _, _, fmt in columns]
@@ -183,25 +189,40 @@ plt.show()
 """
 
 
-def _spec_from_args(args) -> PotentialSpec:
+def _spec_from_args(args) -> tuple[PotentialSpec, float]:
+    """The potential of a command line and its ħ²/2m: 1.0 in reduced units."""
     if args.lam is None:
         raise InvalidInput("--lambda is required")
-    return PotentialSpec(
-        lam=args.lam, a=args.radius, unit_system=args.units, mass=args.mass, hbar=args.hbar
-    )
+    spec = PotentialSpec(lam=args.lam, a=args.radius)
+    if args.units == "reduced":
+        return spec, 1.0
+    if args.command not in ("poles", "table"):
+        raise InvalidInput(f"{args.command} writes reduced units only; "
+                           "--units physical applies to poles and table")
+    if not (0.0 < args.mass < math.inf and 0.0 < args.hbar < math.inf):
+        raise InvalidInput("physical units need finite positive mass and hbar")
+    try:
+        scale = args.hbar**2 / (2.0 * args.mass)
+    except OverflowError:  # float ** raises where * would give inf
+        scale = math.inf
+    if not 0.0 < scale < math.inf:
+        raise InvalidInput(f"energy scale hbar^2/2m = {scale!r} is not finite and nonzero")
+    if scale < sys.float_info.min:
+        raise InvalidInput(f"energy scale hbar^2/2m = {scale!r} is subnormal and loses digits")
+    return spec, scale
 
 
 def cmd_poles(args) -> None:
-    spec = _spec_from_args(args)
+    spec, scale = _spec_from_args(args)
     poles = enumerate_poles(spec, args.count)
     if args.include_antiresonances:
         poles.extend(find_anti_resonance(spec, n) for n in range(1, args.count + 1))
-    _emit_rows(args, spec, _POLE_COLUMNS, poles)
+    _emit_rows(args, spec, _POLE_COLUMNS, poles, scale)
 
 
 def cmd_table(args) -> None:
-    spec = _spec_from_args(args)
-    _emit_rows(args, spec, _TABLE_COLUMNS, table_records(spec, args.count))
+    spec, scale = _spec_from_args(args)
+    _emit_rows(args, spec, _TABLE_COLUMNS, table_records(spec, args.count), scale)
 
 
 # Rows per `%` call in a CSV curve: the row template repeated this often
@@ -270,7 +291,7 @@ def _emit_curve(args, spec, grid, columns) -> None:
 
 
 def cmd_spectrum(args) -> None:
-    spec = _spec_from_args(args)
+    spec, _ = _spec_from_args(args)
     if args.virtual:
         pole = find_virtual_state(spec)
     elif args.index is not None:
@@ -294,7 +315,7 @@ def complex_pair(text: str) -> complex:
 
 
 def cmd_interfere(args) -> None:
-    spec = _spec_from_args(args)
+    spec, _ = _spec_from_args(args)
     cfg = _curve("InterferenceConfig")(c1=args.c1, c2=args.c2, renormalize=args.renormalize)
     pole1, pole2 = (find_resonance(spec, i) for i in args.indices)
     curve = _curve("interference_curve")(
@@ -304,7 +325,7 @@ def cmd_interfere(args) -> None:
 
 
 def cmd_cross_section(args) -> None:
-    spec = _spec_from_args(args)
+    spec, _ = _spec_from_args(args)
     bundle = _curve("cross_section_bundle")(
         spec, args.index, args.emin, args.emax, args.points, second_index=args.second_index
     )

@@ -177,10 +177,8 @@ def decay_width_total(spec: PotentialSpec, pole: Pole):
     Bound and virtual poles return (0.0, None): the width integrand
     carries an explicit factor of the pole width, which is zero there.
     """
-    _require_kind(pole, *_ROW_KINDS)
-    if pole.kind is not _RESONANCE:
-        return 0.0, None
-    return _resonance_width(spec, pole, _width_prefactor(spec, pole))
+    record = observables_record(spec, pole)
+    return record.gamma_bar, record.c_value
 
 
 def decay_constant_total(spec: PotentialSpec, pole: Pole) -> float:
@@ -193,11 +191,7 @@ def decay_constant_total(spec: PotentialSpec, pole: Pole) -> float:
     (1 for a bound state, since there the residue normalization coincides
     with the usual norm).
     """
-    _require_kind(pole, *_ROW_KINDS)
-    if pole.kind is _RESONANCE:
-        gamma_bar, _ = decay_width_total(spec, pole)
-        return gamma_bar / pole.gamma_R
-    return _threshold_constant(spec, pole, _width_prefactor(spec, pole))
+    return observables_record(spec, pole).gamma
 
 
 def golden_rule_sharp(spec: PotentialSpec, pole: Pole):
@@ -210,11 +204,15 @@ def golden_rule_sharp(spec: PotentialSpec, pole: Pole):
     _require_kind(pole, _RESONANCE)
     if pole.e_R <= 0.0:
         raise InvalidInput("sharp approximation needs a positive resonant energy")
-    return _sharp(spec, pole, _width_prefactor(spec, pole))
+    record = observables_record(spec, pole)
+    return record.gamma_bar_sharp, record.gamma_sharp
 
 
 def observables_record(spec: PotentialSpec, pole: Pole) -> ObservablesRecord:
-    """Assemble the full table row for one pole, normalizing the pole once."""
+    """Assemble the full table row for one pole, normalizing the pole once.
+
+    The one row kernel: decay_width_total, decay_constant_total and
+    golden_rule_sharp read their values from it."""
     _require_kind(pole, *_ROW_KINDS)
     prefactor = _width_prefactor(spec, pole)
     gamma_bar, c_value = 0.0, None

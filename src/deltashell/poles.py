@@ -19,9 +19,9 @@ for some branch n of the Lambert W function. Branch bookkeeping:
   picks up a unit branch offset across the cut, conj(W_{-m}) = W_{m-1}.
 * bound state (lam < -1): branch 0.  virtual state (-1 < lam < 0): branch -1.
 
-Each Lambert-W root is polished with one or two Newton steps on the
-transcendental equation itself, which drives the equation residual to the
-evaluation noise floor (~1e-13 for |lam| = 100).
+Each Lambert-W root is polished with two Newton steps (three on the
+imaginary axis) on the transcendental equation itself, which drives the
+equation residual to the evaluation noise floor (~1e-13 for |lam| = 100).
 
 The residue normalization of each pole, N^2 = i res_k S, is formed here
 too, as one closed form in t = lam e^{2ika} = W_n (lam e^lam):
@@ -57,6 +57,8 @@ __all__ = [
 _RESIDUAL_TOL = 1e-12
 _DEGENERACY_BAND = 1e-10  # |lam + 1| below this: branch-point collision at k = 0
 _DEGENERATE_TOL = 1e-13
+_COMPLEX_STEPS = 2  # Newton steps polishing a resonance
+_IMAGINARY_STEPS = 3  # Newton steps polishing a bound or virtual state
 
 
 def transcendental_residual(spec: PotentialSpec, k: complex) -> float:
@@ -65,12 +67,12 @@ def transcendental_residual(spec: PotentialSpec, k: complex) -> float:
     return abs(x + spec.lam * (cmath.exp(x) - 1.0))
 
 
-def _polish_complex(spec: PotentialSpec, k: complex, steps: int = 2) -> complex:
+def _polish_complex(spec: PotentialSpec, k: complex) -> complex:
     # Newton on f(k) = 2ika + lam(e^{2ika} - 1); recovers the precision lost
     # to cancellation in lam - W when |lam| is large.
     lam, a = spec.lam, spec.a
     exp = cmath.exp
-    for _ in range(steps):
+    for _ in range(_COMPLEX_STEPS):
         x = 2j * k * a
         e = exp(x)
         f = x + lam * (e - 1.0)
@@ -80,11 +82,12 @@ def _polish_complex(spec: PotentialSpec, k: complex, steps: int = 2) -> complex:
         k = k - f / fp
     return k
 
-def _polish_imaginary(spec: PotentialSpec, y: float, steps: int = 3) -> float:
+
+def _polish_imaginary(spec: PotentialSpec, y: float) -> float:
     # Same Newton step restricted to k = i y, so bound/virtual poles stay
     # exactly on the imaginary axis.
     lam, a = spec.lam, spec.a
-    for _ in range(steps):
+    for _ in range(_IMAGINARY_STEPS):
         f = -2.0 * y * a + lam * math.expm1(-2.0 * y * a)
         fp = -2.0 * a * (1.0 + lam * math.exp(-2.0 * y * a))
         if fp == 0:

@@ -1,10 +1,11 @@
 """Potential description and S-matrix pole records.
 
 The shell potential ``V(r) = g * delta(r - a)`` is fully characterized by
-the dimensionless strength ``lambda = 2 m g a / hbar^2`` and the radius
-``a``. All internal computations run in reduced units (``hbar^2/2m = 1``,
-energies ``E = k^2``); the ``physical`` unit system only rescales energies
-by ``hbar^2 / 2m`` at the reporting boundary.
+the dimensionless strength ``lambda = 2 m g a / ħ^2`` and the radius
+``a``. The library works in reduced units only (``ħ^2/2m = 1``, energies
+``E = k^2``, wave numbers in units of ``1/a``): a spec is ``(lam, a)``, and
+rescaling reported energies by a physical ``ħ^2/2m`` is the command line's
+job (:mod:`deltashell.cli`).
 
 Both records are frozen dataclasses, so ``==``, ``hash``, ``repr``,
 ``fields``, ``asdict``, ``replace``, pickling and ``FrozenInstanceError``
@@ -46,7 +47,7 @@ _AXIS_KINDS = (_BOUND, _VIRTUAL_STATE)
 
 @dataclass(frozen=True)
 class PotentialSpec:
-    """Shell strength, radius and unit conventions.
+    """Shell strength and radius.
 
     Attributes
     ----------
@@ -55,12 +56,6 @@ class PotentialSpec:
         negative for a well.
     a : float
         Shell radius, > 0. Wave numbers are reported in units of 1/a.
-    unit_system : str
-        "reduced" (default): hbar^2/2m = 1, so E = k^2.
-        "physical": energies are rescaled by hbar^2/2m for reporting.
-    mass, hbar : float
-        Only consulted in physical mode, where both must be finite and
-        positive and give a finite, nonzero ``energy_scale``.
 
     Resonances found on a spec are memoized on it outside the fields, so
     ``==``, ``hash``, ``repr`` and ``asdict`` ignore them; ``replace`` starts anew.
@@ -68,42 +63,18 @@ class PotentialSpec:
 
     lam: float
     a: float = 1.0
-    unit_system: str = "reduced"
-    mass: float = 1.0
-    hbar: float = 1.0
 
-    def __init__(self, lam, a=1.0, unit_system="reduced", mass=1.0, hbar=1.0):
+    def __init__(self, lam, a=1.0):
         if not math.isfinite(lam) or lam == 0.0:
             raise InvalidInput("potential strength must be finite and nonzero")
         if abs(lam) > 700.0:
             raise InvalidInput("strength magnitude beyond 700 overflows lambda*exp(lambda)")
         if not (a > 0.0 and math.isfinite(a)):
             raise InvalidInput("shell radius must be positive and finite")
-        if unit_system not in ("reduced", "physical"):
-            raise InvalidInput(f"unknown unit system {unit_system!r}")
         fields = self.__dict__
         fields["lam"] = lam
         fields["a"] = a
-        fields["unit_system"] = unit_system
-        fields["mass"] = mass
-        fields["hbar"] = hbar
-        if unit_system == "physical":
-            if not (0.0 < mass < math.inf and 0.0 < hbar < math.inf):
-                raise InvalidInput("physical units need finite positive mass and hbar")
-            try:
-                scale = self.energy_scale
-            except OverflowError:  # float ** raises where * would give inf
-                scale = math.inf
-            if not 0.0 < scale < math.inf:
-                raise InvalidInput(f"energy scale hbar^2/2m = {scale!r} is not finite and nonzero")
         fields["_resonances"] = {}
-
-    @property
-    def energy_scale(self) -> float:
-        """Factor converting reduced energies (k^2) to reported energies."""
-        if self.unit_system == "reduced":
-            return 1.0
-        return self.hbar**2 / (2.0 * self.mass)
 
     @property
     def coupling(self) -> float:

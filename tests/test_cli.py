@@ -104,6 +104,54 @@ def test_physical_units_without_finite_energy_scale_exit_2(units, capsys):
     assert captured.err.startswith("error: ")
 
 
+_NO_MASS_OR_HBAR = "physical units need finite positive mass and hbar"
+UNIT_ERRORS = [
+    (math.inf, 1.0, _NO_MASS_OR_HBAR), (1.0, math.inf, _NO_MASS_OR_HBAR),
+    (math.nan, 1.0, _NO_MASS_OR_HBAR), (0.0, 1.0, _NO_MASS_OR_HBAR),
+    (1.0, -1.0, _NO_MASS_OR_HBAR),
+    (1e-320, 1.0, "energy scale hbar^2/2m = inf is not finite and nonzero"),
+    (1e300, 1e-300, "energy scale hbar^2/2m = 0.0 is not finite and nonzero"),
+    # an OverflowError in hbar**2, read as inf
+    (1.0, 1e200, "energy scale hbar^2/2m = inf is not finite and nonzero"),
+    (1.0, 1e-160, "energy scale hbar^2/2m = 5e-321 is subnormal and loses digits"),
+]
+
+
+@pytest.mark.parametrize("mass, hbar, message", UNIT_ERRORS,
+                         ids=[f"{mass}-{hbar}" for mass, hbar, _ in UNIT_ERRORS])
+def test_physical_units_need_finite_nonzero_energy_scale(mass, hbar, message, capsys):
+    # hbar^2/2m is the CLI's alone: checked once, after the spec's own checks
+    units = ["--mass", repr(mass), "--hbar", repr(hbar)]
+    for command in ("poles", "table"):
+        code = cli.main([command, "--lambda", "10", "--units", "physical", *units])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
+        cli.main([command, "--lambda", "0", "--units", "physical", *units])
+        assert capsys.readouterr().err == "error: potential strength must be finite and nonzero\n"
+        code, out = run_main([command, "--lambda", "10", "--count", "1", *units], capsys)
+        assert code == 0 and out  # reduced units never read mass and hbar
+
+
+def test_unknown_unit_system_exits_2(capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(["table", "--lambda", "10", "--units", "bogus"])
+    assert info.value.code == 2
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
+
+def test_energy_scale_conversion(capsys):
+    # hbar^2/2m = 9/4 scales the energy columns; wave numbers stay in units of 1/a
+    argv = ["poles", "--lambda", "10", "--count", "2", "--format", "json"]
+    _, reduced = run_main(argv, capsys)
+    _, physical = run_main(argv + ["--units", "physical", "--mass", "2", "--hbar", "3"], capsys)
+    reduced, physical = json.loads(reduced), json.loads(physical)
+    assert (reduced["meta"]["units"], physical["meta"]["units"]) == ("reduced", "physical")
+    for r, p in zip(reduced["rows"], physical["rows"]):
+        assert (p["re_k"], p["im_k"]) == (r["re_k"], r["im_k"])
+        for col in ("re_z", "im_z", "gamma_R"):
+            assert p[col] == pytest.approx(9.0 / 4.0 * r[col], rel=1e-8)
+
+
 @pytest.mark.parametrize("c1", ["nan,0", "inf,0", "0,-inf"])
 def test_interfere_non_finite_coefficient_exits_2(c1):
     proc = run_cli("interfere", "--lambda", "10", "--indices", "1,2", f"--c1={c1}",
@@ -600,9 +648,8 @@ def _poles_case():
 
 
 def _table_case(lam, count, physical=False, mass="2", hbar="1.5"):
-    units = {"unit_system": "physical", "mass": float(mass), "hbar": float(hbar)}
-    spec = PotentialSpec(lam=lam, **units) if physical else PotentialSpec(lam=lam)
-    s = spec.energy_scale
+    spec = PotentialSpec(lam=lam)
+    s = float(hbar) ** 2 / (2.0 * float(mass)) if physical else 1.0  # hbar^2/2m
     argv = ["table", "--lambda", repr(lam), "--count", str(count)]
     if physical:
         argv += ["--units", "physical", "--mass", mass, "--hbar", hbar]
@@ -716,6 +763,67 @@ def test_physical_energy_overflow_exits_2(command, fmt, to_file, tmp_path, capsy
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert "overflows" in captured.err
+    assert not target.exists()
+
+
+# Energies that lose their digits on scaling: a subnormal hbar^2/2m (5e-321 and
+# 5e-311) refuses every energy, and a normal one (4.5e-308) takes the width
+# 0.0119 of lam = 100 and the bound re_z = -1e-14 of lam = -1.0000001 below 2^-1022.
+_UNDERFLOWS = {
+    "width-subnormal-scale": (["table", "--lambda", "100", "--hbar", "1e-160"], "is subnormal"),
+    "bound-subnormal-scale": (["table", "--lambda=-1.0000001", "--hbar", "1e-155"],
+                              "is subnormal"),
+    "width": (["table", "--lambda", "100", "--hbar", "3e-154"], "loses its digits"),
+    "bound": (["poles", "--lambda=-1.0000001", "--hbar", "3e-154"], "loses its digits"),
+}
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "output"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("line, reason", list(_UNDERFLOWS.values()), ids=list(_UNDERFLOWS))
+def test_physical_energy_underflow_exits_2(line, reason, fmt, to_file, tmp_path, capsys):
+    target = tmp_path / "rows.out"
+    argv = line + ["--count", "1", "--units", "physical", "--mass", "1", "--format", fmt]
+    code = cli.main(argv + (["--output", str(target)] if to_file else []))
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert reason in captured.err
+    assert not target.exists()
+
+
+def test_physical_exact_zero_energies_stay_zero(capsys):
+    # hbar^2/2m = 5e-201 is normal, and so is every nonzero energy times it;
+    # the bound state's im_z and gamma_R are exact zeros and print as 0
+    code, out = run_main(["table", "--lambda", "-10", "--count", "1", "--units", "physical",
+                          "--hbar", "1e-100"], capsys)
+    assert code == 0
+    _, rows = parse_csv(out)
+    assert rows[0]["kind"] == "bound" and (rows[0]["im_z"], rows[0]["gamma_R"]) == ("0", "0")
+    assert 1e-200 < -float(rows[0]["re_z"]) < 1e-197
+
+
+_CURVE_LINES = {
+    "spectrum": ["--index", "3", "--emin", "80", "--emax", "94"],
+    "interfere": ["--indices", "1,2", "--emin", "1", "--emax", "50"],
+    "cross-section": ["--index", "1"],
+}
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "output"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("command", list(_CURVE_LINES))
+def test_curves_refuse_physical_units(command, fmt, to_file, tmp_path, capsys):
+    # curves are written in reduced units only; they used to print reduced
+    # numbers under a "physical" label
+    target = tmp_path / "curve.out"
+    argv = [command, "--lambda", "100", *_CURVE_LINES[command], "--points", "3",
+            "--units", "physical", "--mass", "2", "--format", fmt]
+    code = cli.main(argv + (["--output", str(target)] if to_file else []))
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == (f"error: {command} writes reduced units only; "
+                            "--units physical applies to poles and table\n")
     assert not target.exists()
 
 

@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import deltashell.cli as cli
-from deltashell import Pole, PotentialSpec, cross_section_two_pole, find_resonance
+from deltashell import InvalidInput, Pole, PotentialSpec, cross_section_two_pole, find_resonance
 from deltashell.lambertw import _halley, _seed
 from deltashell.observables import _resonance_width, _sin2_pair
 from deltashell.poles import _polish_complex
@@ -36,25 +36,39 @@ def _bits(z):
 # -- row writer
 
 
-def _per_cell_rows(fmt, columns, rows, spec):
-    """Reference row writer: one getter, one scaling and one format per cell."""
-    scale = 1.0 if spec is None else spec.energy_scale
+class _Refused(Exception):
+    pass
+
+
+def _per_cell_rows(fmt, columns, rows, case):
+    """Reference row writer: one getter, one scaling and one format per cell;
+    None where a finite nonzero energy scales to 0, a subnormal or inf."""
+    spec, units, scale = case
     if fmt == "csv":
         columns = [column for column in columns if column[2]]
 
     def get(row, path, kind):
         for attr in path.split("."):
             row = getattr(row, attr)
-        return row * scale if kind == "E" and row is not None else row
+        if kind != "E" or row is None or scale == 1.0:
+            return row
+        value = row * scale
+        if row != 0.0 and math.isfinite(row) and not sys.float_info.min <= abs(value) < math.inf:
+            raise _Refused
+        return value
 
-    table = [[get(row, path, kind) for _, path, kind in columns] for row in rows]
+    try:
+        table = [[get(row, path, kind) for _, path, kind in columns] for row in rows]
+    except _Refused:
+        return None
     names = [name for name, _, _ in columns]
     if fmt == "json":
         payload = [
             {name: float("%.9g" % x) if isinstance(x, float) else x for name, x in zip(names, r)}
             for r in table
         ]
-        return json.dumps({"meta": cli._meta(spec), "rows": payload}, separators=(",", ":")) + "\n"
+        meta = cli._meta(spec, units)
+        return json.dumps({"meta": meta, "rows": payload}, separators=(",", ":")) + "\n"
 
     def cell(x):
         if x is None:
@@ -65,10 +79,17 @@ def _per_cell_rows(fmt, columns, rows, spec):
     return "\n".join(lines) + "\n"
 
 
-def _row_bytes(fmt, columns, rows, spec):
+def _row_bytes(fmt, columns, rows, case):
+    """The row writer's bytes; None, with nothing written, where it refuses an energy."""
+    spec, units, scale = case
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        cli._emit_rows(SimpleNamespace(format=fmt, output=None), spec, columns, rows)
+        try:
+            cli._emit_rows(SimpleNamespace(format=fmt, output=None, units=units),
+                           spec, columns, rows, scale)
+        except InvalidInput:
+            assert out.getvalue() == ""
+            return None
     return out.getvalue()
 
 
@@ -93,8 +114,9 @@ _FLOATS = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True),
     st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e16, 999999999.5, 3.0]),
 )
-_SPECS = [None, PotentialSpec(lam=2.0),
-          PotentialSpec(lam=2.0, unit_system="physical", mass=2.0, hbar=1.5)]
+# (spec, --units, hbar^2/2m): no spec as for lambertw, reduced, and mass 2, hbar 1.5
+_CASES = [(None, "reduced", 1.0), (PotentialSpec(lam=2.0), "reduced", 1.0),
+          (PotentialSpec(lam=2.0), "physical", 1.5**2 / (2.0 * 2.0))]
 _COMMAND_COLUMNS = {"poles": cli._POLE_COLUMNS, "table": cli._TABLE_COLUMNS,
                     "lambertw": cli._LAMBERTW_COLUMNS}
 
@@ -115,18 +137,18 @@ def _cells(columns, nullable):
 @pytest.mark.parametrize("command", sorted(_COMMAND_COLUMNS))
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @settings(max_examples=150, deadline=None)
-@given(data=st.data(), spec=st.sampled_from(_SPECS))
-def test_row_writer_matches_per_cell_reference(command, fmt, data, spec):
+@given(data=st.data(), case=st.sampled_from(_CASES))
+def test_row_writer_matches_per_cell_reference(command, fmt, data, case):
     columns = _COMMAND_COLUMNS[command]
     nullable = {"gamma_bar_sharp", "gamma_sharp", "c_value"} if command == "table" else set()
     values = data.draw(st.lists(_cells(columns, nullable), max_size=6))
     rows = [_record(columns, v) for v in values]
-    assert _row_bytes(fmt, columns, rows, spec) == _per_cell_rows(fmt, columns, rows, spec)
+    assert _row_bytes(fmt, columns, rows, case) == _per_cell_rows(fmt, columns, rows, case)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-@pytest.mark.parametrize("spec", _SPECS[1:], ids=["reduced", "physical"])
-def test_row_writer_none_and_negative_zero_cells(fmt, spec):
+@pytest.mark.parametrize("case", _CASES[1:], ids=["reduced", "physical"])
+def test_row_writer_none_and_negative_zero_cells(fmt, case):
     columns = cli._TABLE_COLUMNS
     rows = [
         _record(columns, ["bound", 0, -0.0, 0.5, -0.0, -0.0, -0.0, -0.0, 1.0, None, None, None]),
@@ -135,8 +157,8 @@ def test_row_writer_none_and_negative_zero_cells(fmt, spec):
         _record(columns, ["resonance", 2, 2.0, -1.0, 3.5, -4.0, 8.0, 1e20, 2.0, 1e-20, None,
                           None]),
     ]
-    out = _row_bytes(fmt, columns, rows, spec)
-    assert out == _per_cell_rows(fmt, columns, rows, spec)
+    out = _row_bytes(fmt, columns, rows, case)
+    assert out == _per_cell_rows(fmt, columns, rows, case)
     if fmt == "csv":
         assert out.splitlines()[1].endswith(",-0,1,,")
 

@@ -124,17 +124,6 @@ def test_invalid_strengths():
         enumerate_poles(PotentialSpec(lam=1.0), 0)
 
 
-@pytest.mark.parametrize("mass, hbar", [
-    (math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0), (0.0, 1.0), (1.0, -1.0),
-    (1e-320, 1.0), (1e300, 1e-300), (1.0, 1e200),
-])
-def test_physical_units_need_finite_nonzero_energy_scale(mass, hbar):
-    # the last three give hbar^2/2m = inf, 0 and an OverflowError in hbar**2
-    with pytest.raises(InvalidInput):
-        PotentialSpec(lam=10.0, unit_system="physical", mass=mass, hbar=hbar)
-    PotentialSpec(lam=10.0, mass=mass, hbar=hbar)  # reduced units never read them
-
-
 def test_enumeration_order_and_composition():
     poles = enumerate_poles(PotentialSpec(lam=-10.0), 8)
     assert poles[0].kind is PoleKind.BOUND
@@ -184,12 +173,3 @@ def test_radius_scaling():
     p2 = find_resonance(PotentialSpec(lam=10.0, a=2.0), 1)
     assert abs(p2.k - p1.k / 2.0) < 1e-12
     assert abs(p2.z - p1.z / 4.0) < 1e-12
-
-
-def test_energy_scale_conversion():
-    reduced = PotentialSpec(lam=10.0)
-    assert reduced.energy_scale == 1.0
-    physical = PotentialSpec(lam=10.0, unit_system="physical", mass=2.0, hbar=3.0)
-    assert physical.energy_scale == pytest.approx(9.0 / 4.0)
-    # pole records stay in reduced units regardless of unit system
-    assert find_resonance(physical, 1).k == find_resonance(reduced, 1).k

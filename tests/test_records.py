@@ -29,9 +29,8 @@ from deltashell import (
 
 def _records():
     barrier, well, shallow = (PotentialSpec(lam=lam) for lam in (10.0, -10.0, -0.5))
-    physical = PotentialSpec(lam=10.0, a=2.0, unit_system="physical", mass=2.0, hbar=1.5)
     return [
-        barrier, physical,
+        barrier, PotentialSpec(lam=10.0, a=2.0),
         find_resonance(barrier, 2), find_anti_resonance(barrier, 2),
         find_bound_state(well), find_virtual_state(shallow),
         *table_records(shallow, 2), table_records(well, 1)[0],
@@ -109,22 +108,12 @@ SPEC_ERRORS = [
     ({"lam": 1.0, "a": -1.0}, "shell radius must be positive and finite"),
     ({"lam": 1.0, "a": math.inf}, "shell radius must be positive and finite"),
     ({"lam": 1.0, "a": math.nan}, "shell radius must be positive and finite"),
-    ({"lam": 1.0, "unit_system": "bogus"}, "unknown unit system 'bogus'"),
-    ({"lam": 1.0, "unit_system": "physical", "mass": 0.0},
-     "physical units need finite positive mass and hbar"),
-    ({"lam": 1.0, "unit_system": "physical", "mass": math.nan},
-     "physical units need finite positive mass and hbar"),
-    ({"lam": 1.0, "unit_system": "physical", "hbar": math.inf},
-     "physical units need finite positive mass and hbar"),
-    ({"lam": 1.0, "unit_system": "physical", "hbar": -1.0},
-     "physical units need finite positive mass and hbar"),
-    ({"lam": 1.0, "unit_system": "physical", "mass": 1e-320},
-     "energy scale hbar^2/2m = inf is not finite and nonzero"),
-    ({"lam": 1.0, "unit_system": "physical", "hbar": 1e200},
-     "energy scale hbar^2/2m = inf is not finite and nonzero"),
-    ({"lam": 1.0, "unit_system": "physical", "mass": 1e300, "hbar": 1e-300},
-     "energy scale hbar^2/2m = 0.0 is not finite and nonzero"),
 ]
+
+
+def test_spec_is_strength_and_radius():
+    # units are the command line's: the library works in reduced units only
+    assert [f.name for f in dataclasses.fields(PotentialSpec)] == ["lam", "a"]
 
 
 @pytest.mark.parametrize("kwargs, message", SPEC_ERRORS)
