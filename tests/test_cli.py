@@ -104,34 +104,6 @@ def test_physical_units_without_finite_energy_scale_exit_2(units, capsys):
     assert captured.err.startswith("error: ")
 
 
-_NO_MASS_OR_HBAR = "physical units need finite positive mass and hbar"
-UNIT_ERRORS = [
-    (math.inf, 1.0, _NO_MASS_OR_HBAR), (1.0, math.inf, _NO_MASS_OR_HBAR),
-    (math.nan, 1.0, _NO_MASS_OR_HBAR), (0.0, 1.0, _NO_MASS_OR_HBAR),
-    (1.0, -1.0, _NO_MASS_OR_HBAR),
-    (1e-320, 1.0, "energy scale hbar^2/2m = inf is not finite and nonzero"),
-    (1e300, 1e-300, "energy scale hbar^2/2m = 0.0 is not finite and nonzero"),
-    # an OverflowError in hbar**2, read as inf
-    (1.0, 1e200, "energy scale hbar^2/2m = inf is not finite and nonzero"),
-    (1.0, 1e-160, "energy scale hbar^2/2m = 5e-321 is subnormal and loses digits"),
-]
-
-
-@pytest.mark.parametrize("mass, hbar, message", UNIT_ERRORS,
-                         ids=[f"{mass}-{hbar}" for mass, hbar, _ in UNIT_ERRORS])
-def test_physical_units_need_finite_nonzero_energy_scale(mass, hbar, message, capsys):
-    # hbar^2/2m is the CLI's alone: checked once, after the spec's own checks
-    units = ["--mass", repr(mass), "--hbar", repr(hbar)]
-    for command in ("poles", "table"):
-        code = cli.main([command, "--lambda", "10", "--units", "physical", *units])
-        captured = capsys.readouterr()
-        assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
-        cli.main([command, "--lambda", "0", "--units", "physical", *units])
-        assert capsys.readouterr().err == "error: potential strength must be finite and nonzero\n"
-        code, out = run_main([command, "--lambda", "10", "--count", "1", *units], capsys)
-        assert code == 0 and out  # reduced units never read mass and hbar
-
-
 def test_unknown_unit_system_exits_2(capsys):
     with pytest.raises(SystemExit) as info:
         cli.main(["table", "--lambda", "10", "--units", "bogus"])

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+import deltashell.cli as cli
 from deltashell import (
     InvalidInput,
     NoSuchPole,
@@ -122,6 +123,35 @@ def test_invalid_strengths():
         find_resonance(PotentialSpec(lam=1.0), 0)
     with pytest.raises(InvalidInput):
         enumerate_poles(PotentialSpec(lam=1.0), 0)
+
+
+_NO_MASS_OR_HBAR = "physical units need finite positive mass and hbar"
+UNIT_ERRORS = [
+    (math.inf, 1.0, _NO_MASS_OR_HBAR), (1.0, math.inf, _NO_MASS_OR_HBAR),
+    (math.nan, 1.0, _NO_MASS_OR_HBAR), (0.0, 1.0, _NO_MASS_OR_HBAR),
+    (1.0, -1.0, _NO_MASS_OR_HBAR),
+    (1e-320, 1.0, "energy scale hbar^2/2m = inf is not finite and nonzero"),
+    (1e300, 1e-300, "energy scale hbar^2/2m = 0.0 is not finite and nonzero"),
+    # an OverflowError in hbar**2, read as inf
+    (1.0, 1e200, "energy scale hbar^2/2m = inf is not finite and nonzero"),
+    (1.0, 1e-160, "energy scale hbar^2/2m = 5e-321 is subnormal and loses digits"),
+]
+
+
+@pytest.mark.parametrize("mass, hbar, message", UNIT_ERRORS,
+                         ids=[f"{mass}-{hbar}" for mass, hbar, _ in UNIT_ERRORS])
+def test_physical_units_need_finite_nonzero_energy_scale(mass, hbar, message, capsys):
+    # pole records are reduced; hbar^2/2m is the command line's alone,
+    # checked once, after the spec's own checks
+    units = ["--mass", repr(mass), "--hbar", repr(hbar)]
+    for command in ("poles", "table"):
+        code = cli.main([command, "--lambda", "10", "--units", "physical", *units])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
+        cli.main([command, "--lambda", "0", "--units", "physical", *units])
+        assert capsys.readouterr().err == "error: potential strength must be finite and nonzero\n"
+        code = cli.main([command, "--lambda", "10", "--count", "1", *units])
+        assert code == 0 and capsys.readouterr().out  # reduced units never read mass and hbar
 
 
 def test_enumeration_order_and_composition():

@@ -10,9 +10,11 @@ import dataclasses
 import inspect
 import math
 import pickle
+from types import SimpleNamespace
 
 import pytest
 
+import deltashell.cli as cli
 from deltashell import (
     InvalidInput,
     ObservablesRecord,
@@ -116,11 +118,41 @@ def test_spec_is_strength_and_radius():
     assert [f.name for f in dataclasses.fields(PotentialSpec)] == ["lam", "a"]
 
 
-@pytest.mark.parametrize("kwargs, message", SPEC_ERRORS)
+# Units are checked where a command line builds its spec, after lam and a.
+UNIT_ERRORS = [
+    ({"lam": 1.0, "unit_system": "physical", "hbar": 1e-160},
+     "energy scale hbar^2/2m = 5e-321 is subnormal and loses digits"),
+    ({"lam": 1.0, "unit_system": "physical", "mass": 0.0},
+     "physical units need finite positive mass and hbar"),
+    ({"lam": 1.0, "unit_system": "physical", "mass": math.nan},
+     "physical units need finite positive mass and hbar"),
+    ({"lam": 1.0, "unit_system": "physical", "hbar": math.inf},
+     "physical units need finite positive mass and hbar"),
+    ({"lam": 1.0, "unit_system": "physical", "hbar": -1.0},
+     "physical units need finite positive mass and hbar"),
+    ({"lam": 1.0, "unit_system": "physical", "mass": 1e-320},
+     "energy scale hbar^2/2m = inf is not finite and nonzero"),
+    ({"lam": 1.0, "unit_system": "physical", "hbar": 1e200},
+     "energy scale hbar^2/2m = inf is not finite and nonzero"),
+    ({"lam": 1.0, "unit_system": "physical", "mass": 1e300, "hbar": 1e-300},
+     "energy scale hbar^2/2m = 0.0 is not finite and nonzero"),
+]
+
+
+def _command_line(lam, a=1.0, unit_system="reduced", mass=1.0, hbar=1.0):
+    return SimpleNamespace(command="table", lam=lam, radius=a, units=unit_system,
+                           mass=mass, hbar=hbar)
+
+
+@pytest.mark.parametrize("kwargs, message", SPEC_ERRORS + UNIT_ERRORS)
 def test_spec_checks_raise_invalid_input(kwargs, message):
     with pytest.raises(InvalidInput) as info:
-        PotentialSpec(**kwargs)
+        cli._spec_from_args(_command_line(**kwargs))
     assert str(info.value) == message
+    if kwargs.keys() <= {"lam", "a"}:
+        with pytest.raises(InvalidInput) as info:
+            PotentialSpec(**kwargs)
+        assert str(info.value) == message
 
 
 def test_spec_checks_hold_through_replace():
