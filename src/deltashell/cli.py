@@ -11,7 +11,10 @@ attribute path, CSV cell format) triples, which gives the CSV header and
 cells and the JSON keys. A float is written as `%.9g` in CSV and as
 float("%.9g" % x) in JSON, a str or an int as itself, None as an empty
 cell and as null. The CSV body is one `%` call, with no Python code per
-cell. The table's `c_value` (the constant C) is a JSON-only column.
+cell. The table's `c_value` (the constant C) is a JSON-only column. Each
+spec is laid out once per format, at import (_LAYOUTS): the names of its
+kept columns, the CSV header, one attrgetter, the energy mask, the CSV
+cells and the template of a row with no None.
 
 Curve bodies are written by `%` templates, one call per block of cells,
 so no Python code runs per row or per cell. In CSV the columns are stacked
@@ -27,8 +30,10 @@ the bytes equal json.dumps over float("%.9g" % x).
 Units. The library works in reduced units (ħ²/2m = 1, E = k²); this module
 alone owns ħ²/2m = hbar**2 / (2.0 * mass), which _spec_from_args computes
 and checks once, after the spec. `poles` and `table` with --units physical
-scale their energy columns by it; a nonzero energy that overflows or loses
-its digits exits 2 with nothing written. Curve commands refuse physical units.
+scale their energy columns by it, with 1 for a --mass or --hbar not given;
+a nonzero energy that overflows or loses its digits exits 2 with nothing
+written. Curve commands refuse physical units. --mass and --hbar without
+--units physical exit 2, and so does lambertw with any of the three.
 
 The parser is built once per process and reused; each parse makes a
 fresh Namespace. A line that starts with a command goes straight to that
@@ -43,7 +48,8 @@ cross_section_bundle) are bound by module __getattr__ on first use, which
 imports their grid-layer module and numpy; each cmd_* looks its function
 up on the module when it runs, so a replacement set there is the one called.
 
-Every option default sits in its add_argument call. A `--config` file
+Every option default sits in its add_argument call, but for --mass and
+--hbar: None there, so that an explicit 1 counts as given. A `--config` file
 holds key=value lines whose keys are the shared long options; each line
 becomes a `--key=value` token right after the subcommand, so argparse casts
 and checks it like a flag, and explicit flags, later on the line, win.
@@ -137,6 +143,28 @@ def _scaled(energy: float, scale: float) -> float:
     return value
 
 
+def _layout(columns, fmt):
+    """A column spec laid out for one format: (names of the kept columns, CSV
+    header, one attrgetter, energy mask, CSV cells, CSV template of a row with
+    no None). A JSON layout keeps every column and has no CSV parts."""
+    if fmt == "csv":
+        columns = tuple(column for column in columns if column[2])
+    names = tuple(name for name, _, _ in columns)
+    getter = operator.attrgetter(*[path for _, path, _ in columns])
+    energy = tuple(kind == "E" for _, _, kind in columns)
+    if fmt == "json":
+        return names, None, getter, energy, None, None
+    cells = tuple("%.9g" if kind == "E" else kind for _, _, kind in columns)
+    return names, ",".join(names), getter, energy, cells, ",".join(cells)
+
+
+# Every row layout, built once: (column spec, format) -> layout.
+_LAYOUTS = {
+    (columns, fmt): _layout(columns, fmt)
+    for columns in (_POLE_COLUMNS, _TABLE_COLUMNS, _LAMBERTW_COLUMNS) for fmt in ("csv", "json")
+}
+
+
 def _emit_rows(args, spec, columns, rows, scale=1.0) -> None:
     """One line or JSON object per row, laid out by a column spec.
 
@@ -145,22 +173,19 @@ def _emit_rows(args, spec, columns, rows, scale=1.0) -> None:
     are scaled unless the scale is 1.0 (x * 1.0 is x, bit for bit); a
     scaled energy that overflows or loses its digits is refused before
     anything is written."""
-    if args.format == "csv":
-        columns = [column for column in columns if column[2]]
-    rows = list(map(operator.attrgetter(*[path for _, path, _ in columns]), rows))
+    names, header, getter, energy, cells, template = _LAYOUTS[columns, args.format]
+    rows = list(map(getter, rows))
     if scale != 1.0:
-        rows = [[_scaled(x, scale) if fmt == "E" and x is not None else x
-                 for x, (_, _, fmt) in zip(row, columns)] for row in rows]
-    names = [name for name, _, _ in columns]
+        rows = [[_scaled(x, scale) if is_energy and x is not None else x
+                 for x, is_energy in zip(row, energy)] for row in rows]
     if args.format == "json":
         payload = [dict(zip(names, map(_json_value, row))) for row in rows]
         doc = json.dumps({"meta": _meta(spec, args.units), "rows": payload},
                          separators=(",", ":"))
         _write(args, doc + "\n")
         return
-    cells = ["%.9g" if fmt == "E" else fmt for _, _, fmt in columns]
-    lines = [",".join(names)] + [
-        ",".join(cells) if None not in row
+    lines = [header] + [
+        template if None not in row
         else ",".join("%.0s" if x is None else cell for cell, x in zip(cells, row))
         for row in rows
     ]
@@ -195,14 +220,18 @@ def _spec_from_args(args) -> tuple[PotentialSpec, float]:
         raise InvalidInput("--lambda is required")
     spec = PotentialSpec(lam=args.lam, a=args.radius)
     if args.units == "reduced":
+        if args.mass is not None or args.hbar is not None:
+            raise InvalidInput("--mass and --hbar need --units physical")
         return spec, 1.0
     if args.command not in ("poles", "table"):
         raise InvalidInput(f"{args.command} writes reduced units only; "
                            "--units physical applies to poles and table")
-    if not (0.0 < args.mass < math.inf and 0.0 < args.hbar < math.inf):
+    mass = 1.0 if args.mass is None else args.mass
+    hbar = 1.0 if args.hbar is None else args.hbar
+    if not (0.0 < mass < math.inf and 0.0 < hbar < math.inf):
         raise InvalidInput("physical units need finite positive mass and hbar")
     try:
-        scale = args.hbar**2 / (2.0 * args.mass)
+        scale = hbar**2 / (2.0 * mass)
     except OverflowError:  # float ** raises where * would give inf
         scale = math.inf
     if not 0.0 < scale < math.inf:
@@ -258,7 +287,8 @@ def _json_array(col) -> str:
     if flagged.any():
         rounded = list(map(float, map("%.9g".__mod__, col[flagged].tolist())))
         values[flagged] = json.dumps(rounded, separators=(",", ":"))[1:-1].split(",")
-    template = ",".join(np.where(flagged, "%s", "%.9g").tolist())
+    # the two cell formats indexed by the mask: no new str per cell
+    template = ",".join(np.array(("%.9g", "%s"), dtype=object)[flagged.view(np.uint8)].tolist())
     return f"[{template % tuple(values.tolist())}]"
 
 
@@ -334,6 +364,8 @@ def cmd_cross_section(args) -> None:
 
 
 def cmd_lambertw(args) -> None:
+    if args.units != "reduced" or args.mass is not None or args.hbar is not None:
+        raise InvalidInput("lambertw takes no --units physical, --mass or --hbar")
     z = complex(args.re, args.im)
     w = lambert_w(args.branch, z)
     row = argparse.Namespace(branch=args.branch, z=z, w=w, residual=lambert_w_residual(w, z))
@@ -393,8 +425,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser, d
     shared.add_argument("--lambda", dest="lam", type=float, help="shell strength")
     shared.add_argument("--radius", type=float, default=1.0, help="shell radius (default 1)")
     shared.add_argument("--units", choices=["reduced", "physical"], default="reduced")
-    shared.add_argument("--mass", type=float, default=1.0, help="particle mass (physical units)")
-    shared.add_argument("--hbar", type=float, default=1.0, help="hbar (physical units)")
+    shared.add_argument("--mass", type=float, help="particle mass (physical units; default 1)")
+    shared.add_argument("--hbar", type=float, help="hbar (physical units; default 1)")
     shared.add_argument("--format", choices=["csv", "json"], default="csv")
     shared.add_argument("--output", help="write to PATH instead of stdout")
     shared.add_argument("--config", help="key=value file of the flags above, overridden by flags")

@@ -23,6 +23,11 @@ adaptive quadrature.
 The sharp approximations replace the Lorentzian by a delta function:
 Gbar_sharp = 2 pi M^2(E_R), Gamma_sharp = Gbar_sharp / Gamma_R.
 
+One row kernel, :func:`observables_record`, forms a whole table row: it
+reads each pole field once, forms the residue normalization
+(2 lam^2 / a^2) |N|^2 exp(2 beta a) once, and every observable inline
+from it. The per-quantity functions read their values from its record.
+
 Everything here is scalar Python arithmetic with no numpy import; the
 integrands on energy grids (dGbar/dE, dGamma/dE) live in
 :mod:`deltashell.spectra`.
@@ -138,33 +143,6 @@ def _expm1(z: complex) -> complex:
     return complex(math.expm1(x) * math.cos(y) - 2.0 * half * half, math.exp(x) * math.sin(y))
 
 
-def _width_prefactor(spec: PotentialSpec, pole: Pole) -> float:
-    """(2 lam^2 / a^2) |N|^2 exp(2 beta a): the one residue normalization of a row."""
-    return (2.0 * spec.lam**2 / spec.a**2) * _shell_density(spec, pole)
-
-
-def _resonance_width(spec: PotentialSpec, pole: Pole, prefactor: float):
-    # C = int (1/pi) (G/2)/((E-E_R)^2+(G/2)^2) sin^2(ka)/k dE
-    #   = (Gamma_R / 2 pi) S(-k_R, conj k_R) = Re[(1 - e^{-2 i k_R a}) / (2 k_R)]
-    # S(-k_R, conj k_R) with f(conj k_R) = -conj f(-k_R): one expm1, not two
-    q1, q2 = -pole.k, pole.k.conjugate()
-    f1 = -_expm1(2j * q1 * spec.a) / (2.0 * q1)
-    s = math.pi * 1j * (f1 + f1.conjugate()) / (q1 * q1 - q2 * q2)
-    c_value = pole.gamma_R / (2.0 * math.pi) * s.real
-    return prefactor * c_value, c_value
-
-
-def _threshold_constant(spec: PotentialSpec, pole: Pole, prefactor: float) -> float:
-    q = 1j * abs(pole.k.imag)
-    return prefactor / (2.0 * math.pi) * _sin2_pair(spec.a, q, q).real
-
-
-def _sharp(spec: PotentialSpec, pole: Pole, prefactor: float):
-    kt = math.sqrt(pole.e_R)
-    gbs = prefactor * math.sin(kt * spec.a) ** 2 / kt
-    return gbs, gbs / pole.gamma_R
-
-
 def decay_width_total(spec: PotentialSpec, pole: Pole):
     """Total decay width and the constant C as (gamma_bar, c_value).
 
@@ -209,34 +187,37 @@ def golden_rule_sharp(spec: PotentialSpec, pole: Pole):
 
 
 def observables_record(spec: PotentialSpec, pole: Pole) -> ObservablesRecord:
-    """Assemble the full table row for one pole, normalizing the pole once.
-
-    The one row kernel: decay_width_total, decay_constant_total and
-    golden_rule_sharp read their values from it."""
-    _require_kind(pole, *_ROW_KINDS)
-    prefactor = _width_prefactor(spec, pole)
-    gamma_bar, c_value = 0.0, None
+    """The full table row for one pole: the one row kernel (see the module
+    docstring). decay_width_total, decay_constant_total and golden_rule_sharp
+    read their values from this record."""
+    kind = pole.kind
+    if kind not in _ROW_KINDS:
+        _require_kind(pole, *_ROW_KINDS)
+    lam, a = spec.lam, spec.a
+    k, z, gamma_R = pole.k, pole.z, pole.gamma_R
+    # (2 lam^2 / a^2) |N|^2 exp(2 beta a): the one residue normalization of a row
+    prefactor = (2.0 * lam**2 / a**2) * _shell_density(spec, pole)
+    if kind is not _RESONANCE:
+        q = 1j * abs(k.imag)
+        gamma = prefactor / (2.0 * math.pi) * _sin2_pair(a, q, q).real
+        return ObservablesRecord(lam, kind, pole.index, k, z, gamma_R, 0.0, gamma,
+                                 None, None, None)
+    # C = int (1/pi) (G/2)/((E-E_R)^2+(G/2)^2) sin^2(ka)/k dE
+    #   = (Gamma_R / 2 pi) S(-k_R, conj k_R) = Re[(1 - e^{-2 i k_R a}) / (2 k_R)]
+    # S(-k_R, conj k_R) with f(conj k_R) = -conj f(-k_R): one expm1, not two
+    q1, q2 = -k, k.conjugate()
+    f1 = -_expm1(2j * q1 * a) / (2.0 * q1)
+    s = math.pi * 1j * (f1 + f1.conjugate()) / (q1 * q1 - q2 * q2)
+    c_value = gamma_R / (2.0 * math.pi) * s.real
+    gamma_bar = prefactor * c_value
     gbs = gs = None
-    if pole.kind is not _RESONANCE:
-        gamma = _threshold_constant(spec, pole, prefactor)
-    else:
-        gamma_bar, c_value = _resonance_width(spec, pole, prefactor)
-        gamma = gamma_bar / pole.gamma_R
-        if pole.e_R > 0.0:
-            gbs, gs = _sharp(spec, pole, prefactor)
-    return ObservablesRecord(
-        lam=spec.lam,
-        kind=pole.kind,
-        index=pole.index,
-        k=pole.k,
-        z=pole.z,
-        gamma_R=pole.gamma_R,
-        gamma_bar=gamma_bar,
-        gamma=gamma,
-        gamma_bar_sharp=gbs,
-        gamma_sharp=gs,
-        c_value=c_value,
-    )
+    e_R = z.real  # pole.e_R, without the property call
+    if e_R > 0.0:
+        kt = math.sqrt(e_R)
+        gbs = prefactor * math.sin(kt * a) ** 2 / kt
+        gs = gbs / gamma_R
+    return ObservablesRecord(lam, kind, pole.index, k, z, gamma_R, gamma_bar,
+                             gamma_bar / gamma_R, gbs, gs, c_value)
 
 
 def table_records(spec: PotentialSpec, count: int) -> list[ObservablesRecord]:

@@ -799,6 +799,49 @@ def test_curves_refuse_physical_units(command, fmt, to_file, tmp_path, capsys):
     assert not target.exists()
 
 
+# --mass and --hbar are physical-units options; lambertw has no units at all.
+# An explicit 1 is given all the same.
+_UNITLESS_LINES = {
+    "table": ["table", "--lambda", "10", "--count", "1", "--mass", "2", "--hbar", "1.5"],
+    "poles-hbar-1": ["poles", "--lambda", "10", "--count", "1", "--hbar", "1"],
+    "spectrum": ["spectrum", "--lambda", "100", *_CURVE_LINES["spectrum"], "--points", "3",
+                 "--mass", "2"],
+    "lambertw-units": ["lambertw", "--branch", "0", "--re", "1", "--units", "physical"],
+    "lambertw-mass": ["lambertw", "--branch", "0", "--re", "1", "--units", "physical",
+                      "--mass", "0"],
+    "lambertw-hbar": ["lambertw", "--branch", "0", "--re", "1", "--hbar", "1"],
+}
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "output"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("line", list(_UNITLESS_LINES.values()), ids=list(_UNITLESS_LINES))
+def test_mass_and_hbar_need_physical_units(line, fmt, to_file, tmp_path, capsys):
+    # they used to be dropped without a word: the table printed reduced energies
+    target = tmp_path / "rows.out"
+    code = cli.main(line + ["--format", fmt] + (["--output", str(target)] if to_file else []))
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_config_mass_counts_as_given(fmt, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("mass=2\n")
+    argv = ["table", "--config", str(cfg), "--lambda", "10", "--count", "2", "--format", fmt]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    # with physical units the config's mass counts, and hbar takes 1
+    code, from_config = run_main(argv + ["--units", "physical"], capsys)
+    assert code == 0
+    _, explicit = run_main(["table", "--lambda", "10", "--count", "2", "--format", fmt,
+                            "--units", "physical", "--mass", "2", "--hbar", "1"], capsys)
+    assert from_config == explicit
+
+
 @pytest.mark.parametrize("case", [_poles_case, lambda: _table_case(-100.0, 3), _lambertw_case],
                          ids=ROW_COMMANDS)
 def test_row_json_keys_equal_csv_header(case, capsys):

@@ -1,10 +1,12 @@
 """The row commands' fast paths against their references: the `%`-template
 row writer against a per-cell writer, the direct subparser parse against
-the full parser, the scalar kernels against their two-exponential forms,
-and the CLI bytes against fixtures written before these paths existed."""
+the full parser, the scalar kernels (the row kernel among them) against
+their two-exponential forms, and the CLI bytes against fixtures written
+before these paths existed."""
 
 import cmath
 import contextlib
+import dataclasses
 import io
 import itertools
 import json
@@ -12,6 +14,7 @@ import math
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -21,10 +24,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import deltashell.cli as cli
-from deltashell import InvalidInput, Pole, PotentialSpec, cross_section_two_pole, find_resonance
+from deltashell import (InvalidInput, Pole, PoleKind, PotentialSpec, cross_section_two_pole,
+                        enumerate_poles, find_anti_resonance, find_bound_state, find_resonance,
+                        find_virtual_state, lambert_w, lambert_w_residual)
 from deltashell.lambertw import _halley, _seed
-from deltashell.observables import _resonance_width, _sin2_pair
-from deltashell.poles import _polish_complex
+from deltashell.observables import (ObservablesRecord, _sin2_pair, observables_record,
+                                    table_records)
+from deltashell.poles import _polish_complex, _shell_density
 
 FIXTURES = Path(__file__).parent / "fixtures" / "cli"
 
@@ -271,6 +277,52 @@ def test_cli_bytes_match_fixture(lam, command, fmt, capsys):
     assert captured.out.encode("utf-8") == (FIXTURES / f"{command}_{lam}.{fmt}").read_bytes()
 
 
+# -- row layouts, built once per (column spec, format)
+
+
+def _expected_rows(command, fmt, lam, units):
+    """The bytes a row command should write: its fixture in reduced units, else
+    the per-cell writer over the library's rows (mass 2, hbar 1.5 when physical)."""
+    if command == "lambertw":
+        z = complex(float(lam), 0.25)
+        w = lambert_w(-1, z)
+        row = SimpleNamespace(branch=-1, z=z, w=w, residual=lambert_w_residual(w, z))
+        return _per_cell_rows(fmt, cli._LAMBERTW_COLUMNS, [row], (None, "reduced", 1.0))
+    if units == "reduced":
+        return (FIXTURES / f"{command}_{lam}.{fmt}").read_text(encoding="utf-8")
+    spec = PotentialSpec(lam=float(lam))
+    if command == "table":
+        rows = table_records(spec, 8)
+    else:
+        rows = enumerate_poles(spec, 8) + [find_anti_resonance(spec, n) for n in range(1, 9)]
+    return _per_cell_rows(fmt, _COMMAND_COLUMNS[command], rows,
+                          (spec, "physical", 1.5**2 / (2.0 * 2.0)))
+
+
+def test_layouts_hold_across_interleaved_commands(capsys):
+    # one process, every row command in both formats and both unit systems, in
+    # a shuffled order: a layout read under another command's or format's key
+    # writes other columns, another header or no output at all
+    lines = [(command, fmt, lam, units)
+             for command in ("poles", "table", "lambertw") for fmt in ("csv", "json")
+             for units in ("reduced", "physical") for lam in _FIXTURE_STRENGTHS
+             if not (command == "lambertw" and units == "physical")]
+    random.Random(15).shuffle(lines)
+    for command, fmt, lam, units in lines + lines[::-1]:
+        if command == "lambertw":
+            argv = ["lambertw", "--branch", "-1", f"--re={lam}", "--im", "0.25"]
+        else:
+            argv = [command, f"--lambda={lam}"]
+        if command == "poles":
+            argv.append("--include-antiresonances")
+        if units == "physical":
+            argv += ["--units", "physical", "--mass", "2", "--hbar", "1.5"]
+        assert cli.main(argv + ["--format", fmt]) == 0, argv
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out == _expected_rows(command, fmt, lam, units), argv
+
+
 # -- kernels: one exponential where two gave the same bits
 
 
@@ -305,18 +357,52 @@ def _halley_recomputed(w, z):
     return None
 
 
-def _strengths(seed, count):
+def _strengths(seed, count, lo=0.15, hi=700.0, signed=True):
     rng = random.Random(seed)
     for _ in range(count):
-        mag = math.exp(rng.uniform(math.log(0.15), math.log(700.0)))
-        yield mag if rng.random() < 0.5 else -mag
+        mag = math.exp(rng.uniform(math.log(lo), math.log(hi)))
+        yield mag if not signed or rng.random() < 0.5 else -mag
+
+
+def _record_by_helpers(spec, pole):
+    """A table row as the per-quantity helpers composed it before the row
+    kernel: the width prefactor, then C and Gbar from the two-exponential
+    S(-k, conj k) (or the threshold constant S(i kappa, i kappa)), then the
+    sharp pair where E_R > 0."""
+    prefactor = (2.0 * spec.lam**2 / spec.a**2) * _shell_density(spec, pole)
+    gamma_bar, c_value, gbs, gs = 0.0, None, None, None
+    if pole.kind is not PoleKind.RESONANCE:
+        q = 1j * abs(pole.k.imag)
+        gamma = prefactor / (2.0 * math.pi) * _sin2_pair(spec.a, q, q).real
+    else:
+        s = _sin2_pair(spec.a, -pole.k, pole.k.conjugate())
+        c_value = pole.gamma_R / (2.0 * math.pi) * s.real
+        gamma_bar = prefactor * c_value
+        gamma = gamma_bar / pole.gamma_R
+        if pole.e_R > 0.0:
+            kt = math.sqrt(pole.e_R)
+            gbs = prefactor * math.sin(kt * spec.a) ** 2 / kt
+            gs = gbs / pole.gamma_R
+    return ObservablesRecord(spec.lam, pole.kind, pole.index, pole.k, pole.z, pole.gamma_R,
+                             gamma_bar, gamma, gbs, gs, c_value)
+
+
+def _record_bits(record):
+    return [_bits(value) if isinstance(value, (float, complex)) else value
+            for value in dataclasses.astuple(record)]
 
 
 def test_kernels_match_their_two_exponential_forms():
-    checked = 0
-    for lam in _strengths(9101, 300):
+    checked = Counter()
+    # |lam| up to 700, plus 0 < lam < 0.107, where resonance 1 has E_R <= 0
+    strengths = itertools.chain(_strengths(9101, 300), _strengths(9102, 40, 1e-3, 0.107, False))
+    for lam in strengths:
         spec = PotentialSpec(lam=lam)
         z = lam * math.exp(lam)
+        poles = []
+        if lam < 0.0:
+            with contextlib.suppress(ArithmeticError):
+                poles.append((find_bound_state if lam < -1.0 else find_virtual_state)(spec))
         for n in range(1, 9):
             branch = -(n if lam > 0 else n + 1)
             seed = _seed(branch, complex(z))
@@ -327,13 +413,17 @@ def test_kernels_match_their_two_exponential_forms():
                 continue
             k0 = pole.k * (1.0 + 1e-9j)
             assert _bits(_polish_complex(spec, k0)) == _bits(_polish_two_exponentials(spec, k0))
-            prefactor = 1.0 + n / 7.0
-            s = _sin2_pair(spec.a, -pole.k, pole.k.conjugate())
-            c_value = pole.gamma_R / (2.0 * math.pi) * s.real
-            assert _bits(_resonance_width(spec, pole, prefactor)) == _bits((prefactor * c_value,
-                                                                          c_value))
-            checked += 1
-    assert checked > 2000
+            poles.append(pole)
+        for pole in poles:
+            record = observables_record(spec, pole)
+            assert _record_bits(record) == _record_bits(_record_by_helpers(spec, pole)), pole
+            below = pole.kind is PoleKind.RESONANCE and pole.e_R <= 0.0
+            checked[pole.kind.value + (" below threshold" if below else "")] += 1
+            if pole.kind is not PoleKind.RESONANCE or below:
+                assert record.gamma_bar_sharp is None and record.gamma_sharp is None
+    assert checked["resonance"] > 2000
+    assert min(checked[kind] for kind in ("bound", "virtual_state",
+                                          "resonance below threshold")) >= 10, checked
 
 
 # -- two-pole cross section

@@ -150,8 +150,11 @@ def test_physical_units_need_finite_nonzero_energy_scale(mass, hbar, message, ca
         assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
         cli.main([command, "--lambda", "0", "--units", "physical", *units])
         assert capsys.readouterr().err == "error: potential strength must be finite and nonzero\n"
+        # without --units physical, mass and hbar are refused, not dropped
         code = cli.main([command, "--lambda", "10", "--count", "1", *units])
-        assert code == 0 and capsys.readouterr().out  # reduced units never read mass and hbar
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (
+            2, "", "error: --mass and --hbar need --units physical\n")
 
 
 def test_enumeration_order_and_composition():

@@ -139,7 +139,7 @@ UNIT_ERRORS = [
 ]
 
 
-def _command_line(lam, a=1.0, unit_system="reduced", mass=1.0, hbar=1.0):
+def _command_line(lam, a=1.0, unit_system="reduced", mass=None, hbar=None):
     return SimpleNamespace(command="table", lam=lam, radius=a, units=unit_system,
                            mass=mass, hbar=hbar)
 
