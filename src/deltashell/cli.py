@@ -33,7 +33,9 @@ and checks once, after the spec. `poles` and `table` with --units physical
 scale their energy columns by it, with 1 for a --mass or --hbar not given;
 a nonzero energy that overflows or loses its digits exits 2 with nothing
 written. Curve commands refuse physical units. --mass and --hbar without
---units physical exit 2, and so does lambertw with any of the three.
+--units physical exit 2. lambertw has no spec or unit options at all:
+its subparser is built without them, so argparse exits 2 on --lambda,
+--radius, --units, --mass or --hbar there.
 
 The parser is built once per process and reused; each parse makes a
 fresh Namespace. A line that starts with a command goes straight to that
@@ -97,8 +99,9 @@ def _curve(name):
 
 # Column specs: (name, attribute path, CSV cell format). "E" marks an energy,
 # written as %.9g after scaling by the energy scale; None marks a JSON-only column.
+# A kind is read as the member's plain-str _value_, without enum's value descriptor.
 _POLE_COLUMNS = (
-    ("kind", "kind.value", "%s"), ("index", "index", "%s"), ("branch", "branch", "%s"),
+    ("kind", "kind._value_", "%s"), ("index", "index", "%s"), ("branch", "branch", "%s"),
     ("re_k", "k.real", "%.9g"), ("im_k", "k.imag", "%.9g"),
     ("re_z", "z.real", "E"), ("im_z", "z.imag", "E"), ("gamma_R", "gamma_R", "E"),
 )
@@ -180,8 +183,8 @@ def _emit_rows(args, spec, columns, rows, scale=1.0) -> None:
                  for x, is_energy in zip(row, energy)] for row in rows]
     if args.format == "json":
         payload = [dict(zip(names, map(_json_value, row))) for row in rows]
-        doc = json.dumps({"meta": _meta(spec, args.units), "rows": payload},
-                         separators=(",", ":"))
+        meta = _meta() if spec is None else _meta(spec, args.units)
+        doc = json.dumps({"meta": meta, "rows": payload}, separators=(",", ":"))
         _write(args, doc + "\n")
         return
     lines = [header] + [
@@ -364,8 +367,6 @@ def cmd_cross_section(args) -> None:
 
 
 def cmd_lambertw(args) -> None:
-    if args.units != "reduced" or args.mass is not None or args.hbar is not None:
-        raise InvalidInput("lambertw takes no --units physical, --mass or --hbar")
     z = complex(args.re, args.im)
     w = lambert_w(args.branch, z)
     row = argparse.Namespace(branch=args.branch, z=z, w=w, residual=lambert_w_residual(w, z))
@@ -418,6 +419,12 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = _NEGATIVE_VALUE
 
 
+def _add_output(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--format", choices=["csv", "json"], default="csv")
+    p.add_argument("--output", help="write to PATH instead of stdout")
+    p.add_argument("--config", help="key=value file of the flags above, overridden by flags")
+
+
 @functools.cache
 def _build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser, dict]:
     """The parser, its shared-options parent and each command's subparser, built once."""
@@ -427,9 +434,9 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser, d
     shared.add_argument("--units", choices=["reduced", "physical"], default="reduced")
     shared.add_argument("--mass", type=float, help="particle mass (physical units; default 1)")
     shared.add_argument("--hbar", type=float, help="hbar (physical units; default 1)")
-    shared.add_argument("--format", choices=["csv", "json"], default="csv")
-    shared.add_argument("--output", help="write to PATH instead of stdout")
-    shared.add_argument("--config", help="key=value file of the flags above, overridden by flags")
+    _add_output(shared)
+    output = argparse.ArgumentParser(add_help=False)
+    _add_output(output)
 
     parser = _Parser(
         prog="deltashell",
@@ -472,7 +479,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser, d
     p.add_argument("--index", type=int, required=True)
     p.add_argument("--second-index", dest="second_index", type=int)
 
-    p = commands["lambertw"] = add("lambertw", help="evaluate one Lambert W branch")
+    p = commands["lambertw"] = sub.add_parser(
+        "lambertw", parents=[output], help="evaluate one Lambert W branch")
     p.add_argument("--branch", type=int, required=True)
     p.add_argument("--re", type=float, required=True)
     p.add_argument("--im", type=float, default=0.0)

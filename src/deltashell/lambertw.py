@@ -15,7 +15,13 @@ Algorithm
   series in ``p = +/- sqrt(2(e*z + 1))`` near z = -1/e.
 * Refinement: Halley iteration on ``f(w) = w*exp(w) - z``, relative step
   tolerance 1e-15, cap 64 iterations (cubic convergence; 3-5 steps in
-  practice).
+  practice). It stops on a step below the tolerance or on a residual at
+  the rounding floor ``|f| <= 2e-16 (|w e^w| + |z|)``, and a root is
+  accepted only if ``|f| <= 1e-13 max(1, |z|)``. The test reads the |f|
+  the iteration already formed: e^w is evaluated once more only when the
+  last step moved w. A refused root is retried from the seed times
+  ``1 +/- 0.5i`` (a rare basin escape). An overflow of e^w ends the solve
+  with NonConvergence, and no seed is tried after it.
 * Inside ``|z + 1/e| < 1e-4`` the series alone is used for the two sheets
   that collide at the branch point (branches 0 and -1 on the closed upper
   half plane, branches 0 and +1 below the axis): Halley's denominator
@@ -63,27 +69,33 @@ def _branch_point_series(p: complex) -> complex:
 
 
 def _halley(w: complex, z: complex) -> complex | None:
+    """The root Halley's iteration reaches from w if it passes the acceptance
+    test, else None (see Refinement above); an overflow of e^w propagates."""
     abs_z = abs(z)
+    tol = _RESIDUAL_TOL * (abs_z if abs_z > 1.0 else 1.0)
     exp = cmath.exp
-    for _ in range(_MAX_ITER):
-        ew = exp(w)
-        wew = w * ew
-        f = wew - z
-        if abs(f) <= 2e-16 * (abs(wew) + abs_z):
-            # residual at the rounding floor; near the branch point the
-            # step criterion below stalls on noise and would never fire
-            return w
-        wp1 = w + 1.0
-        if wp1 == 0:
-            return None
-        denom = ew * wp1 - (w + 2.0) * f / (2.0 * wp1)
-        if denom == 0:
-            return None
-        dw = f / denom
-        w = w - dw
-        aw = abs(w)
-        if abs(dw) <= _STEP_TOL * (1e-290 if aw < 1e-290 else aw):
-            return w
+    try:
+        for _ in range(_MAX_ITER):
+            ew = exp(w)
+            wew = w * ew
+            f = wew - z
+            if abs(f) <= 2e-16 * (abs(wew) + abs_z):
+                # residual at the rounding floor; near the branch point the
+                # step criterion below stalls on noise and would never fire.
+                # An overflowed w e^w passes here as inf <= inf, and the
+                # acceptance test refuses it.
+                return w if abs(f) <= tol else None
+            wp1 = w + 1.0
+            dw = f / (ew * wp1 - (w + 2.0) * f / (2.0 * wp1))
+            step = w - dw
+            aw = abs(step)
+            if abs(dw) <= _STEP_TOL * (1e-290 if aw < 1e-290 else aw):
+                if step != w:
+                    f = step * exp(step) - z
+                return step if abs(f) <= tol else None
+            w = step
+    except ZeroDivisionError:  # w = -1, or a zero Halley denominator
+        return None
     return None
 
 
@@ -138,15 +150,16 @@ def lambert_w(branch: int, z: complex) -> complex:
         If branch is not an integer (``operator.index`` refuses it), z is
         non-finite, or z = 0 with branch != 0.
     NonConvergence
-        If Halley iteration does not reach tolerance (not observed for
-        finite arguments away from the unreachable overflow range).
+        If no seed's Halley iteration passes the acceptance test, or e^w
+        overflows on the way (as for ``W_-1000(1e40)`` or ``W_3(1e308)``).
     """
-    try:
-        branch = operator.index(branch)
-    except TypeError:
-        raise InvalidInput(f"lambert_w branch must be an integer, not {branch!r}") from None
+    if type(branch) is not int:
+        try:
+            branch = operator.index(branch)
+        except TypeError:
+            raise InvalidInput(f"lambert_w branch must be an integer, not {branch!r}") from None
     z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+    if not cmath.isfinite(z):
         raise InvalidInput("lambert_w requires a finite argument")
     if z == 0:
         if branch == 0:
@@ -167,16 +180,18 @@ def lambert_w(branch: int, z: complex) -> complex:
         if branch == 1 and z.imag < 0.0:
             return _branch_point_series(-p)
 
-    w = _halley(_seed(branch, z), z)
-    if w is None or abs(w * cmath.exp(w) - z) > _RESIDUAL_TOL * max(1.0, abs(z)):
+    try:
+        if (w := _halley(_seed(branch, z), z)) is not None:
+            return w
         # rare basin escape: retry from perturbed seeds before giving up
         for retry in (1.0 + 0.5j, 1.0 - 0.5j):
-            w = _halley(_seed(branch, z) * retry, z)
-            if w is not None and abs(w * cmath.exp(w) - z) <= _RESIDUAL_TOL * max(1.0, abs(z)):
-                break
-        else:
-            raise NonConvergence(f"W_{branch}({z}) did not converge")
-    return w
+            if (w := _halley(_seed(branch, z) * retry, z)) is not None:
+                return w
+    except OverflowError:
+        # e^w overflowed: a retry seed far out on a high branch, or |z| near
+        # the largest float. No seed is tried after it.
+        pass
+    raise NonConvergence(f"W_{branch}({z}) did not converge")
 
 
 def lambert_w_residual(w: complex, z: complex) -> float:

@@ -72,14 +72,13 @@ def _polish_complex(spec: PotentialSpec, k: complex) -> complex:
     # to cancellation in lam - W when |lam| is large.
     lam, a = spec.lam, spec.a
     exp = cmath.exp
-    for _ in range(_COMPLEX_STEPS):
-        x = 2j * k * a
-        e = exp(x)
-        f = x + lam * (e - 1.0)
-        fp = 2j * a * (1.0 + lam * e)
-        if fp == 0:
-            break
-        k = k - f / fp
+    try:
+        for _ in range(_COMPLEX_STEPS):
+            x = 2j * k * a
+            e = exp(x)
+            k = k - (x + lam * (e - 1.0)) / (2j * a * (1.0 + lam * e))
+    except ZeroDivisionError:  # f'(k) = 0: keep k
+        pass
     return k
 
 
@@ -96,20 +95,16 @@ def _polish_imaginary(spec: PotentialSpec, y: float) -> float:
     return y
 
 
-def _w_argument(spec: PotentialSpec) -> float:
-    return spec.lam * math.exp(spec.lam)
-
-
-def _checked(spec: PotentialSpec, pole: Pole) -> Pole:
-    resid = transcendental_residual(spec, pole.k)
-    if resid > _RESIDUAL_TOL:
-        raise NonConvergence(
-            f"pole {pole.kind.value} n={pole.index} residual {resid:.3e} exceeds {_RESIDUAL_TOL}"
-        )
-    return pole
+def _off_root(pole: Pole, resid: float) -> NonConvergence:
+    """The error of a pole whose residual fails the gate."""
+    return NonConvergence(
+        f"pole {pole.kind.value} n={pole.index} residual {resid:.3e} exceeds {_RESIDUAL_TOL}"
+    )
 
 
 def _positive(n, what: str) -> int:
+    if type(n) is int and n >= 1:
+        return n
     try:  # operator.index takes numpy integers, but neither 2.5 nor 2.0
         if (n := operator.index(n)) >= 1:
             return n
@@ -128,11 +123,14 @@ def find_resonance(spec: PotentialSpec, n: int) -> Pole:
     n = _positive(n, "resonance index")
     if (pole := spec._resonances.get(n)) is None:
         m = n if spec.lam > 0 else n + 1
-        w = lambert_w(-m, _w_argument(spec))
+        w = lambert_w(-m, spec._w_argument)
         k = _polish_complex(spec, (spec.lam - w) / (2j * spec.a))
         if not (k.real > 0 and k.imag < 0):
             raise NonConvergence(f"branch {-m} root {k} is not in the fourth quadrant")
-        pole = spec._resonances[n] = _checked(spec, Pole(_RESONANCE, -m, n, k, k * k))
+        pole = Pole(_RESONANCE, -m, n, k, k * k)
+        if (resid := transcendental_residual(spec, k)) > _RESIDUAL_TOL:
+            raise _off_root(pole, resid)
+        spec._resonances[n] = pole
     return pole
 
 
@@ -147,7 +145,10 @@ def find_anti_resonance(spec: PotentialSpec, n: int) -> Pole:
     if (pole := spec._resonances.get(n)) is None:
         pole = find_resonance(spec, n)
     k = -pole.k.conjugate()
-    return _checked(spec, Pole(_ANTI_RESONANCE, n, n, k, k * k))
+    pole = Pole(_ANTI_RESONANCE, n, n, k, k * k)
+    if (resid := transcendental_residual(spec, k)) > _RESIDUAL_TOL:
+        raise _off_root(pole, resid)
+    return pole
 
 
 def _threshold_kind(spec: PotentialSpec) -> PoleKind | None:
@@ -172,12 +173,15 @@ def _threshold_pole(spec: PotentialSpec, kind: PoleKind) -> Pole:
     branch, name, side = _THRESHOLD_POLES[kind]
     if _threshold_kind(spec) is not kind:
         raise NoSuchPole(f"no {name} state for strength {spec.lam}")
-    w = lambert_w(branch, _w_argument(spec))
+    w = lambert_w(branch, spec._w_argument)
     y = _polish_imaginary(spec, -(spec.lam - w.real) / (2.0 * spec.a))
     if not (y > 0 if side == "positive" else y < 0):
         raise NonConvergence(f"{name}-state root left the {side} imaginary axis")
     k = complex(0.0, y)
-    return _checked(spec, Pole(kind, branch, 0, k, complex(-y * y, 0.0)))
+    pole = Pole(kind, branch, 0, k, complex(-y * y, 0.0))
+    if (resid := transcendental_residual(spec, k)) > _RESIDUAL_TOL:
+        raise _off_root(pole, resid)
+    return pole
 
 
 def find_bound_state(spec: PotentialSpec) -> Pole:

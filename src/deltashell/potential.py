@@ -57,8 +57,10 @@ class PotentialSpec:
     a : float
         Shell radius, > 0. Wave numbers are reported in units of 1/a.
 
-    Resonances found on a spec are memoized on it outside the fields, so
-    ``==``, ``hash``, ``repr`` and ``asdict`` ignore them; ``replace`` starts anew.
+    Two things live on a spec outside the fields: lam * exp(lam), the
+    Lambert W argument of every pole, formed once here, and the memo of
+    the resonances found on it. ``==``, ``hash``, ``repr`` and ``asdict``
+    ignore both; ``replace`` builds them anew.
     """
 
     lam: float
@@ -74,6 +76,7 @@ class PotentialSpec:
         fields = self.__dict__
         fields["lam"] = lam
         fields["a"] = a
+        fields["_w_argument"] = lam * math.exp(lam)
         fields["_resonances"] = {}
 
     @property

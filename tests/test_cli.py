@@ -799,8 +799,8 @@ def test_curves_refuse_physical_units(command, fmt, to_file, tmp_path, capsys):
     assert not target.exists()
 
 
-# --mass and --hbar are physical-units options; lambertw has no units at all.
-# An explicit 1 is given all the same.
+# --mass and --hbar are physical-units options; lambertw has no units at all,
+# and its parser has no such options. An explicit 1 is given all the same.
 _UNITLESS_LINES = {
     "table": ["table", "--lambda", "10", "--count", "1", "--mass", "2", "--hbar", "1.5"],
     "poles-hbar-1": ["poles", "--lambda", "10", "--count", "1", "--hbar", "1"],
@@ -819,11 +819,60 @@ _UNITLESS_LINES = {
 def test_mass_and_hbar_need_physical_units(line, fmt, to_file, tmp_path, capsys):
     # they used to be dropped without a word: the table printed reduced energies
     target = tmp_path / "rows.out"
-    code = cli.main(line + ["--format", fmt] + (["--output", str(target)] if to_file else []))
+    argv = line + ["--format", fmt] + (["--output", str(target)] if to_file else [])
+    if line[0] == "lambertw":
+        code = _argparse_exit(argv)
+    else:
+        code = cli.main(argv)
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    if line[0] == "lambertw":
+        assert "deltashell: error: unrecognized arguments: " in captured.err
+    else:
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert not target.exists()
+
+
+def _argparse_exit(argv):
+    """The exit code of a line that argparse refuses inside cli.main."""
+    with pytest.raises(SystemExit) as refused:
+        cli.main(argv)
+    return refused.value.code
+
+
+_LAMBERTW_SPEC_LINES = {
+    "lambda": ["--lambda", "5"],
+    "radius": ["--radius", "3"],
+    "lambda-radius": ["--lambda", "5", "--radius", "3"],
+    "lambda-equals": ["--lambda=-1e-3"],
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("extra", list(_LAMBERTW_SPEC_LINES.values()), ids=list(_LAMBERTW_SPEC_LINES))
+def test_lambertw_refuses_spec_flags(extra, fmt, tmp_path, capsys):
+    # lambertw reads no spec: --lambda and --radius used to be dropped without
+    # a word, and the row of `lambertw --branch 0 --re 1` was printed
+    target = tmp_path / "rows.out"
+    argv = ["lambertw", "--branch", "0", "--re", "1", *extra, "--format", fmt,
+            "--output", str(target)]
+    assert _argparse_exit(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f"deltashell: error: unrecognized arguments: {' '.join(extra)}\n")
+    assert not target.exists()
+
+
+def test_lambertw_refuses_a_spec_line_in_its_config(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("format=json\nlambda=5\n")
+    assert _argparse_exit(["lambertw", "--config", str(cfg), "--branch", "0", "--re", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "deltashell: error: unrecognized arguments: --lambda=5" in captured.err
+    cfg.write_text("format=json\n")
+    code, out = run_main(["lambertw", "--config", str(cfg), "--branch", "0", "--re", "1"], capsys)
+    assert code == 0 and json.loads(out)["rows"][0]["branch"] == 0
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

@@ -131,7 +131,7 @@ def _cells(columns, nullable):
     cells = []
     for name, path, kind in columns:
         if kind == "%s":
-            cells.append(st.sampled_from(["resonance", "bound"]) if path == "kind.value"
+            cells.append(st.sampled_from(["resonance", "bound"]) if name == "kind"
                          else st.integers(-10**6, 10**6))
         elif name in nullable:
             cells.append(st.one_of(st.none(), _FLOATS))

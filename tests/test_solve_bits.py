@@ -1,0 +1,179 @@
+"""The resonance solve's bits, pinned by digest.
+
+Two SHA-256 digests cover every pole of a fixed sweep of strengths and
+every Lambert W value or error class of a fixed sweep of arguments. They
+were computed from the solver before its repeated work was removed (the
+residual formed twice, lam * exp(lam) formed once per pole), so a later
+change that moves a last bit, or swaps one error class for another, fails
+here. Where that solver let a raw OverflowError out of ``lambert_w``, the
+pinned digest holds the NonConvergence raised in its place now.
+
+The digests hold for one libm and one set of complex-arithmetic rules. A
+canary digest of the libm and complex values the solver rests on is
+checked first; where it differs, the pinned digests say nothing about this
+code, and the two digest tests are skipped.
+"""
+
+from __future__ import annotations
+
+import cmath
+import hashlib
+import math
+
+import numpy as np
+import pytest
+
+from deltashell import (
+    NonConvergence, PotentialSpec, find_anti_resonance, find_bound_state, find_resonance,
+    find_virtual_state, lambert_w,
+)
+from deltashell.lambertw import _halley
+
+POLE_DIGEST = "c68d29d8d9b4d01168b38811f756d1a1e97d51221b1b406c91ecdf6d674c1eb5"
+LAMBERT_W_DIGEST = "be4986a16923fec2253f3f225730e6cfdba4147d8f82903226198945d19f2c5a"
+CANARY_DIGEST = "c1a067106ccac1a85d72ad81124395380c2e09e92cc40518e24104d91f77759c"
+
+INV_E = math.exp(-1.0)
+BRANCHES = range(-12, 13)
+
+
+def _digest(lines) -> str:
+    h = hashlib.sha256()
+    for line in lines:
+        h.update(line.encode())
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+def _hex(z: complex) -> str:
+    return f"{z.real.hex()} {z.imag.hex()}"
+
+
+def _log_spaced(lo: float, hi: float, count: int) -> list[float]:
+    step = math.log(hi / lo) / (count - 1)
+    return [lo * math.exp(i * step) for i in range(count - 1)] + [hi]
+
+
+def canary_lines():
+    """The libm functions and complex operations the solver's bits rest on."""
+    xs = _log_spaced(1e-300, 1e300, 301)
+    for x in xs + [-x for x in xs[::7]] + _log_spaced(0.05, 700.0, 97):
+        row = [math.log(abs(x)), math.atan2(x, 1.0), math.hypot(x, 0.75), abs(x) ** 0.5]
+        if abs(x) < 700.0:
+            row += [math.exp(x), math.expm1(-x), math.sin(x), math.cos(x), math.exp(-x)]
+        z = complex(x, 0.3 * x - 1.0)
+        row += [cmath.log(z), cmath.sqrt(z), 2.0 * z, z / complex(0.25, x), 1.0 / z]
+        if abs(x) < 700.0:
+            row += [cmath.exp(complex(0.5 * x, x)), cmath.exp(complex(-0.5, x))]
+        yield " ".join(v.hex() if isinstance(v, float) else _hex(v) for v in row)
+
+
+def strengths() -> list[float]:
+    """lam log-spaced over [0.15, 700] and [-700, -0.15]."""
+    mags = _log_spaced(0.15, 700.0, 161)
+    return [sign * mag for mag in mags for sign in (1.0, -1.0)]
+
+
+def pole_lines():
+    """Every resonance and anti-resonance n <= 12, and each threshold pole
+    (or its error class and message), of each strength at radius 1, and of
+    every fourth strength at radii 0.3 and 1.7."""
+    specs = [(lam, 1.0) for lam in strengths()]
+    specs += [(lam, a) for lam in strengths()[::4] for a in (0.3, 1.7)]
+    for lam, a in specs:
+        spec = PotentialSpec(lam=lam, a=a)
+        finds = [(name, find, n) for n in range(1, 13)
+                 for name, find in (("res", find_resonance), ("anti", find_anti_resonance))]
+        finds += [("bound", lambda s, _: find_bound_state(s), 0),
+                  ("virtual", lambda s, _: find_virtual_state(s), 0)]
+        for name, find, n in finds:
+            try:
+                pole = find(spec, n)
+            except ArithmeticError as exc:
+                yield f"{lam.hex()} {a} {name} {n} {type(exc).__name__}: {exc}"
+            except ValueError as exc:  # NoSuchPole
+                yield f"{lam.hex()} {a} {name} {n} {type(exc).__name__}"
+            else:
+                yield f"{lam.hex()} {a} {name} {n} {pole.branch} {_hex(pole.k)} {_hex(pole.z)}"
+
+
+def arguments() -> list[complex]:
+    """Arguments near -1/e, tiny, huge, negative real and complex, plus the
+    pole solver's own lam * exp(lam)."""
+    zs = []
+    for eps in _log_spaced(1e-12, 0.5, 40):  # around the branch point
+        zs += [complex(-INV_E + eps, 0.0), complex(-INV_E - eps, 0.0),
+               complex(-INV_E, eps), complex(-INV_E, -eps)]
+        zs += [-INV_E + cmath.rect(eps, 0.4 * j - 2.9) for j in range(15)]
+    for r in _log_spaced(5e-324, 1e-3, 40):  # tiny
+        zs += [complex(r, 0.0), complex(-r, 0.0)] + [cmath.rect(r, 0.7 * j - 3.0) for j in range(9)]
+    for r in _log_spaced(1e3, 1e308, 40):  # huge, |z| <= 1e308
+        zs += [complex(r, 0.0), complex(-r, 0.0)] + [cmath.rect(r, 0.7 * j - 3.0) for j in range(9)]
+    for r in _log_spaced(1e-6, 1e6, 60):  # the negative real axis and the plane
+        zs += [complex(-r, 0.0), complex(-r, -0.0)] + [cmath.rect(r, 0.5 * j - 3.1) for j in range(13)]
+    zs += [complex(lam * math.exp(lam)) for lam in strengths()[::4]]
+    return zs
+
+
+def lambert_w_lines():
+    """Branches -12..12 at every argument, then a few non-int branches and
+    invalid inputs."""
+    calls = [(n, z) for z in arguments() for n in BRANCHES]
+    calls += [(np.int64(-3), 1.5 + 2j), (True, 2.0), (np.int32(0), -0.2), (2.5, 1.0),
+              ("1", 1.0), (0, complex(math.inf, 0.0)), (0, complex(0.0, math.nan)),
+              (-1, 0.0), (0, 0.0), (0, -INV_E), (-1, -INV_E), (1, -INV_E)]
+    for n, z in calls:
+        try:
+            w = lambert_w(n, z)
+        except (ArithmeticError, ValueError) as exc:
+            yield f"{n!r} {_hex(complex(z))} {type(exc).__name__}"
+        else:
+            yield f"{n!r} {_hex(complex(z))} {_hex(w)}"
+
+
+@pytest.fixture(scope="module")
+def same_arithmetic():
+    got = _digest(canary_lines())
+    if got != CANARY_DIGEST:
+        pytest.skip(f"libm or complex arithmetic differs from where the digests were pinned ({got})")
+
+
+def test_pole_bits_match_their_pinned_digest(same_arithmetic):
+    assert _digest(pole_lines()) == POLE_DIGEST
+
+
+def test_lambert_w_bits_match_their_pinned_digest(same_arithmetic):
+    assert _digest(lambert_w_lines()) == LAMBERT_W_DIGEST
+
+
+def test_halley_at_w_minus_one_returns_none():
+    # w = -1 zeroes Halley's 2(w + 1) divisor; the step is refused, not taken
+    assert _halley(-1 + 0j, 1.0 + 0j) is None
+    assert _halley(complex(-1.0, 0.0), complex(-0.5, 0.1)) is None
+
+
+@pytest.mark.parametrize("branch, z", [
+    (-1000, 10.0 * math.exp(10.0)),
+    (-1000, 100.0 * math.exp(100.0)),
+    (-500, 700.0 * math.exp(700.0)),
+    (-1000, 1e40),
+])
+def test_exp_overflow_raises_nonconvergence(branch, z):
+    # e^w overflows on a retry seed; it used to escape as a raw OverflowError
+    with pytest.raises(NonConvergence, match=f"W_{branch}"):
+        lambert_w(branch, z)
+
+
+def test_index_ten_thousand_keeps_its_bits(same_arithmetic):
+    # the argument that overflows at n = 1000 converges at n = 10^4
+    w = lambert_w(-10000, 10.0 * math.exp(10.0))
+    assert _hex(w) == "0x1.411fe08301f73p+0 -0x1.eadc908906f06p+15"
+
+
+@pytest.mark.parametrize("branch", BRANCHES)
+def test_w_of_1e308_raises_nonconvergence(branch):
+    # w e^w overflows to inf, and inf <= inf passes the rounding-floor test:
+    # the acceptance test still refuses the w it stopped at. From |n| = 3 on,
+    # e^w itself overflows first.
+    with pytest.raises(NonConvergence, match=f"W_{branch}"):
+        lambert_w(branch, 1e308)
