@@ -6,55 +6,33 @@ Outputs are deterministic: floats are printed with 9 significant digits,
 lowercase exponent, '.' decimal separator; CSV uses a header line and LF
 newlines; JSON carries a `meta` object plus `rows` or `curve`.
 
-Each row command (poles, table, lambertw) has one column spec of (name,
-attribute path, CSV cell format) triples, which gives the CSV header and
-cells and the JSON keys. A float is written as `%.9g` in CSV and as
-float("%.9g" % x) in JSON, a str or an int as itself, None as an empty
-cell and as null. The CSV body is one `%` call, with no Python code per
-cell. The table's `c_value` (the constant C) is a JSON-only column. Each
-spec is laid out once per format, at import (_LAYOUTS): the names of its
-kept columns, the CSV header, one attrgetter, the energy mask, the CSV
-cells and the template of a row with no None.
+Each row command (poles, table, lambertw) has one column spec, laid out
+once per format at import (_LAYOUTS). A float is written as `%.9g` in CSV
+and as float("%.9g" % x) in JSON, a str or an int as itself, None as an
+empty cell and as null. Row and curve bodies are written by `%` templates,
+with no Python code per cell, in the bytes of formatting value by value
+(see _emit_rows, _emit_curve and _json_array).
 
-Curve bodies are written by `%` templates, one call per block of cells,
-so no Python code runs per row or per cell. In CSV the columns are stacked
-into rows and each block of at most _BLOCK rows is one `%` call on a
-template of that many `%.9g` rows. `%.9g` and `format(x, ".9g")` share
-CPython's float formatter, so the bytes equal those of formatting value by
-value. In JSON each column is one `%` call: a finite normal double is
-written as its `%.9g` token, which is already the shortest repr of its own
-rounding. A numpy mask flags the cells where the two spellings can differ;
-those are `%s` cells that take json.dumps' tokens for their roundings, so
-the bytes equal json.dumps over float("%.9g" % x).
+Units. The library works in units of the radius and in reduced units
+(a = 1, ħ²/2m = 1, E = k²). This module alone owns a and ħ²/2m =
+hbar**2 / (2.0 * mass), and applies both in one step at the output
+(_scales): wave numbers times 1/a, energies times (ħ²/2m)/a², C times a,
+densities and cross sections times a²; Γ and Γ_sharp do not depend on a.
+A curve window is scaled in, as E a². A finite nonzero value that
+overflows or loses its digits on scaling exits 2 with nothing written.
 
-Units. The library works in reduced units (ħ²/2m = 1, E = k²); this module
-alone owns ħ²/2m = hbar**2 / (2.0 * mass), which _spec_from_args computes
-and checks once, after the spec. `poles` and `table` with --units physical
-scale their energy columns by it, with 1 for a --mass or --hbar not given;
-a nonzero energy that overflows or loses its digits exits 2 with nothing
-written. Curve commands refuse physical units. --mass and --hbar without
---units physical exit 2. lambertw has no spec or unit options at all:
-its subparser is built without them, so argparse exits 2 on --lambda,
---radius, --units, --mass or --hbar there.
-
-The parser is built once per process and reused; each parse makes a
-fresh Namespace. A line that starts with a command goes straight to that
-command's subparser (see _parse). main() finds the handler by name,
-cmd_<command>, when it runs, so a cmd_* replaced on the module after the
-parser was built is still the one called. A word that starts with a minus
-and a digit (-1e-3, -2.5e1, -0.5,0.3) is read as a value, never as a flag.
+Parsing. Each subparser is built from the parents it reads: spec
+(--lambda, --radius) for the five pole commands, units (--units, --mass,
+--hbar) for poles and table, output (--format, --output, --config) for all
+six, so argparse exits 2 on any other flag; a `--config` file takes the
+same long options (_config_tokens). The parser is built once per process
+(_parse). main() finds cmd_<command> by name when it runs, so a cmd_*
+replaced on the module is the one called.
 
 The module imports no numpy, so poles, table and lambertw never load it.
-The curve functions (spectrum_curve, interference_curve, InterferenceConfig,
-cross_section_bundle) are bound by module __getattr__ on first use, which
-imports their grid-layer module and numpy; each cmd_* looks its function
-up on the module when it runs, so a replacement set there is the one called.
-
-Every option default sits in its add_argument call, but for --mass and
---hbar: None there, so that an explicit 1 counts as given. A `--config` file
-holds key=value lines whose keys are the shared long options; each line
-becomes a `--key=value` token right after the subcommand, so argparse casts
-and checks it like a flag, and explicit flags, later on the line, win.
+The curve functions (_CURVES) are bound by module __getattr__ on first use,
+which imports their grid-layer module and numpy; each cmd_* looks its
+function up on the module when it runs, so a replacement is the one called.
 
 Exit codes: 0 success, 2 invalid input, 3 numerical failure.
 """
@@ -97,34 +75,37 @@ def _curve(name):
     """A curve name as the module binds it at call time; a replacement is honoured."""
     return getattr(sys.modules[__name__], name)
 
-# Column specs: (name, attribute path, CSV cell format). "E" marks an energy,
-# written as %.9g after scaling by the energy scale; None marks a JSON-only column.
-# A kind is read as the member's plain-str _value_, without enum's value descriptor.
+# Column specs: (name, attribute path, dimension). "%s" marks a str or an int,
+# written as itself; every other column is a float written as %.9g after scaling
+# by its dimension's output scale (see _scales): "k" a wave number, "E" an energy,
+# "L" a length, "1" none. A kind is read as the member's plain-str _value_,
+# without enum's value descriptor.
 _POLE_COLUMNS = (
     ("kind", "kind._value_", "%s"), ("index", "index", "%s"), ("branch", "branch", "%s"),
-    ("re_k", "k.real", "%.9g"), ("im_k", "k.imag", "%.9g"),
+    ("re_k", "k.real", "k"), ("im_k", "k.imag", "k"),
     ("re_z", "z.real", "E"), ("im_z", "z.imag", "E"), ("gamma_R", "gamma_R", "E"),
 )
 # an ObservablesRecord carries the pole columns except the branch
 _TABLE_COLUMNS = _POLE_COLUMNS[:2] + _POLE_COLUMNS[3:] + (
-    ("gamma_bar", "gamma_bar", "E"), ("gamma", "gamma", "%.9g"),
-    ("gamma_bar_sharp", "gamma_bar_sharp", "E"), ("gamma_sharp", "gamma_sharp", "%.9g"),
-    ("c_value", "c_value", None),
+    ("gamma_bar", "gamma_bar", "E"), ("gamma", "gamma", "1"),
+    ("gamma_bar_sharp", "gamma_bar_sharp", "E"), ("gamma_sharp", "gamma_sharp", "1"),
+    ("c_value", "c_value", "L"),
 )
 _LAMBERTW_COLUMNS = (
-    ("branch", "branch", "%s"), ("re_z", "z.real", "%.9g"), ("im_z", "z.imag", "%.9g"),
-    ("re_w", "w.real", "%.9g"), ("im_w", "w.imag", "%.9g"), ("residual", "residual", "%.9g"),
+    ("branch", "branch", "%s"), ("re_z", "z.real", "1"), ("im_z", "z.imag", "1"),
+    ("re_w", "w.real", "1"), ("im_w", "w.imag", "1"), ("residual", "residual", "1"),
 )
+_JSON_ONLY = ("c_value",)  # the constant C is left out of the CSV
 
 
 def _json_value(x):
     return float("%.9g" % x) if isinstance(x, float) else x
 
 
-def _meta(spec=None, units="reduced") -> dict:
+def _meta(spec=None, a=1.0, units="reduced") -> dict:
     meta = {"version": __version__}
     if spec is not None:
-        meta.update({"lambda": _json_value(spec.lam), "a": _json_value(spec.a), "units": units})
+        meta.update({"lambda": _json_value(spec.lam), "a": _json_value(a), "units": units})
     return meta
 
 
@@ -136,29 +117,38 @@ def _write(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _scaled(energy: float, scale: float) -> float:
-    """A reduced energy times the energy scale; InvalidInput where a finite
-    nonzero one overflows to inf or loses its digits to 0 or a subnormal."""
-    value = energy * scale
-    if energy and math.isfinite(energy) and not sys.float_info.min <= abs(value) < math.inf:
-        what = "overflows" if math.isinf(value) else "loses its digits"
-        raise InvalidInput(f"energy {energy!r} times the energy scale {scale!r} {what}")
-    return value
+def _scales(a: float, energy: float = 1.0) -> dict | None:
+    """Each dimension's output scale at radius a and ħ²/2m = energy, as (multiplier,
+    divisor): 1/a divides, rounding once. None where all are 1 (a = 1, reduced units)."""
+    if a == 1.0 and energy == 1.0:
+        return None
+    return {"k": (1.0, a), "E": (energy, a * a), "1/E": (a * a, energy), "L": (a, 1.0)}
+
+
+def _scaled(value: float, scale: tuple[float, float]) -> float:
+    """value * multiplier / divisor; InvalidInput where a finite nonzero value
+    overflows to inf or loses its digits (to 0, a subnormal, or a scale of them)."""
+    if not value or not math.isfinite(value):  # 0, inf and nan scale to themselves
+        return value
+    scaled = value * scale[0] / scale[1] if min(scale) >= sys.float_info.min else 0.0
+    if not sys.float_info.min <= abs(scaled) < math.inf:
+        what = "overflows" if math.isinf(scaled) else "loses its digits"
+        raise InvalidInput(f"{value!r} scaled by {scale[0]!r}/{scale[1]!r} {what}")
+    return scaled
 
 
 def _layout(columns, fmt):
     """A column spec laid out for one format: (names of the kept columns, CSV
-    header, one attrgetter, energy mask, CSV cells, CSV template of a row with
+    header, one attrgetter, dimensions, CSV cells, CSV template of a row with
     no None). A JSON layout keeps every column and has no CSV parts."""
     if fmt == "csv":
-        columns = tuple(column for column in columns if column[2])
-    names = tuple(name for name, _, _ in columns)
-    getter = operator.attrgetter(*[path for _, path, _ in columns])
-    energy = tuple(kind == "E" for _, _, kind in columns)
+        columns = tuple(column for column in columns if column[0] not in _JSON_ONLY)
+    names, paths, dims = zip(*columns)
+    getter = operator.attrgetter(*paths)
     if fmt == "json":
-        return names, None, getter, energy, None, None
-    cells = tuple("%.9g" if kind == "E" else kind for _, _, kind in columns)
-    return names, ",".join(names), getter, energy, cells, ",".join(cells)
+        return names, None, getter, dims, None, None
+    cells = tuple("%s" if dim == "%s" else "%.9g" for dim in dims)
+    return names, ",".join(names), getter, dims, cells, ",".join(cells)
 
 
 # Every row layout, built once: (column spec, format) -> layout.
@@ -168,22 +158,22 @@ _LAYOUTS = {
 }
 
 
-def _emit_rows(args, spec, columns, rows, scale=1.0) -> None:
+def _emit_rows(args, spec, columns, rows, scales=None) -> None:
     """One line or JSON object per row, laid out by a column spec.
 
     One attrgetter call reads a row; the CSV body is one `%` call on the
-    rows' templates, which hold `%.0s` (an empty cell) for a None. Energies
-    are scaled unless the scale is 1.0 (x * 1.0 is x, bit for bit); a
-    scaled energy that overflows or loses its digits is refused before
-    anything is written."""
-    names, header, getter, energy, cells, template = _LAYOUTS[columns, args.format]
+    rows' templates, which hold `%.0s` (an empty cell) for a None. A value
+    is scaled by its dimension's scale (see _scales) unless that is 1/1,
+    and refused, before anything is written, where _scaled refuses it."""
+    names, header, getter, dims, cells, template = _LAYOUTS[columns, args.format]
     rows = list(map(getter, rows))
-    if scale != 1.0:
-        rows = [[_scaled(x, scale) if is_energy and x is not None else x
-                 for x, is_energy in zip(row, energy)] for row in rows]
+    if scales is not None:
+        factors = [scales.get(dim, (1.0, 1.0)) for dim in dims]
+        rows = [[x if f == (1.0, 1.0) or x is None else _scaled(x, f)
+                 for x, f in zip(row, factors)] for row in rows]
     if args.format == "json":
         payload = [dict(zip(names, map(_json_value, row))) for row in rows]
-        meta = _meta() if spec is None else _meta(spec, args.units)
+        meta = _meta() if spec is None else _meta(spec, args.radius, args.units)
         doc = json.dumps({"meta": meta, "rows": payload}, separators=(",", ":"))
         _write(args, doc + "\n")
         return
@@ -217,18 +207,22 @@ plt.show()
 """
 
 
-def _spec_from_args(args) -> tuple[PotentialSpec, float]:
-    """The potential of a command line and its ħ²/2m: 1.0 in reduced units."""
+def _spec_from_args(args) -> tuple[PotentialSpec, dict | None]:
+    """The potential of a command line and its output scales (see _scales)."""
     if args.lam is None:
         raise InvalidInput("--lambda is required")
-    spec = PotentialSpec(lam=args.lam, a=args.radius)
+    spec = PotentialSpec(lam=args.lam)
+    if not (args.radius > 0.0 and math.isfinite(args.radius)):
+        raise InvalidInput("shell radius must be positive and finite")
+    return spec, _scales(args.radius, _energy_scale(args) if "units" in args else 1.0)
+
+
+def _energy_scale(args) -> float:
+    """The ħ²/2m of a poles or table line: 1.0 in reduced units."""
     if args.units == "reduced":
         if args.mass is not None or args.hbar is not None:
             raise InvalidInput("--mass and --hbar need --units physical")
-        return spec, 1.0
-    if args.command not in ("poles", "table"):
-        raise InvalidInput(f"{args.command} writes reduced units only; "
-                           "--units physical applies to poles and table")
+        return 1.0
     mass = 1.0 if args.mass is None else args.mass
     hbar = 1.0 if args.hbar is None else args.hbar
     if not (0.0 < mass < math.inf and 0.0 < hbar < math.inf):
@@ -241,20 +235,20 @@ def _spec_from_args(args) -> tuple[PotentialSpec, float]:
         raise InvalidInput(f"energy scale hbar^2/2m = {scale!r} is not finite and nonzero")
     if scale < sys.float_info.min:
         raise InvalidInput(f"energy scale hbar^2/2m = {scale!r} is subnormal and loses digits")
-    return spec, scale
+    return scale
 
 
 def cmd_poles(args) -> None:
-    spec, scale = _spec_from_args(args)
+    spec, scales = _spec_from_args(args)
     poles = enumerate_poles(spec, args.count)
     if args.include_antiresonances:
         poles.extend(find_anti_resonance(spec, n) for n in range(1, args.count + 1))
-    _emit_rows(args, spec, _POLE_COLUMNS, poles, scale)
+    _emit_rows(args, spec, _POLE_COLUMNS, poles, scales)
 
 
 def cmd_table(args) -> None:
-    spec, scale = _spec_from_args(args)
-    _emit_rows(args, spec, _TABLE_COLUMNS, table_records(spec, args.count), scale)
+    spec, scales = _spec_from_args(args)
+    _emit_rows(args, spec, _TABLE_COLUMNS, table_records(spec, args.count), scales)
 
 
 # Rows per `%` call in a CSV curve: the row template repeated this often
@@ -265,18 +259,12 @@ _BLOCK = 4096
 def _json_array(col) -> str:
     """A float64 array as the JSON array json.dumps writes for its `%.9g` roundings.
 
-    For a finite normal double the `%.9g` token is already the shortest
-    repr of its own rounding: no other decimal of at most 9 digits lies
-    within half an ulp of it, and both formats lay the digits out alike.
-    They differ only for a rounding that is an integer (3 vs 3.0), for
-    |x| >= 999999999.5 (%.9g turns to an exponent, repr does so at 1e16),
-    for subnormals and for inf and nan. The mask flags a superset of those
-    cells. Its integer test, |x - rint(x)| <= 1e-8 |x|, holds for every
-    |x| >= 5e7, so it also flags the exponent case.
-
-    The column is one `%` call on one template: `%.9g` per cell, `%s` in
-    the flagged cells, whose values are the tokens json.dumps writes for
-    their roundings.
+    A finite normal double's `%.9g` token is already the shortest repr of its
+    rounding. The two differ only for an integer rounding (3 vs 3.0), for
+    |x| >= 999999999.5 (%.9g's exponent; repr's starts at 1e16), subnormals,
+    inf and nan; the mask flags a superset of those (its integer test holds
+    for every |x| >= 5e7). The column is one `%` call: `%.9g` per cell, and
+    `%s` in the flagged cells, which take json.dumps' tokens for their roundings.
     """
     import numpy as np  # curves are numpy arrays already; row commands never get here
 
@@ -295,22 +283,37 @@ def _json_array(col) -> str:
     return f"[{template % tuple(values.tolist())}]"
 
 
-def _emit_curve(args, spec, grid, columns) -> None:
-    """columns: ordered (name, array-or-None) pairs; None columns are dropped.
+def _scaled_column(col, scale):
+    """A curve column scaled as _scaled scales a value, and refused as it refuses
+    the column's extreme finite nonzero |x|: the scaling is monotone in |x|."""
+    size = abs(col[(col != 0.0) & (abs(col) < math.inf)])  # nan fails both
+    for x in (size.min(), size.max()) if size.size else ():
+        _scaled(float(x), scale)
+    return col * scale[0] / scale[1]
 
-    CSV formats the curve in blocks of at most _BLOCK rows: each block is
-    one `%` call on a template of that many `%.9g` rows, applied to the
-    block's values in row order. JSON writes each column with one `%` call
-    (see _json_array). No Python code runs per row or per cell, and every
-    value is rounded by the `%.9g` formatter.
-    """
+
+def _window(args, scales):
+    """The curve window in the library's units, E a^2; None where not given."""
+    return [e if scales is None or e is None else _scaled(e, scales["1/E"])
+            for e in (args.emin, args.emax)]
+
+
+def _emit_curve(args, spec, scales, grid, columns) -> None:
+    """columns: ordered (name, array-or-None) pairs; None columns are dropped, and
+    the rest scaled as _emit_rows scales a row. CSV is written in blocks of at most
+    _BLOCK rows, each one `%` call on a template of that many `%.9g` rows; JSON
+    writes each column with one `%` call (see _json_array)."""
     import numpy as np  # curves are numpy arrays already; row commands never get here
 
     kept = [("E", grid)] + [(name, col) for name, col in columns if col is not None]
     names, series = zip(*kept)  # the library returns every column as a float64 array
+    if scales is not None:  # the grid and M^2 are energies; densities and areas 1/E
+        series = [_scaled_column(col, scales["E" if name in ("E", "matrix_element") else "1/E"])
+                  for name, col in kept]
     if args.format == "json":
-        meta = json.dumps(_meta(spec), separators=(",", ":"))
-        curve = ",".join(f"{json.dumps(name)}:{_json_array(col)}" for name, col in kept)
+        meta = json.dumps(_meta(spec, args.radius), separators=(",", ":"))
+        curve = ",".join(f"{json.dumps(name)}:{_json_array(col)}"
+                         for name, col in zip(names, series))
         _write(args, f'{{"meta":{meta},"curve":{{{curve}}}}}\n')
         return
     table = np.column_stack(series)
@@ -324,16 +327,11 @@ def _emit_curve(args, spec, grid, columns) -> None:
 
 
 def cmd_spectrum(args) -> None:
-    spec, _ = _spec_from_args(args)
-    if args.virtual:
-        pole = find_virtual_state(spec)
-    elif args.index is not None:
-        pole = find_resonance(spec, args.index)
-    else:
-        raise InvalidInput("need --index N or --virtual")
-    curve = _curve("spectrum_curve")(spec, pole, args.emin, args.emax, args.points)
+    spec, scales = _spec_from_args(args)
+    pole = find_virtual_state(spec) if args.virtual else find_resonance(spec, args.index)
+    curve = _curve("spectrum_curve")(spec, pole, *_window(args, scales), args.points)
     names = ("dP_dE", "breit_wigner", "matrix_element") if args.with_companions else ("dP_dE",)
-    _emit_curve(args, spec, curve.grid, [(name, getattr(curve, name)) for name in names])
+    _emit_curve(args, spec, scales, curve.grid, [(name, getattr(curve, name)) for name in names])
 
 
 # argparse types; the name is in argparse's message for a bad value
@@ -348,22 +346,22 @@ def complex_pair(text: str) -> complex:
 
 
 def cmd_interfere(args) -> None:
-    spec, _ = _spec_from_args(args)
+    spec, scales = _spec_from_args(args)
     cfg = _curve("InterferenceConfig")(c1=args.c1, c2=args.c2, renormalize=args.renormalize)
     pole1, pole2 = (find_resonance(spec, i) for i in args.indices)
     curve = _curve("interference_curve")(
-        spec, pole1, pole2, cfg, args.emin, args.emax, args.points
+        spec, pole1, pole2, cfg, *_window(args, scales), args.points
     )
-    _emit_curve(args, spec, curve.grid, [("dP_dE", curve.dP_dE)])
+    _emit_curve(args, spec, scales, curve.grid, [("dP_dE", curve.dP_dE)])
 
 
 def cmd_cross_section(args) -> None:
-    spec, _ = _spec_from_args(args)
+    spec, scales = _spec_from_args(args)
     bundle = _curve("cross_section_bundle")(
-        spec, args.index, args.emin, args.emax, args.points, second_index=args.second_index
+        spec, args.index, *_window(args, scales), args.points, second_index=args.second_index
     )
     names = ("exact", "laurent", "e_unitarized", "k_unitarized", "two_pole")
-    _emit_curve(args, spec, bundle.grid, [(name, getattr(bundle, name)) for name in names])
+    _emit_curve(args, spec, scales, bundle.grid, [(name, getattr(bundle, name)) for name in names])
 
 
 def cmd_lambertw(args) -> None:
@@ -373,13 +371,11 @@ def cmd_lambertw(args) -> None:
     _emit_rows(args, None, _LAMBERTW_COLUMNS, [row])
 
 
-def _config_tokens(path: str, shared: argparse.ArgumentParser) -> list[str]:
-    """`--key=value` tokens from a key=value file; keys are the shared long options."""
-    keys = {
-        opt[2:] for action in shared._actions for opt in action.option_strings
-        if opt.startswith("--")
-    } - {"config"}
-    tokens = []
+def _config_tokens(path: str, command: str) -> list[str]:
+    """`--key=value` tokens from a key=value file, whose keys are the command's config
+    keys. main puts them right after the subcommand, so argparse checks each like a
+    flag, and explicit flags, later on the line, win."""
+    keys, tokens = _build_parser()[2][command], []
     with open(path, encoding="utf-8") as fh:
         for raw in fh:
             line = raw.strip()
@@ -419,24 +415,28 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = _NEGATIVE_VALUE
 
 
-def _add_output(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--output", help="write to PATH instead of stdout")
-    p.add_argument("--config", help="key=value file of the flags above, overridden by flags")
-
-
 @functools.cache
-def _build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser, dict]:
-    """The parser, its shared-options parent and each command's subparser, built once."""
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--lambda", dest="lam", type=float, help="shell strength")
-    shared.add_argument("--radius", type=float, default=1.0, help="shell radius (default 1)")
-    shared.add_argument("--units", choices=["reduced", "physical"], default="reduced")
-    shared.add_argument("--mass", type=float, help="particle mass (physical units; default 1)")
-    shared.add_argument("--hbar", type=float, help="hbar (physical units; default 1)")
-    _add_output(shared)
+def _build_parser() -> tuple[argparse.ArgumentParser, dict, dict]:
+    """The parser, each command's subparser and each command's config keys
+    (the long options of its parents), built once."""
+    spec = argparse.ArgumentParser(add_help=False)
+    spec.add_argument("--lambda", dest="lam", type=float, help="shell strength")
+    spec.add_argument("--radius", type=float, default=1.0,
+                      help="shell radius, the output length scale (default 1)")
+    units = argparse.ArgumentParser(add_help=False)  # mass and hbar: None, so 1 counts as given
+    units.add_argument("--units", choices=["reduced", "physical"], default="reduced")
+    units.add_argument("--mass", type=float, help="particle mass (physical units; default 1)")
+    units.add_argument("--hbar", type=float, help="hbar (physical units; default 1)")
     output = argparse.ArgumentParser(add_help=False)
-    _add_output(output)
+    output.add_argument("--format", choices=["csv", "json"], default="csv")
+    output.add_argument("--output", help="write to PATH instead of stdout")
+    output.add_argument("--config", help="key=value file of this command's flags")
+    roles = {"poles": (spec, units, output), "table": (spec, units, output),
+             "spectrum": (spec, output), "interfere": (spec, output),
+             "cross-section": (spec, output), "lambertw": (output,)}
+    keys = {name: frozenset(opt[2:] for parent in parents
+                            for opt in parent._option_string_actions) - {"config"}
+            for name, parents in roles.items()}
 
     parser = _Parser(
         prog="deltashell",
@@ -446,24 +446,29 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser, d
     sub = parser.add_subparsers(dest="command", required=True)
 
     commands = {}
-    add = functools.partial(sub.add_parser, parents=[shared])
-    p = commands["poles"] = add("poles", help="enumerate S-matrix poles")
+
+    def add(name, text):
+        commands[name] = sub.add_parser(name, parents=roles[name], help=text)
+        return commands[name]
+
+    p = add("poles", "enumerate S-matrix poles")
     p.add_argument("--count", type=int, default=8)
     p.add_argument("--include-antiresonances", action="store_true")
 
-    p = commands["table"] = add("table", help="full observables table")
+    p = add("table", "full observables table")
     p.add_argument("--count", type=int, default=8)
 
-    p = commands["spectrum"] = add("spectrum", help="decay energy spectrum")
+    p = add("spectrum", "decay energy spectrum")
     _add_grid(p, window_required=True)
-    p.add_argument("--index", type=int, help="resonance index (1 = lowest)")
-    p.add_argument("--virtual", action="store_true", help="virtual-state spectrum")
+    pole = p.add_mutually_exclusive_group(required=True)
+    pole.add_argument("--index", type=int, help="resonance index (1 = lowest)")
+    pole.add_argument("--virtual", action="store_true", help="virtual-state spectrum")
     p.add_argument(
         "--no-companions", dest="with_companions", action="store_false",
         help="omit the Breit-Wigner and matrix-element columns",
     )
 
-    p = commands["interfere"] = add("interfere", help="two-resonance spectrum")
+    p = add("interfere", "two-resonance spectrum")
     _add_grid(p, window_required=True)
     p.add_argument("--indices", type=index_pair, required=True, help="resonance indices: i,j")
     p.add_argument("--c1", type=complex_pair, default="0.7071067811865476,0", help="c1 as re,im")
@@ -473,18 +478,16 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser, d
         help="emit the raw superposition instead of a unit-area density",
     )
 
-    p = commands["cross-section"] = add("cross-section",
-                                        help="exact cross section and approximants")
+    p = add("cross-section", "exact cross section and approximants")
     _add_grid(p, window_required=False)
     p.add_argument("--index", type=int, required=True)
     p.add_argument("--second-index", dest="second_index", type=int)
 
-    p = commands["lambertw"] = sub.add_parser(
-        "lambertw", parents=[output], help="evaluate one Lambert W branch")
+    p = add("lambertw", "evaluate one Lambert W branch")
     p.add_argument("--branch", type=int, required=True)
     p.add_argument("--re", type=float, required=True)
     p.add_argument("--im", type=float, default=0.0)
-    return parser, shared, commands
+    return parser, commands, keys
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
@@ -492,7 +495,7 @@ def _parse(argv: list[str]) -> argparse.Namespace:
     subparser, as the full parser would. The full parser runs, and prints its own error,
     only for a first word that is no command, a word starting with '--=' (an ambiguous
     option of its own) or words the subparser leaves over."""
-    parser, _, commands = _build_parser()
+    parser, commands, _ = _build_parser()
     if argv and argv[0] in commands and not any(word.startswith("--=") for word in argv):
         namespace = argparse.Namespace(command=argv[0])
         args, extra = commands[argv[0]].parse_known_args(argv[1:], namespace)
@@ -507,7 +510,7 @@ def main(argv=None) -> int:
     try:
         if args.config:
             at = argv.index(args.command) + 1
-            args = _parse(argv[:at] + _config_tokens(args.config, _build_parser()[1]) + argv[at:])
+            args = _parse(argv[:at] + _config_tokens(args.config, args.command) + argv[at:])
         if getattr(args, "emit_plot_script", False) and (args.format != "csv" or not args.output):
             raise InvalidInput("--emit-plot-script needs --format csv and --output PATH")
         # by name, so a cmd_* replaced on the module after the build is called

@@ -135,8 +135,8 @@ def lambert_w(branch: int, z: complex) -> complex:
     branch : int
         Branch index n; any integer. Branch 0 is the principal branch.
     z : complex
-        Argument. Must be finite, and nonzero unless ``branch == 0``
-        (all other branches diverge logarithmically at the origin).
+        Argument. Must be finite with |z| <= 1.8e308, and nonzero unless
+        ``branch == 0`` (other branches diverge logarithmically at 0).
 
     Returns
     -------
@@ -147,8 +147,8 @@ def lambert_w(branch: int, z: complex) -> complex:
     Raises
     ------
     InvalidInput
-        If branch is not an integer (``operator.index`` refuses it), z is
-        non-finite, or z = 0 with branch != 0.
+        If branch is not an integer (``operator.index`` refuses it), z or
+        its modulus is non-finite, or z = 0 with branch != 0.
     NonConvergence
         If no seed's Halley iteration passes the acceptance test, or e^w
         overflows on the way (as for ``W_-1000(1e40)`` or ``W_3(1e308)``).
@@ -166,7 +166,11 @@ def lambert_w(branch: int, z: complex) -> complex:
             return 0j
         raise InvalidInput(f"W_{branch} diverges at z = 0")
 
-    if abs(z + _INV_E) < 1e-4:
+    try:
+        near_branch_point = abs(z + _INV_E) < 1e-4
+    except OverflowError:  # |z| beyond the largest float, as for 1.7e308 (1 + i)
+        raise InvalidInput(f"lambert_w argument {z} has |z| beyond 1.8e308") from None
+    if near_branch_point:
         # Halley degenerates at the double root w = -1; the series is already
         # at machine precision here. The two sheets meeting at -1/e are
         # (0, -1) on the closed upper half plane and (0, +1) below it; the

@@ -5,7 +5,7 @@ The decay width is the Lorentzian-weighted integral of the squared
 interaction matrix element,
 
     Gbar = integral_0^inf  Gamma_R / ((E - E_R)^2 + (Gamma_R/2)^2) M^2(E) dE
-         = (2 lam^2 / a^2) |N|^2 exp(2 beta a) * C,
+         = 2 lam^2 |N|^2 exp(2 beta) * C,
 
 and the dimensionless decay constant is Gamma = Gbar / Gamma_R. For bound
 and virtual poles the Lorentzian degenerates to 1/(E - E_pole)^2 with
@@ -14,7 +14,7 @@ E_pole < 0, a proper integral that yields the decay constant directly
 for zero-width poles).
 
 With E = k^2 each of these integrals, and the two-resonance
-normalization in spectra, has the form int_{-inf}^{inf} sin^2(ka) R(k) dk
+normalization in spectra, has the form int_{-inf}^{inf} sin^2(k) R(k) dk
 with R even and rational, so it is a finite sum of residues at the
 S-matrix poles (:func:`_sin2_pair`). That residue sum is the only path
 the library has; the test suite checks it against an independent
@@ -25,8 +25,10 @@ Gbar_sharp = 2 pi M^2(E_R), Gamma_sharp = Gbar_sharp / Gamma_R.
 
 One row kernel, :func:`observables_record`, forms a whole table row: it
 reads each pole field once, forms the residue normalization
-(2 lam^2 / a^2) |N|^2 exp(2 beta a) once, and every observable inline
-from it. The per-quantity functions read their values from its record.
+2 lam^2 |N|^2 exp(2 beta) once, and every observable inline from it. The
+per-quantity functions read their values from its record.
+Units are those of :mod:`deltashell.potential` (a = 1). The command line
+scales a row to radius a: k by 1/a, energies and widths by 1/a^2, C by a.
 
 Everything here is scalar Python arithmetic with no numpy import; the
 integrands on energy grids (dGbar/dE, dGamma/dE) live in
@@ -105,29 +107,29 @@ def _require_kind(pole: Pole, *kinds: PoleKind) -> None:
         raise InvalidInput(f"operation defined for {allowed} poles, got {pole.kind.value}")
 
 
-def _sin2_pair(a: float, q1: complex, q2: complex) -> complex:
-    """S(q1, q2) = int_{-inf}^{inf} sin^2(ka) / ((k^2 - q1^2)(k^2 - q2^2)) dk.
+def _sin2_pair(q1: complex, q2: complex) -> complex:
+    """S(q1, q2) = int_{-inf}^{inf} sin^2(k) / ((k^2 - q1^2)(k^2 - q2^2)) dk.
 
-    Needs Im q1 > 0 and Im q2 > 0. The integrand is even, so sin^2(ka)
-    may be replaced by (1 - e^{2ika})/2; closing the contour in the upper
+    Needs Im q1 > 0 and Im q2 > 0. The integrand is even, so sin^2(k)
+    may be replaced by (1 - e^{2ik})/2; closing the contour in the upper
     half plane leaves the residues at k = q1 and k = q2:
 
-        S = pi i [f(q1) - f(q2)] / (q1^2 - q2^2),  f(q) = (1 - e^{2iqa}) / (2q).
+        S = pi i [f(q1) - f(q2)] / (q1^2 - q2^2),  f(q) = (1 - e^{2iq}) / (2q).
 
-    f uses the complex expm1, whose real part is built from sin^2(a Re q)
-    and expm1(-2a Im q): for a sharp resonance e^{2iqa} is close to 1, and
+    f uses the complex expm1, whose real part is built from sin^2(Re q)
+    and expm1(-2 Im q): for a sharp resonance e^{2iq} is close to 1, and
     the plain difference would lose about lam * eps.
 
     The double pole q1 = q2 = q gives pi i f'(q) / (2q), written with
-    u = 2iqa as -pi i e^u (expm1(-u) + u) / (4 q^3), which for u -> 0
+    u = 2iq as -pi i e^u (expm1(-u) + u) / (4 q^3), which for u -> 0
     (a pole near threshold) loses only eps/|u| instead of eps/|u|^2.
     """
     if q1 == q2:
-        u = 2j * q1 * a
+        u = 2j * q1
         return -math.pi * 1j * cmath.exp(u) * (_expm1(-u) + u) / (4.0 * q1**3)
 
     def f(q):
-        return -_expm1(2j * q * a) / (2.0 * q)
+        return -_expm1(2j * q) / (2.0 * q)
 
     return math.pi * 1j * (f(q1) - f(q2)) / (q1 * q1 - q2 * q2)
 
@@ -165,7 +167,7 @@ def decay_constant_total(spec: PotentialSpec, pole: Pole) -> float:
     Resonances: Gamma = Gbar / Gamma_R. Bound and virtual poles: the
     degenerate-Lorentzian integral int M^2(E)/(E + kappa^2)^2 dE with
     kappa = |Im k|, a double pole of the residue sum,
-    Gamma = (lam^2 / (pi a^2)) |N|^2 exp(2 beta a) S(i kappa, i kappa)
+    Gamma = (lam^2 / pi) |N|^2 exp(2 beta) S(i kappa, i kappa)
     (1 for a bound state, since there the residue normalization coincides
     with the usual norm).
     """
@@ -176,7 +178,7 @@ def golden_rule_sharp(spec: PotentialSpec, pole: Pole):
     """Sharp-resonance approximations (gamma_bar_sharp, gamma_sharp).
 
     Replacing the Lorentzian by a delta function gives
-    Gbar_sharp = (2 lam^2/a^2) sin^2(k~ a)/k~ * |N|^2 exp(2 beta a) with
+    Gbar_sharp = 2 lam^2 sin^2(k~)/k~ * |N|^2 exp(2 beta) with
     k~ = sqrt(E_R); identically equal to 2 pi M^2(E_R).
     """
     _require_kind(pole, _RESONANCE)
@@ -193,20 +195,19 @@ def observables_record(spec: PotentialSpec, pole: Pole) -> ObservablesRecord:
     kind = pole.kind
     if kind not in _ROW_KINDS:
         _require_kind(pole, *_ROW_KINDS)
-    lam, a = spec.lam, spec.a
-    k, z, gamma_R = pole.k, pole.z, pole.gamma_R
-    # (2 lam^2 / a^2) |N|^2 exp(2 beta a): the one residue normalization of a row
-    prefactor = (2.0 * lam**2 / a**2) * _shell_density(spec, pole)
+    lam, k, z, gamma_R = spec.lam, pole.k, pole.z, pole.gamma_R
+    # 2 lam^2 |N|^2 exp(2 beta): the one residue normalization of a row
+    prefactor = 2.0 * lam**2 * _shell_density(spec, pole)
     if kind is not _RESONANCE:
         q = 1j * abs(k.imag)
-        gamma = prefactor / (2.0 * math.pi) * _sin2_pair(a, q, q).real
+        gamma = prefactor / (2.0 * math.pi) * _sin2_pair(q, q).real
         return ObservablesRecord(lam, kind, pole.index, k, z, gamma_R, 0.0, gamma,
                                  None, None, None)
-    # C = int (1/pi) (G/2)/((E-E_R)^2+(G/2)^2) sin^2(ka)/k dE
-    #   = (Gamma_R / 2 pi) S(-k_R, conj k_R) = Re[(1 - e^{-2 i k_R a}) / (2 k_R)]
+    # C = int (1/pi) (G/2)/((E-E_R)^2+(G/2)^2) sin^2(k)/k dE
+    #   = (Gamma_R / 2 pi) S(-k_R, conj k_R) = Re[(1 - e^{-2 i k_R}) / (2 k_R)]
     # S(-k_R, conj k_R) with f(conj k_R) = -conj f(-k_R): one expm1, not two
     q1, q2 = -k, k.conjugate()
-    f1 = -_expm1(2j * q1 * a) / (2.0 * q1)
+    f1 = -_expm1(2j * q1) / (2.0 * q1)
     s = math.pi * 1j * (f1 + f1.conjugate()) / (q1 * q1 - q2 * q2)
     c_value = gamma_R / (2.0 * math.pi) * s.real
     gamma_bar = prefactor * c_value
@@ -214,7 +215,7 @@ def observables_record(spec: PotentialSpec, pole: Pole) -> ObservablesRecord:
     e_R = z.real  # pole.e_R, without the property call
     if e_R > 0.0:
         kt = math.sqrt(e_R)
-        gbs = prefactor * math.sin(kt * a) ** 2 / kt
+        gbs = prefactor * math.sin(kt) ** 2 / kt
         gs = gbs / gamma_R
     return ObservablesRecord(lam, kind, pole.index, k, z, gamma_R, gamma_bar,
                              gamma_bar / gamma_R, gbs, gs, c_value)

@@ -1,10 +1,10 @@
 """Enumerate and classify the S-matrix poles of the shell potential.
 
 Poles are the zeros of the incoming Jost function, i.e. the complex roots
-of ``2 i k a + lam * (exp(2 i k a) - 1) = 0``. With ``t = lam - 2 i a k``
-this becomes ``t exp(t) = lam exp(lam)``, so every pole is
+of ``2 i k + lam * (exp(2 i k) - 1) = 0`` (k in units of 1/a). With
+``t = lam - 2 i k`` this becomes ``t exp(t) = lam exp(lam)``, so every pole is
 
-    k = (lam - W_n(lam * exp(lam))) / (2 i a)
+    k = (lam - W_n(lam * exp(lam))) / (2 i)
 
 for some branch n of the Lambert W function. Branch bookkeeping:
 
@@ -24,12 +24,12 @@ imaginary axis) on the transcendental equation itself, which drives the
 equation residual to the evaluation noise floor (~1e-13 for |lam| = 100).
 
 The residue normalization of each pole, N^2 = i res_k S, is formed here
-too, as one closed form in t = lam e^{2ika} = W_n (lam e^lam):
+too, as one closed form in t = lam e^{2ik} = W_n (lam e^lam):
 
-    N^2 = 2 a k^2 / (t (1 + t)),
+    N^2 = 2 k^2 / (t (1 + t)),
 
 valid only on a pole of the spec, and degenerate (a double pole) where
-1 + t = (1 + lam) - 2ika vanishes. No Jost function is evaluated.
+1 + t = (1 + lam) - 2ik vanishes. No Jost function is evaluated.
 """
 
 from __future__ import annotations
@@ -62,21 +62,21 @@ _IMAGINARY_STEPS = 3  # Newton steps polishing a bound or virtual state
 
 
 def transcendental_residual(spec: PotentialSpec, k: complex) -> float:
-    """|2ika + lam (exp(2ika) - 1)|, the pole-equation residual at k."""
-    x = 2j * k * spec.a
+    """|2ik + lam (exp(2ik) - 1)|, the pole-equation residual at k."""
+    x = 2j * k
     return abs(x + spec.lam * (cmath.exp(x) - 1.0))
 
 
 def _polish_complex(spec: PotentialSpec, k: complex) -> complex:
-    # Newton on f(k) = 2ika + lam(e^{2ika} - 1); recovers the precision lost
+    # Newton on f(k) = 2ik + lam(e^{2ik} - 1); recovers the precision lost
     # to cancellation in lam - W when |lam| is large.
-    lam, a = spec.lam, spec.a
+    lam = spec.lam
     exp = cmath.exp
     try:
         for _ in range(_COMPLEX_STEPS):
-            x = 2j * k * a
+            x = 2j * k
             e = exp(x)
-            k = k - (x + lam * (e - 1.0)) / (2j * a * (1.0 + lam * e))
+            k = k - (x + lam * (e - 1.0)) / (2j * (1.0 + lam * e))
     except ZeroDivisionError:  # f'(k) = 0: keep k
         pass
     return k
@@ -85,10 +85,10 @@ def _polish_complex(spec: PotentialSpec, k: complex) -> complex:
 def _polish_imaginary(spec: PotentialSpec, y: float) -> float:
     # Same Newton step restricted to k = i y, so bound/virtual poles stay
     # exactly on the imaginary axis.
-    lam, a = spec.lam, spec.a
+    lam = spec.lam
     for _ in range(_IMAGINARY_STEPS):
-        f = -2.0 * y * a + lam * math.expm1(-2.0 * y * a)
-        fp = -2.0 * a * (1.0 + lam * math.exp(-2.0 * y * a))
+        f = -2.0 * y + lam * math.expm1(-2.0 * y)
+        fp = -2.0 * (1.0 + lam * math.exp(-2.0 * y))
         if fp == 0:
             break
         y = y - f / fp
@@ -124,7 +124,7 @@ def find_resonance(spec: PotentialSpec, n: int) -> Pole:
     if (pole := spec._resonances.get(n)) is None:
         m = n if spec.lam > 0 else n + 1
         w = lambert_w(-m, spec._w_argument)
-        k = _polish_complex(spec, (spec.lam - w) / (2j * spec.a))
+        k = _polish_complex(spec, (spec.lam - w) / 2j)
         if not (k.real > 0 and k.imag < 0):
             raise NonConvergence(f"branch {-m} root {k} is not in the fourth quadrant")
         pole = Pole(_RESONANCE, -m, n, k, k * k)
@@ -174,7 +174,7 @@ def _threshold_pole(spec: PotentialSpec, kind: PoleKind) -> Pole:
     if _threshold_kind(spec) is not kind:
         raise NoSuchPole(f"no {name} state for strength {spec.lam}")
     w = lambert_w(branch, spec._w_argument)
-    y = _polish_imaginary(spec, -(spec.lam - w.real) / (2.0 * spec.a))
+    y = _polish_imaginary(spec, -(spec.lam - w.real) / 2.0)
     if not (y > 0 if side == "positive" else y < 0):
         raise NonConvergence(f"{name}-state root left the {side} imaginary axis")
     k = complex(0.0, y)
@@ -210,10 +210,10 @@ def zeldovich_norm(spec: PotentialSpec, pole: Pole) -> complex:
     """N^2 = i res_k S, the squared residue normalization of a pole of ``spec``.
 
     ``pole`` must be a pole of ``spec``: the closed form below holds only
-    there. With x = 2ika the pole equation reads t = lam - x = lam e^x,
+    there. With x = 2ik the pole equation reads t = lam - x = lam e^x,
     which is W_n(lam e^lam) of the pole's branch, and
 
-        N^2 = 2 a k^2 / (t (1 + t)) = 2 a k^2 / (lam e^x ((1 + lam) - x)),
+        N^2 = 2 k^2 / (t (1 + t)) = 2 k^2 / (lam e^x ((1 + lam) - x)),
 
     the 1/(1 + W) factor of W'(z) = W / (z (1 + W)). 1 + t is formed as
     (1 + lam) - x, exact near lam = -1, and t as lam e^x, which does not
@@ -226,17 +226,17 @@ def zeldovich_norm(spec: PotentialSpec, pole: Pole) -> complex:
     k = complex(pole.k)
     if k == 0:
         raise InvalidInput("Jost functions are singular at k = 0")
-    x = 2j * k * spec.a
+    x = 2j * k
     one_plus_t = (1.0 + spec.lam) - x
     if abs(one_plus_t) < _DEGENERATE_TOL * 2.0 * abs(k):
         raise DegeneratePole(f"J2'({pole.k}) is numerically zero; double pole?")
-    return 2.0 * spec.a * k * k / (spec.lam * cmath.exp(x) * one_plus_t)
+    return 2.0 * k * k / (spec.lam * cmath.exp(x) * one_plus_t)
 
 
 def _shell_density(spec: PotentialSpec, pole: Pole) -> float:
-    """|N|^2 exp(2 beta a) = |u(a)|^2, formed before any lam^2 factor.
+    """|N|^2 exp(2 beta) = |u(1)|^2 at the shell, formed before any lam^2 factor.
 
-    Near lam = -700 the bound state has |N|^2 ~ 1e306 and exp(2 beta a)
+    Near lam = -700 the bound state has |N|^2 ~ 1e306 and exp(2 beta)
     ~ 1e-304; multiplying lam^2 into |N|^2 first would overflow.
     """
-    return abs(zeldovich_norm(spec, pole)) * math.exp(2.0 * pole.beta_R * spec.a)
+    return abs(zeldovich_norm(spec, pole)) * math.exp(2.0 * pole.beta_R)

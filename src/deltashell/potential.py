@@ -1,11 +1,12 @@
 """Potential description and S-matrix pole records.
 
-The shell potential ``V(r) = g * delta(r - a)`` is fully characterized by
-the dimensionless strength ``lambda = 2 m g a / ħ^2`` and the radius
-``a``. The library works in reduced units only (``ħ^2/2m = 1``, energies
-``E = k^2``, wave numbers in units of ``1/a``): a spec is ``(lam, a)``, and
-rescaling reported energies by a physical ``ħ^2/2m`` is the command line's
-job (:mod:`deltashell.cli`).
+The shell potential ``V(r) = g * delta(r - a)`` has one physical parameter,
+the dimensionless strength ``lambda = 2 m g a / ħ^2``: every pole is
+``k = (lam - W_n(lam e^lam)) / (2 i a)``, and the radius only sets the
+scale. So the library works in units of the radius and in reduced units
+(``a = 1``, ``ħ^2/2m = 1``, ``E = k^2``), and a spec is ``lam`` alone;
+giving the reported numbers a radius and a physical ``ħ^2/2m`` is the
+command line's job (:mod:`deltashell.cli`).
 
 Both records are frozen dataclasses, so ``==``, ``hash``, ``repr``,
 ``fields``, ``asdict``, ``replace``, pickling and ``FrozenInstanceError``
@@ -47,15 +48,13 @@ _AXIS_KINDS = (_BOUND, _VIRTUAL_STATE)
 
 @dataclass(frozen=True)
 class PotentialSpec:
-    """Shell strength and radius.
+    """Shell strength; the radius is the unit of length.
 
     Attributes
     ----------
     lam : float
         Dimensionless strength; must be nonzero. Positive for a barrier,
         negative for a well.
-    a : float
-        Shell radius, > 0. Wave numbers are reported in units of 1/a.
 
     Two things live on a spec outside the fields: lam * exp(lam), the
     Lambert W argument of every pole, formed once here, and the memo of
@@ -64,32 +63,23 @@ class PotentialSpec:
     """
 
     lam: float
-    a: float = 1.0
 
-    def __init__(self, lam, a=1.0):
+    def __init__(self, lam):
         if not math.isfinite(lam) or lam == 0.0:
             raise InvalidInput("potential strength must be finite and nonzero")
         if abs(lam) > 700.0:
             raise InvalidInput("strength magnitude beyond 700 overflows lambda*exp(lambda)")
-        if not (a > 0.0 and math.isfinite(a)):
-            raise InvalidInput("shell radius must be positive and finite")
         fields = self.__dict__
         fields["lam"] = lam
-        fields["a"] = a
         fields["_w_argument"] = lam * math.exp(lam)
         fields["_resonances"] = {}
-
-    @property
-    def coupling(self) -> float:
-        """Shell coupling g in reduced units: g = lam / a."""
-        return self.lam / self.a
 
 
 @dataclass(frozen=True)
 class Pole:
     """One S-matrix pole in the complex wave-number plane.
 
-    ``z = k**2`` holds to round-off (reduced units). ``gamma_R = -2 Im z``
+    ``z = k**2`` holds to round-off (units of the radius, reduced units). ``gamma_R = -2 Im z``
     is the pole width: positive for resonances, exactly zero for bound and
     virtual poles, and negative for anti-resonances (the mirror pole).
     """

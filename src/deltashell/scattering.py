@@ -1,10 +1,11 @@
 """Jost functions, S-matrix, resonant wavefunction and matrix element on grids.
 
 The wave number k is the canonical variable throughout; energy-plane
-objects are defined through E = k^2 (reduced units), which sidesteps the
-square-root branch ambiguity in the energy plane. All evaluators accept
-scalars or numpy arrays of k (or E) values. The residue normalization
-they rest on is scalar and lives in :mod:`deltashell.poles`.
+objects are defined through E = k^2, which sidesteps the square-root
+branch ambiguity in the energy plane. k is in units of 1/a, E of
+ħ^2/(2m a^2) and r of a. All evaluators accept scalars or numpy arrays of
+k (or E) values. The residue normalization they rest on is scalar and
+lives in :mod:`deltashell.poles`.
 """
 
 from __future__ import annotations
@@ -52,17 +53,16 @@ def _lorentz_denominator(pole: Pole, e):
 def jost(spec: PotentialSpec, k):
     """Jost functions (J1, J2) at complex wave number k (vectorized).
 
-    J_{1,2} = (1/4k) [ -/+ 2ik + (lam/a) (exp(-/+ 2ika) - 1) ].
+    J_{1,2} = (1/4k) [ -/+ 2ik + lam (exp(-/+ 2ik) - 1) ].
     For real k > 0, J1 = conj(J2), which makes |S| = 1 on the real axis.
     """
     k = np.asarray(k, dtype=complex)
     if np.any(k == 0):
         raise InvalidInput("Jost functions are singular at k = 0")
-    g = spec.lam / spec.a
-    up = np.exp(-2j * k * spec.a)
-    dn = np.exp(+2j * k * spec.a)
-    j1 = (-2j * k + g * (up - 1.0)) / (4.0 * k)
-    j2 = (+2j * k + g * (dn - 1.0)) / (4.0 * k)
+    up = np.exp(-2j * k)
+    dn = np.exp(+2j * k)
+    j1 = (-2j * k + spec.lam * (up - 1.0)) / (4.0 * k)
+    j2 = (+2j * k + spec.lam * (dn - 1.0)) / (4.0 * k)
     if j1.ndim == 0:
         return complex(j1), complex(j2)
     return j1, j2
@@ -91,8 +91,8 @@ def s_matrix_energy(spec: PotentialSpec, e):
 def resonant_wavefunction(spec: PotentialSpec, pole: Pole, r):
     """Pole eigenfunction u(r): N sin(k r)/J1(k) inside, N exp(i k r) outside.
 
-    The two branches agree at r = a because J2(k_R) = 0 makes
-    sin(k a)/J1(k a) = exp(i k a) automatically. The overall phase follows
+    r is in units of a: the branches agree at the shell, r = 1, because
+    J2(k_R) = 0 makes sin(k)/J1(k) = exp(i k) automatically. The overall phase follows
     the principal square root of N^2; every downstream observable depends
     only on |N|^2.
     """
@@ -103,42 +103,42 @@ def resonant_wavefunction(spec: PotentialSpec, pole: Pole, r):
     j1, _ = jost(spec, pole.k)
     inside = n_r * np.sin(pole.k * r) / j1
     outside = n_r * np.exp(1j * pole.k * r)
-    u = np.where(r < spec.a, inside, outside)
+    u = np.where(r < 1.0, inside, outside)
     return _scalar_or_array(u)
 
 
 def _shell_amplitude(spec: PotentialSpec, pole: Pole) -> complex:
-    """u(a) = N exp(i k a), with N the principal root of N^2."""
+    """u(1) = N exp(i k), the state at the shell, with N the principal root of N^2."""
     n_r = np.sqrt(zeldovich_norm(spec, pole))
-    return n_r * np.exp(1j * pole.k * spec.a)
+    return n_r * np.exp(1j * pole.k)
 
 
 def matrix_element_squared(spec: PotentialSpec, pole: Pole, e):
     """|<E|V|pole>|^2 at scattering energy E > 0 (vectorized).
 
-    In reduced units:
-        M^2(E) = (lam^2 / (pi a^2)) sin^2(k a)/k * |N|^2 exp(2 beta a),
-    with k = sqrt(E). Zeros sit exactly on the lattice E = (m pi / a)^2;
+    In units of the radius and reduced units:
+        M^2(E) = (lam^2 / pi) sin^2(k)/k * |N|^2 exp(2 beta),
+    with k = sqrt(E). Zeros sit exactly on the lattice E = (m pi)^2;
     the prefactor is fixed by matching the differential decay width against
     its Lorentzian-times-matrix-element form.
     """
     e = _energies(e)
     k = np.sqrt(e)
-    pref = (spec.lam**2 / (np.pi * spec.a**2)) * _shell_density(spec, pole)
-    out = pref * np.sin(k * spec.a) ** 2 / k
+    pref = (spec.lam**2 / np.pi) * _shell_density(spec, pole)
+    out = pref * np.sin(k) ** 2 / k
     return _scalar_or_array(out)
 
 
 def matrix_element(spec: PotentialSpec, pole: Pole, e):
-    """Complex <E|V|pole> = g * chi(a;E) * u(a;pole), for interference terms.
+    """Complex <E|V|pole> = lam * chi(E) * u(pole) at the shell, for interference terms.
 
-    chi(a;E) = sqrt(1/pi) E^{-1/4} sin(k a) is the real scattering-state
+    chi(E) = sqrt(1/pi) E^{-1/4} sin(k) is the real scattering-state
     factor at the shell, so the cross-term phase comes entirely from
-    u(a) = N exp(i k_R a) with N the principal root of N^2. The squared
+    u = N exp(i k_R) with N the principal root of N^2. The squared
     modulus reproduces matrix_element_squared exactly.
     """
     e = _energies(e)
     k = np.sqrt(e)
-    chi = np.sqrt(1.0 / np.pi) * e ** (-0.25) * np.sin(k * spec.a)
-    out = spec.coupling * chi * _shell_amplitude(spec, pole)
+    chi = np.sqrt(1.0 / np.pi) * e ** (-0.25) * np.sin(k)
+    out = spec.lam * chi * _shell_amplitude(spec, pole)
     return _scalar_or_array(out)

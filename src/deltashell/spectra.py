@@ -20,7 +20,9 @@ pole terms, |c1 <E|z1> + c2 <E|z2>|^2 with <E|z> = <E|V|z>/(z - E); the
 cross-term phase convention lives in scattering.matrix_element.
 
 Both normalizations, Gamma and the integral of the coherent sum, are
-closed-form residue sums (observables._sin2_pair).
+closed-form residue sums (observables._sin2_pair). Units are those of
+:mod:`deltashell.potential` (a = 1); the command line scales a curve to
+radius a: E and M^2 by 1/a^2, each density by a^2.
 """
 
 from __future__ import annotations
@@ -173,18 +175,18 @@ def _coherent_sum(spec, pole1, pole2, cfg, e):
 def _coherent_norm(spec, pole1, pole2, cfg) -> float:
     """Integral of _coherent_sum over (0, inf) as a residue sum.
 
-    With m_i(E) = g chi(a;E) u_i, g^2 chi^2 = (g^2/pi) sin^2(ka)/k, and
+    With m_i(E) = lam chi(E) u_i, lam^2 chi^2 = (lam^2/pi) sin^2(k)/k, and
     E = k^2, each term c_i conj(c_j) m_i conj(m_j) / ((z_i - E)(conj z_j - E))
-    integrates to (g^2/pi) c_i conj(c_j) u_i conj(u_j) S(-k_i, conj k_j).
+    integrates to (lam^2/pi) c_i conj(c_j) u_i conj(u_j) S(-k_i, conj k_j).
     """
     terms = [(complex(c) * _shell_amplitude(spec, p), p.k) for c, p in
              ((cfg.c1, pole1), (cfg.c2, pole2))]
     total = sum(
-        wi * wj.conjugate() * _sin2_pair(spec.a, -ki, kj.conjugate())
+        wi * wj.conjugate() * _sin2_pair(-ki, kj.conjugate())
         for wi, ki in terms
         for wj, kj in terms
     )
-    return spec.coupling**2 / math.pi * total.real
+    return spec.lam**2 / math.pi * total.real
 
 
 def interference_spectrum(

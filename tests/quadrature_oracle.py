@@ -243,7 +243,7 @@ def perturbation_rhs(
     req = QuadratureRequest(
         peak_center=pole.e_R,
         peak_halfwidth=0.5 * pole.gamma_R,
-        oscillation_wavenumber=math.pi / spec.a,
+        oscillation_wavenumber=math.pi,
         rel_tol=rel_tol,
         abs_tol=abs_tol,
     )

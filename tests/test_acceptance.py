@@ -142,7 +142,7 @@ def _spectrum_normalization(spec, pole):
     hw = 0.5 * pole.gamma_R if pole.gamma_R > 0 else 1.0
     req = QuadratureRequest(
         peak_center=pole.e_R, peak_halfwidth=hw,
-        oscillation_wavenumber=math.pi / spec.a,
+        oscillation_wavenumber=math.pi,
     )
     gamma = decay_constant_total(spec, pole)
     value, _ = integrate_semi_infinite(

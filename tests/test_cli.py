@@ -246,6 +246,42 @@ def test_spectrum_virtual(capsys):
     assert max(values) > values[-1]
 
 
+_SPECTRUM_LINE = ["spectrum", "--lambda", "-0.5", "--emin", "0.1", "--emax", "1"]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_spectrum_takes_index_or_virtual_not_both(fmt, capsys):
+    # --index used to be dropped without a word when --virtual was given
+    argv = _SPECTRUM_LINE + ["--virtual", "--index", "3", "--format", fmt]
+    assert _argparse_exit(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(
+        "deltashell spectrum: error: argument --index: not allowed with argument --virtual\n")
+    assert _argparse_exit(_SPECTRUM_LINE + ["--format", fmt]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(
+        "deltashell spectrum: error: one of the arguments --index --virtual is required\n")
+
+
+@pytest.mark.parametrize("command", ["spectrum", "interfere", "cross-section"])
+def test_curve_config_refuses_units_keys(command, tmp_path, capsys):
+    # a command's config keys are the long options of its parents; curves have no units
+    cfg = tmp_path / "run.cfg"
+    for line in ("units=physical", "mass=2", "hbar=1"):
+        cfg.write_text(f"lambda=100\n{line}\n")
+        argv = [command, "--config", str(cfg), *_CURVE_LINES[command], "--points", "3"]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: unknown config key {line.split('=')[0]!r}\n"
+    cfg.write_text("lambda=100\nradius=2\nformat=json\n")
+    code, out = run_main([command, "--config", str(cfg), *_CURVE_LINES[command],
+                          "--points", "3"], capsys)
+    assert code == 0 and json.loads(out)["meta"]["a"] == 2.0
+
+
 def test_spectrum_bad_points_exits_2():
     proc = run_cli(
         "spectrum", "--lambda", "100", "--index", "3",
@@ -387,6 +423,15 @@ def test_lambertw_command(capsys):
 def test_lambertw_invalid_exits_2():
     proc = run_cli("lambertw", "--branch", "2", "--re", "0", "--im", "0")
     assert proc.returncode == 2
+
+
+def test_lambertw_modulus_overflow_exits_2(capsys):
+    # it used to exit 3 with "numerical failure: absolute value too large"
+    code = cli.main(["lambertw", "--branch", "0", "--re", "1.7e308", "--im", "1.7e308"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == (
+        "error: lambert_w argument (1.7e+308+1.7e+308j) has |z| beyond 1.8e308\n")
 
 
 def test_output_file_and_plot_script(tmp_path, capsys):
@@ -787,20 +832,21 @@ _CURVE_LINES = {
 @pytest.mark.parametrize("command", list(_CURVE_LINES))
 def test_curves_refuse_physical_units(command, fmt, to_file, tmp_path, capsys):
     # curves are written in reduced units only; they used to print reduced
-    # numbers under a "physical" label
+    # numbers under a "physical" label. Their parsers have no units options.
     target = tmp_path / "curve.out"
     argv = [command, "--lambda", "100", *_CURVE_LINES[command], "--points", "3",
             "--units", "physical", "--mass", "2", "--format", fmt]
-    code = cli.main(argv + (["--output", str(target)] if to_file else []))
+    code = _argparse_exit(argv + (["--output", str(target)] if to_file else []))
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
-    assert captured.err == (f"error: {command} writes reduced units only; "
-                            "--units physical applies to poles and table\n")
+    assert captured.err.endswith(
+        "deltashell: error: unrecognized arguments: --units physical --mass 2\n")
     assert not target.exists()
 
 
-# --mass and --hbar are physical-units options; lambertw has no units at all,
-# and its parser has no such options. An explicit 1 is given all the same.
+# --mass and --hbar are physical-units options; the curves and lambertw have
+# no units at all, and their parsers have no such options. An explicit 1 is
+# given all the same.
 _UNITLESS_LINES = {
     "table": ["table", "--lambda", "10", "--count", "1", "--mass", "2", "--hbar", "1.5"],
     "poles-hbar-1": ["poles", "--lambda", "10", "--count", "1", "--hbar", "1"],
@@ -820,13 +866,13 @@ def test_mass_and_hbar_need_physical_units(line, fmt, to_file, tmp_path, capsys)
     # they used to be dropped without a word: the table printed reduced energies
     target = tmp_path / "rows.out"
     argv = line + ["--format", fmt] + (["--output", str(target)] if to_file else [])
-    if line[0] == "lambertw":
+    if line[0] in ("lambertw", "spectrum"):
         code = _argparse_exit(argv)
     else:
         code = cli.main(argv)
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
-    if line[0] == "lambertw":
+    if line[0] in ("lambertw", "spectrum"):
         assert "deltashell: error: unrecognized arguments: " in captured.err
     else:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
@@ -864,12 +910,13 @@ def test_lambertw_refuses_spec_flags(extra, fmt, tmp_path, capsys):
 
 
 def test_lambertw_refuses_a_spec_line_in_its_config(tmp_path, capsys):
+    # a command's config keys are the long options of its own parents
     cfg = tmp_path / "run.cfg"
     cfg.write_text("format=json\nlambda=5\n")
-    assert _argparse_exit(["lambertw", "--config", str(cfg), "--branch", "0", "--re", "1"]) == 2
+    assert cli.main(["lambertw", "--config", str(cfg), "--branch", "0", "--re", "1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "deltashell: error: unrecognized arguments: --lambda=5" in captured.err
+    assert captured.err == "error: unknown config key 'lambda'\n"
     cfg.write_text("format=json\n")
     code, out = run_main(["lambertw", "--config", str(cfg), "--branch", "0", "--re", "1"], capsys)
     assert code == 0 and json.loads(out)["rows"][0]["branch"] == 0
@@ -913,9 +960,9 @@ def test_curve_edge_values_match_per_cell_format(length, fmt, capsys):
               1234567891.0, 0.1 + 0.2, 1e-5, 9.999999995e-5]
     edge = np.resize(np.array(values), length)
     grid = np.arange(1.0, edge.size + 1.0)
-    args = SimpleNamespace(format=fmt, output=None, emit_plot_script=False)
+    args = SimpleNamespace(format=fmt, output=None, emit_plot_script=False, radius=1.0)
     spec = PotentialSpec(lam=10.0)
-    cli._emit_curve(args, spec, grid, [("v", edge), ("skipped", None), ("w", edge[::-1])])
+    cli._emit_curve(args, spec, None, grid, [("v", edge), ("skipped", None), ("w", edge[::-1])])
     out = capsys.readouterr().out
     meta = cli._meta(spec) if fmt == "json" else None
     assert out == per_cell_curve_bytes(fmt, ["E", "v", "w"], [grid, edge, edge[::-1]], meta)
@@ -941,9 +988,9 @@ def test_curve_token_fast_path_matches_per_cell_format(values):
     grid, w = v[::-1].copy(), -v  # -v: the negative side of every case
     spec = PotentialSpec(lam=10.0)
     for fmt in ("csv", "json"):
-        args = SimpleNamespace(format=fmt, output=None, emit_plot_script=False)
+        args = SimpleNamespace(format=fmt, output=None, emit_plot_script=False, radius=1.0)
         with contextlib.redirect_stdout(io.StringIO()) as out:
-            cli._emit_curve(args, spec, grid, [("v", v), ("w", w)])
+            cli._emit_curve(args, spec, None, grid, [("v", v), ("w", w)])
         meta = cli._meta(spec) if fmt == "json" else None
         assert out.getvalue() == per_cell_curve_bytes(fmt, ["E", "v", "w"], [grid, v, w], meta)
 

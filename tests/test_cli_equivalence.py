@@ -48,32 +48,34 @@ class _Refused(Exception):
 
 def _per_cell_rows(fmt, columns, rows, case):
     """Reference row writer: one getter, one scaling and one format per cell;
-    None where a finite nonzero energy scales to 0, a subnormal or inf."""
-    spec, units, scale = case
+    None where a finite nonzero value scales to 0, a subnormal or inf."""
+    spec, units, energy_scale, a = case
+    scales = cli._scales(a, energy_scale) or {}
     if fmt == "csv":
-        columns = [column for column in columns if column[2]]
+        columns = [column for column in columns if column[0] not in cli._JSON_ONLY]
 
-    def get(row, path, kind):
+    def get(row, path, dim):
         for attr in path.split("."):
             row = getattr(row, attr)
-        if kind != "E" or row is None or scale == 1.0:
+        mul, div = scales.get(dim, (1.0, 1.0))
+        if row is None or (mul, div) == (1.0, 1.0):
             return row
-        value = row * scale
+        value = row * mul / div
         if row != 0.0 and math.isfinite(row) and not sys.float_info.min <= abs(value) < math.inf:
             raise _Refused
         return value
 
     try:
-        table = [[get(row, path, kind) for _, path, kind in columns] for row in rows]
+        table = [[get(row, path, dim) for _, path, dim in columns] for row in rows]
     except _Refused:
         return None
-    names = [name for name, _, _ in columns]
+    names = [column[0] for column in columns]
     if fmt == "json":
         payload = [
             {name: float("%.9g" % x) if isinstance(x, float) else x for name, x in zip(names, r)}
             for r in table
         ]
-        meta = cli._meta(spec, units)
+        meta = cli._meta(spec, a, units)
         return json.dumps({"meta": meta, "rows": payload}, separators=(",", ":")) + "\n"
 
     def cell(x):
@@ -86,13 +88,13 @@ def _per_cell_rows(fmt, columns, rows, case):
 
 
 def _row_bytes(fmt, columns, rows, case):
-    """The row writer's bytes; None, with nothing written, where it refuses an energy."""
-    spec, units, scale = case
+    """The row writer's bytes; None, with nothing written, where it refuses a value."""
+    spec, units, energy_scale, a = case
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         try:
-            cli._emit_rows(SimpleNamespace(format=fmt, output=None, units=units),
-                           spec, columns, rows, scale)
+            cli._emit_rows(SimpleNamespace(format=fmt, output=None, units=units, radius=a),
+                           spec, columns, rows, cli._scales(a, energy_scale))
         except InvalidInput:
             assert out.getvalue() == ""
             return None
@@ -120,17 +122,19 @@ _FLOATS = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True),
     st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e16, 999999999.5, 3.0]),
 )
-# (spec, --units, hbar^2/2m): no spec as for lambertw, reduced, and mass 2, hbar 1.5
-_CASES = [(None, "reduced", 1.0), (PotentialSpec(lam=2.0), "reduced", 1.0),
-          (PotentialSpec(lam=2.0), "physical", 1.5**2 / (2.0 * 2.0))]
+# (spec, --units, hbar^2/2m, --radius): no spec as for lambertw, reduced, mass 2 and
+# hbar 1.5, and radius 0.3, which scales the wave numbers and C too
+_CASES = [(None, "reduced", 1.0, 1.0), (PotentialSpec(lam=2.0), "reduced", 1.0, 1.0),
+          (PotentialSpec(lam=2.0), "physical", 1.5**2 / (2.0 * 2.0), 1.0),
+          (PotentialSpec(lam=2.0), "physical", 1.5**2 / (2.0 * 2.0), 0.3)]
 _COMMAND_COLUMNS = {"poles": cli._POLE_COLUMNS, "table": cli._TABLE_COLUMNS,
                     "lambertw": cli._LAMBERTW_COLUMNS}
 
 
 def _cells(columns, nullable):
     cells = []
-    for name, path, kind in columns:
-        if kind == "%s":
+    for name, _, dim in columns:
+        if dim == "%s":
             cells.append(st.sampled_from(["resonance", "bound"]) if name == "kind"
                          else st.integers(-10**6, 10**6))
         elif name in nullable:
@@ -153,7 +157,7 @@ def test_row_writer_matches_per_cell_reference(command, fmt, data, case):
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-@pytest.mark.parametrize("case", _CASES[1:], ids=["reduced", "physical"])
+@pytest.mark.parametrize("case", _CASES[1:3], ids=["reduced", "physical"])
 def test_row_writer_none_and_negative_zero_cells(fmt, case):
     columns = cli._TABLE_COLUMNS
     rows = [
@@ -247,8 +251,8 @@ def test_config_line_matches_full_parser(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("lambda=-10\nformat=json\n")
     argv = ["table", "--config", str(cfg), "--count", "2"]
-    parser, shared, _ = cli._build_parser()
-    tokens = cli._config_tokens(str(cfg), shared)
+    parser = cli._build_parser()[0]
+    tokens = cli._config_tokens(str(cfg), "table")
     line = argv[:1] + tokens + argv[1:]
     assert vars(cli._parse(line)) == vars(parser.parse_args(line))
     assert cli.main(argv) == 0
@@ -287,7 +291,7 @@ def _expected_rows(command, fmt, lam, units):
         z = complex(float(lam), 0.25)
         w = lambert_w(-1, z)
         row = SimpleNamespace(branch=-1, z=z, w=w, residual=lambert_w_residual(w, z))
-        return _per_cell_rows(fmt, cli._LAMBERTW_COLUMNS, [row], (None, "reduced", 1.0))
+        return _per_cell_rows(fmt, cli._LAMBERTW_COLUMNS, [row], (None, "reduced", 1.0, 1.0))
     if units == "reduced":
         return (FIXTURES / f"{command}_{lam}.{fmt}").read_text(encoding="utf-8")
     spec = PotentialSpec(lam=float(lam))
@@ -296,7 +300,7 @@ def _expected_rows(command, fmt, lam, units):
     else:
         rows = enumerate_poles(spec, 8) + [find_anti_resonance(spec, n) for n in range(1, 9)]
     return _per_cell_rows(fmt, _COMMAND_COLUMNS[command], rows,
-                          (spec, "physical", 1.5**2 / (2.0 * 2.0)))
+                          (spec, "physical", 1.5**2 / (2.0 * 2.0), 1.0))
 
 
 def test_layouts_hold_across_interleaved_commands(capsys):
@@ -327,11 +331,11 @@ def test_layouts_hold_across_interleaved_commands(capsys):
 
 
 def _polish_two_exponentials(spec, k, steps=2):
-    lam, a = spec.lam, spec.a
+    lam = spec.lam
     for _ in range(steps):
-        x = 2j * k * a
+        x = 2j * k
         f = x + lam * (cmath.exp(x) - 1.0)
-        fp = 2j * a * (1.0 + lam * cmath.exp(x))
+        fp = 2j * (1.0 + lam * cmath.exp(x))
         if fp == 0:
             break
         k = k - f / fp
@@ -369,19 +373,19 @@ def _record_by_helpers(spec, pole):
     kernel: the width prefactor, then C and Gbar from the two-exponential
     S(-k, conj k) (or the threshold constant S(i kappa, i kappa)), then the
     sharp pair where E_R > 0."""
-    prefactor = (2.0 * spec.lam**2 / spec.a**2) * _shell_density(spec, pole)
+    prefactor = 2.0 * spec.lam**2 * _shell_density(spec, pole)
     gamma_bar, c_value, gbs, gs = 0.0, None, None, None
     if pole.kind is not PoleKind.RESONANCE:
         q = 1j * abs(pole.k.imag)
-        gamma = prefactor / (2.0 * math.pi) * _sin2_pair(spec.a, q, q).real
+        gamma = prefactor / (2.0 * math.pi) * _sin2_pair(q, q).real
     else:
-        s = _sin2_pair(spec.a, -pole.k, pole.k.conjugate())
+        s = _sin2_pair(-pole.k, pole.k.conjugate())
         c_value = pole.gamma_R / (2.0 * math.pi) * s.real
         gamma_bar = prefactor * c_value
         gamma = gamma_bar / pole.gamma_R
         if pole.e_R > 0.0:
             kt = math.sqrt(pole.e_R)
-            gbs = prefactor * math.sin(kt * spec.a) ** 2 / kt
+            gbs = prefactor * math.sin(kt) ** 2 / kt
             gs = gbs / pole.gamma_R
     return ObservablesRecord(spec.lam, pole.kind, pole.index, pole.k, pole.z, pole.gamma_R,
                              gamma_bar, gamma, gbs, gs, c_value)

@@ -12,6 +12,9 @@ residue sum, observables._sin2_pair. Each is checked two ways:
 """
 
 import cmath
+import contextlib
+import io
+import json
 import math
 
 import mpmath as mp
@@ -55,9 +58,10 @@ def _quad(f, center, halfwidth, scale, a=1.0, extra=()):
     return value
 
 
-def _c_by_quadrature(spec, pole, scale):
-    """C = int (1/pi) (G/2)/((E-E_R)^2+(G/2)^2) sin^2(ka)/k dE, by quadrature."""
-    e_r, hw, a = pole.e_R, 0.5 * pole.gamma_R, spec.a
+def _c_by_quadrature(e_r, gamma_r, scale, a=1.0):
+    """C = int (1/pi) (G/2)/((E-E_R)^2+(G/2)^2) sin^2(ka)/k dE, by quadrature,
+    for a resonance at E_R - i G/2 of a shell of radius a."""
+    hw = 0.5 * gamma_r
 
     def f(e):
         k = np.sqrt(e)
@@ -75,21 +79,21 @@ def _resonances(lam):
 
 
 def _mp_pole(spec, pole):
-    lam, a = spec.lam, spec.a
-    return mp.findroot(lambda k: 2j * k * a + lam * (mp.exp(2j * k * a) - 1), mp.mpc(pole.k))
+    lam = spec.lam
+    return mp.findroot(lambda k: 2j * k + lam * (mp.exp(2j * k) - 1), mp.mpc(pole.k))
 
 
 def _mp_n_squared(spec, k):
-    """N^2 = i res_k S = -i J1 / J2'."""
-    lam, a = spec.lam, spec.a
-    j1 = (-2j * k + (lam / a) * (mp.exp(-2j * k * a) - 1)) / (4 * k)
-    j2p = 1j * (1 + lam * mp.exp(2j * k * a)) / (2 * k)
+    """N^2 = i res_k S = -i J1 / J2', in units of the radius."""
+    lam = spec.lam
+    j1 = (-2j * k + lam * (mp.exp(-2j * k) - 1)) / (4 * k)
+    j2p = 1j * (1 + lam * mp.exp(2j * k)) / (2 * k)
     return -1j * j1 / j2p
 
 
 def _mp_shell_density(spec, k):
-    """|N|^2 exp(2 beta a), beta = -Im k."""
-    return abs(_mp_n_squared(spec, k)) * mp.exp(-2 * mp.im(k) * spec.a)
+    """|N|^2 exp(2 beta), beta = -Im k."""
+    return abs(_mp_n_squared(spec, k)) * mp.exp(-2 * mp.im(k))
 
 
 def _mp_sin2_pair(a, q1, q2):
@@ -112,7 +116,7 @@ def _mp_sin2_pair(a, q1, q2):
 )
 def test_sin2_pair_matches_quadrature_and_mpmath(q1, q2):
     a = 1.0
-    got = _sin2_pair(a, q1, q2)
+    got = _sin2_pair(q1, q2)
     # int_{-inf}^{inf} dk = int_0^inf dE / sqrt(E) with E = k^2 (even integrand)
     z1, z2 = q1 * q1, q2 * q2
 
@@ -132,20 +136,20 @@ def test_sin2_pair_matches_quadrature_and_mpmath(q1, q2):
 def test_sin2_pair_double_pole_near_threshold():
     # the expm1 form keeps digits where 1 - (1 + x) e^{-x} would cancel
     for kappa in (1e-2, 1e-4, 1e-6):
-        got = _sin2_pair(1.0, 1j * kappa, 1j * kappa)
+        got = _sin2_pair(1j * kappa, 1j * kappa)
         with mp.workdps(DIGITS):
             ref = complex(_mp_sin2_pair(mp.mpf(1), mp.mpc(0, kappa), mp.mpc(0, kappa)))
         assert abs(got - ref) <= 1e-15 / kappa * abs(ref)
 
 
-def _np_sin2_pair(a, q1, q2):
+def _np_sin2_pair(q1, q2):
     """_sin2_pair written with np.expm1, as it was before the pure-Python expm1."""
     if q1 == q2:
-        u = 2j * q1 * a
+        u = 2j * q1
         return -math.pi * 1j * cmath.exp(u) * (complex(np.expm1(-u)) + u) / (4.0 * q1**3)
 
     def f(q):
-        return -complex(np.expm1(2j * q * a)) / (2.0 * q)
+        return -complex(np.expm1(2j * q)) / (2.0 * q)
 
     return math.pi * 1j * (f(q1) - f(q2)) / (q1 * q1 - q2 * q2)
 
@@ -172,15 +176,14 @@ def test_expm1_equals_numpy_bit_for_bit():
 
 def test_sin2_pair_equals_numpy_formula_bit_for_bit():
     rng = np.random.default_rng(6022)
-    # Im q > 0 throughout; |2 a Im q| <= 600 keeps the double pole's
-    # expm1(-2iqa) below overflow
+    # Im q > 0 throughout; |2 Im q| <= 600 keeps the double pole's
+    # expm1(-2iq) below overflow
     re = _signed_log_uniform(rng, (3000, 2), 1e-8, 300.0)
     im = 10.0 ** rng.uniform(-8.0, math.log10(300.0), size=(3000, 2))
-    a = rng.uniform(0.5, 1.0, size=3000)
-    for (r1, r2), (i1, i2), ai in zip(re, im, a):
+    for (r1, r2), (i1, i2) in zip(re, im):
         q1, q2 = complex(r1, i1), complex(r2, i2)
         for pair in ((q1, q2), (q1, q1), (1j * i1, 1j * i1)):
-            assert _bits(_sin2_pair(ai, *pair)) == _bits(_np_sin2_pair(ai, *pair)), (ai, pair)
+            assert _bits(_sin2_pair(*pair)) == _bits(_np_sin2_pair(*pair)), pair
 
 
 # -- C for resonances
@@ -191,7 +194,7 @@ def test_c_value_matches_quadrature(lam):
     spec, poles = _resonances(lam)
     for pole in poles:
         _, c_value = decay_width_total(spec, pole)
-        quad = _c_by_quadrature(spec, pole, c_value)
+        quad = _c_by_quadrature(pole.e_R, pole.gamma_R, c_value)
         assert c_value == pytest.approx(quad, rel=2e-12), f"lam={lam} n={pole.index}"
 
 
@@ -216,11 +219,21 @@ def test_width_matches_mpmath(lam):
 
 
 def test_c_value_scales_with_radius():
-    spec = PotentialSpec(lam=10.0, a=2.5)
+    # The radius is the command line's, which writes C times a, and E_R and
+    # Gamma_R over a^2. Those values satisfy the integral written at radius a.
+    a = 2.5
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["table", "--lambda", "10", "--radius", str(a), "--count", "4",
+                         "--format", "json"]) == 0
+    rows = json.loads(out.getvalue())["rows"]
+    spec = PotentialSpec(lam=10.0)
     for n in (1, 4):
         pole = find_resonance(spec, n)
         _, c_value = decay_width_total(spec, pole)
-        assert c_value == pytest.approx(_c_by_quadrature(spec, pole, c_value), rel=2e-12)
+        assert rows[n - 1]["c_value"] == float("%.9g" % (a * c_value))
+        quad = _c_by_quadrature(pole.e_R / a**2, pole.gamma_R / a**2, c_value, a=a)
+        assert a * c_value == pytest.approx(quad, rel=2e-12)
 
 
 # -- Gamma for bound and virtual states

@@ -49,6 +49,15 @@ def test_invalid_inputs():
         lambert_w(0, complex(np.nan, 1.0))
 
 
+@pytest.mark.parametrize("branch", [-3, -1, 0, 1, 4])
+@pytest.mark.parametrize("z", [complex(1.7e308, 1.7e308), complex(-1.7e308, -1.5e308),
+                               complex(-1.5e308, 1.5e308)])
+def test_argument_whose_modulus_overflows_is_invalid(branch, z):
+    # finite parts, but |z| > 1.8e308: abs(z) itself used to raise a raw OverflowError
+    with pytest.raises(InvalidInput, match="beyond 1.8e308"):
+        lambert_w(branch, z)
+
+
 def test_identity_residual_randomized():
     rng = np.random.default_rng(20170330)
     grid = random_grid(rng, 2000)

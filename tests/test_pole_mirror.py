@@ -32,7 +32,7 @@ from deltashell.poles import _polish_complex
 def _branch_solve(spec, n):
     """Anti-resonance n solved on its own: branch +n of W, then Newton polish."""
     w = lambert_w(n, spec.lam * math.exp(spec.lam))
-    return _polish_complex(spec, (spec.lam - w) / (2j * spec.a))
+    return _polish_complex(spec, (spec.lam - w) / 2j)
 
 
 def _ulps(x, y):

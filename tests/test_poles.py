@@ -1,5 +1,6 @@
 """Pole solver: reference wave numbers, residual oracle, classification."""
 
+import json
 import math
 
 import pytest
@@ -117,8 +118,8 @@ def test_invalid_strengths():
         PotentialSpec(lam=0.0)
     with pytest.raises(InvalidInput):
         PotentialSpec(lam=math.inf)
-    with pytest.raises(InvalidInput):
-        PotentialSpec(lam=1.0, a=0.0)
+    with pytest.raises(TypeError):  # the radius is the command line's output scale
+        PotentialSpec(lam=1.0, a=2.0)
     with pytest.raises(InvalidInput):
         find_resonance(PotentialSpec(lam=1.0), 0)
     with pytest.raises(InvalidInput):
@@ -200,9 +201,18 @@ def test_quadrant_classification():
     assert anti.gamma_R == -res.gamma_R  # mirror pole carries the sign
 
 
-def test_radius_scaling():
-    # k scales as 1/a at fixed strength; z = k^2 follows
-    p1 = find_resonance(PotentialSpec(lam=10.0, a=1.0), 1)
-    p2 = find_resonance(PotentialSpec(lam=10.0, a=2.0), 1)
-    assert abs(p2.k - p1.k / 2.0) < 1e-12
-    assert abs(p2.z - p1.z / 4.0) < 1e-12
+def test_radius_scaling(capsys):
+    # k scales as 1/a at fixed strength; z = k^2 follows. The library works
+    # at a = 1; the command line writes each value times its power of a.
+    pole = find_resonance(PotentialSpec(lam=10.0), 1)
+    code = cli.main(["poles", "--lambda", "10", "--radius", "2", "--count", "1",
+                     "--format", "json"])
+    out = capsys.readouterr().out
+    assert code == 0
+    row = json.loads(out)["rows"][0]
+    assert json.loads(out)["meta"]["a"] == 2.0
+    printed = [row[name] for name in ("re_k", "im_k", "re_z", "im_z", "gamma_R")]
+    # 2 is a power of two: dividing by it is exact
+    scaled = [pole.k.real / 2, pole.k.imag / 2, pole.z.real / 4, pole.z.imag / 4,
+              pole.gamma_R / 4]
+    assert printed == [float("%.9g" % x) for x in scaled]

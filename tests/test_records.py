@@ -5,12 +5,12 @@ dataclass semantics that init must keep (signature, immutability, replace,
 asdict, pickle, copy) and the InvalidInput message of every argument check.
 """
 
+import argparse
 import copy
 import dataclasses
 import inspect
 import math
 import pickle
-from types import SimpleNamespace
 
 import pytest
 
@@ -32,7 +32,7 @@ from deltashell import (
 def _records():
     barrier, well, shallow = (PotentialSpec(lam=lam) for lam in (10.0, -10.0, -0.5))
     return [
-        barrier, PotentialSpec(lam=10.0, a=2.0),
+        barrier, shallow,
         find_resonance(barrier, 2), find_anti_resonance(barrier, 2),
         find_bound_state(well), find_virtual_state(shallow),
         *table_records(shallow, 2), table_records(well, 1)[0],
@@ -93,7 +93,7 @@ def test_replace_asdict_pickle_and_copy_round_trip(record):
 def test_replace_makes_a_new_valid_record():
     spec = PotentialSpec(lam=10.0)
     moved = dataclasses.replace(spec, lam=-10.0)
-    assert moved.lam == -10.0 and moved.a == spec.a and moved._resonances == {}
+    assert moved.lam == -10.0 and moved._resonances == {}
     pole = find_resonance(spec, 1)
     assert dataclasses.replace(pole, index=7).index == 7
     row = table_records(spec, 1)[0]
@@ -106,6 +106,9 @@ SPEC_ERRORS = [
     ({"lam": -math.inf}, "potential strength must be finite and nonzero"),
     ({"lam": 700.5}, "strength magnitude beyond 700 overflows lambda*exp(lambda)"),
     ({"lam": -701.0}, "strength magnitude beyond 700 overflows lambda*exp(lambda)"),
+]
+# The radius and the units are the command line's, checked after lam.
+RADIUS_ERRORS = [
     ({"lam": 1.0, "a": 0.0}, "shell radius must be positive and finite"),
     ({"lam": 1.0, "a": -1.0}, "shell radius must be positive and finite"),
     ({"lam": 1.0, "a": math.inf}, "shell radius must be positive and finite"),
@@ -113,12 +116,12 @@ SPEC_ERRORS = [
 ]
 
 
-def test_spec_is_strength_and_radius():
-    # units are the command line's: the library works in reduced units only
-    assert [f.name for f in dataclasses.fields(PotentialSpec)] == ["lam", "a"]
+def test_spec_is_strength_alone():
+    # the radius and the units are the command line's output scales: the
+    # library works in units of the radius and in reduced units
+    assert [f.name for f in dataclasses.fields(PotentialSpec)] == ["lam"]
 
 
-# Units are checked where a command line builds its spec, after lam and a.
 UNIT_ERRORS = [
     ({"lam": 1.0, "unit_system": "physical", "hbar": 1e-160},
      "energy scale hbar^2/2m = 5e-321 is subnormal and loses digits"),
@@ -140,16 +143,16 @@ UNIT_ERRORS = [
 
 
 def _command_line(lam, a=1.0, unit_system="reduced", mass=None, hbar=None):
-    return SimpleNamespace(command="table", lam=lam, radius=a, units=unit_system,
-                           mass=mass, hbar=hbar)
+    return argparse.Namespace(command="table", lam=lam, radius=a, units=unit_system,
+                              mass=mass, hbar=hbar)
 
 
-@pytest.mark.parametrize("kwargs, message", SPEC_ERRORS + UNIT_ERRORS)
+@pytest.mark.parametrize("kwargs, message", SPEC_ERRORS + RADIUS_ERRORS + UNIT_ERRORS)
 def test_spec_checks_raise_invalid_input(kwargs, message):
     with pytest.raises(InvalidInput) as info:
         cli._spec_from_args(_command_line(**kwargs))
     assert str(info.value) == message
-    if kwargs.keys() <= {"lam", "a"}:
+    if kwargs.keys() == {"lam"}:
         with pytest.raises(InvalidInput) as info:
             PotentialSpec(**kwargs)
         assert str(info.value) == message

@@ -91,7 +91,7 @@ def test_phase_winding_through_sharp_resonance(spec100):
 def test_jost_derivative_against_finite_differences(spec100, table1_poles):
     h = 1e-6
     for pole in table1_poles:
-        analytic = 1j * (1.0 + spec100.lam * cmath.exp(2j * pole.k * spec100.a)) / (2.0 * pole.k)
+        analytic = 1j * (1.0 + spec100.lam * cmath.exp(2j * pole.k)) / (2.0 * pole.k)
         fd = (jost(spec100, pole.k + h)[1] - jost(spec100, pole.k - h)[1]) / (2.0 * h)
         assert abs(analytic - fd) <= 1e-6 * abs(analytic)
 
@@ -121,7 +121,7 @@ def test_normalization_identities(spec100, table1_poles):
     for pole in table1_poles:
         n2 = zeldovich_norm(spec100, pole)
         j1, _ = jost(spec100, pole.k)
-        j2p = 1j * (1.0 + spec100.lam * cmath.exp(2j * pole.k * spec100.a)) / (2.0 * pole.k)
+        j2p = 1j * (1.0 + spec100.lam * cmath.exp(2j * pole.k)) / (2.0 * pole.k)
         assert abs(n2 - (-1j * j1 / j2p)) <= 1e-10 * abs(n2)
 
 
@@ -143,20 +143,20 @@ def test_bound_state_norm_is_real_positive():
 
 
 def _mp_closed_form(spec, k):
-    """2ak^2 / (lam e^x ((1 + lam) - x)), x = 2ika, in 40-digit mpmath at the given k."""
+    """2k^2 / (lam e^x ((1 + lam) - x)), x = 2ik, in 40-digit mpmath at the given k."""
     with mp.workdps(40):
-        k, a, lam = mp.mpc(k), mp.mpf(spec.a), mp.mpf(spec.lam)
-        x = 2j * k * a
-        return 2 * a * k**2 / (lam * mp.exp(x) * ((1 + lam) - x))
+        k, lam = mp.mpc(k), mp.mpf(spec.lam)
+        x = 2j * k
+        return 2 * k**2 / (lam * mp.exp(x) * ((1 + lam) - x))
 
 
 def _mp_true_norm(spec, pole):
     """-i J1/J2' from the Jost functions at the 50-digit pole of the same branch."""
     with mp.workdps(50):
-        a, lam = mp.mpf(spec.a), mp.mpf(spec.lam)
-        k = (lam - mp.lambertw(lam * mp.exp(lam), pole.branch)) / (2j * a)
-        j1 = (-2j * k + lam / a * (mp.exp(-2j * k * a) - 1)) / (4 * k)
-        j2p = 1j * (1 + lam * mp.exp(2j * k * a)) / (2 * k)
+        lam = mp.mpf(spec.lam)
+        k = (lam - mp.lambertw(lam * mp.exp(lam), pole.branch)) / 2j
+        j1 = (-2j * k + lam * (mp.exp(-2j * k) - 1)) / (4 * k)
+        j2p = 1j * (1 + lam * mp.exp(2j * k)) / (2 * k)
         return k, -1j * j1 / j2p
 
 
@@ -189,7 +189,7 @@ def test_zeldovich_norm_scalar_and_matches_mpmath(lam, count):
     (0.0, True), (4e-14, True), (-4e-14, True), (6e-14, False), (-6e-14, False),
 ])
 def test_zeldovich_norm_degenerate_band(offset, raises):
-    # k = 0.25i, a = 1: x = 2ika = -0.5 and (1 + lam) - x = 0.5 + lam, so
+    # k = 0.25i: x = 2ik = -0.5 and (1 + lam) - x = 0.5 + lam, so
     # lam = -1.5 + offset puts 1 + t at offset against the tolerance
     # 1e-13 * 2|k| = 5e-14
     pole = Pole(kind=PoleKind.BOUND, branch=0, index=0, k=0.25j, z=complex(-0.0625, 0.0))
@@ -213,11 +213,11 @@ def test_wavefunction_regular_at_origin(spec100, table1_poles):
 
 
 def test_wavefunction_continuity_at_shell(spec100, table1_poles):
-    a = spec100.a
+    # r is in units of the radius: the shell sits at r = 1
     for pole in table1_poles:
         n_r = np.sqrt(zeldovich_norm(spec100, pole))
-        inside = n_r * np.sin(pole.k * a) / jost(spec100, pole.k)[0]
-        outside = n_r * np.exp(1j * pole.k * a)
+        inside = n_r * np.sin(pole.k) / jost(spec100, pole.k)[0]
+        outside = n_r * np.exp(1j * pole.k)
         assert abs(inside - outside) <= 1e-10 * abs(outside)
 
 
@@ -225,8 +225,8 @@ def test_wavefunction_continuity_bound_state():
     spec = PotentialSpec(lam=-10.0)
     pole = find_bound_state(spec)
     eps = 1e-9
-    below = resonant_wavefunction(spec, pole, spec.a - eps)
-    above = resonant_wavefunction(spec, pole, spec.a + eps)
+    below = resonant_wavefunction(spec, pole, 1.0 - eps)
+    above = resonant_wavefunction(spec, pole, 1.0 + eps)
     assert abs(below - above) <= 1e-6 * abs(above)
 
 
@@ -243,7 +243,7 @@ def test_wavefunction_outgoing_growth(spec100):
 def test_matrix_element_zeros_on_lattice(spec100):
     pole = find_resonance(spec100, 3)
     for m in (1, 2, 5, 9):
-        e = (m * math.pi / spec100.a) ** 2
+        e = (m * math.pi) ** 2
         assert matrix_element_squared(spec100, pole, e) < 1e-20
 
 

@@ -6,7 +6,10 @@ were computed from the solver before its repeated work was removed (the
 residual formed twice, lam * exp(lam) formed once per pole), so a later
 change that moves a last bit, or swaps one error class for another, fails
 here. Where that solver let a raw OverflowError out of ``lambert_w``, the
-pinned digest holds the NonConvergence raised in its place now.
+pinned digest holds the NonConvergence raised in its place now. The pole
+digest was computed again, over the same poles at radius 1 alone, by the
+solver that still took a radius: the library now works in units of the
+radius, and each removed factor of a was 1.0 there.
 
 The digests hold for one libm and one set of complex-arithmetic rules. A
 canary digest of the libm and complex values the solver rests on is
@@ -29,7 +32,7 @@ from deltashell import (
 )
 from deltashell.lambertw import _halley
 
-POLE_DIGEST = "c68d29d8d9b4d01168b38811f756d1a1e97d51221b1b406c91ecdf6d674c1eb5"
+POLE_DIGEST = "8056d95d843445fd0fd49b701ede70b70a9899ebe0eef22888340f9775568223"
 LAMBERT_W_DIGEST = "be4986a16923fec2253f3f225730e6cfdba4147d8f82903226198945d19f2c5a"
 CANARY_DIGEST = "c1a067106ccac1a85d72ad81124395380c2e09e92cc40518e24104d91f77759c"
 
@@ -76,12 +79,11 @@ def strengths() -> list[float]:
 
 def pole_lines():
     """Every resonance and anti-resonance n <= 12, and each threshold pole
-    (or its error class and message), of each strength at radius 1, and of
-    every fourth strength at radii 0.3 and 1.7."""
-    specs = [(lam, 1.0) for lam in strengths()]
-    specs += [(lam, a) for lam in strengths()[::4] for a in (0.3, 1.7)]
-    for lam, a in specs:
-        spec = PotentialSpec(lam=lam, a=a)
+    (or its error class and message), of each strength. The library works in
+    units of the radius; the command line's scaling to a radius is tested in
+    test_radius.py."""
+    for lam in strengths():
+        spec = PotentialSpec(lam=lam)
         finds = [(name, find, n) for n in range(1, 13)
                  for name, find in (("res", find_resonance), ("anti", find_anti_resonance))]
         finds += [("bound", lambda s, _: find_bound_state(s), 0),
@@ -90,11 +92,11 @@ def pole_lines():
             try:
                 pole = find(spec, n)
             except ArithmeticError as exc:
-                yield f"{lam.hex()} {a} {name} {n} {type(exc).__name__}: {exc}"
+                yield f"{lam.hex()} {name} {n} {type(exc).__name__}: {exc}"
             except ValueError as exc:  # NoSuchPole
-                yield f"{lam.hex()} {a} {name} {n} {type(exc).__name__}"
+                yield f"{lam.hex()} {name} {n} {type(exc).__name__}"
             else:
-                yield f"{lam.hex()} {a} {name} {n} {pole.branch} {_hex(pole.k)} {_hex(pole.z)}"
+                yield f"{lam.hex()} {name} {n} {pole.branch} {_hex(pole.k)} {_hex(pole.z)}"
 
 
 def arguments() -> list[complex]:

@@ -29,7 +29,7 @@ def spectrum_norm(spec, pole, rel_tol=1e-9):
     req = QuadratureRequest(
         peak_center=pole.e_R,
         peak_halfwidth=hw,
-        oscillation_wavenumber=math.pi / spec.a,
+        oscillation_wavenumber=math.pi,
         rel_tol=rel_tol,
     )
     gamma = decay_constant_total(spec, pole)
