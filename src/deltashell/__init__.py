@@ -60,13 +60,12 @@ _GRID = {
         "cross_section_two_pole", "unitarized_ratio",
     ),
     "scattering": (
-        "jost", "matrix_element", "matrix_element_squared",
-        "resonant_wavefunction", "s_matrix", "s_matrix_energy",
+        "jost", "matrix_element", "matrix_element_squared", "s_matrix",
     ),
     "spectra": (
         "InterferenceConfig", "SpectrumCurve", "decay_constant_differential",
         "decay_energy_spectrum", "decay_width_differential", "interference_curve",
-        "interference_spectrum", "multi_spectrum", "spectrum_curve",
+        "interference_spectrum", "spectrum_curve",
     ),
 }
 _LAZY = {name: module for module, names in _GRID.items() for name in names}

@@ -18,8 +18,10 @@ Units. The library works in units of the radius and in reduced units
 hbar**2 / (2.0 * mass), and applies both in one step at the output
 (_scales): wave numbers times 1/a, energies times (ħ²/2m)/a², C times a,
 densities and cross sections times a²; Γ and Γ_sharp do not depend on a.
-A curve window is scaled in, as E a². A finite nonzero value that
-overflows or loses its digits on scaling exits 2 with nothing written.
+A curve window is scaled in, as E a². A finite nonzero value whose scaled
+value overflows or loses its digits exits 2 with nothing written; a step
+that leaves the normal range while the result fits is redone in exponent
+arithmetic (_scaled).
 
 Parsing. Each subparser is built from the parents it reads: spec
 (--lambda, --radius) for the five pole commands, units (--units, --mass,
@@ -117,23 +119,43 @@ def _write(args, text: str) -> None:
         sys.stdout.write(text)
 
 
+_TINY = sys.float_info.min  # the smallest normal float
+
+
 def _scales(a: float, energy: float = 1.0) -> dict | None:
     """Each dimension's output scale at radius a and ħ²/2m = energy, as (multiplier,
-    divisor): 1/a divides, rounding once. None where all are 1 (a = 1, reduced units)."""
+    divisor, power of two): 1/a divides, rounding once. Where a * a leaves the normal
+    range, a² is the square of a's frexp mantissa and its exponent goes into the power
+    of two. None where all are 1 (a = 1, reduced units)."""
     if a == 1.0 and energy == 1.0:
         return None
-    return {"k": (1.0, a), "E": (energy, a * a), "1/E": (a * a, energy), "L": (a, 1.0)}
+    a2, shift = a * a, 0
+    if not _TINY <= a2 < math.inf:
+        mantissa, exponent = math.frexp(a)
+        a2, shift = mantissa * mantissa, 2 * exponent
+    return {"k": (1.0, a, 0), "E": (energy, a2, -shift), "1/E": (a2, energy, shift),
+            "L": (a, 1.0, 0)}
 
 
-def _scaled(value: float, scale: tuple[float, float]) -> float:
-    """value * multiplier / divisor; InvalidInput where a finite nonzero value
-    overflows to inf or loses its digits (to 0, a subnormal, or a scale of them)."""
+def _scaled(value: float, scale: tuple[float, float, int]) -> float:
+    """value * multiplier / divisor * 2**shift; InvalidInput where a finite nonzero
+    value overflows to inf or loses its digits (to 0 or a subnormal). Where the shift is
+    not 0, or value * multiplier / divisor leaves the normal range, the same two roundings
+    run on frexp mantissas with the exponents summed apart, so only a true result
+    outside the normal range is refused."""
     if not value or not math.isfinite(value):  # 0, inf and nan scale to themselves
         return value
-    scaled = value * scale[0] / scale[1] if min(scale) >= sys.float_info.min else 0.0
-    if not sys.float_info.min <= abs(scaled) < math.inf:
-        what = "overflows" if math.isinf(scaled) else "loses its digits"
-        raise InvalidInput(f"{value!r} scaled by {scale[0]!r}/{scale[1]!r} {what}")
+    mul, div, shift = scale
+    scaled = value * mul / div
+    if shift or not _TINY <= abs(scaled) < math.inf:
+        (vm, ve), (mm, me), (dm, de) = map(math.frexp, (value, mul, div))
+        try:
+            scaled = math.ldexp(vm * mm / dm, ve + me - de + shift)
+        except OverflowError:
+            scaled = math.inf
+        if not _TINY <= abs(scaled) < math.inf:
+            what = "overflows" if math.isinf(scaled) else "loses its digits"
+            raise InvalidInput(f"{value!r} scaled by {mul!r}/{div!r}*2**{shift} {what}")
     return scaled
 
 
@@ -168,8 +190,8 @@ def _emit_rows(args, spec, columns, rows, scales=None) -> None:
     names, header, getter, dims, cells, template = _LAYOUTS[columns, args.format]
     rows = list(map(getter, rows))
     if scales is not None:
-        factors = [scales.get(dim, (1.0, 1.0)) for dim in dims]
-        rows = [[x if f == (1.0, 1.0) or x is None else _scaled(x, f)
+        factors = [scales.get(dim, (1.0, 1.0, 0)) for dim in dims]
+        rows = [[x if f == (1.0, 1.0, 0) or x is None else _scaled(x, f)
                  for x, f in zip(row, factors)] for row in rows]
     if args.format == "json":
         payload = [dict(zip(names, map(_json_value, row))) for row in rows]
@@ -285,11 +307,17 @@ def _json_array(col) -> str:
 
 def _scaled_column(col, scale):
     """A curve column scaled as _scaled scales a value, and refused as it refuses
-    the column's extreme finite nonzero |x|: the scaling is monotone in |x|."""
+    the column's extreme finite nonzero |x|: the scaling is monotone in |x|. It runs
+    on frexp mantissas; a curve takes no units, so one of multiplier and divisor is
+    1, and each value gets the bits of value * multiplier / divisor where that fits."""
+    import numpy as np  # curves are numpy arrays already; row commands never get here
+
     size = abs(col[(col != 0.0) & (abs(col) < math.inf)])  # nan fails both
     for x in (size.min(), size.max()) if size.size else ():
         _scaled(float(x), scale)
-    return col * scale[0] / scale[1]
+    (mm, me), (dm, de) = math.frexp(scale[0]), math.frexp(scale[1])
+    mantissa, exponent = np.frexp(col)
+    return np.ldexp(mantissa * mm / dm, exponent + (me - de + scale[2]))
 
 
 def _window(args, scales):

@@ -5,31 +5,35 @@ This is the root-finding kernel behind every pole computation in the
 package: the shell's resonant, anti-resonant, bound and virtual wave
 numbers are all images of Lambert W values under a linear map.
 
+Branch cuts follow Corless et al., "On the Lambert W function" (1996): the
+cut of branch 0 is (-inf, -1/e], that of every other branch (-inf, 0], and
+a point on a cut takes the value continued from above. The sign bit of
+Im z picks the side, as in cmath and ``scipy.special.lambertw``: -0.0 is
+below the cut. Below it ``W_n(z) = conj(W_-n(conj z))`` is solved, so the
+seeds see the closed upper half plane only.
+
 Algorithm
 ---------
 * Seed: the asymptotic expansion ``w0 = L1 - L2 + L2/L1`` with
   ``L1 = Log(z) + 2*pi*i*n`` (principal logarithm) and ``L2 = Log(L1)``.
   Special seeds cover the regions where the asymptotic form degrades:
-  a Taylor seed near z = 0 on the principal branch, a real logarithmic
-  seed for branch -1 on the real segment (-1/e, 0), and the branch-point
-  series in ``p = +/- sqrt(2(e*z + 1))`` near z = -1/e.
-* Refinement: Halley iteration on ``f(w) = w*exp(w) - z``, relative step
-  tolerance 1e-15, cap 64 iterations (cubic convergence; 3-5 steps in
-  practice). It stops on a step below the tolerance or on a residual at
-  the rounding floor ``|f| <= 2e-16 (|w e^w| + |z|)``, and a root is
-  accepted only if ``|f| <= 1e-13 max(1, |z|)``. The test reads the |f|
-  the iteration already formed: e^w is evaluated once more only when the
-  last step moved w. A refused root is retried from the seed times
-  ``1 +/- 0.5i`` (a rare basin escape). An overflow of e^w ends the solve
-  with NonConvergence, and no seed is tried after it.
-* Inside ``|z + 1/e| < 1e-4`` the series alone is used for the two sheets
-  that collide at the branch point (branches 0 and -1 on the closed upper
-  half plane, branches 0 and +1 below the axis): Halley's denominator
-  degenerates there, and the degree-6 series already lands within ~1e-15
-  of the root.
-
-Branch cuts follow the principal-logarithm convention (negative real
-axis, values on the cut continued from above).
+  on branch 0 a Taylor seed near z = 0, ``Log(1 + z)`` for |z| < 4, and a
+  park seed -0.3 + 1.3i (next to W_0(-1)) in the band just above the cut
+  left of -1/e, where ``Log(1 + z)`` is real or nearly so while the root is
+  not, and Halley from a real seed stays real; on branch -1 a real
+  logarithmic seed on the segment (-1/e, 0); and the branch-point series in
+  ``p = +/- sqrt(2(e*z + 1))`` near z = -1/e.
+* Refinement: one Halley iteration on ``f(w) = w*exp(w) - z`` from the
+  seed, relative step tolerance 1e-15, cap 64 iterations (3-5 steps in
+  practice). It stops on a step below the tolerance or on a residual at the
+  rounding floor ``|f| <= 2e-16 (|w e^w| + |z|)``, and accepts the root only
+  if ``|f| <= 1e-13 max(1, |z|)``, read from the |f| it already formed (e^w
+  is evaluated once more only when the last step moved w). A refused root,
+  or an overflow of e^w, is a NonConvergence: no other seed is tried.
+* Inside ``|z + 1/e| < 1e-4`` the series alone serves branches 0 and -1,
+  the sheets that collide at the branch point above the cut: Halley's
+  denominator degenerates there, and the degree-6 series lands within
+  ~1e-15 of the root.
 """
 
 from __future__ import annotations
@@ -100,28 +104,24 @@ def _halley(w: complex, z: complex) -> complex | None:
 
 
 def _seed(branch: int, z: complex) -> complex:
-    if -1 <= branch <= 1:
-        # special seeds for the branches meeting at 0 or -1/e; others go asymptotic
-        if branch == 0:
-            if abs(z + _INV_E) < 0.3:
-                return _branch_point_series(cmath.sqrt(2.0 * (math.e * z + 1.0)))
-            if abs(z) < 0.3:
-                return z * (1.0 + z * (-1.0 + 1.5 * z))
-            if abs(z) < 4.0:
-                if abs(z + 1.0) > 0.05:
-                    return cmath.log(1.0 + z)
-                # near z = -1 the log1p seed collapses; park next to W_0(-1)
-                return complex(-0.3, 1.3 if z.imag >= 0 else -1.3)
-        if branch == -1:
-            if abs(z + _INV_E) < 0.3 and z.imag >= 0:
-                return _branch_point_series(-cmath.sqrt(2.0 * (math.e * z + 1.0)))
-            if z.imag == 0.0 and -_INV_E <= z.real < 0.0:
-                lx = math.log(-z.real)
-                return complex(lx - math.log(-lx), 0.0)
-        if branch == 1 and z.imag < 0.0 and abs(z + _INV_E) < 0.3:
-            # below the axis the sheet colliding with the principal branch at
-            # -1/e is +1, the mirror of -1 above it
+    """The start of the Halley solve for z on the closed upper half plane."""
+    if branch == 0:
+        if abs(z + _INV_E) < 0.3:
+            return _branch_point_series(cmath.sqrt(2.0 * (math.e * z + 1.0)))
+        if abs(z) < 0.3:
+            return z * (1.0 + z * (-1.0 + 1.5 * z))
+        if abs(z) < 4.0:
+            if z.imag < 0.07 and -1.05 <= z.real < 0.0:
+                # left of the branch-point disc, just above the cut, log(1 + z)
+                # is real or nearly so and W_0 is not: park next to W_0(-1)
+                return complex(-0.3, 1.3)
+            return cmath.log(1.0 + z)
+    elif branch == -1:
+        if abs(z + _INV_E) < 0.3:
             return _branch_point_series(-cmath.sqrt(2.0 * (math.e * z + 1.0)))
+        if z.imag == 0.0 and -_INV_E <= z.real < 0.0:
+            lx = math.log(-z.real)
+            return complex(lx - math.log(-lx), 0.0)
     l1 = cmath.log(z) + 1j * _TWO_PI * branch
     l2 = cmath.log(l1)
     return l1 - l2 + l2 / l1
@@ -150,8 +150,8 @@ def lambert_w(branch: int, z: complex) -> complex:
         If branch is not an integer (``operator.index`` refuses it), z or
         its modulus is non-finite, or z = 0 with branch != 0.
     NonConvergence
-        If no seed's Halley iteration passes the acceptance test, or e^w
-        overflows on the way (as for ``W_-1000(1e40)`` or ``W_3(1e308)``).
+        If the Halley iteration from the seed fails the acceptance test (as
+        for ``W_-1000(1e40)`` or ``W_3(1e308)``), or e^w overflows on the way.
     """
     if type(branch) is not int:
         try:
@@ -170,32 +170,21 @@ def lambert_w(branch: int, z: complex) -> complex:
         near_branch_point = abs(z + _INV_E) < 1e-4
     except OverflowError:  # |z| beyond the largest float, as for 1.7e308 (1 + i)
         raise InvalidInput(f"lambert_w argument {z} has |z| beyond 1.8e308") from None
-    if near_branch_point:
-        # Halley degenerates at the double root w = -1; the series is already
-        # at machine precision here. The two sheets meeting at -1/e are
-        # (0, -1) on the closed upper half plane and (0, +1) below it; the
-        # remaining branch of the trio stays on its remote sheet and is
-        # served by the asymptotic seed.
-        p = cmath.sqrt(2.0 * (math.e * z + 1.0))
-        if branch == 0:
-            return _branch_point_series(p)
-        if branch == -1 and z.imag >= 0.0:
-            return _branch_point_series(-p)
-        if branch == 1 and z.imag < 0.0:
-            return _branch_point_series(-p)
-
-    try:
-        if (w := _halley(_seed(branch, z), z)) is not None:
-            return w
-        # rare basin escape: retry from perturbed seeds before giving up
-        for retry in (1.0 + 0.5j, 1.0 - 0.5j):
-            if (w := _halley(_seed(branch, z) * retry, z)) is not None:
-                return w
-    except OverflowError:
-        # e^w overflowed: a retry seed far out on a high branch, or |z| near
-        # the largest float. No seed is tried after it.
-        pass
-    raise NonConvergence(f"W_{branch}({z}) did not converge")
+    below = math.copysign(1.0, z.imag) < 0.0  # below the cut, -0.0 included
+    n, u = (-branch, z.conjugate()) if below else (branch, z)
+    if near_branch_point and -1 <= n <= 0:
+        # Halley degenerates at the double root w = -1, and the series is at
+        # machine precision; branch 1 stays on its remote sheet above the cut
+        p = cmath.sqrt(2.0 * (math.e * u + 1.0))
+        w = _branch_point_series(p if n == 0 else -p)
+    else:
+        try:
+            w = _halley(_seed(n, u), u)
+        except OverflowError:  # e^w overflowed, as far out on a high branch
+            w = None
+        if w is None:
+            raise NonConvergence(f"W_{branch}({z}) did not converge")
+    return w.conjugate() if below else w
 
 
 def lambert_w_residual(w: complex, z: complex) -> float:

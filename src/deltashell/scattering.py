@@ -1,10 +1,10 @@
-"""Jost functions, S-matrix, resonant wavefunction and matrix element on grids.
+"""Jost functions, S-matrix and matrix element on grids.
 
 The wave number k is the canonical variable throughout; energy-plane
 objects are defined through E = k^2, which sidesteps the square-root
-branch ambiguity in the energy plane. k is in units of 1/a, E of
-ħ^2/(2m a^2) and r of a. All evaluators accept scalars or numpy arrays of
-k (or E) values. The residue normalization they rest on is scalar and
+branch ambiguity in the energy plane. k is in units of 1/a and E of
+ħ^2/(2m a^2). All evaluators accept scalars or numpy arrays of k (or E)
+values. The residue normalization they rest on is scalar and
 lives in :mod:`deltashell.poles`.
 """
 
@@ -19,7 +19,6 @@ from .potential import PotentialSpec, Pole
 __all__ = [
     "jost",
     "s_matrix",
-    "resonant_wavefunction",
     "matrix_element_squared",
     "matrix_element",
 ]
@@ -75,36 +74,6 @@ def s_matrix(spec: PotentialSpec, k):
         raise PoleHit("S-matrix evaluated on top of a pole")
     s = -j1 / j2
     return _scalar_or_array(s)
-
-
-def s_matrix_energy(spec: PotentialSpec, e):
-    """S as a function of complex energy via the principal sqrt k = sqrt(E).
-
-    The principal branch maps Im E < 0 to the fourth k-quadrant, i.e. onto
-    the sheet that carries the resonance poles, so contours encircling a
-    resonant energy stay on the correct sheet as long as they remain in
-    the lower half plane.
-    """
-    return s_matrix(spec, np.sqrt(np.asarray(e, dtype=complex)))
-
-
-def resonant_wavefunction(spec: PotentialSpec, pole: Pole, r):
-    """Pole eigenfunction u(r): N sin(k r)/J1(k) inside, N exp(i k r) outside.
-
-    r is in units of a: the branches agree at the shell, r = 1, because
-    J2(k_R) = 0 makes sin(k)/J1(k) = exp(i k) automatically. The overall phase follows
-    the principal square root of N^2; every downstream observable depends
-    only on |N|^2.
-    """
-    r = np.asarray(r, dtype=float)
-    if np.any(r < 0):
-        raise InvalidInput("radius must be nonnegative")
-    n_r = np.sqrt(zeldovich_norm(spec, pole))
-    j1, _ = jost(spec, pole.k)
-    inside = n_r * np.sin(pole.k * r) / j1
-    outside = n_r * np.exp(1j * pole.k * r)
-    u = np.where(r < 1.0, inside, outside)
-    return _scalar_or_array(u)
 
 
 def _shell_amplitude(spec: PotentialSpec, pole: Pole) -> complex:

@@ -17,7 +17,9 @@ to 1/(E - E_pole)^2 with E_pole < 0).
 
 Two-resonance interference follows the coherent superposition of the two
 pole terms, |c1 <E|z1> + c2 <E|z2>|^2 with <E|z> = <E|V|z>/(z - E); the
-cross-term phase convention lives in scattering.matrix_element.
+cross-term phase convention lives in scattering.matrix_element. One
+function (_interference) forms the sum and its norm; the curve is that
+function on the curve's grid.
 
 Both normalizations, Gamma and the integral of the coherent sum, are
 closed-form residue sums (observables._sin2_pair). Units are those of
@@ -35,7 +37,6 @@ import numpy as np
 
 from .errors import InvalidInput
 from .observables import _require_kind, _sin2_pair, decay_constant_total
-from .poles import find_resonance
 from .potential import PotentialSpec, Pole, PoleKind
 from .scattering import (
     _energies,
@@ -55,7 +56,6 @@ __all__ = [
     "spectrum_curve",
     "interference_spectrum",
     "interference_curve",
-    "multi_spectrum",
 ]
 
 
@@ -166,27 +166,29 @@ def spectrum_curve(
     )
 
 
-def _coherent_sum(spec, pole1, pole2, cfg, e):
+def _interference(spec, pole1, pole2, cfg, e):
+    """The two-resonance spectrum at energies e and the norm it is divided by.
+
+    The coherent sum |c1 <E|V|z1>/(z1 - E) + c2 <E|V|z2>/(z2 - E)|^2 is divided,
+    with cfg.renormalize, by its integral over (0, inf), else by 1. With
+    m_i(E) = lam chi(E) u_i, lam^2 chi^2 = (lam^2/pi) sin^2(k)/k and E = k^2,
+    each term c_i conj(c_j) m_i conj(m_j) / ((z_i - E)(conj z_j - E)) of it
+    integrates to (lam^2/pi) c_i conj(c_j) u_i conj(u_j) S(-k_i, conj k_j), a
+    residue sum (observables._sin2_pair).
+    """
+    _require_kind(pole1, PoleKind.RESONANCE)
+    _require_kind(pole2, PoleKind.RESONANCE)
+    e = _energies(e)
     amp = cfg.c1 * matrix_element(spec, pole1, e) / (pole1.z - e)
     amp = amp + cfg.c2 * matrix_element(spec, pole2, e) / (pole2.z - e)
-    return np.abs(amp) ** 2
-
-
-def _coherent_norm(spec, pole1, pole2, cfg) -> float:
-    """Integral of _coherent_sum over (0, inf) as a residue sum.
-
-    With m_i(E) = lam chi(E) u_i, lam^2 chi^2 = (lam^2/pi) sin^2(k)/k, and
-    E = k^2, each term c_i conj(c_j) m_i conj(m_j) / ((z_i - E)(conj z_j - E))
-    integrates to (lam^2/pi) c_i conj(c_j) u_i conj(u_j) S(-k_i, conj k_j).
-    """
-    terms = [(complex(c) * _shell_amplitude(spec, p), p.k) for c, p in
-             ((cfg.c1, pole1), (cfg.c2, pole2))]
-    total = sum(
-        wi * wj.conjugate() * _sin2_pair(-ki, kj.conjugate())
-        for wi, ki in terms
-        for wj, kj in terms
-    )
-    return spec.lam**2 / math.pi * total.real
+    norm = 1.0
+    if cfg.renormalize:
+        terms = [(complex(c) * _shell_amplitude(spec, p), p.k) for c, p in
+                 ((cfg.c1, pole1), (cfg.c2, pole2))]
+        total = sum(wi * wj.conjugate() * _sin2_pair(-ki, kj.conjugate())
+                    for wi, ki in terms for wj, kj in terms)
+        norm = spec.lam**2 / math.pi * total.real
+    return np.abs(amp) ** 2 / norm, norm
 
 
 def interference_spectrum(
@@ -196,20 +198,14 @@ def interference_spectrum(
     cfg: InterferenceConfig,
     e,
 ):
-    """Two-resonance decay spectrum at energy e.
+    """Two-resonance decay spectrum at energy e; both poles are resonances.
 
     Equals |c1|^2 M1^2/D1 + |c2|^2 M2^2/D2 plus the cross term
     2 Re[c1 conj(c2) <E|V|z1> conj(<E|V|z2>) / ((z1-E)(conj(z2)-E))];
     with cfg.renormalize the curve is divided by its own integral over
     (0, inf) so it is again a probability density.
     """
-    _require_kind(pole1, PoleKind.RESONANCE)
-    _require_kind(pole2, PoleKind.RESONANCE)
-    e = _energies(e)
-    out = _coherent_sum(spec, pole1, pole2, cfg, e)
-    if cfg.renormalize:
-        out = out / _coherent_norm(spec, pole1, pole2, cfg)
-    return _scalar_or_array(out)
+    return _scalar_or_array(_interference(spec, pole1, pole2, cfg, e)[0])
 
 
 def interference_curve(
@@ -221,30 +217,8 @@ def interference_curve(
     e_max: float,
     points: int,
 ) -> SpectrumCurve:
-    """Sampled interference spectrum (no companion columns); both poles are resonances."""
-    _require_kind(pole1, PoleKind.RESONANCE)
-    _require_kind(pole2, PoleKind.RESONANCE)
+    """interference_spectrum on a uniform grid (no companion columns)."""
     grid = _grid(e_min, e_max, points)
-    norm = _coherent_norm(spec, pole1, pole2, cfg) if cfg.renormalize else 1.0
-    values = _coherent_sum(spec, pole1, pole2, cfg, grid) / norm
-    return SpectrumCurve(
-        grid=grid,
-        dP_dE=values,
-        breit_wigner=None,
-        matrix_element=None,
-        normalization_used=norm,
-    )
-
-
-def multi_spectrum(
-    spec: PotentialSpec,
-    indices,
-    e_min: float,
-    e_max: float,
-    points: int,
-) -> list[SpectrumCurve]:
-    """Spectrum curves for several resonance indices on a shared window."""
-    return [
-        spectrum_curve(spec, find_resonance(spec, n), e_min, e_max, points)
-        for n in indices
-    ]
+    values, norm = _interference(spec, pole1, pole2, cfg, grid)
+    return SpectrumCurve(grid=grid, dP_dE=values, breit_wigner=None, matrix_element=None,
+                         normalization_used=norm)

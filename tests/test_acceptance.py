@@ -28,12 +28,12 @@ from deltashell import (
     interference_spectrum,
     lambert_w,
     lambert_w_residual,
-    multi_spectrum,
     spectrum_curve,
     transcendental_residual,
     unitarized_ratio,
 )
 from conftest import TABLE_LAMBDAS, assert_printed, golden_rows, sigfig_tol
+from grid_helpers import multi_spectrum
 from quadrature_oracle import QuadratureRequest, integrate_semi_infinite, perturbation_rhs
 
 

@@ -595,7 +595,7 @@ def test_float_format_nine_significant_digits(capsys):
 
 
 def test_overflow_exits_3_without_traceback():
-    # the Lambert W retry seeds overflow math.exp here
+    # the Lambert W solve on branch -1000 fails its acceptance test here
     proc = run_cli("lambertw", "--branch", "-1000", "--re", "1e40")
     assert proc.returncode == 3
     assert proc.stderr.startswith("numerical failure: ")
@@ -1070,7 +1070,8 @@ import deltashell
 lazy = {"CrossSectionBundle", "jost", "spectrum_curve", "decay_width_differential",
         "interference_curve"}
 removed = {"QuadratureRequest", "integrate_semi_infinite", "ToleranceNotMet", "perturbation_rhs",
-           "NormalizationData", "JostPair"}
+           "NormalizationData", "JostPair", "s_matrix_energy", "resonant_wavefunction",
+           "multi_spectrum"}
 assert not removed & set(deltashell.__all__)
 for name in removed:
     try:
@@ -1099,6 +1100,10 @@ else:
     raise AssertionError("unknown name resolved")
 from deltashell import spectra  # a submodule, not a lazy name
 assert spectra.spectrum_curve is deltashell.spectrum_curve
+for module in ("errors", "lambertw", "potential", "poles", "observables", "cli", "scattering",
+               "spectra", "cross_sections"):
+    module = importlib.import_module("deltashell." + module)
+    assert not removed & set(vars(module)), module.__name__
 """)
 
 
@@ -1124,3 +1129,69 @@ setattr(cli, {name!r}, wrapper)
 quiet({argv!r})
 assert len(calls) == 1, calls
 """)
+
+
+# -- every flag is read: changing its value changes stdout or exits 2
+
+# Lines that exit 0, per command; spectrum has one for each of its two poles.
+_BASE_LINES = {
+    "poles": [["--lambda", "10", "--count", "2"]],
+    "table": [["--lambda", "10", "--count", "2"]],
+    "spectrum": [["--lambda", "10", "--index", "1", "--emin", "1", "--emax", "30", "--points", "3"],
+                 ["--lambda", "-0.5", "--virtual", "--emin", "0.1", "--emax", "1", "--points", "3"]],
+    "interfere": [["--lambda", "10", "--indices", "1,2", "--emin", "1", "--emax", "60",
+                   "--points", "3"]],
+    "cross-section": [["--lambda", "10", "--index", "1", "--emin", "1", "--emax", "30",
+                       "--points", "3"]],
+    "lambertw": [["--branch", "0", "--re", "1"]],
+}
+# Another value for each valued long option; "--output" and "--config" take a path.
+_OTHER_VALUES = {
+    "--lambda": "7", "--radius": "2", "--units": "physical", "--mass": "2", "--hbar": "2",
+    "--format": "json", "--count": "3", "--emin": "2", "--emax": "40", "--points": "4",
+    "--index": "2", "--indices": "1,3", "--c1": "0.5,0.5", "--c2": "0.5,-0.5",
+    "--second-index": "3", "--branch": "-1", "--re": "2", "--im": "0.5",
+}
+_CONFIG_LINES = {"poles": "count=3", "table": "count=3", "spectrum": "points=4",
+                 "interfere": "points=4", "cross-section": "points=4", "lambertw": "re=2"}
+
+
+def _exit_and_stdout(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse's refusal
+            code = exc.code
+    return code, out.getvalue()
+
+
+def _changed(base, action, tmp_path, command):
+    """base with the option of action set to another value, or a flag toggled."""
+    option = max(action.option_strings, key=len)
+    if action.nargs == 0:  # a flag: toggle it
+        return [w for w in base if w != option] if option in base else base + [option]
+    if option == "--config":
+        path = tmp_path / f"{command}.cfg"
+        path.write_text(_CONFIG_LINES[command] + "\n")
+        value = str(path)
+    else:
+        value = str(tmp_path / "out") if option == "--output" else _OTHER_VALUES[option]
+    if option in base:
+        at = base.index(option) + 1
+        return base[:at] + [value] + base[at + 1:]
+    return base + [option, value]
+
+
+@pytest.mark.parametrize("command", sorted(_BASE_LINES))
+def test_every_flag_changes_stdout_or_exits_2(command, tmp_path):
+    subparser = cli._build_parser()[1][command]
+    actions = [a for a in subparser._actions if a.option_strings and a.dest != "help"]
+    assert actions
+    for base in _BASE_LINES[command]:
+        base_code, base_out = _exit_and_stdout([command, *base])
+        assert base_code == 0 and base_out, base
+        for action in actions:
+            argv = [command, *_changed(base, action, tmp_path, command)]
+            code, out = _exit_and_stdout(argv)
+            assert (code == 0 and out != base_out) or (code == 2 and out == ""), (argv, code)

@@ -57,7 +57,8 @@ def _per_cell_rows(fmt, columns, rows, case):
     def get(row, path, dim):
         for attr in path.split("."):
             row = getattr(row, attr)
-        mul, div = scales.get(dim, (1.0, 1.0))
+        mul, div, shift = scales.get(dim, (1.0, 1.0, 0))
+        assert shift == 0  # every case's a * a is a normal float
         if row is None or (mul, div) == (1.0, 1.0):
             return row
         value = row * mul / div

@@ -279,10 +279,11 @@ def test_interference_norm_matches_quadrature_and_mpmath(lam, i1, i2):
     spec = PotentialSpec(lam=lam)
     p1, p2 = find_resonance(spec, i1), find_resonance(spec, i2)
     cfg = InterferenceConfig(c1=0.6 - 0.2j, c2=-0.3 + 0.7j)
-    norm = spectra._coherent_norm(spec, p1, p2, cfg)
+    raw = InterferenceConfig(c1=cfg.c1, c2=cfg.c2, renormalize=False)
+    norm = spectra._interference(spec, p1, p2, cfg, 1.0)[1]
 
     extra = tuple(p2.e_R + s * j * 0.5 * p2.gamma_R for j in (1, 2, 4, 8, 16, 32) for s in (-1, 1))
-    quad = _quad(lambda e: spectra._coherent_sum(spec, p1, p2, cfg, e),
+    quad = _quad(lambda e: spectra._interference(spec, p1, p2, raw, e)[0],
                  p1.e_R, 0.5 * p1.gamma_R, norm, extra=extra)
     assert norm == pytest.approx(quad, rel=2e-11)
 

@@ -3,10 +3,12 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special
 
+import deltashell.lambertw as lambertw_module
 from deltashell import InvalidInput, lambert_w, lambert_w_residual
 
 INV_E = math.exp(-1.0)
@@ -131,3 +133,86 @@ def test_huge_arguments_along_pole_pipeline():
         for n in branches:
             w = lambert_w(n, z)
             assert lambert_w_residual(w, z) <= 1e-13 * max(1.0, abs(z))
+
+
+# The sweep: branches -12..12 on the negative real axis, x in [-100, 0), dense
+# on [-1, -1/e], at imaginary parts on both sides of the cut. W_0 just above
+# the cut left of -1/e, and every argument whose imaginary part is -0.0, are
+# the inputs a wrong seed or a misread sign of zero gets wrong.
+SWEEP_BRANCHES = range(-12, 13)
+SWEEP_IMAG = (0.0, -0.0, 1e-300, -1e-300, 1e-12, -1e-12, 1e-9, -1e-9, 1e-3, -1e-3, 0.03, -0.03)
+SWEEP_REALS = np.union1d(
+    np.union1d(-np.logspace(2.0, -6.0, 121), np.linspace(-1.0, -INV_E, 160, endpoint=False)),
+    # W_0 here was W_-1's value, a refusal, and at Im z = -1e-12 a root far off
+    [-0.9111870614845876, -0.8678794411714423, -0.8261668463221467],
+)
+
+
+def _on_line(xs, imag):
+    z = np.asarray(xs, dtype=complex)
+    z.imag = imag  # keeps the sign of a zero, where xs + 1j * imag would not
+    return z
+
+
+def _oracle(n, z):
+    """W_n at each z: scipy, with a 30-digit mpmath value where scipy's own
+    residual shows it stopped early, as it does near -1/e.
+
+    On the axis with Im z = -0.0 the reference is conj(W_-n(x + 0j)), the
+    mirror every other point obeys: scipy's W_-1 reads -0.0 as +0.0 on
+    (-1/e, 0), which would make it equal W_1 there.
+    """
+    if np.all(z.imag == 0.0) and np.all(np.signbit(z.imag)):
+        return np.conj(_oracle(-n, np.conj(z)))
+    ref = scipy.special.lambertw(z, n)
+    with np.errstate(all="ignore"):
+        slack = np.abs(ref * np.exp(ref) - z) > 1e-14 * np.maximum(1.0, np.abs(z))
+    for i in np.flatnonzero(slack | ~np.isfinite(ref)):
+        with mpmath.workdps(30):
+            ref[i] = complex(mpmath.lambertw(mpmath.mpc(z[i].real, z[i].imag), n))
+    return ref
+
+
+def test_sweep_of_the_negative_real_axis_matches_scipy(monkeypatch):
+    halley_runs = []
+
+    def counted(w, z):
+        halley_runs.append(1)
+        return halley(w, z)
+
+    halley = lambertw_module._halley
+    monkeypatch.setattr(lambertw_module, "_halley", counted)
+    wrong = []
+    for imag in SWEEP_IMAG:
+        z = _on_line(SWEEP_REALS, imag)
+        for n in SWEEP_BRANCHES:
+            ref = _oracle(n, z)
+            for zi, wi in zip(z.tolist(), ref.tolist()):
+                halley_runs.clear()
+                try:
+                    w = lambert_w(n, zi)
+                except ArithmeticError as exc:
+                    w = repr(exc)
+                if isinstance(w, str) or abs(w - wi) > 1e-12 * max(1.0, abs(wi)):
+                    wrong.append((n, zi, w, wi))
+                if len(halley_runs) > 1:
+                    wrong.append((n, zi, f"{len(halley_runs)} Halley solves"))
+    assert not wrong, (len(wrong), wrong[:5])
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_branches_on_either_side_of_the_cut_are_distinct_roots(sign):
+    # 25 branches, 25 roots, at every x with Im z = +0.0 and with Im z = -0.0
+    for x in SWEEP_REALS[::4]:
+        z = complex(x, math.copysign(0.0, sign))
+        values = np.array([lambert_w(n, z) for n in SWEEP_BRANCHES])
+        gaps = np.abs(values[:, None] - values[None, :]) + np.eye(len(values))
+        assert gaps.min() > 1e-6, x
+
+
+def test_minus_zero_is_below_the_cut():
+    # W_0 and W_1 meet across the cut: W_1(x - 0j) continues W_0 from above
+    z = complex(-0.5, -0.0)
+    assert lambert_w(0, z) == lambert_w(0, complex(-0.5, 0.0)).conjugate()
+    assert lambert_w(1, z) == lambert_w(-1, complex(-0.5, 0.0)).conjugate()
+    assert abs(lambert_w(0, z) - lambert_w(1, z)) > 1.0

@@ -231,3 +231,48 @@ def test_curve_scaling_that_overflows_exits_2(a):
             code, out, err = _run(argv)
             assert (code, out) == (2, ""), (argv, err)
             assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _exact_ulps(value, exact):
+    return abs(Fraction(value) - exact) / Fraction(math.ulp(float(exact)))
+
+
+def test_scaling_whose_steps_overflow_but_whose_result_fits(monkeypatch):
+    # (ħ²/2m) z = 5e306 z overflows before the division by a² = 1e20 brings it
+    # back: re_z of row 8 is 3.1e289
+    argv = ["table", "--lambda", "100", "--units", "physical", "--mass", "1e-307",
+            "--radius", "1e10", "--count", "8"]
+    for fmt in ("csv", "json"):
+        code, out, err = _run(argv + ["--format", fmt])
+        assert code == 0, err
+        _clean(code, out, fmt)
+    _full_precision(monkeypatch)
+    rows = json.loads(_run(argv + ["--format", "json"])[1])["rows"]
+    scale = Fraction(1.0) / (2 * Fraction(1e-307)) / Fraction(1e10) ** 2
+    for row, record in zip(rows, table_records(PotentialSpec(lam=100.0), 8), strict=True):
+        for name, x in (("re_z", record.z.real), ("gamma_R", record.gamma_R),
+                        ("gamma_bar", record.gamma_bar)):
+            assert _exact_ulps(row[name], Fraction(x) * scale) <= 3, (name, row[name])
+
+
+def test_curve_scaling_whose_radius_squared_overflows(monkeypatch):
+    # a = 1e160: a * a is inf, but the window E a^2 = 1e20..2e20 and each
+    # density times a^2 fit
+    argv = ["spectrum", "--lambda", "3", "--index", "1", "--radius", "1e160",
+            "--emin", "1e-300", "--emax", "2e-300", "--points", "3"]
+    for fmt in ("csv", "json"):
+        code, out, err = _run(argv + ["--no-companions", "--format", fmt])
+        assert code == 0, err
+        _clean(code, out, fmt)
+    # M^2 / a^2 is about 5e-331, below the smallest float: the companion
+    # column, not a^2, is refused
+    code, out, err = _run(argv)
+    assert (code, out) == (2, "") and err.startswith("error: ") and "loses its digits" in err
+    _full_precision(monkeypatch)
+    curve = json.loads(_run(argv + ["--no-companions", "--format", "json"])[1])["curve"]
+    spec = PotentialSpec(lam=3.0)
+    lo, hi = Fraction(1e-300) * Fraction(1e160) ** 2, Fraction(2e-300) * Fraction(1e160) ** 2
+    unit = spectrum_curve(spec, find_resonance(spec, 1), float(lo), float(hi), 3)
+    for got, x in zip(curve["dP_dE"], unit.dP_dE.tolist(), strict=True):
+        assert _exact_ulps(got, Fraction(x) * Fraction(1e160) ** 2) <= 3
+    assert curve["E"][0] == 1e-300

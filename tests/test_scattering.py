@@ -21,11 +21,10 @@ from deltashell import (
     jost,
     matrix_element,
     matrix_element_squared,
-    resonant_wavefunction,
     s_matrix,
-    s_matrix_energy,
     zeldovich_norm,
 )
+from grid_helpers import resonant_wavefunction, s_matrix_energy
 
 
 @pytest.fixture(scope="module")

@@ -18,9 +18,9 @@ from deltashell import (
     find_virtual_state,
     interference_curve,
     interference_spectrum,
-    multi_spectrum,
     spectrum_curve,
 )
+from grid_helpers import multi_spectrum
 from quadrature_oracle import QuadratureRequest, integrate_semi_infinite
 
 
