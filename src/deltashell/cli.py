@@ -19,9 +19,9 @@ hbar**2 / (2.0 * mass), and applies both in one step at the output
 (_scales): wave numbers times 1/a, energies times (ħ²/2m)/a², C times a,
 densities and cross sections times a²; Γ and Γ_sharp do not depend on a.
 A curve window is scaled in, as E a². A finite nonzero value whose scaled
-value overflows or loses its digits exits 2 with nothing written; a step
-that leaves the normal range while the result fits is redone in exponent
-arithmetic (_scaled).
+value overflows or loses its digits exits 2 with nothing written; values
+are scaled in exponent arithmetic (_scaled), so a step that leaves the
+normal range while the result fits is not refused.
 
 Parsing. Each subparser is built from the parents it reads: spec
 (--lambda, --radius) for the five pole commands, units (--units, --mass,
@@ -139,23 +139,22 @@ def _scales(a: float, energy: float = 1.0) -> dict | None:
 
 def _scaled(value: float, scale: tuple[float, float, int]) -> float:
     """value * multiplier / divisor * 2**shift; InvalidInput where a finite nonzero
-    value overflows to inf or loses its digits (to 0 or a subnormal). Where the shift is
-    not 0, or value * multiplier / divisor leaves the normal range, the same two roundings
-    run on frexp mantissas with the exponents summed apart, so only a true result
-    outside the normal range is refused."""
+    value overflows to inf or loses its digits (to 0 or a subnormal). The two roundings
+    run on frexp mantissas with the exponents summed apart: they give the bits of
+    value * multiplier / divisor wherever its steps stay in the normal range, and the
+    right bits where they do not, so only a true result outside that range is refused."""
     if not value or not math.isfinite(value):  # 0, inf and nan scale to themselves
         return value
     mul, div, shift = scale
-    scaled = value * mul / div
-    if shift or not _TINY <= abs(scaled) < math.inf:
-        (vm, ve), (mm, me), (dm, de) = map(math.frexp, (value, mul, div))
-        try:
-            scaled = math.ldexp(vm * mm / dm, ve + me - de + shift)
-        except OverflowError:
-            scaled = math.inf
-        if not _TINY <= abs(scaled) < math.inf:
-            what = "overflows" if math.isinf(scaled) else "loses its digits"
-            raise InvalidInput(f"{value!r} scaled by {mul!r}/{div!r}*2**{shift} {what}")
+    (vm, ve), (mm, me), (dm, de) = map(math.frexp, (value, mul, div))
+    try:
+        scaled = math.ldexp(vm * mm / dm, ve + me - de + shift)
+    except OverflowError:
+        scaled = math.inf
+    if not _TINY <= abs(scaled) < math.inf:
+        what = "overflows" if math.isinf(scaled) else "loses its digits"
+        power = f"*2**{shift}" if shift else ""
+        raise InvalidInput(f"{value!r} scaled by {mul!r}/{div!r}{power} {what}")
     return scaled
 
 
@@ -307,9 +306,8 @@ def _json_array(col) -> str:
 
 def _scaled_column(col, scale):
     """A curve column scaled as _scaled scales a value, and refused as it refuses
-    the column's extreme finite nonzero |x|: the scaling is monotone in |x|. It runs
-    on frexp mantissas; a curve takes no units, so one of multiplier and divisor is
-    1, and each value gets the bits of value * multiplier / divisor where that fits."""
+    the column's extreme finite nonzero |x|: the scaling is monotone in |x|. Each
+    value gets _scaled's bits: the same two roundings on np.frexp mantissas."""
     import numpy as np  # curves are numpy arrays already; row commands never get here
 
     size = abs(col[(col != 0.0) & (abs(col) < math.inf)])  # nan fails both

@@ -180,7 +180,7 @@ def lambert_w(branch: int, z: complex) -> complex:
     else:
         try:
             w = _halley(_seed(n, u), u)
-        except OverflowError:  # e^w overflowed, as far out on a high branch
+        except OverflowError:  # e^w overflowed on the way
             w = None
         if w is None:
             raise NonConvergence(f"W_{branch}({z}) did not converge")

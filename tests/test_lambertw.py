@@ -140,9 +140,11 @@ def test_huge_arguments_along_pole_pipeline():
 # the cut left of -1/e, and every argument whose imaginary part is -0.0, are
 # the inputs a wrong seed or a misread sign of zero gets wrong.
 SWEEP_BRANCHES = range(-12, 13)
-SWEEP_IMAG = (0.0, -0.0, 1e-300, -1e-300, 1e-12, -1e-12, 1e-9, -1e-9, 1e-3, -1e-3, 0.03, -0.03)
+SWEEP_IMAG = (0.0, -0.0, 1e-300, -1e-300, 1e-12, -1e-12, 1e-9, -1e-9, 1e-3, -1e-3, 0.03, -0.03,
+              0.05, -0.05, 0.069, -0.069)  # the last two inside the edge of W_0's park seed
 SWEEP_REALS = np.union1d(
-    np.union1d(-np.logspace(2.0, -6.0, 121), np.linspace(-1.0, -INV_E, 160, endpoint=False)),
+    np.concatenate((-np.logspace(2.0, -6.0, 121), np.linspace(-1.05, -1.0, 26, endpoint=False),
+                    np.linspace(-1.0, -INV_E, 160, endpoint=False))),
     # W_0 here was W_-1's value, a refusal, and at Im z = -1e-12 a root far off
     [-0.9111870614845876, -0.8678794411714423, -0.8261668463221467],
 )

@@ -276,3 +276,24 @@ def test_curve_scaling_whose_radius_squared_overflows(monkeypatch):
     for got, x in zip(curve["dP_dE"], unit.dP_dE.tolist(), strict=True):
         assert _exact_ulps(got, Fraction(x) * Fraction(1e160) ** 2) <= 3
     assert curve["E"][0] == 1e-300
+
+
+def test_scaling_whose_product_is_subnormal_but_whose_result_fits(monkeypatch):
+    # ħ²/2m = 5e-308 is normal, and so is a² = 1e-300, but 5e-308 γ_R is
+    # subnormal for every γ_R < 0.44: the division by a² must not keep its
+    # rounding, which would leave a normal result with only some of its digits
+    argv = ["table", "--lambda", "100", "--units", "physical", "--mass", "1e307",
+            "--radius", "1e-150", "--count", "8"]
+    for fmt in ("csv", "json"):
+        code, out, err = _run(argv + ["--format", fmt])
+        assert code == 0, err
+        _clean(code, out, fmt)
+    _full_precision(monkeypatch)
+    rows = json.loads(_run(argv + ["--format", "json"])[1])["rows"]
+    scale = Fraction(1.0) / (2 * Fraction(1e307)) / Fraction(1e-150) ** 2
+    records = table_records(PotentialSpec(lam=100.0), 8)
+    assert any(abs(r.gamma_R / 2e307) < sys.float_info.min for r in records)
+    for row, record in zip(rows, records, strict=True):
+        for name, x in (("re_z", record.z.real), ("gamma_R", record.gamma_R),
+                        ("gamma_bar", record.gamma_bar)):
+            assert _exact_ulps(row[name], Fraction(x) * scale) <= 3, (name, row[name])

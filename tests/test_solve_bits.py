@@ -164,9 +164,22 @@ def test_halley_at_w_minus_one_returns_none():
     (-1000, 1e40),
 ])
 def test_exp_overflow_raises_nonconvergence(branch, z):
-    # the solve fails or e^w overflows; it used to escape as a raw OverflowError
+    # the Halley solve from the seed is refused; on the retries that the
+    # solver once had, e^w overflowed and escaped as a raw OverflowError
     with pytest.raises(NonConvergence, match=f"W_{branch}"):
         lambert_w(branch, z)
+
+
+def test_exp_overflow_in_the_solve_is_nonconvergence(monkeypatch):
+    # no admitted seed is known to step past Re w = 709.8, so a seed there
+    # stands in for one: e^w overflows at once
+    import deltashell.lambertw as lambertw_module
+
+    monkeypatch.setattr(lambertw_module, "_seed", lambda branch, z: complex(800.0, 0.0))
+    with pytest.raises(OverflowError):
+        _halley(complex(800.0, 0.0), 1e300 + 0j)
+    with pytest.raises(NonConvergence, match="W_3"):
+        lambert_w(3, 1e300)
 
 
 def test_index_ten_thousand_keeps_its_bits(same_arithmetic):
