@@ -9,7 +9,9 @@ Two layers. The scalar layer (errors, lambertw, potential, poles,
 observables) is plain Python and cmath; its names are imported with the
 package. The grid layer (scattering, spectra, cross_sections) works on
 numpy arrays; its names are in __all__ too, but each is bound on first
-access, which imports its module and numpy.
+access, which imports its module and numpy. A public name is declared once,
+in its module's ``__all__``; the package's ``__all__`` is built from those
+lists, with ``_GRID`` naming the grid layer's without importing numpy.
 
 Quick start::
 
@@ -23,49 +25,28 @@ Quick start::
 
 import importlib
 
-from .errors import (
-    DegeneratePole,
-    DeltaShellError,
-    InvalidInput,
-    NonConvergence,
-    NoSuchPole,
-    PoleHit,
-)
-from .lambertw import lambert_w, lambert_w_residual
-from .observables import (
-    ObservablesRecord,
-    decay_constant_total,
-    decay_width_total,
-    golden_rule_sharp,
-    observables_record,
-    table_records,
-)
-from .poles import (
-    enumerate_poles,
-    find_anti_resonance,
-    find_bound_state,
-    find_resonance,
-    find_virtual_state,
-    transcendental_residual,
-    zeldovich_norm,
-)
-from .potential import Pole, PoleKind, PotentialSpec
+from . import errors, lambertw, observables, poles, potential
+from .errors import *
+from .lambertw import *
+from .observables import *
+from .poles import *
+from .potential import *
 
-# Grid-layer names, by module: bound on first access, since their modules
-# import numpy and the scalar layer above does not.
+# Grid-layer names, by module and in the order of its __all__: bound on first
+# access, since their modules import numpy and the scalar layer above does not.
 _GRID = {
     "cross_sections": (
-        "CrossSectionBundle", "cross_section_bundle", "cross_section_e_unitarized",
-        "cross_section_exact", "cross_section_k_unitarized", "cross_section_laurent",
-        "cross_section_two_pole", "unitarized_ratio",
+        "CrossSectionBundle", "cross_section_exact", "cross_section_laurent",
+        "cross_section_e_unitarized", "cross_section_k_unitarized", "unitarized_ratio",
+        "cross_section_two_pole", "cross_section_bundle",
     ),
     "scattering": (
-        "jost", "matrix_element", "matrix_element_squared", "s_matrix",
+        "jost", "s_matrix", "matrix_element_squared", "matrix_element",
     ),
     "spectra": (
-        "InterferenceConfig", "SpectrumCurve", "decay_constant_differential",
-        "decay_energy_spectrum", "decay_width_differential", "interference_curve",
-        "interference_spectrum", "spectrum_curve",
+        "decay_width_differential", "decay_constant_differential", "SpectrumCurve",
+        "InterferenceConfig", "decay_energy_spectrum", "spectrum_curve",
+        "interference_spectrum", "interference_curve",
     ),
 }
 _LAZY = {name: module for module, names in _GRID.items() for name in names}
@@ -87,29 +68,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "DegeneratePole",
-    "DeltaShellError",
-    "InvalidInput",
-    "NonConvergence",
-    "NoSuchPole",
-    "ObservablesRecord",
-    "Pole",
-    "PoleHit",
-    "PoleKind",
-    "PotentialSpec",
-    "decay_constant_total",
-    "decay_width_total",
-    "enumerate_poles",
-    "find_anti_resonance",
-    "find_bound_state",
-    "find_resonance",
-    "find_virtual_state",
-    "golden_rule_sharp",
-    "lambert_w",
-    "lambert_w_residual",
-    "observables_record",
-    "table_records",
-    "transcendental_residual",
-    "zeldovich_norm",
+    *(name for m in (errors, lambertw, potential, poles, observables) for name in m.__all__),
     *_LAZY,
 ]

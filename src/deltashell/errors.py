@@ -1,5 +1,8 @@
 """Exception types shared across the library."""
 
+__all__ = ["DeltaShellError", "InvalidInput", "NonConvergence", "NoSuchPole", "PoleHit",
+           "DegeneratePole"]
+
 
 class DeltaShellError(Exception):
     """Base class for all errors raised by this package."""

@@ -26,14 +26,16 @@ Algorithm
 * Refinement: one Halley iteration on ``f(w) = w*exp(w) - z`` from the
   seed, relative step tolerance 1e-15, cap 64 iterations (3-5 steps in
   practice). It stops on a step below the tolerance or on a residual at the
-  rounding floor ``|f| <= 2e-16 (|w e^w| + |z|)``, and accepts the root only
-  if ``|f| <= 1e-13 max(1, |z|)``, read from the |f| it already formed (e^w
+  rounding floor ``|f| <= 4e-16 (|w e^w|/2 + |z|/2)``: halving is exact
+  above the subnormals, so this is ``2e-16 (|w e^w| + |z|)``, but finite up
+  to |z| = 1.8e308. It accepts the root only if
+  ``|f| <= 1e-13 max(1, |z|)``, read from the |f| it already formed (e^w
   is evaluated once more only when the last step moved w). A refused root,
   or an overflow of e^w, is a NonConvergence: no other seed is tried.
-* Inside ``|z + 1/e| < 1e-4`` the series alone serves branches 0 and -1,
+* Inside ``|z + 1/e| < 1e-4`` the seed alone serves branches 0 and -1,
   the sheets that collide at the branch point above the cut: Halley's
-  denominator degenerates there, and the degree-6 series lands within
-  ~1e-15 of the root.
+  denominator degenerates there, and the seed is the degree-6 series,
+  formed by ``_seed`` only, which lands within ~1e-15 of the root.
 """
 
 from __future__ import annotations
@@ -76,6 +78,7 @@ def _halley(w: complex, z: complex) -> complex | None:
     """The root Halley's iteration reaches from w if it passes the acceptance
     test, else None (see Refinement above); an overflow of e^w propagates."""
     abs_z = abs(z)
+    half_z = 0.5 * abs_z
     tol = _RESIDUAL_TOL * (abs_z if abs_z > 1.0 else 1.0)
     exp = cmath.exp
     try:
@@ -83,11 +86,12 @@ def _halley(w: complex, z: complex) -> complex | None:
             ew = exp(w)
             wew = w * ew
             f = wew - z
-            if abs(f) <= 2e-16 * (abs(wew) + abs_z):
-                # residual at the rounding floor; near the branch point the
-                # step criterion below stalls on noise and would never fire.
-                # An overflowed w e^w passes here as inf <= inf, and the
-                # acceptance test refuses it.
+            if abs(f) <= 4e-16 * (0.5 * abs(wew) + half_z):
+                # residual at the rounding floor (from halves, so the sum
+                # cannot overflow); near the branch point the step criterion
+                # below stalls on noise and would never fire. An overflowed
+                # w e^w passes here as inf <= inf, and the acceptance test
+                # refuses it.
                 return w if abs(f) <= tol else None
             wp1 = w + 1.0
             dw = f / (ew * wp1 - (w + 2.0) * f / (2.0 * wp1))
@@ -151,7 +155,7 @@ def lambert_w(branch: int, z: complex) -> complex:
         its modulus is non-finite, or z = 0 with branch != 0.
     NonConvergence
         If the Halley iteration from the seed fails the acceptance test (as
-        for ``W_-1000(1e40)`` or ``W_3(1e308)``), or e^w overflows on the way.
+        for ``W_-1000(1e40)``), or e^w overflows on the way.
     """
     if type(branch) is not int:
         try:
@@ -172,14 +176,13 @@ def lambert_w(branch: int, z: complex) -> complex:
         raise InvalidInput(f"lambert_w argument {z} has |z| beyond 1.8e308") from None
     below = math.copysign(1.0, z.imag) < 0.0  # below the cut, -0.0 included
     n, u = (-branch, z.conjugate()) if below else (branch, z)
-    if near_branch_point and -1 <= n <= 0:
-        # Halley degenerates at the double root w = -1, and the series is at
-        # machine precision; branch 1 stays on its remote sheet above the cut
-        p = cmath.sqrt(2.0 * (math.e * u + 1.0))
-        w = _branch_point_series(p if n == 0 else -p)
-    else:
+    w = _seed(n, u)
+    # near the branch point the seed of branches 0 and -1 is the series, at
+    # machine precision, and Halley degenerates at the double root w = -1;
+    # branch 1 stays on its remote sheet above the cut
+    if not (near_branch_point and -1 <= n <= 0):
         try:
-            w = _halley(_seed(n, u), u)
+            w = _halley(w, u)
         except OverflowError:  # e^w overflowed on the way
             w = None
         if w is None:

@@ -73,7 +73,6 @@ class ObservablesRecord:
     the dataclass semantics are those of the generated init.
     """
 
-    lam: float
     kind: PoleKind
     index: int
     k: complex
@@ -85,10 +84,9 @@ class ObservablesRecord:
     gamma_sharp: float | None
     c_value: float | None
 
-    def __init__(self, lam, kind, index, k, z, gamma_R, gamma_bar, gamma,
+    def __init__(self, kind, index, k, z, gamma_R, gamma_bar, gamma,
                  gamma_bar_sharp, gamma_sharp, c_value):
         fields = self.__dict__
-        fields["lam"] = lam
         fields["kind"] = kind
         fields["index"] = index
         fields["k"] = k
@@ -195,14 +193,13 @@ def observables_record(spec: PotentialSpec, pole: Pole) -> ObservablesRecord:
     kind = pole.kind
     if kind not in _ROW_KINDS:
         _require_kind(pole, *_ROW_KINDS)
-    lam, k, z, gamma_R = spec.lam, pole.k, pole.z, pole.gamma_R
+    k, z, gamma_R = pole.k, pole.z, pole.gamma_R
     # 2 lam^2 |N|^2 exp(2 beta): the one residue normalization of a row
-    prefactor = 2.0 * lam**2 * _shell_density(spec, pole)
+    prefactor = 2.0 * spec.lam**2 * _shell_density(spec, pole)
     if kind is not _RESONANCE:
         q = 1j * abs(k.imag)
         gamma = prefactor / (2.0 * math.pi) * _sin2_pair(q, q).real
-        return ObservablesRecord(lam, kind, pole.index, k, z, gamma_R, 0.0, gamma,
-                                 None, None, None)
+        return ObservablesRecord(kind, pole.index, k, z, gamma_R, 0.0, gamma, None, None, None)
     # C = int (1/pi) (G/2)/((E-E_R)^2+(G/2)^2) sin^2(k)/k dE
     #   = (Gamma_R / 2 pi) S(-k_R, conj k_R) = Re[(1 - e^{-2 i k_R}) / (2 k_R)]
     # S(-k_R, conj k_R) with f(conj k_R) = -conj f(-k_R): one expm1, not two
@@ -217,7 +214,7 @@ def observables_record(spec: PotentialSpec, pole: Pole) -> ObservablesRecord:
         kt = math.sqrt(e_R)
         gbs = prefactor * math.sin(kt) ** 2 / kt
         gs = gbs / gamma_R
-    return ObservablesRecord(lam, kind, pole.index, k, z, gamma_R, gamma_bar,
+    return ObservablesRecord(kind, pole.index, k, z, gamma_R, gamma_bar,
                              gamma_bar / gamma_R, gbs, gs, c_value)
 
 

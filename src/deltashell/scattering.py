@@ -42,11 +42,13 @@ def _energies(e) -> np.ndarray:
 def _lorentz_denominator(pole: Pole, e):
     """(E - E_R)^2 + (Gamma_R/2)^2 = |E - z|^2, the pole's Lorentzian denominator.
 
-    Far out in a finite window the square overflows to inf; every quotient
-    over it is then 0, which is its limit.
+    Every Lorentzian of the grid layer divides by it. hw * hw is correctly
+    rounded, as libm's hw ** 2 is not always. Far out in a finite window the
+    square overflows to inf; every quotient over it is then 0, its limit.
     """
+    hw = 0.5 * pole.gamma_R
     with np.errstate(over="ignore"):
-        return (e - pole.e_R) ** 2 + (0.5 * pole.gamma_R) ** 2
+        return (e - pole.e_R) ** 2 + hw * hw
 
 
 def jost(spec: PotentialSpec, k):

@@ -140,11 +140,7 @@ def _breit_wigner(pole: Pole, e: np.ndarray) -> np.ndarray:
     hw = 0.5 * pole.gamma_R
     if hw <= 0.0:
         return np.zeros_like(e)
-    # not _lorentz_denominator: hw * hw and libm's hw ** 2 differ by an ulp
-    # for about 1 pole in 1500, which could move a printed digit. A square
-    # that overflows makes the quotient 0, its limit.
-    with np.errstate(over="ignore"):
-        return (hw / np.pi) / ((e - pole.e_R) ** 2 + hw * hw)
+    return (hw / np.pi) / _lorentz_denominator(pole, e)
 
 
 def spectrum_curve(

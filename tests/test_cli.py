@@ -1,6 +1,7 @@
 """Command-line surface: schemas, determinism, exit codes."""
 
 import contextlib
+import importlib
 import io
 import json
 import math
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import deltashell
 import deltashell.cli as cli
 from deltashell import (
     InterferenceConfig,
@@ -515,6 +517,26 @@ def test_bad_config_value_exits_2_without_traceback(line, tmp_path):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("case", ["config line without =", "missing config", "missing output dir"])
+def test_file_errors_exit_2_with_one_error_line(case, tmp_path):
+    # the config reader's own refusal and the OSError of a file that cannot be
+    # opened, for reading or for writing, end in main's one-line error
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("lambda=10\ncount 2\n")
+    argv = {
+        "config line without =": ["table", "--config", str(cfg)],
+        "missing config": ["table", "--config", str(tmp_path / "absent.cfg")],
+        "missing output dir": ["table", "--lambda", "10",
+                               "--output", str(tmp_path / "absent" / "table.csv")],
+    }[case]
+    proc = run_cli(*argv)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "absent").exists()
 
 
 def test_parser_reused_across_calls(tmp_path, monkeypatch, capsys):
@@ -1105,6 +1127,35 @@ for module in ("errors", "lambertw", "potential", "poles", "observables", "cli",
     module = importlib.import_module("deltashell." + module)
     assert not removed & set(vars(module)), module.__name__
 """)
+
+
+# the package's public names at the release before each module's __all__
+# became the only list of them
+_PUBLIC_NAMES = {
+    "__version__", "DegeneratePole", "DeltaShellError", "InvalidInput", "NonConvergence",
+    "NoSuchPole", "ObservablesRecord", "Pole", "PoleHit", "PoleKind", "PotentialSpec",
+    "decay_constant_total", "decay_width_total", "enumerate_poles", "find_anti_resonance",
+    "find_bound_state", "find_resonance", "find_virtual_state", "golden_rule_sharp",
+    "lambert_w", "lambert_w_residual", "observables_record", "table_records",
+    "transcendental_residual", "zeldovich_norm",
+    "CrossSectionBundle", "cross_section_bundle", "cross_section_e_unitarized",
+    "cross_section_exact", "cross_section_k_unitarized", "cross_section_laurent",
+    "cross_section_two_pole", "unitarized_ratio",
+    "jost", "matrix_element", "matrix_element_squared", "s_matrix",
+    "InterferenceConfig", "SpectrumCurve", "decay_constant_differential",
+    "decay_energy_spectrum", "decay_width_differential", "interference_curve",
+    "interference_spectrum", "spectrum_curve",
+}
+
+
+def test_public_surface_comes_from_the_modules():
+    # deltashell.__all__ is built from the modules' own lists; _GRID names the
+    # grid layer's lists without importing numpy, so a test ties the two
+    assert len(deltashell.__all__) == len(set(deltashell.__all__)) == 45
+    assert set(deltashell.__all__) == _PUBLIC_NAMES
+    for module, names in deltashell._GRID.items():
+        assert tuple(importlib.import_module(f"deltashell.{module}").__all__) == names, module
+    assert set(cli._CURVES) <= set(deltashell._LAZY)
 
 
 @pytest.mark.parametrize("name, argv", [

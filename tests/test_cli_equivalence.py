@@ -388,7 +388,7 @@ def _record_by_helpers(spec, pole):
             kt = math.sqrt(pole.e_R)
             gbs = prefactor * math.sin(kt) ** 2 / kt
             gs = gbs / pole.gamma_R
-    return ObservablesRecord(spec.lam, pole.kind, pole.index, pole.k, pole.z, pole.gamma_R,
+    return ObservablesRecord(pole.kind, pole.index, pole.k, pole.z, pole.gamma_R,
                              gamma_bar, gamma, gbs, gs, c_value)
 
 

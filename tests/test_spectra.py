@@ -62,6 +62,19 @@ def test_spectrum_equals_width_spectrum_pointwise():
     assert np.allclose(lhs, rhs, rtol=1e-12, atol=0.0)
 
 
+@pytest.mark.parametrize("lam, n", [(10.0, 3), (-0.5, 0)])
+def test_spectrum_computes_its_own_gamma_bit_for_bit(lam, n):
+    # without gamma_total the decay constant is formed on demand: the same bits
+    spec = PotentialSpec(lam=lam)
+    pole = find_resonance(spec, n) if n else find_virtual_state(spec)
+    grid = np.linspace(0.01, 160.0, 801)
+    given = decay_energy_spectrum(spec, pole, grid, gamma_total=decay_constant_total(spec, pole))
+    own = decay_energy_spectrum(spec, pole, grid)
+    assert own.tobytes() == given.tobytes()
+    assert decay_energy_spectrum(spec, pole, 2.5) == decay_energy_spectrum(
+        spec, pole, 2.5, gamma_total=decay_constant_total(spec, pole))
+
+
 def test_zeros_inherited_from_matrix_element():
     spec = PotentialSpec(lam=100.0)
     pole = find_resonance(spec, 3)
