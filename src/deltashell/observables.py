@@ -16,9 +16,16 @@ for zero-width poles).
 With E = k^2 each of these integrals, and the two-resonance
 normalization in spectra, has the form int_{-inf}^{inf} sin^2(k) R(k) dk
 with R even and rational, so it is a finite sum of residues at the
-S-matrix poles (:func:`_sin2_pair`). That residue sum is the only path
-the library has; the test suite checks it against an independent
-adaptive quadrature.
+S-matrix poles (:func:`_sin2_pair`). On a resonance the pole equation
+t = lam e^{2ik} = lam - 2ik makes that sum rational in k:
+
+    |N|^2 exp(2 beta) = 2 |k|^2 / (|lam| |1 + t|),   C = 2 Re k / |t|^2,
+
+so a resonance row evaluates no exponential at all. The residue sum
+S(q1, q2) remains for the bound and virtual rows (the double pole
+S(i kappa, i kappa)) and for the two-resonance normalization in spectra.
+The test suite checks the rows against an independent adaptive quadrature
+and against a 50-digit reference.
 
 The sharp approximations replace the Lorentzian by a delta function:
 Gbar_sharp = 2 pi M^2(E_R), Gamma_sharp = Gbar_sharp / Gamma_R.
@@ -65,8 +72,8 @@ class ObservablesRecord:
     gamma_bar_sharp, gamma_sharp and c_value are None for bound and
     virtual rows (their gamma_bar is identically zero); the sharp values
     are also None for resonances with E_R <= 0, where the sharp
-    approximation has no energy to sit at. Every observable comes from a
-    closed-form residue sum.
+    approximation has no energy to sit at. Every observable is a closed
+    form in k (see the module docstring).
 
     A frozen dataclass with its own ``__init__``, which writes the fields
     straight into the instance ``__dict__`` (see :mod:`deltashell.potential`);
@@ -201,12 +208,10 @@ def observables_record(spec: PotentialSpec, pole: Pole) -> ObservablesRecord:
         gamma = prefactor / (2.0 * math.pi) * _sin2_pair(q, q).real
         return ObservablesRecord(kind, pole.index, k, z, gamma_R, 0.0, gamma, None, None, None)
     # C = int (1/pi) (G/2)/((E-E_R)^2+(G/2)^2) sin^2(k)/k dE
-    #   = (Gamma_R / 2 pi) S(-k_R, conj k_R) = Re[(1 - e^{-2 i k_R}) / (2 k_R)]
-    # S(-k_R, conj k_R) with f(conj k_R) = -conj f(-k_R): one expm1, not two
-    q1, q2 = -k, k.conjugate()
-    f1 = -_expm1(2j * q1) / (2.0 * q1)
-    s = math.pi * 1j * (f1 + f1.conjugate()) / (q1 * q1 - q2 * q2)
-    c_value = gamma_R / (2.0 * math.pi) * s.real
+    #   = Re[(1 - e^{-2ik}) / (2k)] = Re(-i / t) = 2 Re k / |t|^2,
+    # since e^{-2ik} = lam / t on the pole, t = lam - 2ik
+    t = spec.lam - 2j * k
+    c_value = 2.0 * k.real / (t.real * t.real + t.imag * t.imag)
     gamma_bar = prefactor * c_value
     gbs = gs = None
     e_R = z.real  # pole.e_R, without the property call

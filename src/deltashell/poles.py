@@ -125,9 +125,10 @@ def find_resonance(spec: PotentialSpec, n: int) -> Pole:
         m = n if spec.lam > 0 else n + 1
         w = lambert_w(-m, spec._w_argument)
         k = _polish_complex(spec, (spec.lam - w) / 2j)
-        if not (k.real > 0 and k.imag < 0):
-            raise NonConvergence(f"branch {-m} root {k} is not in the fourth quadrant")
-        pole = Pole(_RESONANCE, -m, n, k, k * k)
+        try:  # Pole checks the fourth quadrant
+            pole = Pole(_RESONANCE, -m, n, k, k * k)
+        except InvalidInput:
+            raise NonConvergence(f"branch {-m} root {k} is not in the fourth quadrant") from None
         if (resid := transcendental_residual(spec, k)) > _RESIDUAL_TOL:
             raise _off_root(pole, resid)
         spec._resonances[n] = pole
@@ -206,6 +207,21 @@ def enumerate_poles(spec: PotentialSpec, count: int) -> list[Pole]:
     return poles
 
 
+def _one_plus_t(spec: PotentialSpec, k: complex) -> complex:
+    """1 + t = (1 + lam) - 2ik, checked: the factor of N^2 that vanishes at a double pole.
+
+    Formed this way it is exact near lam = -1. Raises DegeneratePole when
+    |1 + t| < 1e-13 * 2|k|, i.e. when J2'(k) = i (1 + t) / (2k) is
+    numerically zero.
+    """
+    if k == 0:
+        raise InvalidInput("Jost functions are singular at k = 0")
+    one_plus_t = (1.0 + spec.lam) - 2j * k
+    if abs(one_plus_t) < _DEGENERATE_TOL * 2.0 * abs(k):
+        raise DegeneratePole(f"J2'({k}) is numerically zero; double pole?")
+    return one_plus_t
+
+
 def zeldovich_norm(spec: PotentialSpec, pole: Pole) -> complex:
     """N^2 = i res_k S, the squared residue normalization of a pole of ``spec``.
 
@@ -224,19 +240,18 @@ def zeldovich_norm(spec: PotentialSpec, pole: Pole) -> complex:
     J2'(k) = i (1 + t) / (2k) is numerically zero (a double pole).
     """
     k = complex(pole.k)
-    if k == 0:
-        raise InvalidInput("Jost functions are singular at k = 0")
-    x = 2j * k
-    one_plus_t = (1.0 + spec.lam) - x
-    if abs(one_plus_t) < _DEGENERATE_TOL * 2.0 * abs(k):
-        raise DegeneratePole(f"J2'({pole.k}) is numerically zero; double pole?")
-    return 2.0 * k * k / (spec.lam * cmath.exp(x) * one_plus_t)
+    one_plus_t = _one_plus_t(spec, k)
+    return 2.0 * k * k / (spec.lam * cmath.exp(2j * k) * one_plus_t)
 
 
 def _shell_density(spec: PotentialSpec, pole: Pole) -> float:
     """|N|^2 exp(2 beta) = |u(1)|^2 at the shell, formed before any lam^2 factor.
 
-    Near lam = -700 the bound state has |N|^2 ~ 1e306 and exp(2 beta)
-    ~ 1e-304; multiplying lam^2 into |N|^2 first would overflow.
+    |e^{2ik}| = exp(2 beta) cancels the exponential of |N^2| exactly, so
+
+        |N|^2 exp(2 beta) = 2 |k|^2 / (|lam| |(1 + lam) - 2ik|),
+
+    with no exponential at all. Raises as ``zeldovich_norm`` does.
     """
-    return abs(zeldovich_norm(spec, pole)) * math.exp(2.0 * pole.beta_R)
+    k = complex(pole.k)
+    return 2.0 * abs(k) ** 2 / (abs(spec.lam) * abs(_one_plus_t(spec, k)))

@@ -21,8 +21,9 @@ cross-term phase convention lives in scattering.matrix_element. One
 function (_interference) forms the sum and its norm; the curve is that
 function on the curve's grid.
 
-Both normalizations, Gamma and the integral of the coherent sum, are
-closed-form residue sums (observables._sin2_pair). Units are those of
+Both normalizations are closed forms: Gamma is read from the table row
+(observables), and the integral of the coherent sum is a residue sum
+(observables._sin2_pair). Units are those of
 :mod:`deltashell.potential` (a = 1); the command line scales a curve to
 radius a: E and M^2 by 1/a^2, each density by a^2.
 """

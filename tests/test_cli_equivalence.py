@@ -1,12 +1,11 @@
 """The row commands' fast paths against their references: the `%`-template
 row writer against a per-cell writer, the direct subparser parse against
-the full parser, the scalar kernels (the row kernel among them) against
-their two-exponential forms, and the CLI bytes against fixtures written
+the full parser, the scalar solver kernels against their two-exponential
+forms, and the CLI bytes against fixtures written
 before these paths existed."""
 
 import cmath
 import contextlib
-import dataclasses
 import io
 import itertools
 import json
@@ -14,7 +13,6 @@ import math
 import random
 import subprocess
 import sys
-from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -24,13 +22,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import deltashell.cli as cli
-from deltashell import (InvalidInput, Pole, PoleKind, PotentialSpec, cross_section_two_pole,
-                        enumerate_poles, find_anti_resonance, find_bound_state, find_resonance,
-                        find_virtual_state, lambert_w, lambert_w_residual)
+from deltashell import (InvalidInput, Pole, PotentialSpec, cross_section_two_pole,
+                        enumerate_poles, find_anti_resonance, find_resonance, lambert_w,
+                        lambert_w_residual)
 from deltashell.lambertw import _halley, _seed
-from deltashell.observables import (ObservablesRecord, _sin2_pair, observables_record,
-                                    table_records)
-from deltashell.poles import _polish_complex, _shell_density
+from deltashell.observables import table_records
+from deltashell.poles import _polish_complex
 
 FIXTURES = Path(__file__).parent / "fixtures" / "cli"
 
@@ -369,45 +366,15 @@ def _strengths(seed, count, lo=0.15, hi=700.0, signed=True):
         yield mag if not signed or rng.random() < 0.5 else -mag
 
 
-def _record_by_helpers(spec, pole):
-    """A table row as the per-quantity helpers composed it before the row
-    kernel: the width prefactor, then C and Gbar from the two-exponential
-    S(-k, conj k) (or the threshold constant S(i kappa, i kappa)), then the
-    sharp pair where E_R > 0."""
-    prefactor = 2.0 * spec.lam**2 * _shell_density(spec, pole)
-    gamma_bar, c_value, gbs, gs = 0.0, None, None, None
-    if pole.kind is not PoleKind.RESONANCE:
-        q = 1j * abs(pole.k.imag)
-        gamma = prefactor / (2.0 * math.pi) * _sin2_pair(q, q).real
-    else:
-        s = _sin2_pair(-pole.k, pole.k.conjugate())
-        c_value = pole.gamma_R / (2.0 * math.pi) * s.real
-        gamma_bar = prefactor * c_value
-        gamma = gamma_bar / pole.gamma_R
-        if pole.e_R > 0.0:
-            kt = math.sqrt(pole.e_R)
-            gbs = prefactor * math.sin(kt) ** 2 / kt
-            gs = gbs / pole.gamma_R
-    return ObservablesRecord(pole.kind, pole.index, pole.k, pole.z, pole.gamma_R,
-                             gamma_bar, gamma, gbs, gs, c_value)
-
-
-def _record_bits(record):
-    return [_bits(value) if isinstance(value, (float, complex)) else value
-            for value in dataclasses.astuple(record)]
-
-
 def test_kernels_match_their_two_exponential_forms():
-    checked = Counter()
-    # |lam| up to 700, plus 0 < lam < 0.107, where resonance 1 has E_R <= 0
+    # |lam| up to 700, plus 0 < lam < 0.107, where resonance 1 has E_R <= 0;
+    # the row kernel is checked against the 50-digit reference instead
+    # (tests/test_observables.py)
     strengths = itertools.chain(_strengths(9101, 300), _strengths(9102, 40, 1e-3, 0.107, False))
+    polished = 0
     for lam in strengths:
         spec = PotentialSpec(lam=lam)
         z = lam * math.exp(lam)
-        poles = []
-        if lam < 0.0:
-            with contextlib.suppress(ArithmeticError):
-                poles.append((find_bound_state if lam < -1.0 else find_virtual_state)(spec))
         for n in range(1, 9):
             branch = -(n if lam > 0 else n + 1)
             seed = _seed(branch, complex(z))
@@ -418,17 +385,8 @@ def test_kernels_match_their_two_exponential_forms():
                 continue
             k0 = pole.k * (1.0 + 1e-9j)
             assert _bits(_polish_complex(spec, k0)) == _bits(_polish_two_exponentials(spec, k0))
-            poles.append(pole)
-        for pole in poles:
-            record = observables_record(spec, pole)
-            assert _record_bits(record) == _record_bits(_record_by_helpers(spec, pole)), pole
-            below = pole.kind is PoleKind.RESONANCE and pole.e_R <= 0.0
-            checked[pole.kind.value + (" below threshold" if below else "")] += 1
-            if pole.kind is not PoleKind.RESONANCE or below:
-                assert record.gamma_bar_sharp is None and record.gamma_sharp is None
-    assert checked["resonance"] > 2000
-    assert min(checked[kind] for kind in ("bound", "virtual_state",
-                                          "resonance below threshold")) >= 10, checked
+            polished += 1
+    assert polished > 2000
 
 
 # -- two-pole cross section

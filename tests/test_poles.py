@@ -6,8 +6,10 @@ import math
 import pytest
 
 import deltashell.cli as cli
+import deltashell.poles as poles_module
 from deltashell import (
     InvalidInput,
+    NonConvergence,
     NoSuchPole,
     PoleKind,
     PotentialSpec,
@@ -216,3 +218,21 @@ def test_radius_scaling(capsys):
     scaled = [pole.k.real / 2, pole.k.imag / 2, pole.z.real / 4, pole.z.imag / 4,
               pole.gamma_R / 4]
     assert printed == [float("%.9g" % x) for x in scaled]
+
+
+def test_off_quadrant_root_is_a_numerical_failure(monkeypatch, capsys):
+    # W across the cut from the pole's branch gives the mirror root
+    # -conj(k_1) in the third quadrant: a failed solve (exit 3), never a
+    # refused input (exit 2), and nothing is memoized
+    lambert_w = poles_module.lambert_w
+    monkeypatch.setattr(poles_module, "lambert_w", lambda b, z: lambert_w(b, z).conjugate())
+    message = r"^branch -1 root \(-[0-9.e+-]+-[0-9.e+-]+j\) is not in the fourth quadrant$"
+    spec = PotentialSpec(lam=10.0)
+    with pytest.raises(NonConvergence, match=message):
+        find_resonance(spec, 1)
+    assert spec._resonances == {}
+    assert cli.main(["table", "--lambda", "10", "--count", "1"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("numerical failure: branch -1 root (-")
+    assert err.endswith(") is not in the fourth quadrant\n")
