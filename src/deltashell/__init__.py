@@ -1,9 +1,9 @@
 """Resonance observables of the delta-shell potential.
 
-Poles of the S-matrix in closed form through the multi-branch Lambert W
-function, residue-normalized resonant states, decay widths and decay
-constants as closed-form residue sums, decay-energy-spectrum lineshapes with
-two-resonance interference, and cross-section approximants.
+Resonance poles of the S-matrix in closed form through the multi-branch
+Lambert W function, residue-normalized resonant states, decay widths and
+decay constants as residue sums rational on the poles, decay-energy-spectrum
+lineshapes with two-resonance interference, and cross-section approximants.
 
 Two layers. The scalar layer (errors, lambertw, potential, poles,
 observables) is plain Python and cmath; its names are imported with the

@@ -16,22 +16,21 @@ for zero-width poles).
 With E = k^2 each of these integrals, and the two-resonance
 normalization in spectra, has the form int_{-inf}^{inf} sin^2(k) R(k) dk
 with R even and rational, so it is a finite sum of residues at the
-S-matrix poles (:func:`_sin2_pair`). On a resonance the pole equation
-t = lam e^{2ik} = lam - 2ik makes that sum rational in k:
+S-matrix poles. On a pole the identity e^{2ik} = t / lam with
+t = lam - 2ik makes that sum rational in t:
 
     |N|^2 exp(2 beta) = 2 |k|^2 / (|lam| |1 + t|),   C = 2 Re k / |t|^2,
+    Gamma = 1 (bound),   Gamma = -lam (1 + lam) / (t (1 + t)) (virtual),
 
-so a resonance row evaluates no exponential at all. The residue sum
-S(q1, q2) remains for the bound and virtual rows (the double pole
-S(i kappa, i kappa)) and for the two-resonance normalization in spectra.
-The test suite checks the rows against an independent adaptive quadrature
-and against a 50-digit reference.
+so no row evaluates an exponential at all. The test suite checks the
+rows against an independent adaptive quadrature and against a 50-digit
+reference.
 
 The sharp approximations replace the Lorentzian by a delta function:
 Gbar_sharp = 2 pi M^2(E_R), Gamma_sharp = Gbar_sharp / Gamma_R.
 
 One row kernel, :func:`observables_record`, forms a whole table row: it
-reads each pole field once, forms the residue normalization
+reads each pole field once, forms a resonance's residue normalization
 2 lam^2 |N|^2 exp(2 beta) once, and every observable inline from it. The
 per-quantity functions read their values from its record.
 Units are those of :mod:`deltashell.potential` (a = 1). The command line
@@ -44,12 +43,12 @@ integrands on energy grids (dGbar/dE, dGamma/dE) live in
 
 from __future__ import annotations
 
-import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import InvalidInput
-from .poles import _shell_density, enumerate_poles
+from .poles import _shell_weight, enumerate_poles
 from .potential import _BOUND, _RESONANCE, _VIRTUAL_STATE, PotentialSpec, Pole, PoleKind
 
 __all__ = [
@@ -112,44 +111,6 @@ def _require_kind(pole: Pole, *kinds: PoleKind) -> None:
         raise InvalidInput(f"operation defined for {allowed} poles, got {pole.kind.value}")
 
 
-def _sin2_pair(q1: complex, q2: complex) -> complex:
-    """S(q1, q2) = int_{-inf}^{inf} sin^2(k) / ((k^2 - q1^2)(k^2 - q2^2)) dk.
-
-    Needs Im q1 > 0 and Im q2 > 0. The integrand is even, so sin^2(k)
-    may be replaced by (1 - e^{2ik})/2; closing the contour in the upper
-    half plane leaves the residues at k = q1 and k = q2:
-
-        S = pi i [f(q1) - f(q2)] / (q1^2 - q2^2),  f(q) = (1 - e^{2iq}) / (2q).
-
-    f uses the complex expm1, whose real part is built from sin^2(Re q)
-    and expm1(-2 Im q): for a sharp resonance e^{2iq} is close to 1, and
-    the plain difference would lose about lam * eps.
-
-    The double pole q1 = q2 = q gives pi i f'(q) / (2q), written with
-    u = 2iq as -pi i e^u (expm1(-u) + u) / (4 q^3), which for u -> 0
-    (a pole near threshold) loses only eps/|u| instead of eps/|u|^2.
-    """
-    if q1 == q2:
-        u = 2j * q1
-        return -math.pi * 1j * cmath.exp(u) * (_expm1(-u) + u) / (4.0 * q1**3)
-
-    def f(q):
-        return -_expm1(2j * q) / (2.0 * q)
-
-    return math.pi * 1j * (f(q1) - f(q2)) / (q1 * q1 - q2 * q2)
-
-
-def _expm1(z: complex) -> complex:
-    """e^z - 1 by numpy's complex expm1 formula, bit for bit the same as np.expm1.
-
-    Re = expm1(x) cos y - 2 sin^2(y/2) keeps its digits when e^z is close to 1.
-    Unlike numpy it raises OverflowError, not a warning, for Re z > ~709.78.
-    """
-    x, y = z.real, z.imag
-    half = math.sin(y / 2.0)
-    return complex(math.expm1(x) * math.cos(y) - 2.0 * half * half, math.exp(x) * math.sin(y))
-
-
 def decay_width_total(spec: PotentialSpec, pole: Pole):
     """Total decay width and the constant C as (gamma_bar, c_value).
 
@@ -167,14 +128,10 @@ def decay_width_total(spec: PotentialSpec, pole: Pole):
 
 
 def decay_constant_total(spec: PotentialSpec, pole: Pole) -> float:
-    """Dimensionless decay constant Gamma.
-
-    Resonances: Gamma = Gbar / Gamma_R. Bound and virtual poles: the
-    degenerate-Lorentzian integral int M^2(E)/(E + kappa^2)^2 dE with
-    kappa = |Im k|, a double pole of the residue sum,
-    Gamma = (lam^2 / pi) |N|^2 exp(2 beta) S(i kappa, i kappa)
-    (1 for a bound state, since there the residue normalization coincides
-    with the usual norm).
+    """Dimensionless decay constant Gamma: Gbar / Gamma_R for a resonance. For a
+    bound or virtual pole, the degenerate-Lorentzian integral int M^2(E)/(E + kappa^2)^2
+    dE, kappa = |Im k|, a double pole of the residue sum: -lam (1 + lam) / (t (1 + t))
+    with t = lam - 2ik, which is 1 for a bound state (its residue norm is its norm).
     """
     return observables_record(spec, pole).gamma
 
@@ -201,12 +158,15 @@ def observables_record(spec: PotentialSpec, pole: Pole) -> ObservablesRecord:
     if kind not in _ROW_KINDS:
         _require_kind(pole, *_ROW_KINDS)
     k, z, gamma_R = pole.k, pole.z, pole.gamma_R
-    # 2 lam^2 |N|^2 exp(2 beta): the one residue normalization of a row
-    prefactor = 2.0 * spec.lam**2 * _shell_density(spec, pole)
     if kind is not _RESONANCE:
-        q = 1j * abs(k.imag)
-        gamma = prefactor / (2.0 * math.pi) * _sin2_pair(q, q).real
+        # Gamma = -lam (1 + lam) / (t (1 + t)) with t = lam + 2 Im k real; 1 if bound
+        lam, x = spec.lam, 2.0 * k.imag
+        gamma = 1.0 if kind is _BOUND else -lam * (1.0 + lam) / ((lam + x) * ((1.0 + lam) + x))
+        if gamma < sys.float_info.min:  # a virtual state from |lam| ~ 3e-303 down
+            raise InvalidInput(f"virtual-state Gamma {gamma!r} at {lam!r} loses its digits")
         return ObservablesRecord(kind, pole.index, k, z, gamma_R, 0.0, gamma, None, None, None)
+    # 2 lam^2 |N|^2 exp(2 beta): the one residue normalization of a row
+    prefactor = _shell_weight(spec, pole, 2.0 * spec.lam**2)
     # C = int (1/pi) (G/2)/((E-E_R)^2+(G/2)^2) sin^2(k)/k dE
     #   = Re[(1 - e^{-2ik}) / (2k)] = Re(-i / t) = 2 Re k / |t|^2,
     # since e^{-2ik} = lam / t on the pole, t = lam - 2ik

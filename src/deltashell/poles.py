@@ -17,11 +17,15 @@ for some branch n of the Lambert W function. Branch bookkeeping:
   bit, so both share one residual. The oracle's closed form is branch +n
   for every lam: for a negative real argument the conjugation identity
   picks up a unit branch offset across the cut, conj(W_{-m}) = W_{m-1}.
-* bound state (lam < -1): branch 0.  virtual state (-1 < lam < 0): branch -1.
+* bound state (lam < -1): branch 0.  virtual state (-1 < lam < 0): branch -1,
+  as printed: neither evaluates W. With the root k = 0 divided out, the
+  pole k = i y solves F(y) = y - log(sinh y / y) = log(-lam) by Newton;
+  F is increasing and concave, and log(-lam) = log1p(-1 - lam) is exact
+  next to the threshold lam = -1.
 
-Each Lambert-W root is polished with two Newton steps (three on the
-imaginary axis) on the transcendental equation itself, which drives the
-equation residual to the evaluation noise floor (~1e-13 for |lam| = 100).
+Each resonance root is polished with two Newton steps on the
+transcendental equation itself, which drives the equation residual to the
+evaluation noise floor (~1e-13 for |lam| = 100).
 
 The residue normalization of each pole, N^2 = i res_k S, is formed here
 too, as one closed form in t = lam e^{2ik} = W_n (lam e^lam):
@@ -37,6 +41,7 @@ from __future__ import annotations
 import cmath
 import math
 import operator
+import sys
 
 from .errors import DegeneratePole, InvalidInput, NonConvergence, NoSuchPole
 from .lambertw import lambert_w
@@ -58,7 +63,10 @@ _RESIDUAL_TOL = 1e-12
 _DEGENERACY_BAND = 1e-10  # |lam + 1| below this: branch-point collision at k = 0
 _DEGENERATE_TOL = 1e-13
 _COMPLEX_STEPS = 2  # Newton steps polishing a resonance
-_IMAGINARY_STEPS = 3  # Newton steps polishing a bound or virtual state
+_AXIS_STEPS = 8  # cap on the Newton steps of a bound or virtual state (4 at most seen)
+_AXIS_TOL = 1e-13  # |F(y) - log(-lam)| relative to the sum of |F's terms|
+# (sinh y - y) / y = y^2 (1/3! + y^2/5! + ...), within an ulp for |y| < 1/2
+_SINH_SERIES = tuple(1.0 / math.factorial(m) for m in range(3, 17, 2))
 
 
 def transcendental_residual(spec: PotentialSpec, k: complex) -> float:
@@ -82,23 +90,10 @@ def _polish_complex(spec: PotentialSpec, k: complex) -> complex:
     return k
 
 
-def _polish_imaginary(spec: PotentialSpec, y: float) -> float:
-    # Same Newton step restricted to k = i y, so bound/virtual poles stay
-    # exactly on the imaginary axis.
-    lam = spec.lam
-    for _ in range(_IMAGINARY_STEPS):
-        f = -2.0 * y + lam * math.expm1(-2.0 * y)
-        fp = -2.0 * (1.0 + lam * math.exp(-2.0 * y))
-        if fp == 0:
-            break
-        y = y - f / fp
-    return y
-
-
-def _off_root(pole: Pole, resid: float) -> NonConvergence:
+def _off_root(pole: Pole, resid: float, tol=_RESIDUAL_TOL) -> NonConvergence:
     """The error of a pole whose residual fails the gate."""
     return NonConvergence(
-        f"pole {pole.kind.value} n={pole.index} residual {resid:.3e} exceeds {_RESIDUAL_TOL}"
+        f"pole {pole.kind.value} n={pole.index} residual {resid:.3e} exceeds {tol:.3g}"
     )
 
 
@@ -163,25 +158,41 @@ def _threshold_kind(spec: PotentialSpec) -> PoleKind | None:
     return _BOUND if spec.lam < -1.0 else _VIRTUAL_STATE
 
 
-# kind: (Lambert-W branch, name, side of the imaginary k-axis)
-_THRESHOLD_POLES = {
-    _BOUND: (0, "bound", "positive"),
-    _VIRTUAL_STATE: (-1, "virtual", "negative"),
-}
+_THRESHOLD_POLES = {_BOUND: (0, "bound"), _VIRTUAL_STATE: (-1, "virtual")}  # (branch, name)
+
+
+def _deflated(y: float) -> tuple[float, float]:
+    """F(y) = y - log(sinh y / y) and the sum of |F's terms|; for |y| >= 1/2,
+    F = 2y [y < 0] + log(2|y|) - log1p(-e^{-2|y|}), which cannot overflow."""
+    a = abs(y)
+    if a < 0.5:
+        y2 = y * y
+        log_sinhc = math.log1p(y2 * sum(c * y2**m for m, c in enumerate(_SINH_SERIES)))
+        return y - log_sinhc, a + log_sinhc
+    head, tail = math.log(2.0 * a), math.log1p(-math.exp(-2.0 * a))
+    wing = 2.0 * y if y < 0.0 else 0.0
+    return wing + head - tail, abs(wing) + abs(head) - tail
 
 
 def _threshold_pole(spec: PotentialSpec, kind: PoleKind) -> Pole:
-    branch, name, side = _THRESHOLD_POLES[kind]
+    branch, name = _THRESHOLD_POLES[kind]
     if _threshold_kind(spec) is not kind:
         raise NoSuchPole(f"no {name} state for strength {spec.lam}")
-    w = lambert_w(branch, spec._w_argument)
-    y = _polish_imaginary(spec, -(spec.lam - w.real) / 2.0)
-    if not (y > 0 if side == "positive" else y < 0):
-        raise NonConvergence(f"{name}-state root left the {side} imaginary axis")
-    k = complex(0.0, y)
-    pole = Pole(kind, branch, 0, k, complex(-y * y, 0.0))
-    if (resid := transcendental_residual(spec, k)) > _RESIDUAL_TOL:
-        raise _off_root(pole, resid)
+    lam = spec.lam
+    target = math.log1p(-1.0 - lam) if -2.0 < lam < -0.5 else math.log(-lam)
+    # seed: F(y) ~ log(2y) in a deep well, ~ 2y + log(-2y) in a weak one, ~ y between
+    y = (-0.5 * lam if target > 1.0 else
+         0.5 * (target - math.log(-target)) if target < -1.0 else target)
+    for _ in range(_AXIS_STEPS):
+        # F' = 1 - coth y + 1/y, rounded to eps/|y|: enough for Newton
+        step = (_deflated(y)[0] - target) / (1.0 + 1.0 / y - 1.0 / math.tanh(y))
+        y -= step
+        if abs(step) <= 1e-8 * abs(y):  # quadratic: the next step is below an ulp
+            break
+    f, size = _deflated(y)
+    pole = Pole(kind, branch, 0, complex(0.0, y), complex(-y * y, 0.0))
+    if not (resid := abs(f - target)) <= (tol := _AXIS_TOL * (size + abs(target))):
+        raise _off_root(pole, resid, tol)
     return pole
 
 
@@ -233,25 +244,25 @@ def zeldovich_norm(spec: PotentialSpec, pole: Pole) -> complex:
 
     the 1/(1 + W) factor of W'(z) = W / (z (1 + W)). 1 + t is formed as
     (1 + lam) - x, exact near lam = -1, and t as lam e^x, which does not
-    cancel for the deep bound state at lam = -700. The energy-plane
-    residue is 2k res_k S = -2ik N^2.
-
-    Raises DegeneratePole when |(1 + lam) - x| < 1e-13 * 2|k|, i.e. when
-    J2'(k) = i (1 + t) / (2k) is numerically zero (a double pole).
+    cancel for the deep bound state at lam = -700, or as lam - x for a
+    virtual state, whose e^x overflows from |lam| ~ 5e-306 down. The
+    energy-plane residue is 2k res_k S = -2ik N^2. Raises DegeneratePole
+    at a numerical double pole (see ``_one_plus_t``).
     """
     k = complex(pole.k)
     one_plus_t = _one_plus_t(spec, k)
-    return 2.0 * k * k / (spec.lam * cmath.exp(2j * k) * one_plus_t)
+    t = spec.lam - 2j * k if pole.kind is _VIRTUAL_STATE else spec.lam * cmath.exp(2j * k)
+    return 2.0 * k * k / (t * one_plus_t)
 
 
-def _shell_density(spec: PotentialSpec, pole: Pole) -> float:
-    """|N|^2 exp(2 beta) = |u(1)|^2 at the shell, formed before any lam^2 factor.
-
-    |e^{2ik}| = exp(2 beta) cancels the exponential of |N^2| exactly, so
-
-        |N|^2 exp(2 beta) = 2 |k|^2 / (|lam| |(1 + lam) - 2ik|),
-
-    with no exponential at all. Raises as ``zeldovich_norm`` does.
-    """
+def _shell_weight(spec: PotentialSpec, pole: Pole, weight: float) -> float:
+    """weight * |u(1)|^2, with |u(1)|^2 = |N|^2 exp(2 beta) formed first: |e^{2ik}| =
+    exp(2 beta) cancels the exponential of |N^2|, so |u(1)|^2 = 2 |k|^2 / (|lam| |1 + t|).
+    Raises as ``zeldovich_norm`` does, and InvalidInput outside the normal float
+    range (lam^2 underflows from |lam| ~ 1.5e-154 down)."""
     k = complex(pole.k)
-    return 2.0 * abs(k) ** 2 / (abs(spec.lam) * abs(_one_plus_t(spec, k)))
+    density = 2.0 * abs(k) ** 2 / (abs(spec.lam) * abs(_one_plus_t(spec, k)))
+    if not sys.float_info.min <= (product := weight * density) < math.inf:
+        raise InvalidInput(f"weight {product!r} of the {pole.kind.value} pole at strength "
+                           f"{spec.lam!r} loses its digits")
+    return product

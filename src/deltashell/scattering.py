@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidInput, PoleHit
-from .poles import _shell_density, zeldovich_norm
+from .poles import _shell_weight, zeldovich_norm
 from .potential import PotentialSpec, Pole
 
 __all__ = [
@@ -95,7 +95,7 @@ def matrix_element_squared(spec: PotentialSpec, pole: Pole, e):
     """
     e = _energies(e)
     k = np.sqrt(e)
-    pref = (spec.lam**2 / np.pi) * _shell_density(spec, pole)
+    pref = _shell_weight(spec, pole, spec.lam**2 / np.pi)
     out = pref * np.sin(k) ** 2 / k
     return _scalar_or_array(out)
 

@@ -22,10 +22,10 @@ function (_interference) forms the sum and its norm; the curve is that
 function on the curve's grid.
 
 Both normalizations are closed forms: Gamma is read from the table row
-(observables), and the integral of the coherent sum is a residue sum
-(observables._sin2_pair). Units are those of
-:mod:`deltashell.potential` (a = 1); the command line scales a curve to
-radius a: E and M^2 by 1/a^2, each density by a^2.
+(observables), and the integral of the coherent sum is a residue sum,
+rational in t = lam - 2ik on the two poles (:func:`_residue_pair`). Units
+are those of :mod:`deltashell.potential` (a = 1); the command line scales
+a curve to radius a: E and M^2 by 1/a^2, each density by a^2.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput
-from .observables import _require_kind, _sin2_pair, decay_constant_total
+from .observables import _require_kind, decay_constant_total
 from .potential import PotentialSpec, Pole, PoleKind
 from .scattering import (
     _energies,
@@ -163,15 +163,23 @@ def spectrum_curve(
     )
 
 
+def _residue_pair(wi, ki, ri, wj, kj, rj) -> complex:
+    """wi conj(wj) S(-ki, conj kj) on poles ki, kj, ri = 1/ti, t = lam - 2ik. The residue
+    sum S(q1, q2) = int sin^2(k) / ((k^2 - q1^2)(k^2 - q2^2)) dk over the real line is,
+    by e^{-2ik} = lam / t on a pole, -pi (1/ti - 1/conj tj) / (ki^2 - conj kj^2)."""
+    s = -math.pi * (ri - rj.conjugate()) / (ki * ki - (kj * kj).conjugate())
+    return wi * wj.conjugate() * s
+
+
 def _interference(spec, pole1, pole2, cfg, e):
     """The two-resonance spectrum at energies e and the norm it is divided by.
 
     The coherent sum |c1 <E|V|z1>/(z1 - E) + c2 <E|V|z2>/(z2 - E)|^2 is divided,
     with cfg.renormalize, by its integral over (0, inf), else by 1. With
-    m_i(E) = lam chi(E) u_i, lam^2 chi^2 = (lam^2/pi) sin^2(k)/k and E = k^2,
-    each term c_i conj(c_j) m_i conj(m_j) / ((z_i - E)(conj z_j - E)) of it
-    integrates to (lam^2/pi) c_i conj(c_j) u_i conj(u_j) S(-k_i, conj k_j), a
-    residue sum (observables._sin2_pair).
+    m_i(E) = lam chi(E) u_i, lam^2 chi^2 = (lam^2/pi) sin^2(k)/k and E = k^2, each
+    term c_i conj(c_j) m_i conj(m_j) / ((z_i - E)(conj z_j - E)) integrates to
+    (lam^2/pi) c_i conj(c_j) u_i conj(u_j) S(-k_i, conj k_j) (:func:`_residue_pair`);
+    the (2, 1) term is the conjugate of the (1, 2) one, so a swap keeps the bits.
     """
     _require_kind(pole1, PoleKind.RESONANCE)
     _require_kind(pole2, PoleKind.RESONANCE)
@@ -180,11 +188,10 @@ def _interference(spec, pole1, pole2, cfg, e):
     amp = amp + cfg.c2 * matrix_element(spec, pole2, e) / (pole2.z - e)
     norm = 1.0
     if cfg.renormalize:
-        terms = [(complex(c) * _shell_amplitude(spec, p), p.k) for c, p in
-                 ((cfg.c1, pole1), (cfg.c2, pole2))]
-        total = sum(wi * wj.conjugate() * _sin2_pair(-ki, kj.conjugate())
-                    for wi, ki in terms for wj, kj in terms)
-        norm = spec.lam**2 / math.pi * total.real
+        one, two = [(complex(c) * _shell_amplitude(spec, p), p.k, 1.0 / (spec.lam - 2j * p.k))
+                    for c, p in ((cfg.c1, pole1), (cfg.c2, pole2))]
+        total = _residue_pair(*one, *one) + _residue_pair(*two, *two)
+        norm = spec.lam**2 / math.pi * (total + 2.0 * _residue_pair(*one, *two)).real
     return np.abs(amp) ** 2 / norm, norm
 
 

@@ -1,9 +1,10 @@
 """Adaptive semi-infinite quadrature: the test suite's independent oracle.
 
-The library evaluates every decay observable as a closed-form residue sum
-(deltashell.observables._sin2_pair). The tests check those sums, and the
-perturbation-theory right-hand side, against this engine, which knows
-nothing of the residue algebra.
+The library evaluates every decay observable as a closed-form residue sum,
+made rational in t = lam - 2ik by the pole identity e^{2ik} = t / lam
+(deltashell.observables.observables_record, deltashell.spectra._residue_pair).
+The tests check those sums, and the perturbation-theory right-hand side,
+against this engine, which knows nothing of the residue algebra.
 
 Every decay observable is an integral over (0, inf) of a narrow Lorentzian
 multiplied by the oscillatory factor sin^2(k a)/k with k = sqrt(E). A

@@ -539,6 +539,27 @@ def test_file_errors_exit_2_with_one_error_line(case, tmp_path):
     assert not (tmp_path / "absent").exists()
 
 
+@pytest.mark.parametrize("lam", ["-1e-200", "-1e-300", "-5e-324"])
+@pytest.mark.parametrize("command", [
+    ["table", "--count", "1"], ["poles", "--count", "1"],
+    ["spectrum", "--virtual", "--emin", "0.1", "--emax", "1", "--points", "3"],
+    ["spectrum", "--index", "1", "--emin", "0.1", "--emax", "1", "--points", "3"],
+])
+def test_vanishing_well_answers_or_exits_with_one_typed_line(lam, command, capsys):
+    # the virtual state is solved down to the smallest float, where e^{2 kappa}
+    # overflows and lam^2 underflows: each command answers with finite cells
+    # or refuses in one line, with no traceback and no RuntimeWarning (the
+    # resonance spectrum at -1e-200 divided 0 by 0)
+    code = cli.main(command[:1] + ["--lambda", lam] + command[1:])
+    out, err = capsys.readouterr()
+    if code == 0:
+        assert err == "" and out.count("\n") >= 2
+        assert not {"inf", "-inf", "nan"} & set(out.replace("\n", ",").split(","))
+    else:
+        assert code in (2, 3) and out == "", (code, out)
+        assert err.count("\n") == 1 and err.startswith(("error: ", "numerical failure: ")), err
+
+
 def test_parser_reused_across_calls(tmp_path, monkeypatch, capsys):
     # one process, one parser: no option value may leak from call to call
     cfg = tmp_path / "run.cfg"

@@ -1,17 +1,20 @@
 """Closed-form residue sums against quadrature and against mpmath.
 
 The production path computes the oscillation constant C, the bound and
-virtual decay constant Gamma and the two-resonance normalization from one
-residue sum, observables._sin2_pair. Each is checked two ways:
+virtual decay constant Gamma and the two-resonance normalization as
+residue sums made rational in t = lam - 2ik by the pole identity
+e^{2ik} = t / lam: C and Gamma in observables.observables_record, the
+normalization's S(-k_i, conj k_j) in spectra._residue_pair. Each is checked
+two ways:
 
 * against the test oracle's integrate_semi_infinite at rel_tol 1e-12,
   which knows nothing of the residue algebra;
-* against the same residue sum written plainly and evaluated by mpmath at
-  30 digits on poles refined at 30 digits, which knows nothing of the
-  float rewriting (expm1 forms, order of the products).
+* against the same residue sum written plainly with its exponentials and
+  evaluated by mpmath at 30 digits (more next to threshold) on poles
+  refined at those digits, which knows nothing of the pole identity or of
+  the float rewriting.
 """
 
-import cmath
 import contextlib
 import io
 import json
@@ -27,6 +30,7 @@ import deltashell.spectra as spectra
 import quadrature_oracle
 from deltashell import (
     InterferenceConfig,
+    NonConvergence,
     PoleKind,
     PotentialSpec,
     decay_constant_total,
@@ -36,7 +40,6 @@ from deltashell import (
     find_virtual_state,
     matrix_element_squared,
 )
-from deltashell.observables import _expm1, _sin2_pair
 from quadrature_oracle import QuadratureRequest, integrate_semi_infinite
 
 LAMBDAS = (100.0, -100.0, 10.0, -10.0, 0.5, -0.5, 1e-3, -1e-3)
@@ -107,83 +110,56 @@ def _mp_sin2_pair(a, q1, q2):
     return mp.pi * 1j * (f(q1) - f(q2)) / (q1**2 - q2**2)
 
 
-# -- the helper itself
+# -- the rational residue sum S(-k_i, conj k_j)
 
 
-@pytest.mark.parametrize(
-    "q1, q2",
-    [(1.0 + 0.5j, 2.0 + 0.1j), (-3.0 + 0.01j, 3.0 + 0.01j), (2.0j, 0.5 + 1.0j), (0.3j, 0.3j)],
-)
-def test_sin2_pair_matches_quadrature_and_mpmath(q1, q2):
-    a = 1.0
-    got = _sin2_pair(q1, q2)
-    # int_{-inf}^{inf} dk = int_0^inf dE / sqrt(E) with E = k^2 (even integrand)
-    z1, z2 = q1 * q1, q2 * q2
+def _unit_terms(spec, pole):
+    """spectra._residue_pair's (w, k, 1/t) of a pole, with weight 1: S alone."""
+    return 1.0, pole.k, 1.0 / (spec.lam - 2j * pole.k)
+
+
+@pytest.mark.parametrize("lam, i, j", [
+    (10.0, 1, 2), (10.0, 2, 1), (-0.5, 3, 3), (100.0, 15, 14), (-10.0, 1, 7), (1e-3, 2, 5),
+])
+def test_residue_pair_matches_quadrature_and_mpmath(lam, i, j):
+    spec = PotentialSpec(lam=lam)
+    p_i, p_j = find_resonance(spec, i), find_resonance(spec, j)
+    got = spectra._residue_pair(*_unit_terms(spec, p_i), *_unit_terms(spec, p_j))
+    # int_{-inf}^{inf} dk = int_0^inf dE / sqrt(E) with E = k^2 (even integrand);
+    # (-k_i)^2 = z_i and (conj k_j)^2 = conj z_j
+    z_i, z_j = p_i.z, p_j.z.conjugate()
 
     def part(take):
-        return lambda e: take(np.sin(np.sqrt(e) * a) ** 2 / np.sqrt(e) / ((e - z1) * (e - z2)))
+        return lambda e: take(np.sin(np.sqrt(e)) ** 2 / np.sqrt(e) / ((e - z_i) * (e - z_j)))
 
-    hw = max(abs(z1.imag), 1.0)
-    quad = complex(
-        _quad(part(np.real), z1.real, hw, abs(got)), _quad(part(np.imag), z1.real, hw, abs(got))
-    )
+    hw_j = 0.5 * p_j.gamma_R
+    extra = tuple(p_j.e_R + s * m * hw_j for m in (1, 2, 4, 8, 16, 32) for s in (-1, 1))
+    quad = complex(*(_quad(part(take), p_i.e_R, 0.5 * p_i.gamma_R, abs(got), extra=extra)
+                     for take in (np.real, np.imag)))
     assert abs(got - quad) <= 1e-11 * abs(got)
     with mp.workdps(DIGITS):
-        ref = complex(_mp_sin2_pair(mp.mpf(a), mp.mpc(q1), mp.mpc(q2)))
-    assert abs(got - ref) <= 1e-15 * abs(ref)
+        k_i, k_j = _mp_pole(spec, p_i), _mp_pole(spec, p_j)
+        ref = complex(_mp_sin2_pair(mp.mpf(1), -k_i, mp.conj(k_j)))
+    assert abs(got - ref) <= 1e-14 * abs(ref)
 
 
-def test_sin2_pair_double_pole_near_threshold():
-    # the expm1 form keeps digits where 1 - (1 + x) e^{-x} would cancel
-    for kappa in (1e-2, 1e-4, 1e-6):
-        got = _sin2_pair(1j * kappa, 1j * kappa)
-        with mp.workdps(DIGITS):
-            ref = complex(_mp_sin2_pair(mp.mpf(1), mp.mpc(0, kappa), mp.mpc(0, kappa)))
-        assert abs(got - ref) <= 1e-15 / kappa * abs(ref)
-
-
-def _np_sin2_pair(q1, q2):
-    """_sin2_pair written with np.expm1, as it was before the pure-Python expm1."""
-    if q1 == q2:
-        u = 2j * q1
-        return -math.pi * 1j * cmath.exp(u) * (complex(np.expm1(-u)) + u) / (4.0 * q1**3)
-
-    def f(q):
-        return -complex(np.expm1(2j * q)) / (2.0 * q)
-
-    return math.pi * 1j * (f(q1) - f(q2)) / (q1 * q1 - q2 * q2)
-
-
-def _bits(z):
-    return z.real.hex(), z.imag.hex()  # hex keeps the sign of a zero
-
-
-def _signed_log_uniform(rng, shape, lo, hi):
-    return rng.choice((-1.0, 1.0), size=shape) * 10.0 ** rng.uniform(
-        math.log10(lo), math.log10(hi), size=shape
-    )
-
-
-def test_expm1_equals_numpy_bit_for_bit():
-    rng = np.random.default_rng(6021)
-    parts = _signed_log_uniform(rng, (12000, 2), 1e-8, 700.0)
-    zs = [complex(x, y) for x, y in parts]
-    zs += [complex(x, y) for x in (0.0, -0.0, 1e-8, -1e-8, 700.0, -700.0)
-           for y in (0.0, -0.0, 1e-8, -1e-8, 700.0, -700.0)]
-    mismatched = [z for z in zs if _bits(_expm1(z)) != _bits(complex(np.expm1(z)))]
-    assert not mismatched, mismatched[:5]
-
-
-def test_sin2_pair_equals_numpy_formula_bit_for_bit():
-    rng = np.random.default_rng(6022)
-    # Im q > 0 throughout; |2 Im q| <= 600 keeps the double pole's
-    # expm1(-2iq) below overflow
-    re = _signed_log_uniform(rng, (3000, 2), 1e-8, 300.0)
-    im = 10.0 ** rng.uniform(-8.0, math.log10(300.0), size=(3000, 2))
-    for (r1, r2), (i1, i2) in zip(re, im):
-        q1, q2 = complex(r1, i1), complex(r2, i2)
-        for pair in ((q1, q2), (q1, q1), (1j * i1, 1j * i1)):
-            assert _bits(_sin2_pair(*pair)) == _bits(_np_sin2_pair(*pair)), pair
+@pytest.mark.parametrize("mu", [1e-2, 1e-4, 1e-6, 1e-8, 1e-10])
+@pytest.mark.parametrize("find", [find_bound_state, find_virtual_state])
+def test_threshold_gamma_next_to_threshold_matches_mpmath(mu, find):
+    # Gamma = 1 (bound) and -lam (1 + lam) / (t (1 + t)) (virtual) against the
+    # double-pole residue sum S(i kappa, i kappa) of the exponentials, which
+    # cancels to about kappa^2 next to threshold: hence the extra digits
+    spec = PotentialSpec(lam=-1.0 - mu if find is find_bound_state else -1.0 + mu)
+    pole = find(spec)
+    gamma = decay_constant_total(spec, pole)
+    with mp.workdps(DIGITS + 30):
+        k = _mp_pole(spec, pole)
+        q = mp.mpc(0, abs(mp.im(k)))
+        ref = spec.lam**2 / mp.pi * _mp_shell_density(spec, k) * mp.re(_mp_sin2_pair(1, q, q))
+    assert abs(pole.k.imag - mp.im(k)) <= 1e-15 * abs(mp.im(k))
+    assert abs(gamma - ref) <= 1e-14 * ref, (spec.lam, gamma, ref)
+    if pole.kind is PoleKind.BOUND:
+        assert gamma == 1.0
 
 
 # -- C for resonances
@@ -241,6 +217,7 @@ def test_c_value_scales_with_radius():
 
 @pytest.mark.parametrize(
     "lam, find", [(-100.0, find_bound_state), (-10.0, find_bound_state),
+                  (-1.01, find_bound_state), (-0.99, find_virtual_state),
                   (-0.5, find_virtual_state), (-1e-3, find_virtual_state)],
 )
 def test_nonresonant_gamma_matches_quadrature_and_mpmath(lam, find):
@@ -297,7 +274,28 @@ def test_interference_norm_matches_quadrature_and_mpmath(lam, i1, i2):
                 uj = mp.sqrt(_mp_n_squared(spec, kj)) * mp.exp(1j * kj)
                 total += ci * mp.conj(cj) * ui * mp.conj(uj) * _mp_sin2_pair(1, -ki, mp.conj(kj))
         ref = spec.lam**2 / mp.pi * mp.re(total)
-    assert norm == pytest.approx(float(ref), rel=1e-11)
+    assert norm == pytest.approx(float(ref), rel=1e-13)
+
+
+def test_interference_norm_keeps_its_bits_when_the_poles_are_swapped():
+    # the cross term is 2 Re of the (1, 2) product, whose (2, 1) twin is its
+    # conjugate bit for bit: the same norm from either order
+    rng = np.random.default_rng(6022)
+    checked = 0
+    for _ in range(400):
+        lam = float(rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-3.0, math.log10(700.0)))
+        i, j = (int(n) for n in rng.integers(1, 16, size=2))
+        c1, c2 = (complex(*rng.uniform(-1.0, 1.0, size=2)) for _ in range(2))
+        spec = PotentialSpec(lam=lam)
+        try:
+            p1, p2 = find_resonance(spec, i), find_resonance(spec, j)
+        except NonConvergence:  # the absolute pole gate, at large |lam|
+            continue
+        norm = spectra._interference(spec, p1, p2, InterferenceConfig(c1=c1, c2=c2), 1.0)[1]
+        swapped = spectra._interference(spec, p2, p1, InterferenceConfig(c1=c2, c2=c1), 1.0)[1]
+        assert norm.hex() == swapped.hex(), (lam, i, j, c1, c2)
+        checked += 1
+    assert checked > 300
 
 
 # -- the production path

@@ -189,9 +189,9 @@ def test_poles_with_antiresonances_solves_each_resonance_once(lam, extra, monkey
     argv = ["poles", "--lambda", repr(lam), "--count", "6", "--include-antiresonances"]
     assert cli.main(argv) == 0
     assert len(capsys.readouterr().out.splitlines()) == 1 + 12 + extra
-    # one solve per resonance plus the bound or virtual state; none on branch +n
-    assert len(branches) == 6 + extra
-    assert all(b <= 0 for b in branches)
+    # one solve per resonance, none on branch +n; the bound or virtual state
+    # is solved without Lambert W
+    assert branches == [-n - (lam < 0.0) for n in range(1, 7)]
 
 
 @pytest.mark.parametrize("bad", (2.5, 2.0, np.float64(2.0), "2", None))

@@ -3,6 +3,7 @@
 import json
 import math
 
+import mpmath as mp
 import pytest
 
 import deltashell.cli as cli
@@ -21,6 +22,7 @@ from deltashell import (
     transcendental_residual,
 )
 from conftest import TABLE_LAMBDAS, assert_printed, golden_rows
+from reference import reference_pole
 
 
 @pytest.mark.parametrize("lam", TABLE_LAMBDAS)
@@ -113,6 +115,17 @@ def test_virtual_state_near_collision_still_resolves():
     pole = find_virtual_state(spec)
     assert pole.k.real == 0.0 and pole.k.imag < 0.0
     assert transcendental_residual(spec, pole.k) <= 1e-12
+
+
+@pytest.mark.parametrize("lam", [
+    -700.0, -3.0, -1.0 - 1.5e-10, -1.0 + 1.5e-10, -0.3, -1e-100, -1e-300, -5e-324,
+])
+def test_threshold_pole_matches_the_reference_down_to_the_smallest_float(lam):
+    # no Lambert W at the branch point and no e^{2 kappa}: the bound or virtual
+    # Im k is within 1e-15 of the 50-digit root wherever the strength is admitted
+    pole = (find_bound_state if lam < -1.0 else find_virtual_state)(PotentialSpec(lam=lam))
+    ref = mp.im(reference_pole(lam, pole.branch))
+    assert abs(pole.k.imag - ref) <= 1e-15 * abs(ref), (lam, pole.k, ref)
 
 
 def test_invalid_strengths():

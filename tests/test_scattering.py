@@ -174,11 +174,7 @@ def test_zeldovich_norm_scalar_and_matches_mpmath(lam, count):
         # rounding: the same closed form at the same double k
         ref = _mp_closed_form(spec, pole.k)
         assert abs(mp.mpc(n2) - ref) / abs(ref) <= 2e-15, (pole, n2, ref)
-        # algebra: the Jost-function residue at the true pole; not for the
-        # threshold pole at |lam + 1| = 1e-7, whose double kappa is itself
-        # off by ~6e-11 (ROADMAP item 1, the kappa part)
-        if pole.kind is not PoleKind.RESONANCE and abs(lam + 1.0) < 1e-3:
-            continue
+        # algebra: the Jost-function residue at the true pole
         k_true, true = _mp_true_norm(spec, pole)
         assert abs(mp.mpc(pole.k) - k_true) <= 1e-12 * abs(k_true), (pole, k_true)
         assert abs(mp.mpc(n2) - true) / abs(true) <= 1e-14, (pole, n2, true)

@@ -1,4 +1,4 @@
-"""The resonance solve's bits, pinned by digest.
+"""The pole solve's bits, pinned by digest.
 
 Two SHA-256 digests cover every pole of a fixed sweep of strengths and
 every Lambert W value or error class of a fixed sweep of arguments. They
@@ -9,7 +9,12 @@ here. Where that solver let a raw OverflowError out of ``lambert_w``, the
 pinned digest holds the NonConvergence raised in its place now. The pole
 digest was computed again, over the same poles at radius 1 alone, by the
 solver that still took a radius: the library now works in units of the
-radius, and each removed factor of a was 1.0 there. The Lambert W digest
+radius, and each removed factor of a was 1.0 there. It was pinned again
+when the bound and virtual states stopped going through Lambert W and were
+solved from the deflated pole equation instead: 54 of its 8,372 lines
+moved, 35 bound and 19 virtual, and their Im k went from up to 1.3e-14 to
+at most 3.7e-16 relative of the 50-digit tests/reference.py; no resonance
+or anti-resonance line moved. The Lambert W digest
 was pinned again when each call became one Halley solve, with an argument
 whose imaginary part is -0.0 read as below the cut: 70 of its 65,537 lines
 moved, each argued against a 30-digit mpmath value in CHANGES.md. It was
@@ -40,7 +45,7 @@ from deltashell import (
 )
 from deltashell.lambertw import _halley
 
-POLE_DIGEST = "8056d95d843445fd0fd49b701ede70b70a9899ebe0eef22888340f9775568223"
+POLE_DIGEST = "805e7e27e70c41ea6e0950a3f614ffce52667e34f86751471c8fc00a486396ad"
 LAMBERT_W_DIGEST = "228d665468662c6e90d1f9b2c92c9ef9d2c334862308c94d23ee24523a20c72f"
 CANARY_DIGEST = "c1a067106ccac1a85d72ad81124395380c2e09e92cc40518e24104d91f77759c"
 
