@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InvalidInput
 from .observables import _require_kind
 from .poles import find_resonance, zeldovich_norm
 from .potential import PotentialSpec, Pole, PoleKind
@@ -127,13 +128,21 @@ def cross_section_bundle(
     """Sampled bundle around resonance ``index``.
 
     The default window is E_R +/- 10 Gamma_R clipped to positive energies,
-    which resolves sharp peaks; pass e_min/e_max to override.
+    which resolves sharp peaks; pass e_min/e_max to override. Raises
+    InvalidInput where a defaulted bound leaves the window empty.
     """
     pole = find_resonance(spec, index)
+    defaulted = e_min is None or e_max is None
     if e_min is None:
         e_min = max(pole.e_R - 10.0 * pole.gamma_R, 1e-6 * abs(pole.e_R))
     if e_max is None:
         e_max = pole.e_R + 10.0 * pole.gamma_R
+    if defaulted and e_max <= e_min:
+        raise InvalidInput(
+            f"the default window E_R +/- 10 Gamma_R of resonance {pole.index} at strength "
+            f"{spec.lam!r} (E_R = {pole.e_R!r}, Gamma_R = {pole.gamma_R!r}) is empty once "
+            "clipped to positive energies; give one with --emin and --emax"
+        )
     grid = _grid(e_min, e_max, points)
     two_pole = None
     if second_index is not None:

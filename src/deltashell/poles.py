@@ -23,9 +23,10 @@ for some branch n of the Lambert W function. Branch bookkeeping:
   F is increasing and concave, and log(-lam) = log1p(-1 - lam) is exact
   next to the threshold lam = -1.
 
-Each resonance root is polished with two Newton steps on the
-transcendental equation itself, which drives the equation residual to the
-evaluation noise floor (~1e-13 for |lam| = 100).
+Each resonance root is polished with two Newton steps on f(k) = 0 itself,
+which drive its residual to the evaluation noise floor (~1e-13 for
+|lam| = 100); the gate reads the |f| the last step formed, so a resonance
+costs two exponentials and its mirror none.
 
 The residue normalization of each pole, N^2 = i res_k S, is formed here
 too, as one closed form in t = lam e^{2ik} = W_n (lam e^lam):
@@ -75,19 +76,20 @@ def transcendental_residual(spec: PotentialSpec, k: complex) -> float:
     return abs(x + spec.lam * (cmath.exp(x) - 1.0))
 
 
-def _polish_complex(spec: PotentialSpec, k: complex) -> complex:
-    # Newton on f(k) = 2ik + lam(e^{2ik} - 1); recovers the precision lost
-    # to cancellation in lam - W when |lam| is large.
+def _polish_complex(spec: PotentialSpec, k: complex) -> tuple[complex, float]:
+    # Newton on f(k) = 2ik + lam(e^{2ik} - 1), which restores the digits lam - W cancels;
+    # returns k and |f| where the last step started (at k if f'(k) = 0 stopped it)
     lam = spec.lam
     exp = cmath.exp
     try:
         for _ in range(_COMPLEX_STEPS):
             x = 2j * k
             e = exp(x)
-            k = k - (x + lam * (e - 1.0)) / (2j * (1.0 + lam * e))
-    except ZeroDivisionError:  # f'(k) = 0: keep k
+            f = x + lam * (e - 1.0)
+            k = k - f / (2j * (1.0 + lam * e))
+    except ZeroDivisionError:
         pass
-    return k
+    return k, abs(f)
 
 
 def _off_root(pole: Pole, resid: float, tol=_RESIDUAL_TOL) -> NonConvergence:
@@ -112,19 +114,20 @@ def find_resonance(spec: PotentialSpec, n: int) -> Pole:
     """Return the n-th resonance (n = 1 is the lowest, ordered by Re k).
 
     Uses branch -n of W for positive strength and branch -(n+1) for
-    negative strength, so the caller's indexing is uniform in sign.
-    A found resonance is memoized on ``spec``; a failed find stores nothing.
+    negative strength, so the caller's indexing is uniform in sign. Gated on
+    |f| where the last polish step started, else at the root (1e-12). A found
+    resonance is memoized on ``spec``; a failed find stores nothing.
     """
     n = _positive(n, "resonance index")
     if (pole := spec._resonances.get(n)) is None:
         m = n if spec.lam > 0 else n + 1
         w = lambert_w(-m, spec._w_argument)
-        k = _polish_complex(spec, (spec.lam - w) / 2j)
+        k, resid = _polish_complex(spec, (spec.lam - w) / 2j)
         try:  # Pole checks the fourth quadrant
             pole = Pole(_RESONANCE, -m, n, k, k * k)
         except InvalidInput:
             raise NonConvergence(f"branch {-m} root {k} is not in the fourth quadrant") from None
-        if (resid := transcendental_residual(spec, k)) > _RESIDUAL_TOL:
+        if resid > _RESIDUAL_TOL and (resid := transcendental_residual(spec, k)) > _RESIDUAL_TOL:
             raise _off_root(pole, resid)
         spec._resonances[n] = pole
     return pole
@@ -134,17 +137,14 @@ def find_anti_resonance(spec: PotentialSpec, n: int) -> Pole:
     """Return anti-resonance n, the mirror -conj(k_n) of ``find_resonance(spec, n)``.
 
     Resonance n is read straight from the memo on ``spec``; only on a miss
-    is it found (and memoized) by ``find_resonance``. Either way the mirror
-    is gated on its own residual and quadrant, like every pole.
+    is it found (and memoized) by ``find_resonance``. The memo holds only
+    gated resonances, and for real lam f(-conj k) = conj f(k) bit for bit,
+    so the mirror shares the gated residual and evaluates no exponential.
     """
     n = _positive(n, "anti-resonance index")
     if (pole := spec._resonances.get(n)) is None:
         pole = find_resonance(spec, n)
-    k = -pole.k.conjugate()
-    pole = Pole(_ANTI_RESONANCE, n, n, k, k * k)
-    if (resid := transcendental_residual(spec, k)) > _RESIDUAL_TOL:
-        raise _off_root(pole, resid)
-    return pole
+    return Pole(_ANTI_RESONANCE, n, n, -pole.k.conjugate(), pole.z.conjugate())
 
 
 def _threshold_kind(spec: PotentialSpec) -> PoleKind | None:

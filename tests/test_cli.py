@@ -560,6 +560,24 @@ def test_vanishing_well_answers_or_exits_with_one_typed_line(lam, command, capsy
         assert err.count("\n") == 1 and err.startswith(("error: ", "numerical failure: ")), err
 
 
+@pytest.mark.parametrize("lam", ["-1e-200", "-1e-150"])
+def test_cross_section_with_an_empty_default_window_names_the_pole(lam):
+    # the default window E_R +/- 10 Gamma_R lies below zero: one typed line
+    # that asks for --emin/--emax, never "need 0 < e_min < e_max" for bounds
+    # the user never gave; a given window still answers
+    proc = run_cli("cross-section", "--lambda", lam, "--index", "1")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.count("\n") == 1, proc.stderr
+    assert proc.stderr.startswith("error: the default window E_R +/- 10 Gamma_R of resonance 1 "
+                                  f"at strength {float(lam)!r} (E_R = -")
+    assert proc.stderr.endswith(") is empty once clipped to positive energies; "
+                                "give one with --emin and --emax\n")
+    given = run_cli("cross-section", "--lambda", lam, "--index", "1",
+                    "--emin", "1", "--emax", "2", "--points", "3")
+    assert given.returncode == 0 and given.stderr == ""
+    assert len(given.stdout.splitlines()) == 4
+
+
 def test_parser_reused_across_calls(tmp_path, monkeypatch, capsys):
     # one process, one parser: no option value may leak from call to call
     cfg = tmp_path / "run.cfg"

@@ -384,7 +384,7 @@ def test_kernels_match_their_two_exponential_forms():
             except ArithmeticError:
                 continue
             k0 = pole.k * (1.0 + 1e-9j)
-            assert _bits(_polish_complex(spec, k0)) == _bits(_polish_two_exponentials(spec, k0))
+            assert _bits(_polish_complex(spec, k0)[0]) == _bits(_polish_two_exponentials(spec, k0))
             polished += 1
     assert polished > 2000
 

@@ -198,3 +198,23 @@ def test_bundle_window_clipped_positive_for_broad_pole():
     spec = PotentialSpec(lam=0.5)
     bundle = cross_section_bundle(spec, 1, points=101)
     assert bundle.grid[0] > 0.0
+
+
+@pytest.mark.parametrize("lam", (-1e-200, -1e-150))
+def test_bundle_refuses_an_empty_default_window_by_name(lam):
+    # E_R < 0 and Gamma_R << |E_R|: E_R +/- 10 Gamma_R holds no positive energy,
+    # and the refusal names the pole and its window, not bounds never given
+    spec = PotentialSpec(lam=lam)
+    pole = find_resonance(spec, 1)
+    assert pole.e_R + 10.0 * pole.gamma_R < 0.0
+    message = (f"the default window E_R +/- 10 Gamma_R of resonance 1 at strength {lam!r} "
+               f"(E_R = {pole.e_R!r}, Gamma_R = {pole.gamma_R!r}) is empty once clipped "
+               "to positive energies; give one with --emin and --emax")
+    for window in ({}, {"e_min": 1.0}):
+        with pytest.raises(InvalidInput) as info:
+            cross_section_bundle(spec, 1, points=11, **window)
+        assert str(info.value) == message
+    bundle = cross_section_bundle(spec, 1, 1.0, 2.0, points=11)
+    assert bundle.grid[0] == 1.0 and bundle.grid[-1] == 2.0
+    with pytest.raises(InvalidInput, match=r"^need 0 < e_min < e_max < inf$"):
+        cross_section_bundle(spec, 1, 2.0, 1.0, points=11)

@@ -25,6 +25,7 @@ from deltashell import (
     find_anti_resonance,
     find_resonance,
     lambert_w,
+    transcendental_residual,
 )
 from deltashell.poles import _polish_complex
 
@@ -32,7 +33,7 @@ from deltashell.poles import _polish_complex
 def _branch_solve(spec, n):
     """Anti-resonance n solved on its own: branch +n of W, then Newton polish."""
     w = lambert_w(n, spec.lam * math.exp(spec.lam))
-    return _polish_complex(spec, (spec.lam - w) / 2j)
+    return _polish_complex(spec, (spec.lam - w) / 2j)[0]
 
 
 def _ulps(x, y):
@@ -157,14 +158,49 @@ def test_anti_resonance_solves_a_missing_resonance_once(lam, monkeypatch):
     assert stored == find_resonance(PotentialSpec(lam=lam), 3)
 
 
-def test_anti_resonance_gates_its_own_residual():
-    # the mirror is read from the memo, so its own gate is the one that sees
-    # a stored resonance that is not a root
-    spec = PotentialSpec(lam=10.0)
-    good = find_resonance(spec, 2)
-    spec._resonances[2] = dataclasses.replace(good, k=good.k * (1.0 + 1e-9))
-    with pytest.raises(NonConvergence, match="pole anti_resonance n=2 residual"):
-        find_anti_resonance(spec, 2)
+def _assert_mirror_keeps_the_residual(spec, k):
+    mirrored = transcendental_residual(spec, -k.conjugate())
+    assert mirrored.hex() == transcendental_residual(spec, k).hex(), (spec.lam, k)
+
+
+def _on_and_off_pole(spec, n, offset):
+    """The resonance n of spec, when it is found, and points off it."""
+    points = [complex(offset.real, -abs(offset.imag)), offset]
+    try:
+        k = find_resonance(spec, n).k
+    except (DeltaShellError, OverflowError):  # the polish overflows for lam below ~1e-307
+        return points
+    return points + [k, k * (1.0 + 1e-9j), k + offset * 1e-6, k + offset * 1e-3]
+
+
+def test_mirror_residual_has_the_resonance_bits():
+    # f(-conj k) = conj f(k) for real lam, bit for bit: a resonance that passed
+    # its gate hands the mirror its residual, so the mirror needs no gate
+    rng = random.Random(22)
+    checked = 0
+    for i in range(400):
+        lam = math.copysign(math.exp(rng.uniform(math.log(1e-3), math.log(700.0))), (-1) ** i)
+        spec = PotentialSpec(lam=lam)
+        for n in (1, 2, 5, 12, 40):
+            offset = complex(rng.uniform(-50.0, 50.0), rng.uniform(-50.0, 50.0))
+            for k in _on_and_off_pole(spec, n, offset):
+                _assert_mirror_keeps_the_residual(spec, k)
+                checked += 1
+    assert checked > 10_000
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    mag=st.floats(5e-324, 700.0),
+    sign=st.sampled_from((1.0, -1.0)),
+    n=st.integers(1, 40),
+    re=st.floats(-300.0, 300.0),
+    im=st.floats(-300.0, 300.0),
+)
+def test_mirror_residual_has_the_bits_of_any_k(mag, sign, n, re, im):
+    spec = PotentialSpec(lam=sign * mag)
+    for k in _on_and_off_pole(spec, n, complex(re, im)):
+        _assert_mirror_keeps_the_residual(spec, k)
 
 
 def test_failed_find_stores_nothing():

@@ -1,7 +1,10 @@
 """Pole solver: reference wave numbers, residual oracle, classification."""
 
+import cmath
 import json
 import math
+from collections import Counter
+from types import SimpleNamespace
 
 import mpmath as mp
 import pytest
@@ -249,3 +252,61 @@ def test_off_quadrant_root_is_a_numerical_failure(monkeypatch, capsys):
     assert out == ""
     assert err.startswith("numerical failure: branch -1 root (-")
     assert err.endswith(") is not in the fourth quadrant\n")
+
+
+def _count_work(monkeypatch):
+    """Count the k-space exponentials of the poles module and its Lambert W solves."""
+    calls = Counter()
+    solve, exp = poles_module.lambert_w, cmath.exp
+
+    def counted_solve(branch, z):
+        calls["lambert_w"] += 1
+        return solve(branch, z)
+
+    def counted_exp(x):
+        calls["exp"] += 1
+        return exp(x)
+
+    monkeypatch.setattr(poles_module, "lambert_w", counted_solve)
+    counted = SimpleNamespace(**{**vars(cmath), "exp": counted_exp})
+    monkeypatch.setattr(poles_module, "cmath", counted)
+    return calls
+
+
+def test_resonance_costs_two_exponentials_and_its_mirror_none(monkeypatch):
+    # the gate reads the |f| the second Newton step formed, and a mirror shares
+    # the residual of its memoized resonance
+    calls = _count_work(monkeypatch)
+    for n in range(1, 13):
+        spec = PotentialSpec(lam=10.0)
+        find_resonance(spec, n)
+        assert calls == {"lambert_w": 1, "exp": 2}, n
+        calls.clear()
+        find_anti_resonance(spec, n)
+        assert calls == {}, n
+    spec = PotentialSpec(lam=10.0)
+    enumerate_poles(spec, 12)
+    for n in range(1, 13):
+        find_anti_resonance(spec, n)
+    assert calls == {"lambert_w": 12, "exp": 24}
+
+
+@pytest.mark.parametrize("lam, n, answered", [
+    (653.4455625843766, 10, True),  # |f| 1.0024e-12 before the last step, 9.967e-13 after
+    (250.0, 11, False),  # 1.479e-12 before, and after: a known defect of the absolute gate
+])
+def test_resonance_past_the_polish_gate_is_judged_at_the_root(lam, n, answered, monkeypatch):
+    # a third exponential, only where |f| before the last step exceeds 1e-12:
+    # no root answered with |f(k)| <= 1e-12 is refused, and a refusal keeps its digits
+    calls = _count_work(monkeypatch)
+    spec = PotentialSpec(lam=lam)
+    if answered:
+        k = find_resonance(spec, n).k
+        assert calls == {"lambert_w": 1, "exp": 3}
+        assert transcendental_residual(spec, k) <= 1e-12
+    else:
+        message = rf"^pole resonance n={n} residual 1\.479e-12 exceeds 1e-12$"
+        with pytest.raises(NonConvergence, match=message):
+            find_resonance(spec, n)
+        assert calls == {"lambert_w": 1, "exp": 3}
+        assert spec._resonances == {}
