@@ -115,14 +115,19 @@ def find_resonance(spec: PotentialSpec, n: int) -> Pole:
 
     Uses branch -n of W for positive strength and branch -(n+1) for
     negative strength, so the caller's indexing is uniform in sign. Gated on
-    |f| where the last polish step started, else at the root (1e-12). A found
-    resonance is memoized on ``spec``; a failed find stores nothing.
+    |f| where the last polish step started, else at the root (1e-12); a polish
+    whose e^{2ik} overflows fails too. A found resonance is memoized on
+    ``spec``; a failed find stores nothing.
     """
     n = _positive(n, "resonance index")
     if (pole := spec._resonances.get(n)) is None:
         m = n if spec.lam > 0 else n + 1
         w = lambert_w(-m, spec._w_argument)
-        k, resid = _polish_complex(spec, (spec.lam - w) / 2j)
+        try:
+            k, resid = _polish_complex(spec, (spec.lam - w) / 2j)
+        except OverflowError:  # e^{2ik} past the largest float, for |lam| ~ 4e-310 to 4e-306
+            raise NonConvergence(f"pole resonance n={n} at strength {spec.lam!r}: "
+                                 "e^(2ik) overflows in the polish") from None
         try:  # Pole checks the fourth quadrant
             pole = Pole(_RESONANCE, -m, n, k, k * k)
         except InvalidInput:
@@ -158,9 +163,6 @@ def _threshold_kind(spec: PotentialSpec) -> PoleKind | None:
     return _BOUND if spec.lam < -1.0 else _VIRTUAL_STATE
 
 
-_THRESHOLD_POLES = {_BOUND: (0, "bound"), _VIRTUAL_STATE: (-1, "virtual")}  # (branch, name)
-
-
 def _deflated(y: float) -> tuple[float, float]:
     """F(y) = y - log(sinh y / y) and the sum of |F's terms|; for |y| >= 1/2,
     F = 2y [y < 0] + log(2|y|) - log1p(-e^{-2|y|}), which cannot overflow."""
@@ -175,9 +177,7 @@ def _deflated(y: float) -> tuple[float, float]:
 
 
 def _threshold_pole(spec: PotentialSpec, kind: PoleKind) -> Pole:
-    branch, name = _THRESHOLD_POLES[kind]
-    if _threshold_kind(spec) is not kind:
-        raise NoSuchPole(f"no {name} state for strength {spec.lam}")
+    """The bound or virtual pole; ``kind`` is ``_threshold_kind(spec)``, checked by the caller."""
     lam = spec.lam
     target = math.log1p(-1.0 - lam) if -2.0 < lam < -0.5 else math.log(-lam)
     # seed: F(y) ~ log(2y) in a deep well, ~ 2y + log(-2y) in a weak one, ~ y between
@@ -190,7 +190,7 @@ def _threshold_pole(spec: PotentialSpec, kind: PoleKind) -> Pole:
         if abs(step) <= 1e-8 * abs(y):  # quadratic: the next step is below an ulp
             break
     f, size = _deflated(y)
-    pole = Pole(kind, branch, 0, complex(0.0, y), complex(-y * y, 0.0))
+    pole = Pole(kind, 0 if kind is _BOUND else -1, 0, complex(0.0, y), complex(-y * y, 0.0))
     if not (resid := abs(f - target)) <= (tol := _AXIS_TOL * (size + abs(target))):
         raise _off_root(pole, resid, tol)
     return pole
@@ -198,11 +198,15 @@ def _threshold_pole(spec: PotentialSpec, kind: PoleKind) -> Pole:
 
 def find_bound_state(spec: PotentialSpec) -> Pole:
     """Return the bound-state pole (exists only for lam < -1)."""
+    if _threshold_kind(spec) is not _BOUND:
+        raise NoSuchPole(f"no bound state for strength {spec.lam}")
     return _threshold_pole(spec, _BOUND)
 
 
 def find_virtual_state(spec: PotentialSpec) -> Pole:
     """Return the virtual (anti-bound) pole (exists only for -1 < lam < 0)."""
+    if _threshold_kind(spec) is not _VIRTUAL_STATE:
+        raise NoSuchPole(f"no virtual state for strength {spec.lam}")
     return _threshold_pole(spec, _VIRTUAL_STATE)
 
 
@@ -210,10 +214,8 @@ def enumerate_poles(spec: PotentialSpec, count: int) -> list[Pole]:
     """Bound or virtual pole (when present) followed by resonances 1..count."""
     count = _positive(count, "count")
     poles: list[Pole] = []
-    if (kind := _threshold_kind(spec)) is _BOUND:
-        poles.append(find_bound_state(spec))
-    elif kind is _VIRTUAL_STATE:
-        poles.append(find_virtual_state(spec))
+    if (kind := _threshold_kind(spec)) is not None:
+        poles.append(_threshold_pole(spec, kind))
     poles.extend(find_resonance(spec, n) for n in range(1, count + 1))
     return poles
 

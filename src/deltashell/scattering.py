@@ -64,9 +64,7 @@ def jost(spec: PotentialSpec, k):
     dn = np.exp(+2j * k)
     j1 = (-2j * k + spec.lam * (up - 1.0)) / (4.0 * k)
     j2 = (+2j * k + spec.lam * (dn - 1.0)) / (4.0 * k)
-    if j1.ndim == 0:
-        return complex(j1), complex(j2)
-    return j1, j2
+    return _scalar_or_array(j1), _scalar_or_array(j2)
 
 
 def s_matrix(spec: PotentialSpec, k):

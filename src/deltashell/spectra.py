@@ -66,8 +66,8 @@ class SpectrumCurve:
 
     breit_wigner holds the normalized Lorentzian of the same pole (zero
     for zero-width poles, whose Lorentzian degenerates to a delta);
-    matrix_element holds M^2(E). normalization_used is the Gamma divisor,
-    or the numerical renormalization integral for interference curves.
+    matrix_element holds M^2(E). normalization_used is the Gamma divisor, or
+    for interference curves the closed-form residue sum (1 if not renormalized).
     """
 
     grid: np.ndarray
@@ -95,7 +95,7 @@ class InterferenceConfig:
 def decay_width_differential(spec: PotentialSpec, pole: Pole, e):
     """dGbar/dE = Gamma_R / ((E-E_R)^2 + (Gamma_R/2)^2) * M^2(E)."""
     _require_kind(pole, PoleKind.RESONANCE)
-    e = np.asarray(e, dtype=float)
+    e = _energies(e)
     lor = pole.gamma_R / _lorentz_denominator(pole, e)
     out = lor * matrix_element_squared(spec, pole, e)
     return _scalar_or_array(out)
@@ -104,24 +104,15 @@ def decay_width_differential(spec: PotentialSpec, pole: Pole, e):
 def decay_constant_differential(spec: PotentialSpec, pole: Pole, e):
     """dGamma/dE = M^2(E) / ((E-E_R)^2 + (Gamma_R/2)^2); any pole kind."""
     _require_kind(pole, PoleKind.RESONANCE, PoleKind.BOUND, PoleKind.VIRTUAL_STATE)
-    e = np.asarray(e, dtype=float)
+    e = _energies(e)
     out = matrix_element_squared(spec, pole, e) / _lorentz_denominator(pole, e)
     return _scalar_or_array(out)
 
 
-def decay_energy_spectrum(
-    spec: PotentialSpec,
-    pole: Pole,
-    e,
-    gamma_total: float | None = None,
-):
-    """dP/dE at energy e (scalar or array).
-
-    gamma_total lets callers reuse a precomputed decay constant; otherwise
-    it is computed on demand. Both paths check the pole kind first.
-    """
-    if gamma_total is None:
-        gamma_total = decay_constant_total(spec, pole)
+def decay_energy_spectrum(spec: PotentialSpec, pole: Pole, e):
+    """dP/dE = M^2(E) / (Gamma |E - z|^2) at energy e (scalar or array), with Gamma
+    the pole's closed-form decay constant, formed first: it checks the pole kind."""
+    gamma_total = decay_constant_total(spec, pole)
     return decay_constant_differential(spec, pole, e) / gamma_total
 
 
@@ -137,28 +128,24 @@ def _grid(e_min: float, e_max: float, points: int) -> np.ndarray:
         raise InvalidInput(f"cannot allocate a grid of {points} points") from exc
 
 
-def _breit_wigner(pole: Pole, e: np.ndarray) -> np.ndarray:
-    hw = 0.5 * pole.gamma_R
-    if hw <= 0.0:
-        return np.zeros_like(e)
-    return (hw / np.pi) / _lorentz_denominator(pole, e)
+def spectrum_curve(spec: PotentialSpec, pole: Pole, e_min: float, e_max: float,
+                   points: int) -> SpectrumCurve:
+    """The spectrum kernel: dP/dE on a uniform grid with its Breit-Wigner and M^2.
 
-
-def spectrum_curve(
-    spec: PotentialSpec,
-    pole: Pole,
-    e_min: float,
-    e_max: float,
-    points: int,
-) -> SpectrumCurve:
-    """Uniformly sampled spectrum with Breit-Wigner and M^2 companions."""
+    Gamma comes first (it checks the pole kind); M^2 and |E - z|^2 are then
+    formed once each and every column is read from them, with the bits of
+    decay_energy_spectrum and matrix_element_squared on the same grid.
+    """
     grid = _grid(e_min, e_max, points)
     gamma_total = decay_constant_total(spec, pole)
+    m2 = matrix_element_squared(spec, pole, grid)
+    lor = _lorentz_denominator(pole, grid)
+    hw = 0.5 * pole.gamma_R
     return SpectrumCurve(
         grid=grid,
-        dP_dE=decay_energy_spectrum(spec, pole, grid, gamma_total=gamma_total),
-        breit_wigner=_breit_wigner(pole, grid),
-        matrix_element=matrix_element_squared(spec, pole, grid),
+        dP_dE=m2 / lor / gamma_total,
+        breit_wigner=np.zeros_like(grid) if hw <= 0.0 else (hw / np.pi) / lor,
+        matrix_element=m2,
         normalization_used=gamma_total,
     )
 

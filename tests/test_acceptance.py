@@ -144,10 +144,7 @@ def _spectrum_normalization(spec, pole):
         peak_center=pole.e_R, peak_halfwidth=hw,
         oscillation_wavenumber=math.pi,
     )
-    gamma = decay_constant_total(spec, pole)
-    value, _ = integrate_semi_infinite(
-        lambda e: decay_energy_spectrum(spec, pole, e, gamma_total=gamma), req
-    )
+    value, _ = integrate_semi_infinite(lambda e: decay_energy_spectrum(spec, pole, e), req)
     return value
 
 
@@ -172,13 +169,12 @@ def test_criterion_09_lineshape_properties(specs):
     # (a) sharp resonance: peak inside [E_R - G, E_R + G], strictly asymmetric
     spec = specs[100.0]
     pole = find_resonance(spec, 3)
-    gamma = decay_constant_total(spec, pole)
     grid = np.linspace(pole.e_R - 2 * pole.gamma_R, pole.e_R + 2 * pole.gamma_R, 40001)
-    values = decay_energy_spectrum(spec, pole, grid, gamma_total=gamma)
+    values = decay_energy_spectrum(spec, pole, grid)
     e_peak = grid[np.argmax(values)]
     assert pole.e_R - pole.gamma_R <= e_peak <= pole.e_R + pole.gamma_R
-    up = decay_energy_spectrum(spec, pole, pole.e_R + pole.gamma_R, gamma_total=gamma)
-    down = decay_energy_spectrum(spec, pole, pole.e_R - pole.gamma_R, gamma_total=gamma)
+    up = decay_energy_spectrum(spec, pole, pole.e_R + pole.gamma_R)
+    down = decay_energy_spectrum(spec, pole, pole.e_R - pole.gamma_R)
     assert abs(up - down) > 1e-3 * max(up, down)
 
     # (b) broad resonance: threshold bump, i.e. an interior low-energy local
@@ -244,7 +240,7 @@ def test_criterion_11_interference_sanity(specs):
     raw = interference_spectrum(
         spec, p1, p2, InterferenceConfig(c1=1.0, c2=0.0, renormalize=False), grid
     )
-    single = gamma * decay_energy_spectrum(spec, p1, grid, gamma_total=gamma)
+    single = gamma * decay_energy_spectrum(spec, p1, grid)
     assert np.allclose(raw, single, rtol=1e-12, atol=1e-300)
 
     cfg = InterferenceConfig(c1=0.6, c2=0.3 + 0.2j, renormalize=False)

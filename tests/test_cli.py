@@ -560,6 +560,20 @@ def test_vanishing_well_answers_or_exits_with_one_typed_line(lam, command, capsy
         assert err.count("\n") == 1 and err.startswith(("error: ", "numerical failure: ")), err
 
 
+@pytest.mark.parametrize("command", [
+    ["poles", "--count", "1"], ["table", "--count", "1"],
+    ["spectrum", "--index", "1", "--emin", "0.1", "--emax", "1", "--points", "3"],
+])
+def test_polish_overflow_exits_3_naming_the_pole(command, capsys):
+    # e^{2ik} overflows in the resonance polish at lam = 1e-307: one typed
+    # line that names the pole and the strength, never "math range error"
+    code = cli.main(command[:1] + ["--lambda", "1e-307"] + command[1:])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert err.startswith("numerical failure: pole resonance n=1 at strength 1e-307: "), err
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("lam", ["-1e-200", "-1e-150"])
 def test_cross_section_with_an_empty_default_window_names_the_pole(lam):
     # the default window E_R +/- 10 Gamma_R lies below zero: one typed line

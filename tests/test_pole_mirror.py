@@ -168,7 +168,7 @@ def _on_and_off_pole(spec, n, offset):
     points = [complex(offset.real, -abs(offset.imag)), offset]
     try:
         k = find_resonance(spec, n).k
-    except (DeltaShellError, OverflowError):  # the polish overflows for lam below ~1e-307
+    except DeltaShellError:
         return points
     return points + [k, k * (1.0 + 1e-9j), k + offset * 1e-6, k + offset * 1e-3]
 

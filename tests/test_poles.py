@@ -3,6 +3,7 @@
 import cmath
 import json
 import math
+import re
 from collections import Counter
 from types import SimpleNamespace
 
@@ -98,13 +99,13 @@ def test_virtual_state_reference_values():
 
 
 def test_no_such_pole_conditions():
-    with pytest.raises(NoSuchPole):
+    with pytest.raises(NoSuchPole, match=r"^no bound state for strength -0\.5$"):
         find_bound_state(PotentialSpec(lam=-0.5))
     with pytest.raises(NoSuchPole):
         find_bound_state(PotentialSpec(lam=2.0))
     with pytest.raises(NoSuchPole):
         find_virtual_state(PotentialSpec(lam=0.5))
-    with pytest.raises(NoSuchPole):
+    with pytest.raises(NoSuchPole, match=r"^no virtual state for strength -10\.0$"):
         find_virtual_state(PotentialSpec(lam=-10.0))
     # degeneracy guard at the branch-point collision
     with pytest.raises(NoSuchPole):
@@ -310,3 +311,37 @@ def test_resonance_past_the_polish_gate_is_judged_at_the_root(lam, n, answered, 
             find_resonance(spec, n)
         assert calls == {"lambert_w": 1, "exp": 3}
         assert spec._resonances == {}
+
+
+
+@pytest.mark.parametrize("lam, kinds", [
+    (-3.0, [PoleKind.BOUND]), (-0.5, [PoleKind.VIRTUAL_STATE]), (0.5, []),
+])
+def test_enumerate_poles_decides_the_threshold_kind_once(lam, kinds, monkeypatch):
+    # the enumeration solves the pole of the kind it decided; only the public
+    # finders decide it again, to refuse a strength without that pole
+    calls = []
+    decide = poles_module._threshold_kind
+    monkeypatch.setattr(poles_module, "_threshold_kind",
+                        lambda spec: calls.append(spec.lam) or decide(spec))
+    poles = enumerate_poles(PotentialSpec(lam=lam), 2)
+    assert calls == [lam]
+    assert [p.kind for p in poles] == kinds + [PoleKind.RESONANCE] * 2
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("lam", [
+    2.2250738585072014e-308, -2.2250738585072014e-308, 1e-307, -1e-307,
+    1e-306, -1e-306, 2e-306, -2e-306,
+])
+def test_polish_overflow_is_a_typed_refusal(lam, n):
+    # e^{2ik} overflows in the polish near the smallest normal strengths: a
+    # NonConvergence that names the pole and the strength, and nothing memoized
+    spec = PotentialSpec(lam=lam)
+    message = rf"^pole resonance n={n} at strength {re.escape(repr(lam))}: "
+    with pytest.raises(NonConvergence, match=message):
+        find_resonance(spec, n)
+    assert spec._resonances == {}
+    with pytest.raises(NonConvergence, match=message):
+        find_anti_resonance(spec, n)
+    assert spec._resonances == {}

@@ -7,14 +7,18 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+import deltashell.cross_sections as cross_sections
+import deltashell.spectra as spectra
 from deltashell import (
     DegeneratePole,
+    InterferenceConfig,
     InvalidInput,
     Pole,
     PoleHit,
     PoleKind,
     PotentialSpec,
     enumerate_poles,
+    find_anti_resonance,
     find_bound_state,
     find_resonance,
     golden_rule_sharp,
@@ -293,3 +297,50 @@ def test_anti_resonance_rejected_by_matrix_element(spec100):
     # the matrix element itself is defined for any pole; observables guard kinds
     val = matrix_element_squared(spec100, anti, 5.0)
     assert val >= 0.0
+
+
+_CFG = InterferenceConfig()
+# every public evaluator of energies, each as f(spec, pole, e); a pole-pair
+# evaluator takes resonance 1 of the spec as its second pole
+_ENERGY_EVALUATORS = {
+    "decay_width_differential": spectra.decay_width_differential,
+    "decay_constant_differential": spectra.decay_constant_differential,
+    "decay_energy_spectrum": spectra.decay_energy_spectrum,
+    "interference_spectrum": lambda spec, pole, e: spectra.interference_spectrum(
+        spec, pole, find_resonance(spec, 1), _CFG, e),
+    "matrix_element_squared": matrix_element_squared,
+    "matrix_element": matrix_element,
+    "cross_section_exact": lambda spec, pole, e: cross_sections.cross_section_exact(spec, e),
+    "cross_section_laurent": cross_sections.cross_section_laurent,
+    "cross_section_e_unitarized": cross_sections.cross_section_e_unitarized,
+    "cross_section_k_unitarized": cross_sections.cross_section_k_unitarized,
+    "unitarized_ratio": cross_sections.unitarized_ratio,
+    "cross_section_two_pole": lambda spec, pole, e: cross_sections.cross_section_two_pole(
+        spec, pole, find_resonance(spec, 1), e),
+}
+_ANY_POLE = {"matrix_element_squared", "matrix_element", "cross_section_exact"}
+
+
+@pytest.mark.parametrize("name", sorted(_ENERGY_EVALUATORS))
+def test_energy_evaluator_returns_a_scalar_for_a_scalar(name, spec100):
+    f = _ENERGY_EVALUATORS[name]
+    pole = find_resonance(spec100, 2)
+    assert type(f(spec100, pole, 7.5)) in (float, complex)
+    out = f(spec100, pole, np.array([2.0, 7.5, 30.0]))
+    assert type(out) is np.ndarray and out.shape == (3,)
+    for e in (0.0, -1.0, np.array([2.0, 0.0, 30.0])):
+        with pytest.raises(InvalidInput, match="^scattering energy must be positive$"):
+            f(spec100, pole, e)
+    if name not in _ANY_POLE:
+        with pytest.raises(InvalidInput, match="^operation defined for "):
+            f(spec100, find_anti_resonance(spec100, 2), 7.5)
+
+
+@pytest.mark.parametrize("f", [s_matrix, lambda spec, k: jost(spec, k)[0],
+                               lambda spec, k: jost(spec, k)[1]], ids=["s_matrix", "j1", "j2"])
+def test_wave_number_evaluator_returns_a_scalar_for_a_scalar(f, spec100):
+    assert type(f(spec100, 2.5)) is complex
+    out = f(spec100, np.array([0.5, 2.5, 7.0]))
+    assert type(out) is np.ndarray and out.shape == (3,)
+    with pytest.raises(InvalidInput):
+        f(spec100, 0.0)

@@ -1,10 +1,12 @@
 """Lineshapes: normalization, asymmetry, threshold behavior, interference."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import deltashell.spectra as spectra
 from deltashell import (
     InterferenceConfig,
     InvalidInput,
@@ -18,6 +20,7 @@ from deltashell import (
     find_virtual_state,
     interference_curve,
     interference_spectrum,
+    matrix_element_squared,
     spectrum_curve,
 )
 from grid_helpers import multi_spectrum
@@ -32,10 +35,7 @@ def spectrum_norm(spec, pole, rel_tol=1e-9):
         oscillation_wavenumber=math.pi,
         rel_tol=rel_tol,
     )
-    gamma = decay_constant_total(spec, pole)
-    value, _ = integrate_semi_infinite(
-        lambda e: decay_energy_spectrum(spec, pole, e, gamma_total=gamma), req
-    )
+    value, _ = integrate_semi_infinite(lambda e: decay_energy_spectrum(spec, pole, e), req)
     return value
 
 
@@ -56,46 +56,60 @@ def test_spectrum_equals_width_spectrum_pointwise():
     pole = find_resonance(spec, 3)
     grid = np.linspace(1.0, 160.0, 800)
     gbar, _ = decay_width_total(spec, pole)
-    gamma = decay_constant_total(spec, pole)
-    lhs = decay_energy_spectrum(spec, pole, grid, gamma_total=gamma)
+    lhs = decay_energy_spectrum(spec, pole, grid)
     rhs = decay_width_differential(spec, pole, grid) / gbar
     assert np.allclose(lhs, rhs, rtol=1e-12, atol=0.0)
 
 
-@pytest.mark.parametrize("lam, n", [(10.0, 3), (-0.5, 0)])
-def test_spectrum_computes_its_own_gamma_bit_for_bit(lam, n):
-    # without gamma_total the decay constant is formed on demand: the same bits
+@pytest.mark.parametrize("lam, n", [(12.0, 2), (-0.5, 0)])
+def test_spectrum_curve_columns_have_the_bits_of_each_function(lam, n):
+    # the kernel forms M^2 and |E - z|^2 once and reads every column from them
     spec = PotentialSpec(lam=lam)
     pole = find_resonance(spec, n) if n else find_virtual_state(spec)
-    grid = np.linspace(0.01, 160.0, 801)
-    given = decay_energy_spectrum(spec, pole, grid, gamma_total=decay_constant_total(spec, pole))
-    own = decay_energy_spectrum(spec, pole, grid)
-    assert own.tobytes() == given.tobytes()
-    assert decay_energy_spectrum(spec, pole, 2.5) == decay_energy_spectrum(
-        spec, pole, 2.5, gamma_total=decay_constant_total(spec, pole))
+    curve = spectrum_curve(spec, pole, 0.01, 160.0, 801)
+    grid = curve.grid
+    assert curve.dP_dE.tobytes() == decay_energy_spectrum(spec, pole, grid).tobytes()
+    assert curve.matrix_element.tobytes() == matrix_element_squared(spec, pole, grid).tobytes()
+    hw = 0.5 * pole.gamma_R
+    if n:
+        lorentzian = (hw / np.pi) / ((grid - pole.e_R) ** 2 + hw * hw)
+        assert curve.breit_wigner.tobytes() == lorentzian.tobytes()
+    else:
+        assert hw == 0.0 and curve.breit_wigner.tobytes() == np.zeros_like(grid).tobytes()
+    assert curve.normalization_used == decay_constant_total(spec, pole)
+
+
+def test_spectrum_curve_forms_m2_and_the_denominator_once(monkeypatch):
+    calls = Counter()
+    for name in ("matrix_element_squared", "_lorentz_denominator"):
+        def counted(*args, _name=name, _real=getattr(spectra, name)):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(spectra, name, counted)
+    spec = PotentialSpec(lam=12.0)
+    spectrum_curve(spec, find_resonance(spec, 2), 0.01, 160.0, 20001)
+    assert calls == {"matrix_element_squared": 1, "_lorentz_denominator": 1}
 
 
 def test_zeros_inherited_from_matrix_element():
     spec = PotentialSpec(lam=100.0)
     pole = find_resonance(spec, 3)
-    gamma = decay_constant_total(spec, pole)
     for m in (2, 4, 6):
-        val = decay_energy_spectrum(spec, pole, (m * math.pi) ** 2, gamma_total=gamma)
+        val = decay_energy_spectrum(spec, pole, (m * math.pi) ** 2)
         assert val < 1e-22
 
 
 def test_sharp_peak_location_and_asymmetry():
     spec = PotentialSpec(lam=100.0)
     pole = find_resonance(spec, 3)
-    gamma = decay_constant_total(spec, pole)
     grid = np.linspace(pole.e_R - 2 * pole.gamma_R, pole.e_R + 2 * pole.gamma_R, 20001)
-    values = decay_energy_spectrum(spec, pole, grid, gamma_total=gamma)
+    values = decay_energy_spectrum(spec, pole, grid)
     peak = grid[np.argmax(values)]
     assert pole.e_R - pole.gamma_R <= peak <= pole.e_R + pole.gamma_R
     assert abs(peak - pole.e_R) > 5.0 * (grid[1] - grid[0])  # skewed off the pole energy
     delta = pole.gamma_R
-    up = decay_energy_spectrum(spec, pole, pole.e_R + delta, gamma_total=gamma)
-    down = decay_energy_spectrum(spec, pole, pole.e_R - delta, gamma_total=gamma)
+    up = decay_energy_spectrum(spec, pole, pole.e_R + delta)
+    down = decay_energy_spectrum(spec, pole, pole.e_R - delta)
     assert abs(up - down) > 1e-3 * max(up, down)
 
 
@@ -128,14 +142,12 @@ def test_breit_wigner_column_symmetric_spectrum_not():
     spec = PotentialSpec(lam=10.0)
     pole = find_resonance(spec, 3)
     delta = np.linspace(0.1, 1.0, 7) * pole.gamma_R
-    lo = spectrum_curve(spec, pole, 1e-3, 2 * pole.e_R, 11)  # realize Gamma once
-    gamma = lo.normalization_used
     bw = lambda e: (0.5 * pole.gamma_R / np.pi) / (
         (e - pole.e_R) ** 2 + (0.5 * pole.gamma_R) ** 2
     )
     assert np.allclose(bw(pole.e_R + delta), bw(pole.e_R - delta), rtol=1e-14)
-    up = decay_energy_spectrum(spec, pole, pole.e_R + delta, gamma_total=gamma)
-    down = decay_energy_spectrum(spec, pole, pole.e_R - delta, gamma_total=gamma)
+    up = decay_energy_spectrum(spec, pole, pole.e_R + delta)
+    down = decay_energy_spectrum(spec, pole, pole.e_R - delta)
     assert np.all(np.abs(up - down) > 1e-4 * np.maximum(up, down))
 
 
@@ -211,9 +223,7 @@ def test_interference_single_pole_reduction():
     grid = np.linspace(2.0, 60.0, 400)
     gamma = decay_constant_total(spec, p1)
     raw = interference_spectrum(spec, p1, p2, cfg, grid)
-    single = abs(cfg.c1) ** 2 * gamma * decay_energy_spectrum(
-        spec, p1, grid, gamma_total=gamma
-    )
+    single = abs(cfg.c1) ** 2 * gamma * decay_energy_spectrum(spec, p1, grid)
     assert np.allclose(raw, single, rtol=1e-12, atol=1e-300)
 
 
@@ -324,17 +334,13 @@ def test_wide_grid_trapezoid_area():
     coarse = np.geomspace(1e-4, 2000.0, 30001)
     fine = np.linspace(pole.e_R - 20 * pole.gamma_R, pole.e_R + 20 * pole.gamma_R, 30001)
     grid = np.unique(np.concatenate([coarse, fine]))
-    gamma = decay_constant_total(spec, pole)
-    area = np.trapezoid(decay_energy_spectrum(spec, pole, grid, gamma_total=gamma), grid)
+    area = np.trapezoid(decay_energy_spectrum(spec, pole, grid), grid)
     assert 0.95 <= area <= 1.0
 
     specv = PotentialSpec(lam=-0.5)
     pole_v = find_virtual_state(specv)
     grid_v = np.geomspace(1e-6, 5000.0, 60001)
-    gamma_v = decay_constant_total(specv, pole_v)
-    area_v = np.trapezoid(
-        decay_energy_spectrum(specv, pole_v, grid_v, gamma_total=gamma_v), grid_v
-    )
+    area_v = np.trapezoid(decay_energy_spectrum(specv, pole_v, grid_v), grid_v)
     assert 0.95 <= area_v <= 1.0
 
 
