@@ -40,9 +40,7 @@ _GRID = {
         "cross_section_e_unitarized", "cross_section_k_unitarized", "unitarized_ratio",
         "cross_section_two_pole", "cross_section_bundle",
     ),
-    "scattering": (
-        "jost", "s_matrix", "matrix_element_squared", "matrix_element",
-    ),
+    "scattering": ("matrix_element_squared", "matrix_element"),
     "spectra": (
         "decay_width_differential", "decay_constant_differential", "SpectrumCurve",
         "InterferenceConfig", "decay_energy_spectrum", "spectrum_curve",

@@ -545,7 +545,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except ArithmeticError as exc:
-        # the library's NonConvergence, DegeneratePole and PoleHit, plus
+        # the library's NonConvergence and DegeneratePole, plus
         # OverflowError and bare ArithmeticError from numerics
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

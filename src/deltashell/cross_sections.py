@@ -1,6 +1,7 @@
 """Exact s-wave cross section and its pole approximants.
 
-sigma(E) = (pi/k^2) |S(E) - 1|^2 is compared against
+sigma(E) = (4 pi/k^2) sin^2(delta), from the shell's s-wave phase shift
+tan delta = -lam sin^2(k) / (k + lam sin(k) cos(k)), is compared against
 
 * the Laurent (Breit-Wigner) form, which keeps only the pole term of the
   S-matrix and needs the energy-plane residue;
@@ -16,6 +17,7 @@ The e- and k-unitarized forms differ by the exact algebraic ratio
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +26,7 @@ from .errors import InvalidInput
 from .observables import _require_kind
 from .poles import find_resonance, zeldovich_norm
 from .potential import PotentialSpec, Pole, PoleKind
-from .scattering import _energies, _lorentz_denominator, _scalar_or_array, s_matrix
+from .scattering import _energies, _lorentz_denominator, _scalar_or_array
 from .spectra import _grid
 
 __all__ = [
@@ -37,6 +39,10 @@ __all__ = [
     "cross_section_two_pole",
     "cross_section_bundle",
 ]
+
+# 1 - sin(x)/x = x^2 (1/3! - x^2/5! + ...), within an ulp for |x| < 1/2;
+# highest power first, as np.polyval takes them
+_SINC_SERIES = tuple((-1.0) ** m / math.factorial(2 * m + 3) for m in range(6, -1, -1))
 
 
 @dataclass(frozen=True)
@@ -56,11 +62,26 @@ def _residue_e(spec: PotentialSpec, pole: Pole) -> complex:
     return -2j * pole.k * zeldovich_norm(spec, pole)
 
 
+def _one_minus_sinc(x):
+    """1 - sin(x)/x for x > 0; below x = 1/2, where the difference cancels, its series."""
+    return np.piecewise(x, [x < 0.5], [lambda x: x * x * np.polyval(_SINC_SERIES, x * x),
+                                       lambda x: 1.0 - np.sin(x) / x])
+
+
 def cross_section_exact(spec: PotentialSpec, e):
-    """(pi/k^2) |S - 1|^2 at real energy E = k^2 (vectorized)."""
-    e = _energies(e)
-    s = s_matrix(spec, np.sqrt(e).astype(complex))
-    out = np.pi / e * np.abs(s - 1.0) ** 2
+    """(4 pi/k^2) sin^2(delta) at real energy E = k^2 (vectorized).
+
+    With q = sin(k)/k and d = (1 + lam) - lam (1 - sin(2k)/2k), which is
+    k + lam sin(k) cos(k) over k, sigma = 4 pi lam^2 q^4 / (d^2 + (lam q sin k)^2).
+    Every factor is O(1) as k -> 0, where sigma -> 4 pi lam^2 / (1 + lam)^2,
+    and 1 + lam is exact next to lam = -1; no Jost function is evaluated.
+    """
+    k = np.sqrt(_energies(e))
+    s = np.sin(k)
+    q = s / k
+    lam = spec.lam
+    d = (1.0 + lam) - lam * _one_minus_sinc(2.0 * k)
+    out = 4.0 * np.pi * (lam * q * q) ** 2 / (d * d + (lam * q * s) ** 2)
     return _scalar_or_array(out)
 
 
@@ -129,7 +150,8 @@ def cross_section_bundle(
 
     The default window is E_R +/- 10 Gamma_R clipped to positive energies,
     which resolves sharp peaks; pass e_min/e_max to override. Raises
-    InvalidInput where a defaulted bound leaves the window empty.
+    InvalidInput where a defaulted bound leaves the window empty, and where
+    a column exceeds the largest float (pi/E alone does below E ~ 1.7e-308).
     """
     pole = find_resonance(spec, index)
     defaulted = e_min is None or e_max is None
@@ -144,15 +166,17 @@ def cross_section_bundle(
             "clipped to positive energies; give one with --emin and --emax"
         )
     grid = _grid(e_min, e_max, points)
-    two_pole = None
-    if second_index is not None:
-        second = find_resonance(spec, second_index)
-        two_pole = cross_section_two_pole(spec, pole, second, grid)
-    return CrossSectionBundle(
-        grid=grid,
-        exact=cross_section_exact(spec, grid),
-        laurent=cross_section_laurent(spec, pole, grid),
-        e_unitarized=cross_section_e_unitarized(spec, pole, grid),
-        k_unitarized=cross_section_k_unitarized(spec, pole, grid),
-        two_pole=two_pole,
-    )
+    with np.errstate(all="ignore"):  # a non-finite cell is refused below
+        bundle = CrossSectionBundle(
+            grid=grid,
+            exact=cross_section_exact(spec, grid),
+            laurent=cross_section_laurent(spec, pole, grid),
+            e_unitarized=cross_section_e_unitarized(spec, pole, grid),
+            k_unitarized=cross_section_k_unitarized(spec, pole, grid),
+            two_pole=None if second_index is None else cross_section_two_pole(
+                spec, pole, find_resonance(spec, second_index), grid),
+        )
+    if not all(np.isfinite(col).all() for col in vars(bundle).values() if col is not None):
+        raise InvalidInput(f"a cross section of resonance {pole.index} at strength {spec.lam!r} "
+                           f"exceeds the largest float on the window [{e_min!r}, {e_max!r}]")
+    return bundle

@@ -1,7 +1,6 @@
 """Exception types shared across the library."""
 
-__all__ = ["DeltaShellError", "InvalidInput", "NonConvergence", "NoSuchPole", "PoleHit",
-           "DegeneratePole"]
+__all__ = ["DeltaShellError", "InvalidInput", "NonConvergence", "NoSuchPole", "DegeneratePole"]
 
 
 class DeltaShellError(Exception):
@@ -18,10 +17,6 @@ class NonConvergence(DeltaShellError, ArithmeticError):
 
 class NoSuchPole(DeltaShellError, ValueError):
     """The requested pole does not exist for this potential strength."""
-
-
-class PoleHit(DeltaShellError, ZeroDivisionError):
-    """Evaluation requested at (or numerically on top of) an S-matrix pole."""
 
 
 class DegeneratePole(DeltaShellError, ArithmeticError):

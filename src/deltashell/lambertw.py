@@ -1,10 +1,10 @@
 """Multi-branch complex Lambert W function.
 
 ``lambert_w(n, z)`` returns the branch-``n`` solution w of ``w * exp(w) = z``.
-This is the root-finding kernel behind every resonance in the package:
-the shell's resonant and anti-resonant wave numbers are images of Lambert
-W values under a linear map (the bound and virtual ones too, but those are
-solved off the branch point, in deltashell.poles).
+This is the root-finding kernel behind every resonance in the package: a
+resonant wave number is the image of a Lambert W value under a linear map.
+The anti-resonances are their mirrors -conj(k), and the bound and virtual
+poles are solved off the branch point, both in deltashell.poles.
 
 Branch cuts follow Corless et al., "On the Lambert W function" (1996): the
 cut of branch 0 is (-inf, -1/e], that of every other branch (-inf, 0], and

@@ -57,7 +57,7 @@ class PotentialSpec:
         negative for a well.
 
     Two things live on a spec outside the fields: lam * exp(lam), the
-    Lambert W argument of every pole, formed once here, and the memo of
+    Lambert W argument of every resonance, formed once here, and the memo of
     the resonances found on it. ``==``, ``hash``, ``repr`` and ``asdict``
     ignore both; ``replace`` builds them anew.
     """

@@ -1,29 +1,24 @@
-"""Jost functions, S-matrix and matrix element on grids.
+"""The interaction matrix element on energy grids, and the grid layer's shared pieces.
 
-The wave number k is the canonical variable throughout; energy-plane
-objects are defined through E = k^2, which sidesteps the square-root
-branch ambiguity in the energy plane. k is in units of 1/a and E of
-ħ^2/(2m a^2). All evaluators accept scalars or numpy arrays of k (or E)
-values. The residue normalization they rest on is scalar and
-lives in :mod:`deltashell.poles`.
+Energies are real, E = k^2 > 0 with k = sqrt(E), in units of
+ħ^2/(2m a^2). Every evaluator accepts a scalar or a numpy array of
+energies; the positive-energy check, the scalar-or-array return and the
+Lorentzian denominator live here once. The residue normalization the
+matrix element rests on is scalar and lives in :mod:`deltashell.poles`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidInput, PoleHit
+from .errors import InvalidInput
 from .poles import _shell_weight, zeldovich_norm
 from .potential import PotentialSpec, Pole
 
 __all__ = [
-    "jost",
-    "s_matrix",
     "matrix_element_squared",
     "matrix_element",
 ]
-
-_POLE_HIT_TOL = 1e-13
 
 
 def _scalar_or_array(out):
@@ -49,31 +44,6 @@ def _lorentz_denominator(pole: Pole, e):
     hw = 0.5 * pole.gamma_R
     with np.errstate(over="ignore"):
         return (e - pole.e_R) ** 2 + hw * hw
-
-
-def jost(spec: PotentialSpec, k):
-    """Jost functions (J1, J2) at complex wave number k (vectorized).
-
-    J_{1,2} = (1/4k) [ -/+ 2ik + lam (exp(-/+ 2ik) - 1) ].
-    For real k > 0, J1 = conj(J2), which makes |S| = 1 on the real axis.
-    """
-    k = np.asarray(k, dtype=complex)
-    if np.any(k == 0):
-        raise InvalidInput("Jost functions are singular at k = 0")
-    up = np.exp(-2j * k)
-    dn = np.exp(+2j * k)
-    j1 = (-2j * k + spec.lam * (up - 1.0)) / (4.0 * k)
-    j2 = (+2j * k + spec.lam * (dn - 1.0)) / (4.0 * k)
-    return _scalar_or_array(j1), _scalar_or_array(j2)
-
-
-def s_matrix(spec: PotentialSpec, k):
-    """S(k) = -J1(k)/J2(k); unitary for real k, poles at the J2 zeros."""
-    j1, j2 = map(np.asarray, jost(spec, k))
-    if np.any(np.abs(j2) <= _POLE_HIT_TOL * np.maximum(1.0, np.abs(j1))):
-        raise PoleHit("S-matrix evaluated on top of a pole")
-    s = -j1 / j2
-    return _scalar_or_array(s)
 
 
 def _shell_amplitude(spec: PotentialSpec, pole: Pole) -> complex:

@@ -95,18 +95,16 @@ class InterferenceConfig:
 def decay_width_differential(spec: PotentialSpec, pole: Pole, e):
     """dGbar/dE = Gamma_R / ((E-E_R)^2 + (Gamma_R/2)^2) * M^2(E)."""
     _require_kind(pole, PoleKind.RESONANCE)
-    e = _energies(e)
-    lor = pole.gamma_R / _lorentz_denominator(pole, e)
-    out = lor * matrix_element_squared(spec, pole, e)
-    return _scalar_or_array(out)
+    m2 = matrix_element_squared(spec, pole, e)  # checks the energies first
+    lor = pole.gamma_R / _lorentz_denominator(pole, np.asarray(e, dtype=float))
+    return _scalar_or_array(lor * m2)
 
 
 def decay_constant_differential(spec: PotentialSpec, pole: Pole, e):
     """dGamma/dE = M^2(E) / ((E-E_R)^2 + (Gamma_R/2)^2); any pole kind."""
     _require_kind(pole, PoleKind.RESONANCE, PoleKind.BOUND, PoleKind.VIRTUAL_STATE)
-    e = _energies(e)
-    out = matrix_element_squared(spec, pole, e) / _lorentz_denominator(pole, e)
-    return _scalar_or_array(out)
+    m2 = matrix_element_squared(spec, pole, e)  # checks the energies first
+    return _scalar_or_array(m2 / _lorentz_denominator(pole, np.asarray(e, dtype=float)))
 
 
 def decay_energy_spectrum(spec: PotentialSpec, pole: Pole, e):

@@ -1,16 +1,44 @@
 """Grid-layer helpers that only the tests use, built on the public library.
 
-The energy-plane S-matrix, the resonant state's wavefunction and a list of
-spectrum curves are checks of the library, not parts of it: each is a few
-lines over ``s_matrix``, ``jost``, ``zeldovich_norm`` and ``spectrum_curve``.
-Units are the library's: k and r in units of the radius, E = k^2.
+The Jost functions, the S-matrix (wave-number and energy plane), the
+resonant state's wavefunction and a list of spectrum curves are checks of
+the library, not parts of it: the library forms sigma from the phase shift
+and N^2 from the pole's Lambert-W value, so the Jost route here stays the
+independent check of both. Units are the library's: k and r in units of the
+radius, E = k^2.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from deltashell import InvalidInput, find_resonance, jost, s_matrix, spectrum_curve, zeldovich_norm
+from deltashell import InvalidInput, find_resonance, spectrum_curve, zeldovich_norm
+from deltashell.scattering import _scalar_or_array
+
+
+def jost(spec, k):
+    """Jost functions (J1, J2) at complex wave number k (vectorized).
+
+    J_{1,2} = (1/4k) [ -/+ 2ik + lam (exp(-/+ 2ik) - 1) ].
+    For real k > 0, J1 = conj(J2), which makes |S| = 1 on the real axis.
+    """
+    k = np.asarray(k, dtype=complex)
+    if np.any(k == 0):
+        raise InvalidInput("Jost functions are singular at k = 0")
+    j1 = (-2j * k + spec.lam * (np.exp(-2j * k) - 1.0)) / (4.0 * k)
+    j2 = (2j * k + spec.lam * (np.exp(2j * k) - 1.0)) / (4.0 * k)
+    return _scalar_or_array(j1), _scalar_or_array(j2)
+
+
+def s_matrix(spec, k):
+    """S(k) = -J1(k)/J2(k); unitary for real k, poles at the J2 zeros.
+
+    Raises ZeroDivisionError where |J2| <= 1e-13 max(1, |J1|), on top of a pole.
+    """
+    j1, j2 = map(np.asarray, jost(spec, k))
+    if np.any(np.abs(j2) <= 1e-13 * np.maximum(1.0, np.abs(j1))):
+        raise ZeroDivisionError("S-matrix evaluated on top of a pole")
+    return _scalar_or_array(-j1 / j2)
 
 
 def s_matrix_energy(spec, e):
@@ -34,8 +62,7 @@ def resonant_wavefunction(spec, pole, r):
         raise InvalidInput("radius must be nonnegative")
     n_r = np.sqrt(zeldovich_norm(spec, pole))
     inside = n_r * np.sin(pole.k * r) / jost(spec, pole.k)[0]
-    u = np.where(r < 1.0, inside, n_r * np.exp(1j * pole.k * r))
-    return u.item() if u.ndim == 0 else u
+    return _scalar_or_array(np.where(r < 1.0, inside, n_r * np.exp(1j * pole.k * r)))
 
 
 def multi_spectrum(spec, indices, e_min, e_max, points):

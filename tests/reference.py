@@ -13,7 +13,9 @@ of the library:
 * Gbar = 2 lam^2 |N|^2 exp(2 beta) C, Gamma = Gbar / Gamma_R and the sharp
   pair at k~ = sqrt(E_R).
 
-The strength is the float the library gets, taken exactly.
+The strength is the float the library gets, taken exactly. The exact cross
+section is (pi/E) |S - 1|^2 with S = -J1/J2 from the Jost functions, the
+S-matrix route the library's phase-shift closed form never takes.
 """
 
 import mpmath as mp
@@ -75,3 +77,18 @@ def reference_row(lam, branch, resonance):
             row["gamma_bar_sharp"] = 2 * lam**2 * density * mp.sin(kt) ** 2 / kt
             row["gamma_sharp"] = row["gamma_bar_sharp"] / gamma_r
         return row
+
+
+def reference_cross_section(lam, e):
+    """sigma(E) = (pi/E) |S(k) - 1|^2, S = -J1(k)/J2(k) at k = sqrt(E), as an mpmath number.
+
+    exp(+/-2ik) - 1 keeps its O(k^2) real part only with -log10(E) more
+    digits, which also cover J2's cancellation at lam = -1; the energy and
+    the strength are the floats the library gets, taken exactly.
+    """
+    e, lam = mp.mpf(e), mp.mpf(lam)
+    with mp.workdps(DIGITS + max(0, int(-mp.log10(e)))):
+        k = mp.sqrt(e)
+        j1 = (-2j * k + lam * (mp.exp(-2j * k) - 1)) / (4 * k)
+        j2 = (2j * k + lam * (mp.exp(2j * k) - 1)) / (4 * k)
+        return mp.pi / e * abs(-j1 / j2 - 1) ** 2

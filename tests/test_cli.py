@@ -592,6 +592,49 @@ def test_cross_section_with_an_empty_default_window_names_the_pole(lam):
     assert len(given.stdout.splitlines()) == 4
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("window", [("5e-324", "1e-300"), ("1e-310", "1e-300")])
+@pytest.mark.parametrize("command", [
+    ["cross-section", "--lambda", "12", "--index", "1"],
+    ["cross-section", "--lambda", "12", "--index", "1", "--second-index", "2"],
+    ["cross-section", "--lambda", "-1", "--index", "1"],
+    ["spectrum", "--lambda", "12", "--index", "1"],
+    ["interfere", "--lambda", "12", "--indices", "1,2"],
+], ids=["cross-section", "two-pole", "cross-section-threshold", "spectrum", "interfere"])
+def test_subnormal_window_answers_finite_or_exits_2_naming_it(command, window, fmt, capsys):
+    # below the normal range pi/E exceeds the largest float, so the cross-section
+    # approximants (and sigma itself at lam = -1) do too: one typed line naming the
+    # window, never nan or inf with exit 0; the spectra stay finite and answer
+    argv = command + ["--emin", window[0], "--emax", window[1], "--points", "3", "--format", fmt]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(argv)
+    out, err = capsys.readouterr()
+    if command[0] != "cross-section":
+        assert code == 0 and err == ""
+        cells = (json.loads(out)["curve"].values() if fmt == "json"
+                 else [list(map(float, row.split(","))) for row in out.splitlines()[1:]])
+        assert all(math.isfinite(x) for cell in cells for x in cell)
+        return
+    assert code == 2 and out == ""
+    assert err == (f"error: a cross section of resonance 1 at strength {float(command[2])!r} "
+                   f"exceeds the largest float on the window [{float(window[0])!r}, "
+                   f"{float(window[1])!r}]\n")
+
+
+@pytest.mark.parametrize("argv, first_exact", [
+    (["--lambda", "12", "--emin", "1e-20", "--emax", "1e-8", "--points", "3"], "10.7074401"),
+    (["--lambda", "-1", "--emin", "1e-18", "--emax", "1e-16", "--points", "2"], "1.25663706e+19"),
+])
+def test_cross_section_keeps_its_digits_as_e_goes_to_zero(argv, first_exact, capsys):
+    # sigma -> 4 pi lam^2 / (1 + lam)^2 at lam = 12, and 4 pi / E at lam = -1, where
+    # (pi/k^2)|S - 1|^2 printed 0 and the pole guard refused a finite sigma
+    code = cli.main(["cross-section", "--index", "1"] + argv)
+    out, err = capsys.readouterr()
+    assert code == 0 and err == ""
+    assert parse_csv(out)[1][0]["exact"] == first_exact
+
+
 def test_parser_reused_across_calls(tmp_path, monkeypatch, capsys):
     # one process, one parser: no option value may leak from call to call
     cfg = tmp_path / "run.cfg"
@@ -1142,11 +1185,11 @@ def test_public_names_resolve_lazily():
     run_python("""
 import importlib, sys
 import deltashell
-lazy = {"CrossSectionBundle", "jost", "spectrum_curve", "decay_width_differential",
+lazy = {"CrossSectionBundle", "matrix_element", "spectrum_curve", "decay_width_differential",
         "interference_curve"}
 removed = {"QuadratureRequest", "integrate_semi_infinite", "ToleranceNotMet", "perturbation_rhs",
            "NormalizationData", "JostPair", "s_matrix_energy", "resonant_wavefunction",
-           "multi_spectrum"}
+           "multi_spectrum", "jost", "s_matrix", "PoleHit"}
 assert not removed & set(deltashell.__all__)
 for name in removed:
     try:
@@ -1183,10 +1226,11 @@ for module in ("errors", "lambertw", "potential", "poles", "observables", "cli",
 
 
 # the package's public names at the release before each module's __all__
-# became the only list of them
+# became the only list of them, less jost, s_matrix and PoleHit, which left
+# when the exact cross section stopped calling the Jost functions
 _PUBLIC_NAMES = {
     "__version__", "DegeneratePole", "DeltaShellError", "InvalidInput", "NonConvergence",
-    "NoSuchPole", "ObservablesRecord", "Pole", "PoleHit", "PoleKind", "PotentialSpec",
+    "NoSuchPole", "ObservablesRecord", "Pole", "PoleKind", "PotentialSpec",
     "decay_constant_total", "decay_width_total", "enumerate_poles", "find_anti_resonance",
     "find_bound_state", "find_resonance", "find_virtual_state", "golden_rule_sharp",
     "lambert_w", "lambert_w_residual", "observables_record", "table_records",
@@ -1194,7 +1238,7 @@ _PUBLIC_NAMES = {
     "CrossSectionBundle", "cross_section_bundle", "cross_section_e_unitarized",
     "cross_section_exact", "cross_section_k_unitarized", "cross_section_laurent",
     "cross_section_two_pole", "unitarized_ratio",
-    "jost", "matrix_element", "matrix_element_squared", "s_matrix",
+    "matrix_element", "matrix_element_squared",
     "InterferenceConfig", "SpectrumCurve", "decay_constant_differential",
     "decay_energy_spectrum", "decay_width_differential", "interference_curve",
     "interference_spectrum", "spectrum_curve",
@@ -1204,7 +1248,7 @@ _PUBLIC_NAMES = {
 def test_public_surface_comes_from_the_modules():
     # deltashell.__all__ is built from the modules' own lists; _GRID names the
     # grid layer's lists without importing numpy, so a test ties the two
-    assert len(deltashell.__all__) == len(set(deltashell.__all__)) == 45
+    assert len(deltashell.__all__) == len(set(deltashell.__all__)) == 42
     assert set(deltashell.__all__) == _PUBLIC_NAMES
     for module, names in deltashell._GRID.items():
         assert tuple(importlib.import_module(f"deltashell.{module}").__all__) == names, module

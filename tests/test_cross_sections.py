@@ -1,6 +1,8 @@
 """Cross section and approximants: unitarity, ratio identities, peak algebra."""
 
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +21,36 @@ from deltashell import (
     unitarized_ratio,
     zeldovich_norm,
 )
+from reference import reference_cross_section
+
+
+# 5e-324 to 1e4 by ratios, plus both sides of the zeros and sharp peaks near k = m pi
+_CONTRACT_ENERGIES = np.unique(np.concatenate([
+    np.geomspace(5e-324, 1e4, 300),
+    (np.pi * np.arange(1, 21)) ** 2 * (1.0 - 1e-4),
+    (np.pi * np.arange(1, 21)) ** 2 * (1.0 + 1e-4),
+]))
+
+
+@pytest.mark.parametrize("lam", (0.5, -0.5, 12.0, -12.0, 700.0, -700.0, -1.0, -1.0 + 1e-7,
+                                 -1.0 - 1e-7, -1.0 + 1e-3, -1.0 - 1e-3))
+def test_exact_matches_the_jost_reference_to_its_conditioning(lam):
+    # relative error within 1e-15 (1 + 4k|cot k|): the second term is sin^4 k's
+    # conditioning on the rounding of k = sqrt(E), next to the zeros E = (m pi)^2;
+    # finite, and with no RuntimeWarning, wherever the reference is a float
+    spec = PotentialSpec(lam=lam)
+    e = _CONTRACT_ENERGIES
+    ref = np.array([float(reference_cross_section(lam, x)) for x in e])
+    fits = ref <= sys.float_info.max
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sigma = cross_section_exact(spec, e[fits])
+    k = np.sqrt(e[fits])
+    bound = 1e-15 * (1.0 + 4.0 * k * np.abs(np.cos(k) / np.sin(k)))
+    assert np.all(np.isfinite(sigma))
+    assert np.all(np.abs(sigma - ref[fits]) <= bound * ref[fits])
+    with np.errstate(over="ignore"):  # sigma itself is past the largest float there
+        assert np.all(cross_section_exact(spec, e[~fits]) == math.inf)
 
 
 def test_vanishes_in_free_limit():

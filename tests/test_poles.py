@@ -345,3 +345,24 @@ def test_polish_overflow_is_a_typed_refusal(lam, n):
     with pytest.raises(NonConvergence, match=message):
         find_anti_resonance(spec, n)
     assert spec._resonances == {}
+
+
+@pytest.mark.parametrize("find, lam, message", [
+    (find_virtual_state, -0.5, "pole virtual_state n=0 residual 6.332e-04 exceeds 2.51e-13"),
+    (find_bound_state, -3.0, "pole bound n=0 residual 9.379e-04 exceeds 2.2e-13"),
+])
+def test_threshold_pole_off_its_root_is_refused(find, lam, message, monkeypatch, capsys):
+    # one Newton step leaves the seed far from the root: the residual gate refuses
+    # it, as a NonConvergence in the library and exit 3 with that one line
+    monkeypatch.setattr(poles_module, "_AXIS_STEPS", 1)
+    with pytest.raises(NonConvergence, match=f"^{re.escape(message)}$"):
+        find(PotentialSpec(lam=lam))
+    assert cli.main(["table", "--lambda", str(lam), "--count", "1"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"numerical failure: {message}\n"
+
+
+def test_polish_stops_where_the_derivative_vanishes():
+    # f'(k) = 2i (1 + lam e^{2ik}) is 0 at k = 0 for lam = -1: the polish returns
+    # k and the |f| it formed there, and leaves the verdict to the gate
+    assert poles_module._polish_complex(PotentialSpec(lam=-1.0), 0j) == (0j, 0.0)

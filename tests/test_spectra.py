@@ -6,6 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import deltashell.scattering as scattering
 import deltashell.spectra as spectra
 from deltashell import (
     InterferenceConfig,
@@ -89,6 +90,29 @@ def test_spectrum_curve_forms_m2_and_the_denominator_once(monkeypatch):
     spec = PotentialSpec(lam=12.0)
     spectrum_curve(spec, find_resonance(spec, 2), 0.01, 160.0, 20001)
     assert calls == {"matrix_element_squared": 1, "_lorentz_denominator": 1}
+
+
+@pytest.mark.parametrize("name", ["decay_width_differential", "decay_constant_differential"])
+def test_differentials_check_the_energies_once(name, monkeypatch):
+    # M^2 checks the energies; the Lorentzian is formed on the same floats after it
+    calls = Counter()
+
+    def counted(e, _real=scattering._energies):
+        calls["_energies"] += 1
+        return _real(e)
+
+    monkeypatch.setattr(scattering, "_energies", counted)
+    monkeypatch.setattr(spectra, "_energies", counted)
+    spec = PotentialSpec(lam=12.0)
+    pole = find_resonance(spec, 2)
+    grid = np.linspace(0.01, 160.0, 801)
+    out = getattr(spectra, name)(spec, pole, grid)
+    assert calls == {"_energies": 1}
+    m2 = matrix_element_squared(spec, pole, grid)
+    hw = 0.5 * pole.gamma_R
+    lor = (grid - pole.e_R) ** 2 + hw * hw
+    expected = pole.gamma_R / lor * m2 if name == "decay_width_differential" else m2 / lor
+    assert out.tobytes() == expected.tobytes()
 
 
 def test_zeros_inherited_from_matrix_element():
