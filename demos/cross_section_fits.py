@@ -20,7 +20,6 @@ from deltashell import (
     PotentialSpec,
     cross_section_bundle,
     find_resonance,
-    unitarized_ratio,
     zeldovich_norm,
 )
 
@@ -49,7 +48,7 @@ print(f"background zero of the exact curve near E = {bundle.grid[i_zero]:.3f}, "
 residue_e = 2.0 * abs(pole.k) * abs(zeldovich_norm(spec, pole))
 print(f"\nLaurent / e-unitarized constant ratio: "
       f"{(residue_e / pole.gamma_R) ** 2:.6f}")
-ratios = unitarized_ratio(spec, pole, bundle.grid)
+ratios = bundle.e_unitarized / bundle.k_unitarized
 print(f"e-unitarized / k-unitarized across the window: "
       f"{ratios.min():.6f} .. {ratios.max():.6f}")
 

@@ -13,7 +13,7 @@ delta function. Their ratios carry the physics:
   that the delta-function step is what breaks the perturbative identity.
 """
 
-from deltashell import PotentialSpec, decay_width_total, find_resonance, table_records
+from deltashell import PotentialSpec, table_records
 
 LAM = -10.0
 
@@ -43,8 +43,6 @@ print(
 # it shows otherwise for every resonance
 print("perturbative width equation, RHS / pole width (would be 1 if the")
 print("perturbative identity held):")
-for n in (1, 2, 3):
-    pole = find_resonance(spec, n)
-    gamma_bar, _ = decay_width_total(spec, pole)
-    ratio = gamma_bar / pole.gamma_R
-    print(f"  n={n}:  {ratio:.4f}")
+for rec in rows:
+    if rec.kind.value == "resonance" and rec.index <= 3:
+        print(f"  n={rec.index}:  {rec.gamma_bar / rec.gamma_R:.4f}")

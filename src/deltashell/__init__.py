@@ -37,13 +37,12 @@ from .potential import *
 _GRID = {
     "cross_sections": (
         "CrossSectionBundle", "cross_section_exact", "cross_section_laurent",
-        "cross_section_e_unitarized", "cross_section_k_unitarized", "unitarized_ratio",
-        "cross_section_two_pole", "cross_section_bundle",
+        "cross_section_e_unitarized", "cross_section_k_unitarized", "cross_section_two_pole",
+        "cross_section_bundle",
     ),
     "scattering": ("matrix_element_squared", "matrix_element"),
     "spectra": (
-        "decay_width_differential", "decay_constant_differential", "SpectrumCurve",
-        "InterferenceConfig", "decay_energy_spectrum", "spectrum_curve",
+        "SpectrumCurve", "InterferenceConfig", "decay_energy_spectrum", "spectrum_curve",
         "interference_spectrum", "interference_curve",
     ),
 }

@@ -12,11 +12,13 @@ tan delta = -lam sin^2(k) / (k + lam sin(k) cos(k)), is compared against
   expansion and adds their interference.
 
 The e- and k-unitarized forms differ by the exact algebraic ratio
-4 alpha^2 / ((k + alpha)^2 + beta^2), close to one near a sharp peak.
+4 alpha^2 / ((k + alpha)^2 + beta^2), close to one near a sharp peak. No
+column returns inf: past the largest float it raises InvalidInput.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -35,7 +37,6 @@ __all__ = [
     "cross_section_laurent",
     "cross_section_e_unitarized",
     "cross_section_k_unitarized",
-    "unitarized_ratio",
     "cross_section_two_pole",
     "cross_section_bundle",
 ]
@@ -62,12 +63,31 @@ def _residue_e(spec: PotentialSpec, pole: Pole) -> complex:
     return -2j * pole.k * zeldovich_norm(spec, pole)
 
 
+def _column(f):
+    """f(spec, *poles, e) on resonances and checked energies, its numpy warnings silenced:
+    a scalar or array, or InvalidInput naming the first energy past the largest float."""
+    @functools.wraps(f)
+    def column(spec, *args):
+        *poles, e = args
+        for pole in poles:
+            _require_kind(pole, PoleKind.RESONANCE)
+        e = _energies(e)
+        with np.errstate(all="ignore"):  # a non-finite cell is refused below
+            out = f(spec, *poles, e)
+        if not (finite := np.isfinite(out)).all():
+            raise InvalidInput(f"{f.__name__} at strength {spec.lam!r} exceeds the largest "
+                               f"float at E = {float(e[~finite].flat[0])!r}")
+        return _scalar_or_array(out)
+    return column
+
+
 def _one_minus_sinc(x):
     """1 - sin(x)/x for x > 0; below x = 1/2, where the difference cancels, its series."""
     return np.piecewise(x, [x < 0.5], [lambda x: x * x * np.polyval(_SINC_SERIES, x * x),
                                        lambda x: 1.0 - np.sin(x) / x])
 
 
+@_column
 def cross_section_exact(spec: PotentialSpec, e):
     """(4 pi/k^2) sin^2(delta) at real energy E = k^2 (vectorized).
 
@@ -76,49 +96,35 @@ def cross_section_exact(spec: PotentialSpec, e):
     Every factor is O(1) as k -> 0, where sigma -> 4 pi lam^2 / (1 + lam)^2,
     and 1 + lam is exact next to lam = -1; no Jost function is evaluated.
     """
-    k = np.sqrt(_energies(e))
+    k = np.sqrt(e)
     s = np.sin(k)
     q = s / k
     lam = spec.lam
     d = (1.0 + lam) - lam * _one_minus_sinc(2.0 * k)
-    out = 4.0 * np.pi * (lam * q * q) ** 2 / (d * d + (lam * q * s) ** 2)
-    return _scalar_or_array(out)
+    return 4.0 * np.pi * (lam * q * q) ** 2 / (d * d + (lam * q * s) ** 2)
 
 
+@_column
 def cross_section_laurent(spec: PotentialSpec, pole: Pole, e):
     """Breit-Wigner form (pi/k^2) |r_R|^2 / ((E-E_R)^2 + (Gamma_R/2)^2)."""
-    _require_kind(pole, PoleKind.RESONANCE)
-    e = _energies(e)
     r_e = abs(_residue_e(spec, pole))
-    out = np.pi / e * r_e**2 / _lorentz_denominator(pole, e)
-    return _scalar_or_array(out)
+    return np.pi / e * r_e**2 / _lorentz_denominator(pole, e)
 
 
+@_column
 def cross_section_e_unitarized(spec: PotentialSpec, pole: Pole, e):
     """(pi/k^2) Gamma_R^2 / ((E-E_R)^2 + (Gamma_R/2)^2); peak value 4 pi / E_R."""
-    _require_kind(pole, PoleKind.RESONANCE)
-    e = _energies(e)
-    out = np.pi / e * pole.gamma_R**2 / _lorentz_denominator(pole, e)
-    return _scalar_or_array(out)
+    return np.pi / e * pole.gamma_R**2 / _lorentz_denominator(pole, e)
 
 
+@_column
 def cross_section_k_unitarized(spec: PotentialSpec, pole: Pole, e):
     """(pi/k^2) (2 beta_R)^2 / ((k-alpha_R)^2 + beta_R^2), k = sqrt(E)."""
-    _require_kind(pole, PoleKind.RESONANCE)
-    e = _energies(e)
     k = np.sqrt(e)
-    out = np.pi / e * (2.0 * pole.beta_R) ** 2 / ((k - pole.alpha_R) ** 2 + pole.beta_R**2)
-    return _scalar_or_array(out)
+    return np.pi / e * (2.0 * pole.beta_R) ** 2 / ((k - pole.alpha_R) ** 2 + pole.beta_R**2)
 
 
-def unitarized_ratio(spec: PotentialSpec, pole: Pole, e):
-    """Ratio e-unitarized / k-unitarized: 4 alpha^2 / ((k+alpha)^2 + beta^2)."""
-    _require_kind(pole, PoleKind.RESONANCE)
-    k = np.sqrt(_energies(e))
-    alpha, beta = pole.alpha_R, pole.beta_R
-    return _scalar_or_array(4.0 * alpha**2 / ((k + alpha) ** 2 + beta**2))
-
-
+@_column
 def cross_section_two_pole(spec: PotentialSpec, pole1: Pole, pole2: Pole, e):
     """Two-pole cross section: two Lorentzians plus their interference.
 
@@ -127,15 +133,11 @@ def cross_section_two_pole(spec: PotentialSpec, pole1: Pole, pole2: Pole, e):
     with energy-plane residues r_i. The cross term is formed as Re u1 Re u2 + Im u1 Im u2,
     u_i = r_i / (E - z_i): swapping the poles keeps its bits, and no E^2 product overflows.
     """
-    _require_kind(pole1, PoleKind.RESONANCE)
-    _require_kind(pole2, PoleKind.RESONANCE)
-    e = _energies(e)
     r1, r2 = _residue_e(spec, pole1), _residue_e(spec, pole2)
     d1, d2 = _lorentz_denominator(pole1, e), _lorentz_denominator(pole2, e)
     u1, u2 = r1 / (e - pole1.z), r2 / (e - pole2.z)
     cross = 2.0 * (u1.real * u2.real + u1.imag * u2.imag)
-    out = np.pi / e * (abs(r1) ** 2 / d1 + abs(r2) ** 2 / d2 + cross)
-    return _scalar_or_array(out)
+    return np.pi / e * (abs(r1) ** 2 / d1 + abs(r2) ** 2 / d2 + cross)
 
 
 def cross_section_bundle(
@@ -166,17 +168,12 @@ def cross_section_bundle(
             "clipped to positive energies; give one with --emin and --emax"
         )
     grid = _grid(e_min, e_max, points)
-    with np.errstate(all="ignore"):  # a non-finite cell is refused below
-        bundle = CrossSectionBundle(
-            grid=grid,
-            exact=cross_section_exact(spec, grid),
-            laurent=cross_section_laurent(spec, pole, grid),
-            e_unitarized=cross_section_e_unitarized(spec, pole, grid),
-            k_unitarized=cross_section_k_unitarized(spec, pole, grid),
-            two_pole=None if second_index is None else cross_section_two_pole(
-                spec, pole, find_resonance(spec, second_index), grid),
-        )
-    if not all(np.isfinite(col).all() for col in vars(bundle).values() if col is not None):
-        raise InvalidInput(f"a cross section of resonance {pole.index} at strength {spec.lam!r} "
-                           f"exceeds the largest float on the window [{e_min!r}, {e_max!r}]")
-    return bundle
+    return CrossSectionBundle(
+        grid=grid,
+        exact=cross_section_exact(spec, grid),
+        laurent=cross_section_laurent(spec, pole, grid),
+        e_unitarized=cross_section_e_unitarized(spec, pole, grid),
+        k_unitarized=cross_section_k_unitarized(spec, pole, grid),
+        two_pole=None if second_index is None else cross_section_two_pole(
+            spec, pole, find_resonance(spec, second_index), grid),
+    )

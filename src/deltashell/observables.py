@@ -31,14 +31,13 @@ Gbar_sharp = 2 pi M^2(E_R), Gamma_sharp = Gbar_sharp / Gamma_R.
 
 One row kernel, :func:`observables_record`, forms a whole table row: it
 reads each pole field once, forms a resonance's residue normalization
-2 lam^2 |N|^2 exp(2 beta) once, and every observable inline from it. The
-per-quantity functions read their values from its record.
+2 lam^2 |N|^2 exp(2 beta) once, and every observable inline from it; each
+width, constant and sharp value is a field of its record.
 Units are those of :mod:`deltashell.potential` (a = 1). The command line
 scales a row to radius a: k by 1/a, energies and widths by 1/a^2, C by a.
 
 Everything here is scalar Python arithmetic with no numpy import; the
-integrands on energy grids (dGbar/dE, dGamma/dE) live in
-:mod:`deltashell.spectra`.
+spectra on energy grids live in :mod:`deltashell.spectra`.
 """
 
 from __future__ import annotations
@@ -53,9 +52,6 @@ from .potential import _BOUND, _RESONANCE, _VIRTUAL_STATE, PotentialSpec, Pole, 
 
 __all__ = [
     "ObservablesRecord",
-    "decay_width_total",
-    "decay_constant_total",
-    "golden_rule_sharp",
     "observables_record",
     "table_records",
 ]
@@ -68,11 +64,17 @@ _ROW_KINDS = (_RESONANCE, _BOUND, _VIRTUAL_STATE)
 class ObservablesRecord:
     """One table row: pole identity plus every decay observable.
 
-    gamma_bar_sharp, gamma_sharp and c_value are None for bound and
-    virtual rows (their gamma_bar is identically zero); the sharp values
-    are also None for resonances with E_R <= 0, where the sharp
-    approximation has no energy to sit at. Every observable is a closed
-    form in k (see the module docstring).
+    gamma_bar is also the right-hand side of the second-order perturbation-theory
+    width equation; were that equation exact it would equal Gamma_R, but the
+    decay constant gamma = gamma_bar / Gamma_R differs from 1 for every resonance.
+    For a bound or virtual pole gamma is int M^2(E) / (E + kappa^2)^2 dE, kappa =
+    |Im k|, a double pole of the residue sum (1 for a bound state, whose residue
+    norm is its norm). The sharp pair sits at k~ = sqrt(E_R).
+
+    gamma_bar_sharp, gamma_sharp and c_value are None for bound and virtual rows
+    (the width integrand carries a factor Gamma_R = 0, so gamma_bar is zero); the
+    sharp values are also None for resonances with E_R <= 0, where the sharp
+    approximation has no energy to sit at.
 
     A frozen dataclass with its own ``__init__``, which writes the fields
     straight into the instance ``__dict__`` (see :mod:`deltashell.potential`);
@@ -111,49 +113,9 @@ def _require_kind(pole: Pole, *kinds: PoleKind) -> None:
         raise InvalidInput(f"operation defined for {allowed} poles, got {pole.kind.value}")
 
 
-def decay_width_total(spec: PotentialSpec, pole: Pole):
-    """Total decay width and the constant C as (gamma_bar, c_value).
-
-    gamma_bar is also the right-hand side of the second-order
-    perturbation-theory width equation, int Gamma_R M^2(E) /
-    ((E - E_R)^2 + (Gamma_R/2)^2) dE. Were that equation exact it would
-    equal Gamma_R; gamma_bar / Gamma_R is the decay constant instead,
-    which differs from 1 for every resonance of this potential.
-
-    Bound and virtual poles return (0.0, None): the width integrand
-    carries an explicit factor of the pole width, which is zero there.
-    """
-    record = observables_record(spec, pole)
-    return record.gamma_bar, record.c_value
-
-
-def decay_constant_total(spec: PotentialSpec, pole: Pole) -> float:
-    """Dimensionless decay constant Gamma: Gbar / Gamma_R for a resonance. For a
-    bound or virtual pole, the degenerate-Lorentzian integral int M^2(E)/(E + kappa^2)^2
-    dE, kappa = |Im k|, a double pole of the residue sum: -lam (1 + lam) / (t (1 + t))
-    with t = lam - 2ik, which is 1 for a bound state (its residue norm is its norm).
-    """
-    return observables_record(spec, pole).gamma
-
-
-def golden_rule_sharp(spec: PotentialSpec, pole: Pole):
-    """Sharp-resonance approximations (gamma_bar_sharp, gamma_sharp).
-
-    Replacing the Lorentzian by a delta function gives
-    Gbar_sharp = 2 lam^2 sin^2(k~)/k~ * |N|^2 exp(2 beta) with
-    k~ = sqrt(E_R); identically equal to 2 pi M^2(E_R).
-    """
-    _require_kind(pole, _RESONANCE)
-    if pole.e_R <= 0.0:
-        raise InvalidInput("sharp approximation needs a positive resonant energy")
-    record = observables_record(spec, pole)
-    return record.gamma_bar_sharp, record.gamma_sharp
-
-
 def observables_record(spec: PotentialSpec, pole: Pole) -> ObservablesRecord:
     """The full table row for one pole: the one row kernel (see the module
-    docstring). decay_width_total, decay_constant_total and golden_rule_sharp
-    read their values from this record."""
+    docstring); a resonance, bound or virtual pole, else InvalidInput."""
     kind = pole.kind
     if kind not in _ROW_KINDS:
         _require_kind(pole, *_ROW_KINDS)

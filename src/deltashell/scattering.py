@@ -59,12 +59,13 @@ def matrix_element_squared(spec: PotentialSpec, pole: Pole, e):
         M^2(E) = (lam^2 / pi) sin^2(k)/k * |N|^2 exp(2 beta),
     with k = sqrt(E). Zeros sit exactly on the lattice E = (m pi)^2;
     the prefactor is fixed by matching the differential decay width against
-    its Lorentzian-times-matrix-element form.
+    its Lorentzian-times-matrix-element form. Formed as pref (sin(k)/k) sin(k), no
+    step underflows where M^2 is normal, down to E = 5e-324, where sin^2 k is subnormal.
     """
     e = _energies(e)
     k = np.sqrt(e)
-    pref = _shell_weight(spec, pole, spec.lam**2 / np.pi)
-    out = pref * np.sin(k) ** 2 / k
+    s = np.sin(k)
+    out = _shell_weight(spec, pole, spec.lam**2 / np.pi) * (s / k) * s
     return _scalar_or_array(out)
 
 

@@ -1,19 +1,16 @@
-"""Differential decay widths and normalized decay-energy-spectrum lineshapes.
-
-dGbar/dE = Gamma_R M^2(E) / ((E - E_R)^2 + (Gamma_R/2)^2) and
-dGamma/dE = M^2(E) / ((E - E_R)^2 + (Gamma_R/2)^2) are the integrands of
-the widths and constants that observables sums in closed form.
+"""Normalized decay-energy-spectrum lineshapes.
 
 The spectrum of a single pole is the Lorentzian modulated by the squared
 interaction matrix element and divided by the decay constant,
 
     dP/dE = (1/Gamma) M^2(E) / ((E - E_R)^2 + (Gamma_R/2)^2),
 
-which integrates to one over (0, inf) by construction. It is not a
-Breit-Wigner: the matrix element skews the peak, adds the sin^2 zero
-lattice to the tails, and produces the threshold structures seen for
-broad resonances and for the virtual state (whose Lorentzian degenerates
-to 1/(E - E_pole)^2 with E_pole < 0).
+which integrates to one over (0, inf) by construction: Gamma is the closed
+form of the integral of M^2(E) / |E - z|^2, and Gamma_R times that integrand
+is dGbar/dE. It is not a Breit-Wigner: the matrix element skews the peak,
+adds the sin^2 zero lattice to the tails, and produces the threshold
+structures seen for broad resonances and for the virtual state (whose
+Lorentzian degenerates to 1/(E - E_pole)^2 with E_pole < 0).
 
 Two-resonance interference follows the coherent superposition of the two
 pole terms, |c1 <E|z1> + c2 <E|z2>|^2 with <E|z> = <E|V|z>/(z - E); the
@@ -37,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput
-from .observables import _require_kind, decay_constant_total
+from .observables import _require_kind, observables_record
 from .potential import PotentialSpec, Pole, PoleKind
 from .scattering import (
     _energies,
@@ -49,8 +46,6 @@ from .scattering import (
 )
 
 __all__ = [
-    "decay_width_differential",
-    "decay_constant_differential",
     "SpectrumCurve",
     "InterferenceConfig",
     "decay_energy_spectrum",
@@ -92,26 +87,13 @@ class InterferenceConfig:
             raise InvalidInput("at least one interference coefficient must be nonzero")
 
 
-def decay_width_differential(spec: PotentialSpec, pole: Pole, e):
-    """dGbar/dE = Gamma_R / ((E-E_R)^2 + (Gamma_R/2)^2) * M^2(E)."""
-    _require_kind(pole, PoleKind.RESONANCE)
-    m2 = matrix_element_squared(spec, pole, e)  # checks the energies first
-    lor = pole.gamma_R / _lorentz_denominator(pole, np.asarray(e, dtype=float))
-    return _scalar_or_array(lor * m2)
-
-
-def decay_constant_differential(spec: PotentialSpec, pole: Pole, e):
-    """dGamma/dE = M^2(E) / ((E-E_R)^2 + (Gamma_R/2)^2); any pole kind."""
-    _require_kind(pole, PoleKind.RESONANCE, PoleKind.BOUND, PoleKind.VIRTUAL_STATE)
-    m2 = matrix_element_squared(spec, pole, e)  # checks the energies first
-    return _scalar_or_array(m2 / _lorentz_denominator(pole, np.asarray(e, dtype=float)))
-
-
 def decay_energy_spectrum(spec: PotentialSpec, pole: Pole, e):
-    """dP/dE = M^2(E) / (Gamma |E - z|^2) at energy e (scalar or array), with Gamma
-    the pole's closed-form decay constant, formed first: it checks the pole kind."""
-    gamma_total = decay_constant_total(spec, pole)
-    return decay_constant_differential(spec, pole, e) / gamma_total
+    """dP/dE = M^2(E) / |E - z|^2 / Gamma at energy e (scalar or array); Gamma, the
+    pole's decay constant, is read first from its table row, which checks the kind."""
+    gamma_total = observables_record(spec, pole).gamma
+    m2 = matrix_element_squared(spec, pole, e)  # checks the energies first
+    lor = _lorentz_denominator(pole, np.asarray(e, dtype=float))
+    return _scalar_or_array(m2 / lor / gamma_total)
 
 
 def _grid(e_min: float, e_max: float, points: int) -> np.ndarray:
@@ -135,7 +117,7 @@ def spectrum_curve(spec: PotentialSpec, pole: Pole, e_min: float, e_max: float,
     decay_energy_spectrum and matrix_element_squared on the same grid.
     """
     grid = _grid(e_min, e_max, points)
-    gamma_total = decay_constant_total(spec, pole)
+    gamma_total = observables_record(spec, pole).gamma
     m2 = matrix_element_squared(spec, pole, grid)
     lor = _lorentz_denominator(pole, grid)
     hw = 0.5 * pole.gamma_R

@@ -38,8 +38,7 @@ from typing import Callable
 
 import numpy as np
 
-from deltashell import InvalidInput, Pole, PotentialSpec
-from deltashell.spectra import decay_width_differential
+from deltashell import InvalidInput, Pole, PotentialSpec, matrix_element_squared
 
 # 15-point Kronrod extension of 7-point Gauss on [-1, 1] (nodes symmetric;
 # Gauss points sit at the odd Kronrod indices).
@@ -248,5 +247,9 @@ def perturbation_rhs(
         rel_tol=rel_tol,
         abs_tol=abs_tol,
     )
-    value, _ = integrate_semi_infinite(lambda e: decay_width_differential(spec, pole, e), req)
+
+    def integrand(e):  # dGbar/dE from M^2 alone, never from the row it checks
+        return pole.gamma_R * matrix_element_squared(spec, pole, e) / np.abs(e - pole.z) ** 2
+
+    value, _ = integrate_semi_infinite(integrand, req)
     return value

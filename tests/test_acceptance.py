@@ -19,7 +19,6 @@ from deltashell import (
     cross_section_e_unitarized,
     cross_section_exact,
     cross_section_k_unitarized,
-    decay_constant_total,
     decay_energy_spectrum,
     enumerate_poles,
     find_anti_resonance,
@@ -28,9 +27,9 @@ from deltashell import (
     interference_spectrum,
     lambert_w,
     lambert_w_residual,
+    observables_record,
     spectrum_curve,
     transcendental_residual,
-    unitarized_ratio,
 )
 from conftest import TABLE_LAMBDAS, assert_printed, golden_rows, sigfig_tol
 from grid_helpers import multi_spectrum
@@ -213,7 +212,8 @@ def test_criterion_10_cross_section_properties(specs):
     wide = np.linspace(0.05, 800.0, 4000)
     assert np.all(cross_section_exact(spec, wide) <= 4.0 * np.pi / wide + 1e-9)
 
-    ratio = unitarized_ratio(spec, pole, e)
+    # the e-/k-unitarized ratio in closed form, 4 alpha^2 / ((k + alpha)^2 + beta^2)
+    ratio = 4.0 * pole.alpha_R**2 / ((np.sqrt(e) + pole.alpha_R) ** 2 + pole.beta_R**2)
     quotient = cross_section_e_unitarized(spec, pole, e) / cross_section_k_unitarized(
         spec, pole, e
     )
@@ -236,7 +236,7 @@ def test_criterion_11_interference_sanity(specs):
     p2 = find_resonance(spec, 2)
     grid = np.linspace(2.0, 60.0, 500)
 
-    gamma = decay_constant_total(spec, p1)
+    gamma = observables_record(spec, p1).gamma
     raw = interference_spectrum(
         spec, p1, p2, InterferenceConfig(c1=1.0, c2=0.0, renormalize=False), grid
     )

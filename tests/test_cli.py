@@ -604,7 +604,8 @@ def test_cross_section_with_an_empty_default_window_names_the_pole(lam):
 def test_subnormal_window_answers_finite_or_exits_2_naming_it(command, window, fmt, capsys):
     # below the normal range pi/E exceeds the largest float, so the cross-section
     # approximants (and sigma itself at lam = -1) do too: one typed line naming the
-    # window, never nan or inf with exit 0; the spectra stay finite and answer
+    # first column and energy past it, never nan or inf with exit 0; the spectra
+    # stay finite and answer
     argv = command + ["--emin", window[0], "--emax", window[1], "--points", "3", "--format", fmt]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -617,9 +618,9 @@ def test_subnormal_window_answers_finite_or_exits_2_naming_it(command, window, f
         assert all(math.isfinite(x) for cell in cells for x in cell)
         return
     assert code == 2 and out == ""
-    assert err == (f"error: a cross section of resonance 1 at strength {float(command[2])!r} "
-                   f"exceeds the largest float on the window [{float(window[0])!r}, "
-                   f"{float(window[1])!r}]\n")
+    column = "cross_section_exact" if command[2] == "-1" else "cross_section_laurent"
+    assert err == (f"error: {column} at strength {float(command[2])!r} exceeds the largest "
+                   f"float at E = {float(window[0])!r}\n")
 
 
 @pytest.mark.parametrize("argv, first_exact", [
@@ -1185,11 +1186,13 @@ def test_public_names_resolve_lazily():
     run_python("""
 import importlib, sys
 import deltashell
-lazy = {"CrossSectionBundle", "matrix_element", "spectrum_curve", "decay_width_differential",
+lazy = {"CrossSectionBundle", "matrix_element", "spectrum_curve", "decay_energy_spectrum",
         "interference_curve"}
 removed = {"QuadratureRequest", "integrate_semi_infinite", "ToleranceNotMet", "perturbation_rhs",
            "NormalizationData", "JostPair", "s_matrix_energy", "resonant_wavefunction",
-           "multi_spectrum", "jost", "s_matrix", "PoleHit"}
+           "multi_spectrum", "jost", "s_matrix", "PoleHit", "decay_width_total",
+           "decay_constant_total", "golden_rule_sharp", "decay_width_differential",
+           "decay_constant_differential", "unitarized_ratio"}
 assert not removed & set(deltashell.__all__)
 for name in removed:
     try:
@@ -1227,20 +1230,21 @@ for module in ("errors", "lambertw", "potential", "poles", "observables", "cli",
 
 # the package's public names at the release before each module's __all__
 # became the only list of them, less jost, s_matrix and PoleHit, which left
-# when the exact cross section stopped calling the Jost functions
+# when the exact cross section stopped calling the Jost functions, and less
+# the six that only re-read a table row or fed the test-side checks
+_DELETED = ("decay_width_total", "decay_constant_total", "golden_rule_sharp",
+            "decay_width_differential", "decay_constant_differential", "unitarized_ratio")
 _PUBLIC_NAMES = {
     "__version__", "DegeneratePole", "DeltaShellError", "InvalidInput", "NonConvergence",
     "NoSuchPole", "ObservablesRecord", "Pole", "PoleKind", "PotentialSpec",
-    "decay_constant_total", "decay_width_total", "enumerate_poles", "find_anti_resonance",
-    "find_bound_state", "find_resonance", "find_virtual_state", "golden_rule_sharp",
-    "lambert_w", "lambert_w_residual", "observables_record", "table_records",
-    "transcendental_residual", "zeldovich_norm",
+    "enumerate_poles", "find_anti_resonance", "find_bound_state", "find_resonance",
+    "find_virtual_state", "lambert_w", "lambert_w_residual", "observables_record",
+    "table_records", "transcendental_residual", "zeldovich_norm",
     "CrossSectionBundle", "cross_section_bundle", "cross_section_e_unitarized",
     "cross_section_exact", "cross_section_k_unitarized", "cross_section_laurent",
-    "cross_section_two_pole", "unitarized_ratio",
+    "cross_section_two_pole",
     "matrix_element", "matrix_element_squared",
-    "InterferenceConfig", "SpectrumCurve", "decay_constant_differential",
-    "decay_energy_spectrum", "decay_width_differential", "interference_curve",
+    "InterferenceConfig", "SpectrumCurve", "decay_energy_spectrum", "interference_curve",
     "interference_spectrum", "spectrum_curve",
 }
 
@@ -1248,8 +1252,12 @@ _PUBLIC_NAMES = {
 def test_public_surface_comes_from_the_modules():
     # deltashell.__all__ is built from the modules' own lists; _GRID names the
     # grid layer's lists without importing numpy, so a test ties the two
-    assert len(deltashell.__all__) == len(set(deltashell.__all__)) == 42
+    assert len(deltashell.__all__) == len(set(deltashell.__all__)) == 36
     assert set(deltashell.__all__) == _PUBLIC_NAMES
+    for name in _DELETED:
+        assert name not in deltashell.__all__, name
+        with pytest.raises(AttributeError):
+            getattr(deltashell, name)
     for module, names in deltashell._GRID.items():
         assert tuple(importlib.import_module(f"deltashell.{module}").__all__) == names, module
     assert set(cli._CURVES) <= set(deltashell._LAZY)

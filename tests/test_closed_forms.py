@@ -33,12 +33,11 @@ from deltashell import (
     NonConvergence,
     PoleKind,
     PotentialSpec,
-    decay_constant_total,
-    decay_width_total,
     find_bound_state,
     find_resonance,
     find_virtual_state,
     matrix_element_squared,
+    observables_record,
 )
 from quadrature_oracle import QuadratureRequest, integrate_semi_infinite
 
@@ -151,7 +150,7 @@ def test_threshold_gamma_next_to_threshold_matches_mpmath(mu, find):
     # cancels to about kappa^2 next to threshold: hence the extra digits
     spec = PotentialSpec(lam=-1.0 - mu if find is find_bound_state else -1.0 + mu)
     pole = find(spec)
-    gamma = decay_constant_total(spec, pole)
+    gamma = observables_record(spec, pole).gamma
     with mp.workdps(DIGITS + 30):
         k = _mp_pole(spec, pole)
         q = mp.mpc(0, abs(mp.im(k)))
@@ -169,7 +168,7 @@ def test_threshold_gamma_next_to_threshold_matches_mpmath(mu, find):
 def test_c_value_matches_quadrature(lam):
     spec, poles = _resonances(lam)
     for pole in poles:
-        _, c_value = decay_width_total(spec, pole)
+        c_value = observables_record(spec, pole).c_value
         quad = _c_by_quadrature(pole.e_R, pole.gamma_R, c_value)
         assert c_value == pytest.approx(quad, rel=2e-12), f"lam={lam} n={pole.index}"
 
@@ -178,7 +177,8 @@ def test_c_value_matches_quadrature(lam):
 def test_width_matches_mpmath(lam):
     spec, poles = _resonances(lam)
     for pole in poles:
-        gamma_bar, c_value = decay_width_total(spec, pole)
+        rec = observables_record(spec, pole)
+        gamma_bar, c_value = rec.gamma_bar, rec.c_value
         with mp.workdps(DIGITS):
             # same pole: only the float evaluation of the residue sum differs
             k = mp.mpc(pole.k)
@@ -206,7 +206,7 @@ def test_c_value_scales_with_radius():
     spec = PotentialSpec(lam=10.0)
     for n in (1, 4):
         pole = find_resonance(spec, n)
-        _, c_value = decay_width_total(spec, pole)
+        c_value = observables_record(spec, pole).c_value
         assert rows[n - 1]["c_value"] == float("%.9g" % (a * c_value))
         quad = _c_by_quadrature(pole.e_R / a**2, pole.gamma_R / a**2, c_value, a=a)
         assert a * c_value == pytest.approx(quad, rel=2e-12)
@@ -223,7 +223,7 @@ def test_c_value_scales_with_radius():
 def test_nonresonant_gamma_matches_quadrature_and_mpmath(lam, find):
     spec = PotentialSpec(lam=lam)
     pole = find(spec)
-    gamma = decay_constant_total(spec, pole)
+    gamma = observables_record(spec, pole).gamma
 
     def f(e):
         return matrix_element_squared(spec, pole, e) / (e - pole.e_R) ** 2
@@ -242,7 +242,7 @@ def test_nonresonant_gamma_matches_quadrature_and_mpmath(lam, find):
 
 def test_virtual_state_reference_value():
     spec = PotentialSpec(lam=-0.5)
-    assert decay_constant_total(spec, find_virtual_state(spec)) == pytest.approx(
+    assert observables_record(spec, find_virtual_state(spec)).gamma == pytest.approx(
         0.188165251377, abs=1e-12
     )
 

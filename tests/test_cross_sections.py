@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+import deltashell
 from deltashell import (
     InvalidInput,
     PotentialSpec,
@@ -18,7 +19,6 @@ from deltashell import (
     cross_section_two_pole,
     find_resonance,
     find_virtual_state,
-    unitarized_ratio,
     zeldovich_norm,
 )
 from reference import reference_cross_section
@@ -37,7 +37,8 @@ _CONTRACT_ENERGIES = np.unique(np.concatenate([
 def test_exact_matches_the_jost_reference_to_its_conditioning(lam):
     # relative error within 1e-15 (1 + 4k|cot k|): the second term is sin^4 k's
     # conditioning on the rounding of k = sqrt(E), next to the zeros E = (m pi)^2;
-    # finite, and with no RuntimeWarning, wherever the reference is a float
+    # finite, and with no RuntimeWarning, wherever the reference is a float, and
+    # refused, still with no RuntimeWarning, where it is not
     spec = PotentialSpec(lam=lam)
     e = _CONTRACT_ENERGIES
     ref = np.array([float(reference_cross_section(lam, x)) for x in e])
@@ -49,8 +50,12 @@ def test_exact_matches_the_jost_reference_to_its_conditioning(lam):
     bound = 1e-15 * (1.0 + 4.0 * k * np.abs(np.cos(k) / np.sin(k)))
     assert np.all(np.isfinite(sigma))
     assert np.all(np.abs(sigma - ref[fits]) <= bound * ref[fits])
-    with np.errstate(over="ignore"):  # sigma itself is past the largest float there
-        assert np.all(cross_section_exact(spec, e[~fits]) == math.inf)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in e[~fits]:
+            with pytest.raises(InvalidInput, match="^cross_section_exact at strength .* "
+                               "exceeds the largest float at E = "):
+                cross_section_exact(spec, x)
 
 
 def test_vanishes_in_free_limit():
@@ -122,15 +127,17 @@ def test_k_unitarized_peak_algebra():
 
 
 def test_unitarized_ratio_identity_and_value():
+    # e-unitarized / k-unitarized is the closed form 4 alpha^2 / ((k + alpha)^2 + beta^2)
     spec = PotentialSpec(lam=100.0)
     pole = find_resonance(spec, 3)
     e = np.linspace(pole.e_R - 10 * pole.gamma_R, pole.e_R + 10 * pole.gamma_R, 1000)
-    ratio = unitarized_ratio(spec, pole, e)
+    alpha, beta = pole.alpha_R, pole.beta_R
+    ratio = 4.0 * alpha**2 / ((np.sqrt(e) + alpha) ** 2 + beta**2)
     quotient = cross_section_e_unitarized(spec, pole, e) / cross_section_k_unitarized(
         spec, pole, e
     )
     assert np.max(np.abs(ratio - quotient)) <= 1e-12 * np.max(ratio)
-    at_peak = unitarized_ratio(spec, pole, pole.e_R)
+    at_peak = ratio[np.argmin(np.abs(e - pole.e_R))]
     assert 0.999 <= at_peak <= 1.001
 
 
@@ -212,6 +219,26 @@ def test_kind_and_energy_validation():
         cross_section_exact(spec, -1.0)
     with pytest.raises(InvalidInput):
         cross_section_e_unitarized(spec, res, 0.0)
+
+
+@pytest.mark.parametrize("name", ["cross_section_laurent", "cross_section_e_unitarized",
+                                  "cross_section_k_unitarized", "cross_section_two_pole"])
+@pytest.mark.parametrize("e", [1e-310, 5e-324, np.array([5e-324, 1e-300, 1.0])])
+def test_column_past_the_largest_float_is_refused_not_inf(name, e):
+    # pi/E alone exceeds the largest float below E ~ 1.7e-308: a typed refusal
+    # naming the column, the strength and the first such energy, with no warning
+    spec = PotentialSpec(lam=12.0)
+    pole = find_resonance(spec, 1)
+    poles = (pole, find_resonance(spec, 2)) if name.endswith("two_pole") else (pole,)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInput) as info:
+            getattr(deltashell, name)(spec, *poles, e)
+    first = float(np.ravel(e)[0])
+    assert str(info.value) == (f"{name} at strength 12.0 exceeds the largest float "
+                               f"at E = {first!r}")
+    # sigma itself stays finite there: 4 pi lam^2 / (1 + lam)^2
+    assert cross_section_exact(spec, first) == pytest.approx(4 * math.pi * 144 / 169)
 
 
 def test_bundle_columns_and_window():

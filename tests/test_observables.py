@@ -22,16 +22,12 @@ from deltashell import (
     Pole,
     PoleKind,
     PotentialSpec,
-    decay_constant_differential,
-    decay_constant_total,
-    decay_width_differential,
-    decay_width_total,
+    decay_energy_spectrum,
     enumerate_poles,
     find_anti_resonance,
     find_bound_state,
     find_resonance,
     find_virtual_state,
-    golden_rule_sharp,
     matrix_element_squared,
     observables_record,
     table_records,
@@ -73,13 +69,13 @@ def test_reference_observables(lam, all_records):
 def test_bound_state_decay_constant_is_one():
     for lam in (-10.0, -100.0):
         spec = PotentialSpec(lam=lam)
-        gamma = decay_constant_total(spec, find_bound_state(spec))
+        gamma = observables_record(spec, find_bound_state(spec)).gamma
         assert abs(gamma - 1.0) <= 1e-3
 
 
 def test_virtual_state_decay_constant():
     spec = PotentialSpec(lam=-0.5)
-    gamma = decay_constant_total(spec, find_virtual_state(spec))
+    gamma = observables_record(spec, find_virtual_state(spec)).gamma
     assert abs(gamma - 0.18817) <= 1e-3 * 0.18817
 
 
@@ -110,41 +106,43 @@ def test_threshold_decay_constant_against_mpmath(log_mu, sign):
     pole = find_bound_state(spec) if spec.lam < -1.0 else find_virtual_state(spec)
     im_k, ref = _mp_threshold_pole(spec.lam)
     assert abs(pole.k.imag - im_k) <= 1e-15 * abs(im_k), (spec.lam, im_k)
-    assert abs(decay_constant_total(spec, pole) - ref) <= 1e-14 * ref, (spec.lam, ref)
+    assert abs(observables_record(spec, pole).gamma - ref) <= 1e-14 * ref, (spec.lam, ref)
+
+
+def _row(lam, n):
+    spec = PotentialSpec(lam=lam)
+    return observables_record(spec, find_resonance(spec, n))
 
 
 def test_total_width_reference_spot_checks():
-    gbar, c = decay_width_total(PotentialSpec(lam=100.0), find_resonance(PotentialSpec(lam=100.0), 1))
-    assert gbar == pytest.approx(0.0237, abs=sigfig_tol("0.0237", 3))
-    assert c > 0.0
-    spec = PotentialSpec(lam=10.0)
-    gbar, _ = decay_width_total(spec, find_resonance(spec, 3))
-    assert gbar == pytest.approx(6.7976, abs=sigfig_tol("6.7976", 3))
-    spec = PotentialSpec(lam=-0.5)
-    gbar, _ = decay_width_total(spec, find_resonance(spec, 1))
-    assert gbar == pytest.approx(0.45592, abs=sigfig_tol("0.45592", 3))
+    rec = _row(100.0, 1)
+    assert rec.gamma_bar == pytest.approx(0.0237, abs=sigfig_tol("0.0237", 3))
+    assert rec.c_value > 0.0
+    assert _row(10.0, 3).gamma_bar == pytest.approx(6.7976, abs=sigfig_tol("6.7976", 3))
+    assert _row(-0.5, 1).gamma_bar == pytest.approx(0.45592, abs=sigfig_tol("0.45592", 3))
 
 
 def test_zero_width_poles_have_zero_width():
     spec = PotentialSpec(lam=-10.0)
-    gbar, c = decay_width_total(spec, find_bound_state(spec))
-    assert gbar == 0.0 and c is None
+    rec = observables_record(spec, find_bound_state(spec))
+    assert rec.gamma_bar == 0.0 and rec.c_value is None
 
 
 def test_differential_relations():
+    # the width integrand dGbar/dE = Gamma_R M^2(E) / |E - z|^2 is Gbar dP/dE
     spec = PotentialSpec(lam=10.0)
     pole = find_resonance(spec, 2)
+    gbar = observables_record(spec, pole).gamma_bar
     grid = np.linspace(0.5, 120.0, 700)
-    dgbar = decay_width_differential(spec, pole, grid)
-    dgamma = decay_constant_differential(spec, pole, grid)
-    assert np.allclose(dgbar, pole.gamma_R * dgamma, rtol=1e-13, atol=0.0)
+    dgbar = pole.gamma_R * matrix_element_squared(spec, pole, grid) / np.abs(grid - pole.z) ** 2
+    assert np.allclose(dgbar, gbar * decay_energy_spectrum(spec, pole, grid), rtol=1e-13, atol=0.0)
     # peak value collapses to (4 / Gamma_R) M^2(E_R)
-    peak = decay_width_differential(spec, pole, pole.e_R)
+    peak = gbar * decay_energy_spectrum(spec, pole, pole.e_R)
     assert peak == pytest.approx(
         4.0 / pole.gamma_R * matrix_element_squared(spec, pole, pole.e_R), rel=1e-13
     )
     for m in (1, 3, 7):
-        assert decay_width_differential(spec, pole, (m * math.pi) ** 2) < 1e-18
+        assert gbar * decay_energy_spectrum(spec, pole, (m * math.pi) ** 2) < 1e-18
 
 
 def test_gamma_is_width_over_pole_width(all_records):
@@ -157,31 +155,32 @@ def test_gamma_is_width_over_pole_width(all_records):
 def test_golden_rule_identity_and_reference():
     spec = PotentialSpec(lam=100.0)
     pole = find_resonance(spec, 1)
-    gbs, gs = golden_rule_sharp(spec, pole)
+    rec = observables_record(spec, pole)
+    gbs, gs = rec.gamma_bar_sharp, rec.gamma_sharp
     assert gbs == pytest.approx(
         2.0 * math.pi * matrix_element_squared(spec, pole, pole.e_R), rel=1e-12
     )
     assert gbs == pytest.approx(0.0119, abs=place_tol("0.0119"))
     assert gs == pytest.approx(0.9972, abs=sigfig_tol("0.9972", 4))
-    spec = PotentialSpec(lam=0.5)
-    gbs, gs = golden_rule_sharp(spec, find_resonance(spec, 1))
+    rec = _row(0.5, 1)
+    gbs, gs = rec.gamma_bar_sharp, rec.gamma_sharp
     assert gbs == pytest.approx(1.34145, abs=sigfig_tol("1.34145", 4))
     assert gs == pytest.approx(0.13866, abs=sigfig_tol("0.13866", 4))
 
 
 def test_golden_rule_needs_positive_energy():
+    # the sharp pair has no energy to sit at below threshold: the row leaves it out
     synthetic = Pole(PoleKind.RESONANCE, -1, 1, 1.0 - 2.0j, (1.0 - 2.0j) ** 2)
     assert synthetic.e_R < 0
-    with pytest.raises(InvalidInput):
-        golden_rule_sharp(PotentialSpec(lam=0.5), synthetic)
+    rec = observables_record(PotentialSpec(lam=0.5), synthetic)
+    assert rec.gamma_bar > 0.0 and rec.gamma_bar_sharp is None and rec.gamma_sharp is None
 
 
 def test_perturbation_rhs_equals_width_not_pole_width():
     spec = PotentialSpec(lam=100.0)
     pole = find_resonance(spec, 1)
     rhs = perturbation_rhs(spec, pole)
-    gbar, _ = decay_width_total(spec, pole)
-    assert rhs == pytest.approx(gbar, rel=1e-8)
+    assert rhs == pytest.approx(observables_record(spec, pole).gamma_bar, rel=1e-8)
     assert rhs / pole.gamma_R == pytest.approx(1.9924, abs=sigfig_tol("1.9924", 3))
     assert abs(rhs / pole.gamma_R - 1.0) > 0.05
 
@@ -196,11 +195,9 @@ def test_anti_resonance_rejected():
     spec = PotentialSpec(lam=10.0)
     anti = find_anti_resonance(spec, 1)
     with pytest.raises(InvalidInput):
-        decay_width_total(spec, anti)
-    with pytest.raises(InvalidInput):
-        decay_constant_total(spec, anti)
-    with pytest.raises(InvalidInput):
         observables_record(spec, anti)
+    with pytest.raises(InvalidInput):
+        decay_energy_spectrum(spec, anti, 5.0)
 
 
 def test_decay_constant_trend(all_records):

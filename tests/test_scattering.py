@@ -20,9 +20,10 @@ from deltashell import (
     find_anti_resonance,
     find_bound_state,
     find_resonance,
-    golden_rule_sharp,
+    find_virtual_state,
     matrix_element,
     matrix_element_squared,
+    observables_record,
     zeldovich_norm,
 )
 from grid_helpers import jost, resonant_wavefunction, s_matrix, s_matrix_energy
@@ -253,13 +254,31 @@ def test_matrix_element_positive_and_rejects_nonpositive_energy(spec100):
         matrix_element_squared(spec100, pole, -1.0)
 
 
+@pytest.mark.parametrize("lam, n", [(-1e-100, 0), (12.0, 1), (-0.5, 0), (700.0, 2)])
+def test_matrix_element_squared_keeps_its_digits_down_to_the_smallest_energy(lam, n):
+    # M^2 = (lam^2/pi) |u(1)|^2 sin^2(k)/k against 50-digit mpmath at the library's own
+    # pole: pref sin^2(k) underflows where M^2 is still normal (0.0 at lam = -1e-100,
+    # E = 1e-300, where M^2 = 3.77e-249), and sin^2(k) itself is subnormal at 5e-324
+    spec = PotentialSpec(lam=lam)
+    pole = find_resonance(spec, n) if n else find_virtual_state(spec)
+    energies = np.array([5e-324, 1e-320, 1e-310, 1e-300, 1e-200, 1e-20, 2.0, 30.0])
+    got = matrix_element_squared(spec, pole, energies)
+    with mp.workdps(50):
+        k, lam_mp = mp.mpc(pole.k), mp.mpf(lam)
+        pref = lam_mp**2 / mp.pi * 2 * abs(k) ** 2 / (abs(lam_mp) * abs(1 + lam_mp - 2j * k))
+        for e, value in zip(energies, got):
+            q = mp.sqrt(mp.mpf(float(e)))
+            ref = pref * mp.sin(q) ** 2 / q
+            assert abs(value - ref) <= 4e-16 * (1 + abs(q / mp.tan(q))) * ref, (e, value, ref)
+
+
 def test_matrix_element_reproduces_sharp_width(spec100):
     # reference sharp width of the third resonance through the Golden-Rule form
     pole = find_resonance(spec100, 3)
     assert 2.0 * math.pi * matrix_element_squared(spec100, pole, pole.e_R) == pytest.approx(
         0.3087, abs=1e-4
     )
-    gbs, _ = golden_rule_sharp(spec100, pole)
+    gbs = observables_record(spec100, pole).gamma_bar_sharp
     assert 2.0 * math.pi * matrix_element_squared(spec100, pole, pole.e_R) == pytest.approx(
         gbs, rel=1e-12
     )
@@ -300,8 +319,6 @@ _CFG = InterferenceConfig()
 # every public evaluator of energies, each as f(spec, pole, e); a pole-pair
 # evaluator takes resonance 1 of the spec as its second pole
 _ENERGY_EVALUATORS = {
-    "decay_width_differential": spectra.decay_width_differential,
-    "decay_constant_differential": spectra.decay_constant_differential,
     "decay_energy_spectrum": spectra.decay_energy_spectrum,
     "interference_spectrum": lambda spec, pole, e: spectra.interference_spectrum(
         spec, pole, find_resonance(spec, 1), _CFG, e),
@@ -311,7 +328,6 @@ _ENERGY_EVALUATORS = {
     "cross_section_laurent": cross_sections.cross_section_laurent,
     "cross_section_e_unitarized": cross_sections.cross_section_e_unitarized,
     "cross_section_k_unitarized": cross_sections.cross_section_k_unitarized,
-    "unitarized_ratio": cross_sections.unitarized_ratio,
     "cross_section_two_pole": lambda spec, pole, e: cross_sections.cross_section_two_pole(
         spec, pole, find_resonance(spec, 1), e),
 }

@@ -12,16 +12,14 @@ from deltashell import (
     InterferenceConfig,
     InvalidInput,
     PotentialSpec,
-    decay_constant_total,
     decay_energy_spectrum,
-    decay_width_differential,
-    decay_width_total,
     find_anti_resonance,
     find_resonance,
     find_virtual_state,
     interference_curve,
     interference_spectrum,
     matrix_element_squared,
+    observables_record,
     spectrum_curve,
 )
 from grid_helpers import multi_spectrum
@@ -52,13 +50,14 @@ def test_virtual_state_normalization():
 
 
 def test_spectrum_equals_width_spectrum_pointwise():
-    # dP/dE = dGbar/dE / Gbar holds to round-off
+    # dP/dE = dGbar/dE / Gbar holds to round-off, with dGbar/dE = Gamma_R M^2 / |E - z|^2
     spec = PotentialSpec(lam=10.0)
     pole = find_resonance(spec, 3)
     grid = np.linspace(1.0, 160.0, 800)
-    gbar, _ = decay_width_total(spec, pole)
+    gbar = observables_record(spec, pole).gamma_bar
     lhs = decay_energy_spectrum(spec, pole, grid)
-    rhs = decay_width_differential(spec, pole, grid) / gbar
+    dgbar = pole.gamma_R * matrix_element_squared(spec, pole, grid) / np.abs(grid - pole.z) ** 2
+    rhs = dgbar / gbar
     assert np.allclose(lhs, rhs, rtol=1e-12, atol=0.0)
 
 
@@ -77,7 +76,7 @@ def test_spectrum_curve_columns_have_the_bits_of_each_function(lam, n):
         assert curve.breit_wigner.tobytes() == lorentzian.tobytes()
     else:
         assert hw == 0.0 and curve.breit_wigner.tobytes() == np.zeros_like(grid).tobytes()
-    assert curve.normalization_used == decay_constant_total(spec, pole)
+    assert curve.normalization_used == observables_record(spec, pole).gamma
 
 
 def test_spectrum_curve_forms_m2_and_the_denominator_once(monkeypatch):
@@ -92,8 +91,7 @@ def test_spectrum_curve_forms_m2_and_the_denominator_once(monkeypatch):
     assert calls == {"matrix_element_squared": 1, "_lorentz_denominator": 1}
 
 
-@pytest.mark.parametrize("name", ["decay_width_differential", "decay_constant_differential"])
-def test_differentials_check_the_energies_once(name, monkeypatch):
+def test_spectrum_checks_the_energies_once(monkeypatch):
     # M^2 checks the energies; the Lorentzian is formed on the same floats after it
     calls = Counter()
 
@@ -106,13 +104,12 @@ def test_differentials_check_the_energies_once(name, monkeypatch):
     spec = PotentialSpec(lam=12.0)
     pole = find_resonance(spec, 2)
     grid = np.linspace(0.01, 160.0, 801)
-    out = getattr(spectra, name)(spec, pole, grid)
+    out = decay_energy_spectrum(spec, pole, grid)
     assert calls == {"_energies": 1}
     m2 = matrix_element_squared(spec, pole, grid)
     hw = 0.5 * pole.gamma_R
     lor = (grid - pole.e_R) ** 2 + hw * hw
-    expected = pole.gamma_R / lor * m2 if name == "decay_width_differential" else m2 / lor
-    assert out.tobytes() == expected.tobytes()
+    assert out.tobytes() == (m2 / lor / observables_record(spec, pole).gamma).tobytes()
 
 
 def test_zeros_inherited_from_matrix_element():
@@ -146,9 +143,7 @@ def test_sharp_spectrum_tracks_breit_wigner_near_peak():
     curve = spectrum_curve(
         spec, pole, pole.e_R - 5 * pole.gamma_R, pole.e_R + 5 * pole.gamma_R, 8001
     )
-    from deltashell import golden_rule_sharp
-
-    _, gamma_sharp = golden_rule_sharp(spec, pole)
+    gamma_sharp = observables_record(spec, pole).gamma_sharp
     gamma = curve.normalization_used
     peak_ratio = np.max(curve.dP_dE) / np.max(curve.breit_wigner)
     assert peak_ratio == pytest.approx(gamma_sharp / gamma, rel=0.02)
@@ -245,7 +240,7 @@ def test_interference_single_pole_reduction():
     p2 = find_resonance(spec, 2)
     cfg = InterferenceConfig(c1=0.8 + 0.1j, c2=0.0, renormalize=False)
     grid = np.linspace(2.0, 60.0, 400)
-    gamma = decay_constant_total(spec, p1)
+    gamma = observables_record(spec, p1).gamma
     raw = interference_spectrum(spec, p1, p2, cfg, grid)
     single = abs(cfg.c1) ** 2 * gamma * decay_energy_spectrum(spec, p1, grid)
     assert np.allclose(raw, single, rtol=1e-12, atol=1e-300)
