@@ -91,8 +91,11 @@ def test_spectrum_curve_forms_m2_and_the_denominator_once(monkeypatch):
     assert calls == {"matrix_element_squared": 1, "_lorentz_denominator": 1}
 
 
-def test_spectrum_checks_the_energies_once(monkeypatch):
-    # M^2 checks the energies; the Lorentzian is formed on the same floats after it
+@pytest.mark.parametrize("name", ["decay_width_differential", "decay_constant_differential"])
+def test_differentials_check_the_energies_once(name, monkeypatch):
+    # dP/dE checks the energies once: M^2 checks them, and the Lorentzian is formed on the
+    # same floats after it. It is each differential over its total, with the differentials
+    # formed here from M^2: dC/dE / C to the bit, dGbar/dE / Gbar to round-off
     calls = Counter()
 
     def counted(e, _real=scattering._energies):
@@ -109,7 +112,13 @@ def test_spectrum_checks_the_energies_once(monkeypatch):
     m2 = matrix_element_squared(spec, pole, grid)
     hw = 0.5 * pole.gamma_R
     lor = (grid - pole.e_R) ** 2 + hw * hw
-    assert out.tobytes() == (m2 / lor / observables_record(spec, pole).gamma).tobytes()
+    rec = observables_record(spec, pole)
+    assert out.tobytes() == (m2 / lor / rec.gamma).tobytes()
+    if name == "decay_width_differential":
+        differential, total = pole.gamma_R / lor * m2, rec.gamma_bar
+    else:
+        differential, total = m2 / lor, rec.gamma
+    assert np.allclose(out, differential / total, rtol=1e-12, atol=0.0)
 
 
 def test_zeros_inherited_from_matrix_element():
