@@ -15,8 +15,13 @@ seeds see the closed upper half plane only.
 
 Algorithm
 ---------
-* Seed: the asymptotic expansion ``w0 = L1 - L2 + L2/L1`` with
-  ``L1 = Log(z) + 2*pi*i*n`` (principal logarithm) and ``L2 = Log(L1)``.
+* Off branches 0 and -1 (after that conjugation), Newton on the unwound
+  equation ``h(w) = w + Log w - L1 = 0``, ``L1 = Log z + 2 pi i n`` (Jeffrey,
+  Hare & Corless 1996; it fails on branch -1 near (-1/e, 0)), from the series
+  ``L1 - L2 + L2/L1 + L2(L2 - 2)/(2 L1^2)``, ``L2 = Log L1``. The root is the
+  step taken from a w with ``|h| <= 4 eps (|w| + |Log w| + |L1|)``, sized at
+  the seed (1-3 steps, cap 64). No e^w is formed, so nothing overflows.
+* Branches 0 and -1: the asymptotic seed ``w0 = L1 - L2 + L2/L1``.
   Special seeds cover the regions where the asymptotic form degrades:
   on branch 0 a Taylor seed near z = 0, ``Log(1 + z)`` for |z| < 4, and a
   park seed -0.3 + 1.3i (next to W_0(-1)) in the band just above the cut
@@ -24,7 +29,7 @@ Algorithm
   not, and Halley from a real seed stays real; on branch -1 a real
   logarithmic seed on the segment (-1/e, 0); and the branch-point series in
   ``p = +/- sqrt(2(e*z + 1))`` near z = -1/e.
-* Refinement: one Halley iteration on ``f(w) = w*exp(w) - z`` from the
+* Their refinement: one Halley iteration on ``f(w) = w*exp(w) - z`` from the
   seed, relative step tolerance 1e-15, cap 64 iterations (3-5 steps in
   practice). It stops on a step below the tolerance or on a residual at the
   rounding floor ``|f| <= 4e-16 (|w e^w|/2 + |z|/2)``: halving is exact
@@ -66,6 +71,7 @@ _BP_COEF = (
 _STEP_TOL = 1e-15
 _MAX_ITER = 64
 _RESIDUAL_TOL = 1e-13
+_LOG_TOL = 4.0 * 2.0**-52  # |h| relative to the sum of |h's terms|
 
 
 def _branch_point_series(p: complex) -> complex:
@@ -77,7 +83,7 @@ def _branch_point_series(p: complex) -> complex:
 
 def _halley(w: complex, z: complex) -> complex | None:
     """The root Halley's iteration reaches from w if it passes the acceptance
-    test, else None (see Refinement above); an overflow of e^w propagates."""
+    test, else None (see Algorithm above); an overflow of e^w propagates."""
     abs_z = abs(z)
     half_z = 0.5 * abs_z
     tol = _RESIDUAL_TOL * (abs_z if abs_z > 1.0 else 1.0)
@@ -108,8 +114,24 @@ def _halley(w: complex, z: complex) -> complex | None:
     return None
 
 
+def _unwound(n: int, z: complex) -> complex | None:
+    """W_n(z) for n not 0 or -1 if Newton passes the acceptance test, else None."""
+    l1 = cmath.log(z) + 1j * _TWO_PI * n
+    l2 = cmath.log(l1)
+    q = l2 / l1  # formed as quotients, so no L1^2 overflows for huge n
+    w = l1 - l2 + q + 0.5 * q * ((l2 - 2.0) / l1)
+    tol = _LOG_TOL * (abs(w) + abs(l2) + abs(l1))
+    for _ in range(_MAX_ITER):
+        h = (w - l1) + cmath.log(w)  # w and l1 are close: their difference first
+        step = w - h * w / (w + 1.0)
+        if abs(h) <= tol:
+            return step
+        w = step
+    return None
+
+
 def _seed(branch: int, z: complex) -> complex:
-    """The start of the Halley solve for z on the closed upper half plane."""
+    """The start of the Halley solve of branch 0 or -1, z on the upper half plane."""
     if branch == 0:
         if abs(z + _INV_E) < 0.3:
             return _branch_point_series(cmath.sqrt(2.0 * (math.e * z + 1.0)))
@@ -121,7 +143,7 @@ def _seed(branch: int, z: complex) -> complex:
                 # is real or nearly so and W_0 is not: park next to W_0(-1)
                 return complex(-0.3, 1.3)
             return cmath.log(1.0 + z)
-    elif branch == -1:
+    else:
         if abs(z + _INV_E) < 0.3:
             return _branch_point_series(-cmath.sqrt(2.0 * (math.e * z + 1.0)))
         if z.imag == 0.0 and -_INV_E <= z.real < 0.0:
@@ -146,8 +168,10 @@ def lambert_w(branch: int, z: complex) -> complex:
     Returns
     -------
     complex
-        w with ``w * exp(w) = z`` to within ``1e-13 * max(1, |z|)`` and
-        Im(w) in the standard strip of the requested branch.
+        w in the standard strip of the requested branch: on branches 0 and -1
+        (0 and 1 below the cut) ``|w * exp(w) - z| <= 1e-13 * max(1, |z|)``,
+        on the others the Newton step past ``|h| <= 4 eps (...)`` of the
+        Algorithm, whose forward residual has a floor of about ``eps |w| |z|``.
 
     Raises
     ------
@@ -155,8 +179,9 @@ def lambert_w(branch: int, z: complex) -> complex:
         If branch is not an integer (``operator.index`` refuses it), z or
         its modulus is non-finite, or z = 0 with branch != 0.
     NonConvergence
-        If the Halley iteration from the seed fails the acceptance test (as
-        for ``W_-1000(1e40)``), or e^w overflows on the way.
+        On branches 0 and -1, if Halley fails the acceptance test or e^w
+        overflows; the others form no e^w and fail only past |n| = 2.8e307,
+        where 2 pi n overflows.
     """
     if type(branch) is not int:
         try:
@@ -177,17 +202,17 @@ def lambert_w(branch: int, z: complex) -> complex:
         raise InvalidInput(f"lambert_w argument {z} has |z| beyond 1.8e308") from None
     below = math.copysign(1.0, z.imag) < 0.0  # below the cut, -0.0 included
     n, u = (-branch, z.conjugate()) if below else (branch, z)
-    w = _seed(n, u)
-    # near the branch point the seed of branches 0 and -1 is the series, at
-    # machine precision, and Halley degenerates at the double root w = -1;
-    # branch 1 stays on its remote sheet above the cut
-    if not (near_branch_point and -1 <= n <= 0):
+    if not -1 <= n <= 0:
+        w = _unwound(n, u)
+    elif near_branch_point:  # the series, at machine precision; Halley degenerates at w = -1
+        w = _seed(n, u)
+    else:
         try:
-            w = _halley(w, u)
+            w = _halley(_seed(n, u), u)
         except OverflowError:  # e^w overflowed on the way
             w = None
-        if w is None:
-            raise NonConvergence(f"W_{branch}({z}) did not converge")
+    if w is None:
+        raise NonConvergence(f"W_{branch}({z}) did not converge")
     return w.conjugate() if below else w
 
 

@@ -10,6 +10,7 @@ import sys
 import warnings
 from types import SimpleNamespace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -714,11 +715,23 @@ def test_float_format_nine_significant_digits(capsys):
 
 
 def test_overflow_exits_3_without_traceback():
-    # the Lambert W solve on branch -1000 fails its acceptance test here
-    proc = run_cli("lambertw", "--branch", "-1000", "--re", "1e40")
+    # past |n| = 2.8e307 the branch term 2 pi n of Log z + 2 pi i n overflows
+    proc = run_cli("lambertw", "--branch", str(3 * 10**307), "--re", "1")
     assert proc.returncode == 3
-    assert proc.stderr.startswith("numerical failure: ")
-    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("numerical failure: W_3000")
+    assert proc.stderr.endswith(" did not converge\n")
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
+
+
+def test_far_branch_prints_the_digits_of_mpmath(capsys):
+    # W_-1000(1e40) exited 3 when Halley on w e^w = z ran on every branch; the
+    # residual column is the forward |w e^w - z|, whose floor is eps |w| |z|
+    assert cli.main(["lambertw", "--branch", "-1000", "--re", "1e40"]) == 0
+    row = capsys.readouterr().out.splitlines()[1].split(",")
+    with mpmath.workdps(30):
+        ref = mpmath.lambertw(mpmath.mpf("1e40"), -1000)
+    assert row[3:5] == [f"{float(ref.real):.9g}", f"{float(ref.imag):.9g}"]
+    assert 0.0 < float(row[5]) <= 2.0**-52 * 6282.0 * 1e40
 
 
 def test_table_deep_well_no_overflow_warning(capsys):

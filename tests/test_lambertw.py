@@ -7,6 +7,8 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import deltashell.lambertw as lambertw_module
 from deltashell import InvalidInput, lambert_w, lambert_w_residual
@@ -218,3 +220,24 @@ def test_minus_zero_is_below_the_cut():
     assert lambert_w(0, z) == lambert_w(0, complex(-0.5, 0.0)).conjugate()
     assert lambert_w(1, z) == lambert_w(-1, complex(-0.5, 0.0)).conjugate()
     assert abs(lambert_w(0, z) - lambert_w(1, z)) > 1.0
+
+
+@settings(max_examples=1000, deadline=None)
+@given(
+    n=st.integers(-10**4, 10**4).filter(lambda n: n not in (0, -1)),
+    log_r=st.floats(math.log(1e-300), math.log(1e300)),
+    phase=st.floats(0.0, math.pi),
+    on_axis=st.booleans(),
+    below=st.booleans(),
+)
+def test_log_form_branches_match_mpmath(n, log_r, phase, on_axis, below):
+    # every branch the log form solves: n not 0 or -1 above the cut, its
+    # mirror -n below it, with the negative real axis at Im z = +0.0 and -0.0
+    r = math.exp(log_r)
+    z = complex(-r, 0.0) if on_axis else cmath.rect(r, phase)
+    with mpmath.workdps(30):
+        ref = mpmath.lambertw(mpmath.mpc(z.real, z.imag), n)
+    if below:  # mpmath reads -0.0 as +0.0, so its reference is the mirror's
+        z, n, ref = z.conjugate(), -n, mpmath.conj(ref)
+    w = lambert_w(n, z)
+    assert abs(mpmath.mpc(w) - ref) <= 6e-16 * abs(ref), (n, z, w)
