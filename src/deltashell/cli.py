@@ -9,9 +9,9 @@ newlines; JSON carries a `meta` object plus `rows` or `curve`.
 Each row command (poles, table, lambertw) has one column spec, laid out
 once per format at import (_LAYOUTS). A float is written as `%.9g` in CSV
 and as float("%.9g" % x) in JSON, a str or an int as itself, None as an
-empty cell and as null. Row and curve bodies are written by `%` templates,
-with no Python code per cell, in the bytes of formatting value by value
-(see _emit_rows, _emit_curve and _json_array).
+empty cell and as null. Row bodies are written by `%` templates (_emit_rows)
+and curve bodies by a numpy kernel (_cells), with no Python code per cell,
+in the bytes of formatting value by value.
 
 Units. The library works in units of the radius and in reduced units
 (a = 1, ħ²/2m = 1, E = k²). This module alone owns a and ħ²/2m =
@@ -48,7 +48,7 @@ import math
 import operator
 import re
 import sys
-from itertools import chain
+from itertools import chain, product
 
 from . import __version__
 from .errors import InvalidInput, NoSuchPole
@@ -272,36 +272,78 @@ def cmd_table(args) -> None:
     _emit_rows(args, spec, _TABLE_COLUMNS, table_records(spec, args.count), scales)
 
 
-# Rows per `%` call in a CSV curve: the row template repeated this often
-# and its argument tuple stay small however long the curve.
-_BLOCK = 4096
+# Cells per call of the curve kernel (_cells): whole CSV rows, or one JSON column.
+_BLOCK = 8192
+
+
+@functools.cache
+def _cell_tables():
+    """The tables of _cells. By k or X in [-300, 300]: 10**k, shape row, e+-xx word; by 4-digit
+    group: word d.d.d.d. (0 for '0'), last nonzero place; by shape row + digits: 4 words."""
+    import numpy as np  # curves are numpy arrays already; row commands never get here
+
+    digits = np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10
+    chars = np.where(digits > 0, digits + 48, 0) << np.array([0, 16, 32, 48])
+    shapes = np.zeros((15, 10, 32), np.uint8)  # X clipped to [-5, 9], s
+    for x, s in product(range(-5, 10), range(10)):
+        before = x + 1 if 0 <= x < 9 else 1  # digits before the point
+        shapes[x + 5, s, 8:5 + 2 * max(s, before):2] = ord("0")
+        if -4 <= x < 0:
+            shapes[x + 5, s, 1:2 - x] = list(b"0.000"[:1 - x])
+        elif s > before:
+            shapes[x + 5, s, 5 + 2 * before] = ord(".")
+    xs = range(-300, 301)
+    words = [0 if -4 <= x < 9 else int.from_bytes(b"e%+03d" % x, "little") for x in xs]
+    return (np.array([float(f"1e{x}") for x in xs]), chars.sum(axis=1).astype(np.uint64),
+            ((digits > 0) * np.arange(1, 5, dtype=np.uint8)).max(axis=1),
+            (np.clip(xs, -5, 9) + 5) * 10, np.array(words, np.uint64),
+            shapes.view("<u8").reshape(150, 4))
+
+
+def _cells(block, json_tokens: bool = False) -> str:
+    """A float64 block (rows, columns) as `%.9g` cells, each followed by ',' or, at a
+    CSV row's end, '\\n'; with json_tokens, as json.dumps' tokens of the roundings.
+    With X = floor(log10 |x|) and 10**(8 - X) from a table, y = |x| 10**(8 - X) is within
+    2.3e-7 of exact, so floor(y + 1/2) holds the nine rounded digits (1e9 carries) where
+    1e8 <= y < 1e9 + 1/2 and y is 1e-6 off every half-integer. A cell is laid out in four
+    words, sign | 0.000 | d1 p1 d2 ... p8 d9 | e+-xxx separator, whose 0 bytes one
+    bytes.translate deletes. Python formats the other cells (ties, |x| outside
+    [1e-290, 1e290), JSON's integer roundings), spliced in at a '%s' in their rows."""
+    import numpy as np  # curves are numpy arrays already; row commands never get here
+
+    pow10, digit_words, last, shape_row, exp_words, shapes = _cell_tables()
+    x = block.ravel()
+    y = np.abs(x)
+    fallback = ~((y >= 1e-290) & (y < 1e290))  # nan fails both
+    y[fallback] = 1.0
+    exp = np.floor(np.log10(y)).astype(np.intp)
+    y *= pow10[308 - exp]
+    fallback |= (abs(y - np.floor(y) - 0.5) < 1e-6) | (y < 1e8) | (y >= 1000000000.5)
+    m = np.floor(y + 0.5).astype(np.intp)
+    m, exp = np.where(m == 10**9, (m // 10, exp + 301), (m, exp + 300))  # 1e9 carries
+    lead, high, low = m // 10**8, m // 10**4 % 10**4, m % 10**4
+    sig = np.where(low > 0, 5 + last[low], 1 + last[high])
+    if json_tokens:  # repr writes an integer with '.0' and in fixed notation below 1e16
+        fallback |= (exp >= 300) & (sig <= exp - 299)
+    words = shapes[shape_row[exp] + sig]
+    words[:, 0] |= digit_words[lead] | (x < 0) * np.uint64(45)  # group 000d: d in d1's byte
+    words[:, 1] |= digit_words[high]
+    words[:, 2] |= digit_words[low]
+    words[:, 3] |= exp_words[exp]
+    words[fallback] = (ord("%") | ord("s") << 8, 0, 0, 0)
+    seps = b"," * block.shape[1] if json_tokens else b"," * (block.shape[1] - 1) + b"\n"
+    words.view(np.uint8).reshape(*block.shape, 32)[..., 29] = list(seps)
+    text = words.tobytes().translate(None, b"\0").decode()
+    tokens = list(map("%.9g".__mod__, x[fallback].tolist()))
+    if json_tokens and tokens:
+        tokens = json.dumps(list(map(float, tokens)), separators=(",", ":"))[1:-1].split(",")
+    return text % tuple(tokens) if tokens else text
 
 
 def _json_array(col) -> str:
-    """A float64 array as the JSON array json.dumps writes for its `%.9g` roundings.
-
-    A finite normal double's `%.9g` token is already the shortest repr of its
-    rounding. The two differ only for an integer rounding (3 vs 3.0), for
-    |x| >= 999999999.5 (%.9g's exponent; repr's starts at 1e16), subnormals,
-    inf and nan; the mask flags a superset of those (its integer test holds
-    for every |x| >= 5e7). The column is one `%` call: `%.9g` per cell, and
-    `%s` in the flagged cells, which take json.dumps' tokens for their roundings.
-    """
-    import numpy as np  # curves are numpy arrays already; row commands never get here
-
-    size = np.abs(col)
-    with np.errstate(invalid="ignore"):  # inf - rint(inf)
-        flagged = (
-            ~np.isfinite(col) | (size < 2.2250738585072014e-308)
-            | (np.abs(col - np.rint(col)) <= 1e-8 * size)
-        )
-    values = col.astype(object)  # Python floats
-    if flagged.any():
-        rounded = list(map(float, map("%.9g".__mod__, col[flagged].tolist())))
-        values[flagged] = json.dumps(rounded, separators=(",", ":"))[1:-1].split(",")
-    # the two cell formats indexed by the mask: no new str per cell
-    template = ",".join(np.array(("%.9g", "%s"), dtype=object)[flagged.view(np.uint8)].tolist())
-    return f"[{template % tuple(values.tolist())}]"
+    """A float64 array as the JSON array json.dumps writes for its `%.9g` roundings."""
+    cells = "".join(_cells(col[i:i + _BLOCK, None], True) for i in range(0, len(col), _BLOCK))
+    return f"[{cells[:-1]}]"
 
 
 def _scaled_column(col, scale):
@@ -326,9 +368,8 @@ def _window(args, scales):
 
 def _emit_curve(args, spec, scales, grid, columns) -> None:
     """columns: ordered (name, array-or-None) pairs; None columns are dropped, and
-    the rest scaled as _emit_rows scales a row. CSV is written in blocks of at most
-    _BLOCK rows, each one `%` call on a template of that many `%.9g` rows; JSON
-    writes each column with one `%` call (see _json_array)."""
+    the rest scaled as _emit_rows scales a row. The kernel (_cells) writes CSV in
+    blocks of whole rows and JSON column by column (see _json_array)."""
     import numpy as np  # curves are numpy arrays already; row commands never get here
 
     kept = [("E", grid)] + [(name, col) for name, col in columns if col is not None]
@@ -343,10 +384,9 @@ def _emit_curve(args, spec, scales, grid, columns) -> None:
         _write(args, f'{{"meta":{meta},"curve":{{{curve}}}}}\n')
         return
     table = np.column_stack(series)
-    row = ",".join(["%.9g"] * len(series))
-    blocks = (table[start:start + _BLOCK] for start in range(0, len(table), _BLOCK))
-    body = "\n".join("\n".join([row] * len(b)) % tuple(b.ravel().tolist()) for b in blocks)
-    _write(args, f"{','.join(names)}\n{body}\n")
+    step = _BLOCK // len(series)
+    body = "".join(_cells(table[i:i + step]) for i in range(0, len(table), step))
+    _write(args, f"{','.join(names)}\n{body}")
     if args.emit_plot_script:  # main has checked --output and --format csv
         with open(args.output + "_plot.py", "w", encoding="utf-8", newline="\n") as fh:
             fh.write(_PLOT_SCRIPT.format(csv=args.output))

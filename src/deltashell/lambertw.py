@@ -181,7 +181,7 @@ def lambert_w(branch: int, z: complex) -> complex:
     NonConvergence
         On branches 0 and -1, if Halley fails the acceptance test or e^w
         overflows; the others form no e^w and fail only past |n| = 2.8e307,
-        where 2 pi n overflows.
+        where 2 pi n overflows (and n has no float from 2**1024 on).
     """
     if type(branch) is not int:
         try:
@@ -202,15 +202,15 @@ def lambert_w(branch: int, z: complex) -> complex:
         raise InvalidInput(f"lambert_w argument {z} has |z| beyond 1.8e308") from None
     below = math.copysign(1.0, z.imag) < 0.0  # below the cut, -0.0 included
     n, u = (-branch, z.conjugate()) if below else (branch, z)
-    if not -1 <= n <= 0:
-        w = _unwound(n, u)
-    elif near_branch_point:  # the series, at machine precision; Halley degenerates at w = -1
-        w = _seed(n, u)
-    else:
-        try:
+    try:
+        if not -1 <= n <= 0:
+            w = _unwound(n, u)
+        elif near_branch_point:  # the series, at machine precision; Halley degenerates at w = -1
+            w = _seed(n, u)
+        else:
             w = _halley(_seed(n, u), u)
-        except OverflowError:  # e^w overflowed on the way
-            w = None
+    except OverflowError:  # e^w overflowed on the way, or |n| >= 2**1024 has no float
+        w = None
     if w is None:
         raise NonConvergence(f"W_{branch}({z}) did not converge")
     return w.conjugate() if below else w

@@ -723,6 +723,14 @@ def test_overflow_exits_3_without_traceback():
     assert "Traceback" not in proc.stderr and proc.stdout == ""
 
 
+def test_branch_without_a_float_exits_3_naming_w(capsys):
+    # from |n| = 2**1024 on, n itself has no float: a typed failure, not a bare OverflowError
+    code = cli.main(["lambertw", "--branch", str(2 * 10**308), "--re", "1"])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert err.startswith("numerical failure: W_2000") and err.endswith(" did not converge\n")
+
+
 def test_far_branch_prints_the_digits_of_mpmath(capsys):
     # W_-1000(1e40) exited 3 when Halley on w e^w = z ran on every branch; the
     # residual column is the forward |w e^w - z|, whose floor is eps |w| |z|
@@ -1083,9 +1091,12 @@ def test_row_json_keys_equal_csv_header(case, capsys):
     assert "rel_tol" not in doc["meta"]
 
 
+ROWS = cli._BLOCK // 4  # CSV rows per kernel block of a four-column curve
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-@pytest.mark.parametrize(
-    "length", [1000, 1, cli._BLOCK - 1, cli._BLOCK, cli._BLOCK + 1, 2 * cli._BLOCK + 1]
+@pytest.mark.parametrize(  # one, two and four blocks; 4 ROWS is one JSON column's block
+    "length", [1000, 1] + [n * ROWS + d for n in (1, 2, 4) for d in (-1, 0, 1)]
 )
 def test_curve_edge_values_match_per_cell_format(length, fmt, capsys):
     values = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 123456789.0, 1e16,
@@ -1094,10 +1105,12 @@ def test_curve_edge_values_match_per_cell_format(length, fmt, capsys):
     grid = np.arange(1.0, edge.size + 1.0)
     args = SimpleNamespace(format=fmt, output=None, emit_plot_script=False, radius=1.0)
     spec = PotentialSpec(lam=10.0)
-    cli._emit_curve(args, spec, None, grid, [("v", edge), ("skipped", None), ("w", edge[::-1])])
+    columns = [("v", edge), ("skipped", None), ("w", edge[::-1]), ("u", -edge)]
+    cli._emit_curve(args, spec, None, grid, columns)
     out = capsys.readouterr().out
     meta = cli._meta(spec) if fmt == "json" else None
-    assert out == per_cell_curve_bytes(fmt, ["E", "v", "w"], [grid, edge, edge[::-1]], meta)
+    series = [grid, edge, edge[::-1], -edge]
+    assert out == per_cell_curve_bytes(fmt, ["E", "v", "w", "u"], series, meta)
 
 
 _NEAR_INTEGERS = st.builds(
@@ -1113,10 +1126,8 @@ _CURVE_VALUES = st.one_of(
 )
 
 
-@settings(deadline=None)
-@given(values=st.lists(_CURVE_VALUES, min_size=1, max_size=60))
-def test_curve_token_fast_path_matches_per_cell_format(values):
-    v = np.array(values)
+def assert_curve_matches_per_cell_format(v):
+    """_emit_curve of v, reversed v and -v, in CSV and JSON, against the per-cell bytes."""
     grid, w = v[::-1].copy(), -v  # -v: the negative side of every case
     spec = PotentialSpec(lam=10.0)
     for fmt in ("csv", "json"):
@@ -1125,6 +1136,51 @@ def test_curve_token_fast_path_matches_per_cell_format(values):
             cli._emit_curve(args, spec, None, grid, [("v", v), ("w", w)])
         meta = cli._meta(spec) if fmt == "json" else None
         assert out.getvalue() == per_cell_curve_bytes(fmt, ["E", "v", "w"], [grid, v, w], meta)
+
+
+@settings(deadline=None)
+@given(values=st.lists(_CURVE_VALUES, min_size=1, max_size=60))
+def test_curve_token_fast_path_matches_per_cell_format(values):
+    assert_curve_matches_per_cell_format(np.array(values))
+
+
+@settings(deadline=None)
+@given(bits=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=60))
+def test_curve_kernel_matches_per_cell_format_on_raw_bit_patterns(bits):
+    assert_curve_matches_per_cell_format(np.array(bits, dtype=np.uint64).view(np.float64))
+
+
+def _decade_sweep():
+    """For each decade k in [-330, 310]: 10**k and a 9-digit tie d.dddddddd5e k, each
+    with its 1- and 2-ulp neighbours, the carry 9.999999995e k, and 1.0000000007e k,
+    whose y is 1e9 + 0.7 if X is a decade low. Then the zeros, the smallest subnormal
+    and normal, the largest float, the infinities and nan. Both signs of each; past
+    the float range 10**k is 0 or inf."""
+    decades = range(-330, 311)
+    digits = np.random.default_rng(27).integers(10**8, 10**9, len(decades))
+    ties = [float(f"{d}5e{k - 9}") for k, d in zip(decades, digits)]
+    bases = np.array([float(f"1e{k}") for k in decades] + ties)
+    near = [bases]
+    for direction in (np.inf, -np.inf):
+        one = np.nextafter(bases, direction)
+        near += [one, np.nextafter(one, direction)]
+    edges = [float(f"{c}e{k}") for k in decades for c in ("9.999999995", "1.0000000007")]
+    special = [0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, np.inf, np.nan]
+    values = np.concatenate(near + [edges, special])
+    return np.concatenate([values, -values])
+
+
+def test_curve_kernel_decade_sweep_matches_per_cell_format():
+    assert_curve_matches_per_cell_format(_decade_sweep())
+
+
+@pytest.mark.parametrize("shift", [-1.0, -0.5, -4.5e-16, 4.5e-16, 0.5, 1.0])
+def test_curve_bytes_do_not_depend_on_log10(shift, monkeypatch):
+    # a decade off either way leaves y = |x| 10**(8 - X) outside [1e8, 1e9 + 1/2),
+    # where Python formats the cell; a last-bit error moves X only near 10**k
+    log10 = np.log10
+    monkeypatch.setattr(np, "log10", lambda v: log10(v) + shift)
+    assert_curve_matches_per_cell_format(_decade_sweep())
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import deltashell.lambertw as lambertw_module
-from deltashell import InvalidInput, lambert_w, lambert_w_residual
+from deltashell import InvalidInput, NonConvergence, lambert_w, lambert_w_residual
 
 INV_E = math.exp(-1.0)
 
@@ -60,6 +60,14 @@ def test_argument_whose_modulus_overflows_is_invalid(branch, z):
     # finite parts, but |z| > 1.8e308: abs(z) itself used to raise a raw OverflowError
     with pytest.raises(InvalidInput, match="beyond 1.8e308"):
         lambert_w(branch, z)
+
+
+@pytest.mark.parametrize("branch", [3 * 10**307, 2**1024, -(2**1024), 2 * 10**308, 10**400],
+                         ids=["3e307", "2^1024", "-2^1024", "2e308", "1e400"])
+def test_branch_past_the_float_range_is_nonconvergence(branch):
+    # 2 pi n overflows from |n| = 2.8e307 on, and n itself has no float from 2**1024
+    with pytest.raises(NonConvergence, match=r"^W_-?\d+\(\(1\+0j\)\) did not converge$"):
+        lambert_w(branch, 1.0)
 
 
 def test_identity_residual_randomized():
