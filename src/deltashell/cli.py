@@ -304,11 +304,12 @@ def _cells(block, json_tokens: bool = False) -> str:
     """A float64 block (rows, columns) as `%.9g` cells, each followed by ',' or, at a
     CSV row's end, '\\n'; with json_tokens, as json.dumps' tokens of the roundings.
     With X = floor(log10 |x|) and 10**(8 - X) from a table, y = |x| 10**(8 - X) is within
-    2.3e-7 of exact, so floor(y + 1/2) holds the nine rounded digits (1e9 carries) where
-    1e8 <= y < 1e9 + 1/2 and y is 1e-6 off every half-integer. A cell is laid out in four
-    words, sign | 0.000 | d1 p1 d2 ... p8 d9 | e+-xxx separator, whose 0 bytes one
-    bytes.translate deletes. Python formats the other cells (ties, |x| outside
-    [1e-290, 1e290), JSON's integer roundings), spliced in at a '%s' in their rows."""
+    2.3e-7 of exact, so floor(y + 1/2) holds the nine rounded digits (1e9 carries) as an
+    int32 where 1e8 <= y < 1e9 + 1/2 and y is 1e-6 off every half-integer. A cell is laid
+    out in four words, sign | 0.000 | d1 p1 d2 ... p8 d9 | e+-xxx separator, each read by a
+    contiguous take, whose 0 bytes one bytes.translate deletes. Python formats the other
+    cells (ties, |x| outside [1e-290, 1e290), JSON's integer roundings), spliced in at a
+    '%s' in their rows."""
     import numpy as np  # curves are numpy arrays already; row commands never get here
 
     pow10, digit_words, last, shape_row, exp_words, shapes = _cell_tables()
@@ -317,19 +318,25 @@ def _cells(block, json_tokens: bool = False) -> str:
     fallback = ~((y >= 1e-290) & (y < 1e290))  # nan fails both
     y[fallback] = 1.0
     exp = np.floor(np.log10(y)).astype(np.intp)
-    y *= pow10[308 - exp]
-    fallback |= (abs(y - np.floor(y) - 0.5) < 1e-6) | (y < 1e8) | (y >= 1000000000.5)
-    m = np.floor(y + 0.5).astype(np.intp)
-    m, exp = np.where(m == 10**9, (m // 10, exp + 301), (m, exp + 300))  # 1e9 carries
-    lead, high, low = m // 10**8, m // 10**4 % 10**4, m % 10**4
-    sig = np.where(low > 0, 5 + last[low], 1 + last[high])
+    y *= pow10.take(308 - exp)
+    r = np.floor(y + 0.5)
+    fallback |= (abs(r - y) > 0.5 - 1e-6) | (y < 1e8) | (y >= 1000000000.5)
+    r[fallback] = 1e8  # a decade-off log10 would overflow the int32 cast
+    m = r.astype(np.int32)
+    carry = m == 10**9  # 1e9 carries
+    m[carry] = 10**8
+    exp += 300 + carry
+    lead = m // 10**8
+    high = (rest := m - lead * 10**8) // 10**4
+    low = rest - high * 10**4
+    sig = np.where(low > 0, 5 + last.take(low), 1 + last.take(high))
     if json_tokens:  # repr writes an integer with '.0' and in fixed notation below 1e16
         fallback |= (exp >= 300) & (sig <= exp - 299)
-    words = shapes[shape_row[exp] + sig]
-    words[:, 0] |= digit_words[lead] | (x < 0) * np.uint64(45)  # group 000d: d in d1's byte
-    words[:, 1] |= digit_words[high]
-    words[:, 2] |= digit_words[low]
-    words[:, 3] |= exp_words[exp]
+    words = np.take(shapes, shape_row.take(exp) + sig, axis=0)
+    words[:, 0] |= digit_words.take(lead) | (x < 0) * np.uint64(45)  # group 000d: d in d1's byte
+    words[:, 1] |= digit_words.take(high)
+    words[:, 2] |= digit_words.take(low)
+    words[:, 3] |= exp_words.take(exp)
     words[fallback] = (ord("%") | ord("s") << 8, 0, 0, 0)
     seps = b"," * block.shape[1] if json_tokens else b"," * (block.shape[1] - 1) + b"\n"
     words.view(np.uint8).reshape(*block.shape, 32)[..., 29] = list(seps)

@@ -151,15 +151,22 @@ def _interference(spec, pole1, pole2, cfg, e):
     _require_kind(pole1, PoleKind.RESONANCE)
     _require_kind(pole2, PoleKind.RESONANCE)
     e = _energies(e)
-    amp = cfg.c1 * matrix_element(spec, pole1, e) / (pole1.z - e)
-    amp = amp + cfg.c2 * matrix_element(spec, pole2, e) / (pole2.z - e)
-    norm = 1.0
-    if cfg.renormalize:
-        one, two = [(complex(c) * _shell_amplitude(spec, p), p.k, 1.0 / (spec.lam - 2j * p.k))
-                    for c, p in ((cfg.c1, pole1), (cfg.c2, pole2))]
+    c1, c2, norm = cfg.c1, cfg.c2, 1.0
+    if cfg.renormalize:  # a common scale of (c1, c2) leaves the curve: take the power of
+        # two, an exact scale, that puts their largest part in [1/2, 1); nothing overflows
+        shift = -math.frexp(max(abs(part) for c in (c1, c2) for part in (c.real, c.imag)))[1]
+        c1, c2 = (complex(math.ldexp(c.real, shift), math.ldexp(c.imag, shift)) for c in (c1, c2))
+        one, two = [(c * _shell_amplitude(spec, p), p.k, 1.0 / (spec.lam - 2j * p.k))
+                    for c, p in ((c1, pole1), (c2, pole2))]
         total = _residue_pair(*one, *one) + _residue_pair(*two, *two)
         norm = spec.lam**2 / math.pi * (total + 2.0 * _residue_pair(*one, *two)).real
-    return np.abs(amp) ** 2 / norm, norm
+    with np.errstate(all="ignore"):  # only a raw curve can overflow; refused below
+        amp = c1 * matrix_element(spec, pole1, e) / (pole1.z - e)
+        values = np.abs(amp + c2 * matrix_element(spec, pole2, e) / (pole2.z - e)) ** 2 / norm
+    if not (finite := np.isfinite(values)).all():
+        raise InvalidInput(f"interference spectrum at strength {spec.lam!r} exceeds the largest "
+                           f"float at E = {float(e[~finite].flat[0])!r}")
+    return values, norm
 
 
 def interference_spectrum(

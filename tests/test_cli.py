@@ -361,6 +361,31 @@ def test_interfere_single_coefficient_matches_spectrum(capsys):
         assert float(r1["dP_dE"]) == pytest.approx(float(r2["dP_dE"]), rel=1e-7)
 
 
+@pytest.mark.parametrize("scaled, plain", [
+    (["--c1=1e200,0", "--c2=1e200,0"], ["--c1=1,0", "--c2=1,0"]),
+    (["--c1=1e-200,0", "--c2=0,0"], ["--c1=1,0", "--c2=0,0"]),
+])
+def test_interfere_extreme_coefficients_print_the_bytes_of_their_scale(scaled, plain, capsys):
+    # the renormalized curve is scaled to a largest part in [1/2, 1) first: no nan
+    shared = ["interfere", "--lambda", "12", "--indices", "1,2", "--emin", "30", "--emax", "60",
+              "--points", "3"]
+    code, out = run_main(shared + scaled, capsys)
+    assert code == 0
+    assert out == run_main(shared + plain, capsys)[1]
+    assert "nan" not in out
+
+
+def test_interfere_raw_curve_past_the_largest_float_exits_2(capsys):
+    code = cli.main(["interfere", "--lambda", "12", "--indices", "1,2", "--c1=1e160,0",
+                     "--c2=1,0", "--emin", "30", "--emax", "60", "--points", "3",
+                     "--no-renormalize"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == ("error: interference spectrum at strength 12.0 exceeds the largest "
+                            "float at E = 30.0\n")
+
+
 def test_interfere_swap_identical_bytes(capsys):
     shared = ["--lambda", "100", "--emin", "5", "--emax", "45", "--points", "31"]
     _, out1 = run_main(

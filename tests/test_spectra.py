@@ -5,6 +5,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import deltashell.scattering as scattering
 import deltashell.spectra as spectra
@@ -351,6 +353,44 @@ def test_interference_curve_normalization_used():
     )
     assert raw.normalization_used == 1.0
     assert np.allclose(raw.dP_dE / curve.normalization_used, curve.dP_dE, rtol=1e-14)
+
+
+_PART = st.floats(-1.0, 1.0).filter(lambda v: v == 0.0 or abs(v) >= 1e-3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    lam=st.sampled_from([-17.5, 3.0, 12.0, 100.0, 250.0]),
+    first=st.integers(1, 4),
+    parts=st.tuples(_PART, _PART, _PART, _PART),
+    k=st.integers(-900, 900),
+)
+def test_renormalized_interference_bits_do_not_depend_on_a_common_scale(lam, first, parts, k):
+    # the curve does not depend on a common scale of (c1, c2): 2^k c, an exact scaling,
+    # moves no bit, also past |k| ~ 512, where |amp|^2 and the norm alone over- or underflow
+    c1, c2 = complex(*parts[:2]), complex(*parts[2:])
+    assume(c1 != 0 or c2 != 0)
+    spec = PotentialSpec(lam=lam)
+    p1, p2 = find_resonance(spec, first), find_resonance(spec, first + 1)
+    grid = np.linspace(0.5 * p1.e_R, 1.5 * p2.e_R, 64)
+    base = interference_spectrum(spec, p1, p2, InterferenceConfig(c1=c1, c2=c2), grid)
+    scale = 2.0**k
+    scaled = interference_spectrum(
+        spec, p1, p2, InterferenceConfig(c1=c1 * scale, c2=c2 * scale), grid
+    )
+    assert np.isfinite(base).all()
+    assert np.array_equal(base.view(np.uint64), scaled.view(np.uint64))
+
+
+def test_raw_interference_past_the_largest_float_is_refused():
+    spec = PotentialSpec(lam=12.0)
+    p1, p2 = find_resonance(spec, 1), find_resonance(spec, 2)
+    cfg = InterferenceConfig(c1=1e160, c2=1.0, renormalize=False)
+    message = "interference spectrum at strength 12.0 exceeds the largest float at E = 30.0"
+    with pytest.raises(InvalidInput, match=f"^{message}$"):
+        interference_curve(spec, p1, p2, cfg, 30.0, 60.0, 3)
+    with pytest.raises(InvalidInput, match="exceeds the largest float"):
+        interference_spectrum(spec, p1, p2, cfg, 45.0)
 
 
 def test_wide_grid_trapezoid_area():
