@@ -61,8 +61,9 @@ class SpectrumCurve:
 
     breit_wigner holds the normalized Lorentzian of the same pole (zero
     for zero-width poles, whose Lorentzian degenerates to a delta);
-    matrix_element holds M^2(E). normalization_used is the Gamma divisor, or
-    for interference curves the closed-form residue sum (1 if not renormalized).
+    matrix_element holds M^2(E). normalization_used is the Gamma divisor, or for
+    interference curves the closed-form residue sum of (c1, c2) as given, inf or 0
+    past the float range (1 if not renormalized).
     """
 
     grid: np.ndarray
@@ -151,22 +152,22 @@ def _interference(spec, pole1, pole2, cfg, e):
     _require_kind(pole1, PoleKind.RESONANCE)
     _require_kind(pole2, PoleKind.RESONANCE)
     e = _energies(e)
-    c1, c2, norm = cfg.c1, cfg.c2, 1.0
-    if cfg.renormalize:  # a common scale of (c1, c2) leaves the curve: take the power of
-        # two, an exact scale, that puts their largest part in [1/2, 1); nothing overflows
+    c1, c2, norm, shift = cfg.c1, cfg.c2, 1.0, 0
+    if cfg.renormalize:  # a common scale leaves the curve; exact 2^shift: max part in [1/2, 1)
         shift = -math.frexp(max(abs(part) for c in (c1, c2) for part in (c.real, c.imag)))[1]
         c1, c2 = (complex(math.ldexp(c.real, shift), math.ldexp(c.imag, shift)) for c in (c1, c2))
         one, two = [(c * _shell_amplitude(spec, p), p.k, 1.0 / (spec.lam - 2j * p.k))
                     for c, p in ((c1, pole1), (c2, pole2))]
         total = _residue_pair(*one, *one) + _residue_pair(*two, *two)
         norm = spec.lam**2 / math.pi * (total + 2.0 * _residue_pair(*one, *two)).real
-    with np.errstate(all="ignore"):  # only a raw curve can overflow; refused below
+    with np.errstate(all=None if cfg.renormalize else "ignore"):  # raw: refused below
         amp = c1 * matrix_element(spec, pole1, e) / (pole1.z - e)
         values = np.abs(amp + c2 * matrix_element(spec, pole2, e) / (pole2.z - e)) ** 2 / norm
-    if not (finite := np.isfinite(values)).all():
+    if not cfg.renormalize and not (finite := np.isfinite(values)).all():
         raise InvalidInput(f"interference spectrum at strength {spec.lam!r} exceeds the largest "
                            f"float at E = {float(e[~finite].flat[0])!r}")
-    return values, norm
+    with np.errstate(over="ignore"):  # the norm of (c1, c2) as given, scaled back exactly
+        return values, float(np.ldexp(norm, -2 * shift))
 
 
 def interference_spectrum(

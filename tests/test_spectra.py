@@ -2,6 +2,7 @@
 
 import math
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -342,17 +343,21 @@ def test_interference_config_validation():
 
 
 def test_interference_curve_normalization_used():
+    # the norm is that of the coefficients as given, also where they are scaled
+    # by a power of two inside (their largest part outside [1/2, 1))
     spec = PotentialSpec(lam=100.0)
     p1 = find_resonance(spec, 1)
     p2 = find_resonance(spec, 2)
-    curve = interference_curve(spec, p1, p2, InterferenceConfig(), 2.0, 60.0, 301)
-    assert curve.breit_wigner is None and curve.matrix_element is None
-    assert curve.normalization_used > 0.0
-    raw = interference_curve(
-        spec, p1, p2, InterferenceConfig(renormalize=False), 2.0, 60.0, 301
-    )
-    assert raw.normalization_used == 1.0
-    assert np.allclose(raw.dP_dE / curve.normalization_used, curve.dP_dE, rtol=1e-14)
+    for cfg in (InterferenceConfig(), InterferenceConfig(c1=1.0, c2=1.0),
+                InterferenceConfig(c1=1.0, c2=0.0), InterferenceConfig(c1=1e-3, c2=0.0)):
+        curve = interference_curve(spec, p1, p2, cfg, 2.0, 60.0, 301)
+        assert curve.breit_wigner is None and curve.matrix_element is None
+        assert curve.normalization_used > 0.0
+        raw = interference_curve(
+            spec, p1, p2, replace(cfg, renormalize=False), 2.0, 60.0, 301
+        )
+        assert raw.normalization_used == 1.0
+        assert np.allclose(raw.dP_dE / curve.normalization_used, curve.dP_dE, rtol=1e-14)
 
 
 _PART = st.floats(-1.0, 1.0).filter(lambda v: v == 0.0 or abs(v) >= 1e-3)
@@ -372,14 +377,21 @@ def test_renormalized_interference_bits_do_not_depend_on_a_common_scale(lam, fir
     assume(c1 != 0 or c2 != 0)
     spec = PotentialSpec(lam=lam)
     p1, p2 = find_resonance(spec, first), find_resonance(spec, first + 1)
-    grid = np.linspace(0.5 * p1.e_R, 1.5 * p2.e_R, 64)
-    base = interference_spectrum(spec, p1, p2, InterferenceConfig(c1=c1, c2=c2), grid)
+    window = (0.5 * p1.e_R, 1.5 * p2.e_R, 64)
+    base = interference_curve(spec, p1, p2, InterferenceConfig(c1=c1, c2=c2), *window)
     scale = 2.0**k
-    scaled = interference_spectrum(
-        spec, p1, p2, InterferenceConfig(c1=c1 * scale, c2=c2 * scale), grid
+    scaled = interference_curve(
+        spec, p1, p2, InterferenceConfig(c1=c1 * scale, c2=c2 * scale), *window
     )
-    assert np.isfinite(base).all()
-    assert np.array_equal(base.view(np.uint64), scaled.view(np.uint64))
+    assert np.isfinite(base.dP_dE).all()
+    assert np.array_equal(base.dP_dE.view(np.uint64), scaled.dP_dE.view(np.uint64))
+    # the norm is that of the coefficients as given: 4^k times the base one, inf past
+    # the largest float and rounded, as one ldexp rounds, below the smallest normal
+    try:
+        expected = math.ldexp(base.normalization_used, 2 * k)
+    except OverflowError:
+        expected = math.inf
+    assert scaled.normalization_used == expected
 
 
 def test_raw_interference_past_the_largest_float_is_refused():
