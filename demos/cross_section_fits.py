@@ -25,7 +25,9 @@ from deltashell import (
 
 spec = PotentialSpec(lam=100.0)
 pole = find_resonance(spec, 3)
-bundle = cross_section_bundle(spec, 3, points=2001, second_index=2)
+# the window E_R +/- 10 Gamma_R, the command line's default (positive for this sharp pole)
+grid = np.linspace(pole.e_R - 10 * pole.gamma_R, pole.e_R + 10 * pole.gamma_R, 2001)
+bundle = cross_section_bundle(spec, pole, grid, second_index=2)
 
 path = Path(__file__).parent / "cross_section_fits.csv"
 np.savetxt(

@@ -35,7 +35,7 @@ def dump(name, curve):
 spec = PotentialSpec(lam=100.0)
 pole = find_resonance(spec, 3)
 window = 7 * pole.gamma_R
-sharp = spectrum_curve(spec, pole, pole.e_R - window, pole.e_R + window, 2001)
+sharp = spectrum_curve(spec, pole, np.linspace(pole.e_R - window, pole.e_R + window, 2001))
 print("sharp resonance (strength 100, n=3):")
 dump("lineshape_sharp.csv", sharp)
 i = int(np.argmax(sharp.dP_dE))
@@ -45,7 +45,7 @@ print(f"  peak height {sharp.dP_dE[i]:.4f} vs Breit-Wigner {sharp.breit_wigner.m
 # broad: same resonance order, weaker barrier
 spec = PotentialSpec(lam=10.0)
 pole = find_resonance(spec, 3)
-broad = spectrum_curve(spec, pole, 1e-3, 2 * pole.e_R, 2001)
+broad = spectrum_curve(spec, pole, np.linspace(1e-3, 2 * pole.e_R, 2001))
 print("\nbroad resonance (strength 10, n=3):")
 dump("lineshape_broad.csv", broad)
 low = broad.grid < 0.3 * pole.e_R
@@ -58,7 +58,7 @@ print(f"  asymmetry one width off-peak: {up:.5f} above vs {down:.5f} below")
 
 # virtual: shallow well, no resonant Lorentzian
 spec = PotentialSpec(lam=-0.5)
-virtual = spectrum_curve(spec, find_virtual_state(spec), 1e-3, 2.0, 2001)
+virtual = spectrum_curve(spec, find_virtual_state(spec), np.linspace(1e-3, 2.0, 2001))
 print("\nvirtual state (strength -0.5):")
 dump("lineshape_virtual.csv", virtual)
 i = int(np.argmax(virtual.dP_dE))

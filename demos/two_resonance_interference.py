@@ -24,13 +24,12 @@ p2 = find_resonance(spec, 2)
 mid = 0.5 * (p1.e_R + p2.e_R)
 print(f"resonances at E = {p1.e_R:.3f} and {p2.e_R:.3f}, midpoint {mid:.3f}\n")
 
+grid = np.linspace(0.5, 80.0, 4001)
 amp = 1.0 / np.sqrt(2.0)
 print(f"{'relative phase':>15} {'dP/dE at midpoint':>18} {'area':>8}")
 for deg in (0, 60, 120, 180):
     c2 = amp * np.exp(1j * np.deg2rad(deg))
-    curve = interference_curve(
-        spec, p1, p2, InterferenceConfig(c1=amp, c2=c2), 0.5, 80.0, 4001
-    )
+    curve = interference_curve(spec, p1, p2, InterferenceConfig(c1=amp, c2=c2), grid)
     at_mid = float(np.interp(mid, curve.grid, curve.dP_dE))
     area = float(np.trapezoid(curve.dP_dE, curve.grid))
     print(f"{deg:>14}d {at_mid:>18.6f} {area:>8.4f}")
@@ -42,7 +41,7 @@ print("between the two humps and the valley moves with the phase")
 print(f"\n{'weight of n=1':>14} {'peak 1':>10} {'peak 2':>10}")
 for w in (0.9, 0.7, 0.5, 0.3, 0.1):
     cfg = InterferenceConfig(c1=np.sqrt(w), c2=np.sqrt(1 - w))
-    curve = interference_curve(spec, p1, p2, cfg, 0.5, 80.0, 8001)
+    curve = interference_curve(spec, p1, p2, cfg, np.linspace(0.5, 80.0, 8001))
     near1 = np.abs(curve.grid - p1.e_R) < 5 * p1.gamma_R
     near2 = np.abs(curve.grid - p2.e_R) < 5 * p2.gamma_R
     print(f"{w:>14.1f} {curve.dP_dE[near1].max():>10.4f} {curve.dP_dE[near2].max():>10.4f}")

@@ -11,7 +11,8 @@ package. The grid layer (scattering, spectra, cross_sections) works on
 numpy arrays; its names are in __all__ too, but each is bound on first
 access, which imports its module and numpy. A public name is declared once,
 in its module's ``__all__``; the package's ``__all__`` is built from those
-lists, with ``_GRID`` naming the grid layer's without importing numpy.
+lists, with ``_GRID`` naming the grid layer's without importing numpy. Each
+curve function takes the energies it is evaluated at; the caller builds the grid.
 
 Quick start::
 
@@ -41,10 +42,7 @@ _GRID = {
         "cross_section_bundle",
     ),
     "scattering": ("matrix_element_squared", "matrix_element"),
-    "spectra": (
-        "SpectrumCurve", "InterferenceConfig", "decay_energy_spectrum", "spectrum_curve",
-        "interference_spectrum", "interference_curve",
-    ),
+    "spectra": ("SpectrumCurve", "InterferenceConfig", "spectrum_curve", "interference_curve"),
 }
 _LAZY = {name: module for module, names in _GRID.items() for name in names}
 

@@ -18,8 +18,9 @@ Units. The library works in units of the radius and in reduced units
 hbar**2 / (2.0 * mass), and applies both in one step at the output
 (_scales): wave numbers times 1/a, energies times (ħ²/2m)/a², C times a,
 densities and cross sections times a²; Γ and Γ_sharp do not depend on a.
-A curve window is scaled in, as E a². A finite nonzero value whose scaled
-value overflows or loses its digits exits 2 with nothing written; values
+A curve's energies are built here (_grid), on a window scaled in as E a², whose
+missing edges default to E_R ± 10 Γ_R (cross-section). A finite nonzero value
+whose scaled value overflows or loses its digits exits 2 with nothing written; values
 are scaled in exponent arithmetic (_scaled), so a step that leaves the
 normal range while the result fits is not refused.
 
@@ -367,10 +368,40 @@ def _scaled_column(col, scale):
     return np.ldexp(mantissa * mm / dm, exponent + (me - de + scale[2]))
 
 
-def _window(args, scales):
-    """The curve window in the library's units, E a^2; None where not given."""
-    return [e if scales is None or e is None else _scaled(e, scales["1/E"])
-            for e in (args.emin, args.emax)]
+def _grid(args, scales, pole=None):
+    """The curve's --points energies from --emin to --emax, scaled in to the library's
+    E a^2. A missing edge (cross-section) is the pole's E_R -/+ 10 Gamma_R, the lower
+    one clipped to 1e-6 |E_R| > 0; an edge given past a defaulted one is refused by name."""
+    import numpy as np  # curves are numpy arrays already; row commands never get here
+
+    window = [e if scales is None or e is None else _scaled(e, scales["1/E"])
+              for e in (args.emin, args.emax)]
+    if None in window:
+        default = (max(pole.e_R - 10.0 * pole.gamma_R, 1e-6 * abs(pole.e_R)),
+                   pole.e_R + 10.0 * pole.gamma_R)
+        window = [d if e is None else e for e, d in zip(window, default)]
+        if window[1] <= window[0] and default[1] <= default[0]:
+            raise InvalidInput(
+                f"the default window E_R +/- 10 Gamma_R of resonance {pole.index} at strength "
+                f"{args.lam!r} (E_R = {pole.e_R!r}, Gamma_R = {pole.gamma_R!r}) is empty once "
+                "clipped to positive energies; give one with --emin and --emax")
+        if window[1] <= window[0]:  # the one edge given lies past the defaulted one
+            flag, side, other = (("emin", "below the default upper", "emax") if args.emax is None
+                                 else ("emax", "above the default lower", "emin"))
+            edge = window[args.emax is None]  # written in the units the flag was given in
+            raise InvalidInput(
+                f"--{flag} {getattr(args, flag)!r} is not {side} edge "
+                f"{edge if scales is None else _scaled(edge, scales['E'])!r} of the window "
+                f"E_R +/- 10 Gamma_R of resonance {pole.index} at strength {args.lam!r}; "
+                f"give --{other} too")
+    if not (0.0 < window[0] < window[1] < math.inf):
+        raise InvalidInput("need 0 < e_min < e_max < inf")
+    if args.points < 2:
+        raise InvalidInput("need at least two grid points")
+    try:
+        return np.linspace(*window, args.points)
+    except (MemoryError, ValueError) as exc:  # numpy's refusal of an oversized array
+        raise InvalidInput(f"cannot allocate a grid of {args.points} points") from exc
 
 
 def _emit_curve(args, spec, scales, grid, columns) -> None:
@@ -402,7 +433,7 @@ def _emit_curve(args, spec, scales, grid, columns) -> None:
 def cmd_spectrum(args) -> None:
     spec, scales = _spec_from_args(args)
     pole = find_virtual_state(spec) if args.virtual else find_resonance(spec, args.index)
-    curve = _curve("spectrum_curve")(spec, pole, *_window(args, scales), args.points)
+    curve = _curve("spectrum_curve")(spec, pole, _grid(args, scales))
     names = ("dP_dE", "breit_wigner", "matrix_element") if args.with_companions else ("dP_dE",)
     _emit_curve(args, spec, scales, curve.grid, [(name, getattr(curve, name)) for name in names])
 
@@ -422,17 +453,15 @@ def cmd_interfere(args) -> None:
     spec, scales = _spec_from_args(args)
     cfg = _curve("InterferenceConfig")(c1=args.c1, c2=args.c2, renormalize=args.renormalize)
     pole1, pole2 = (find_resonance(spec, i) for i in args.indices)
-    curve = _curve("interference_curve")(
-        spec, pole1, pole2, cfg, *_window(args, scales), args.points
-    )
+    curve = _curve("interference_curve")(spec, pole1, pole2, cfg, _grid(args, scales))
     _emit_curve(args, spec, scales, curve.grid, [("dP_dE", curve.dP_dE)])
 
 
 def cmd_cross_section(args) -> None:
     spec, scales = _spec_from_args(args)
-    bundle = _curve("cross_section_bundle")(
-        spec, args.index, *_window(args, scales), args.points, second_index=args.second_index
-    )
+    pole = find_resonance(spec, args.index)
+    bundle = _curve("cross_section_bundle")(spec, pole, _grid(args, scales, pole),
+                                            args.second_index)
     names = ("exact", "laurent", "e_unitarized", "k_unitarized", "two_pole")
     _emit_curve(args, spec, scales, bundle.grid, [(name, getattr(bundle, name)) for name in names])
 

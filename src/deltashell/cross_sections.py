@@ -13,7 +13,9 @@ tan delta = -lam sin^2(k) / (k + lam sin(k) cos(k)), is compared against
 
 The e- and k-unitarized forms differ by the exact algebraic ratio
 4 alpha^2 / ((k + alpha)^2 + beta^2), close to one near a sharp peak. No
-column returns inf: past the largest float it raises InvalidInput.
+column returns inf: past the largest float it raises InvalidInput. The bundle
+reads every column at the energies it is given; the command line builds the
+grid, and its default window E_R +/- 10 Gamma_R.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from .observables import _require_kind
 from .poles import find_resonance, zeldovich_norm
 from .potential import PotentialSpec, Pole, PoleKind
 from .scattering import _energies, _lorentz_denominator, _scalar_or_array
-from .spectra import _grid
 
 __all__ = [
     "CrossSectionBundle",
@@ -140,34 +141,15 @@ def cross_section_two_pole(spec: PotentialSpec, pole1: Pole, pole2: Pole, e):
     return np.pi / e * (abs(r1) ** 2 / d1 + abs(r2) ** 2 / d2 + cross)
 
 
-def cross_section_bundle(
-    spec: PotentialSpec,
-    index: int,
-    e_min: float | None = None,
-    e_max: float | None = None,
-    points: int = 2001,
-    second_index: int | None = None,
-) -> CrossSectionBundle:
-    """Sampled bundle around resonance ``index``.
+def cross_section_bundle(spec: PotentialSpec, pole: Pole, e,
+                         second_index: int | None = None) -> CrossSectionBundle:
+    """Every column at energies e around resonance ``pole``, the grid being e, checked.
 
-    The default window is E_R +/- 10 Gamma_R clipped to positive energies,
-    which resolves sharp peaks; pass e_min/e_max to override. Raises
-    InvalidInput where a defaulted bound leaves the window empty, and where
-    a column exceeds the largest float (pi/E alone does below E ~ 1.7e-308).
+    With second_index, the two-pole column of ``pole`` and that resonance, found after
+    the other columns. Raises InvalidInput where a column exceeds the largest float
+    (pi/E alone does below E ~ 1.7e-308).
     """
-    pole = find_resonance(spec, index)
-    defaulted = e_min is None or e_max is None
-    if e_min is None:
-        e_min = max(pole.e_R - 10.0 * pole.gamma_R, 1e-6 * abs(pole.e_R))
-    if e_max is None:
-        e_max = pole.e_R + 10.0 * pole.gamma_R
-    if defaulted and e_max <= e_min:
-        raise InvalidInput(
-            f"the default window E_R +/- 10 Gamma_R of resonance {pole.index} at strength "
-            f"{spec.lam!r} (E_R = {pole.e_R!r}, Gamma_R = {pole.gamma_R!r}) is empty once "
-            "clipped to positive energies; give one with --emin and --emax"
-        )
-    grid = _grid(e_min, e_max, points)
+    grid = _energies(e)
     return CrossSectionBundle(
         grid=grid,
         exact=cross_section_exact(spec, grid),

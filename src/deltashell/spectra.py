@@ -14,12 +14,12 @@ Lorentzian degenerates to 1/(E - E_pole)^2 with E_pole < 0).
 
 Two-resonance interference follows the coherent superposition of the two
 pole terms, |c1 <E|z1> + c2 <E|z2>|^2 with <E|z> = <E|V|z>/(z - E); the
-cross-term phase convention lives in scattering.matrix_element. One
-function (_interference) forms the sum and its norm; the curve is that
-function on the curve's grid.
+cross-term phase convention lives in scattering.matrix_element.
 
-Both normalizations are closed forms: Gamma is read from the table row
-(observables), and the integral of the coherent sum is a residue sum,
+Each lineshape has one evaluator, which takes the energies it is evaluated
+at (a scalar or an array) and returns a SpectrumCurve on them; the caller
+builds the grid. Both normalizations are closed forms: Gamma is read from the
+table row (observables), and the integral of the coherent sum is a residue sum,
 rational in t = lam - 2ik on the two poles (:func:`_residue_pair`). Units
 are those of :mod:`deltashell.potential` (a = 1); the command line scales
 a curve to radius a: E and M^2 by 1/a^2, each density by a^2.
@@ -39,7 +39,6 @@ from .potential import PotentialSpec, Pole, PoleKind
 from .scattering import (
     _energies,
     _lorentz_denominator,
-    _scalar_or_array,
     _shell_amplitude,
     matrix_element,
     matrix_element_squared,
@@ -48,9 +47,7 @@ from .scattering import (
 __all__ = [
     "SpectrumCurve",
     "InterferenceConfig",
-    "decay_energy_spectrum",
     "spectrum_curve",
-    "interference_spectrum",
     "interference_curve",
 ]
 
@@ -88,38 +85,16 @@ class InterferenceConfig:
             raise InvalidInput("at least one interference coefficient must be nonzero")
 
 
-def decay_energy_spectrum(spec: PotentialSpec, pole: Pole, e):
-    """dP/dE = M^2(E) / |E - z|^2 / Gamma at energy e (scalar or array); Gamma, the
-    pole's decay constant, is read first from its table row, which checks the kind."""
-    gamma_total = observables_record(spec, pole).gamma
-    m2 = matrix_element_squared(spec, pole, e)  # checks the energies first
-    lor = _lorentz_denominator(pole, np.asarray(e, dtype=float))
-    return _scalar_or_array(m2 / lor / gamma_total)
+def spectrum_curve(spec: PotentialSpec, pole: Pole, e) -> SpectrumCurve:
+    """dP/dE = M^2(E) / |E - z|^2 / Gamma at energies e, with its Breit-Wigner and M^2.
 
-
-def _grid(e_min: float, e_max: float, points: int) -> np.ndarray:
-    """Uniform energy grid; the window check shared by every sampled curve."""
-    if not (0.0 < e_min < e_max < math.inf):
-        raise InvalidInput("need 0 < e_min < e_max < inf")
-    if points < 2:
-        raise InvalidInput("need at least two grid points")
-    try:
-        return np.linspace(e_min, e_max, points)
-    except (MemoryError, ValueError) as exc:  # numpy's refusal of an oversized array
-        raise InvalidInput(f"cannot allocate a grid of {points} points") from exc
-
-
-def spectrum_curve(spec: PotentialSpec, pole: Pole, e_min: float, e_max: float,
-                   points: int) -> SpectrumCurve:
-    """The spectrum kernel: dP/dE on a uniform grid with its Breit-Wigner and M^2.
-
-    Gamma comes first (it checks the pole kind); M^2 and |E - z|^2 are then
-    formed once each and every column is read from them, with the bits of
-    decay_energy_spectrum and matrix_element_squared on the same grid.
+    Gamma, the decay constant, is read first from the pole's table row, which checks
+    the kind; M^2 then checks the energies. M^2 and |E - z|^2 are formed once each and
+    every column is read from them; a scalar e gives a 0-d grid and scalar columns.
     """
-    grid = _grid(e_min, e_max, points)
     gamma_total = observables_record(spec, pole).gamma
-    m2 = matrix_element_squared(spec, pole, grid)
+    m2 = matrix_element_squared(spec, pole, e)  # checks the energies
+    grid = np.asarray(e, dtype=float)
     lor = _lorentz_denominator(pole, grid)
     hw = 0.5 * pole.gamma_R
     return SpectrumCurve(
@@ -139,8 +114,9 @@ def _residue_pair(wi, ki, ri, wj, kj, rj) -> complex:
     return wi * wj.conjugate() * s
 
 
-def _interference(spec, pole1, pole2, cfg, e):
-    """The two-resonance spectrum at energies e and the norm it is divided by.
+def interference_curve(spec: PotentialSpec, pole1: Pole, pole2: Pole, cfg: InterferenceConfig,
+                       e) -> SpectrumCurve:
+    """The two-resonance spectrum at energies e; both poles are resonances.
 
     The coherent sum |c1 <E|V|z1>/(z1 - E) + c2 <E|V|z2>/(z2 - E)|^2 is divided,
     with cfg.renormalize, by its integral over (0, inf), else by 1. With
@@ -148,6 +124,7 @@ def _interference(spec, pole1, pole2, cfg, e):
     term c_i conj(c_j) m_i conj(m_j) / ((z_i - E)(conj z_j - E)) integrates to
     (lam^2/pi) c_i conj(c_j) u_i conj(u_j) S(-k_i, conj k_j) (:func:`_residue_pair`);
     the (2, 1) term is the conjugate of the (1, 2) one, so a swap keeps the bits.
+    No companion columns; a scalar e gives a 0-d grid.
     """
     _require_kind(pole1, PoleKind.RESONANCE)
     _require_kind(pole2, PoleKind.RESONANCE)
@@ -167,37 +144,6 @@ def _interference(spec, pole1, pole2, cfg, e):
         raise InvalidInput(f"interference spectrum at strength {spec.lam!r} exceeds the largest "
                            f"float at E = {float(e[~finite].flat[0])!r}")
     with np.errstate(over="ignore"):  # the norm of (c1, c2) as given, scaled back exactly
-        return values, float(np.ldexp(norm, -2 * shift))
-
-
-def interference_spectrum(
-    spec: PotentialSpec,
-    pole1: Pole,
-    pole2: Pole,
-    cfg: InterferenceConfig,
-    e,
-):
-    """Two-resonance decay spectrum at energy e; both poles are resonances.
-
-    Equals |c1|^2 M1^2/D1 + |c2|^2 M2^2/D2 plus the cross term
-    2 Re[c1 conj(c2) <E|V|z1> conj(<E|V|z2>) / ((z1-E)(conj(z2)-E))];
-    with cfg.renormalize the curve is divided by its own integral over
-    (0, inf) so it is again a probability density.
-    """
-    return _scalar_or_array(_interference(spec, pole1, pole2, cfg, e)[0])
-
-
-def interference_curve(
-    spec: PotentialSpec,
-    pole1: Pole,
-    pole2: Pole,
-    cfg: InterferenceConfig,
-    e_min: float,
-    e_max: float,
-    points: int,
-) -> SpectrumCurve:
-    """interference_spectrum on a uniform grid (no companion columns)."""
-    grid = _grid(e_min, e_max, points)
-    values, norm = _interference(spec, pole1, pole2, cfg, grid)
-    return SpectrumCurve(grid=grid, dP_dE=values, breit_wigner=None, matrix_element=None,
+        norm = float(np.ldexp(norm, -2 * shift))
+    return SpectrumCurve(grid=e, dP_dE=values, breit_wigner=None, matrix_element=None,
                          normalization_used=norm)

@@ -1,10 +1,9 @@
 """Grid-layer helpers that only the tests use, built on the public library.
 
-The Jost functions, the S-matrix (wave-number and energy plane), the
-resonant state's wavefunction and a list of spectrum curves are checks of
-the library, not parts of it: the library forms sigma from the phase shift
-and N^2 from the pole's Lambert-W value, so the Jost route here stays the
-independent check of both. Units are the library's: k and r in units of the
+The Jost functions, the S-matrix (wave-number and energy plane) and the
+resonant state's wavefunction are checks of the library, not parts of it:
+the library forms sigma from the phase shift and N^2 from the pole's
+Lambert-W value, so the Jost route here stays the independent check of both. Units are the library's: k and r in units of the
 radius, E = k^2.
 """
 
@@ -12,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from deltashell import InvalidInput, find_resonance, spectrum_curve, zeldovich_norm
+from deltashell import InvalidInput, zeldovich_norm
 from deltashell.scattering import _scalar_or_array
 
 
@@ -63,8 +62,3 @@ def resonant_wavefunction(spec, pole, r):
     n_r = np.sqrt(zeldovich_norm(spec, pole))
     inside = n_r * np.sin(pole.k * r) / jost(spec, pole.k)[0]
     return _scalar_or_array(np.where(r < 1.0, inside, n_r * np.exp(1j * pole.k * r)))
-
-
-def multi_spectrum(spec, indices, e_min, e_max, points):
-    """Spectrum curves for several resonance indices on a shared window."""
-    return [spectrum_curve(spec, find_resonance(spec, n), e_min, e_max, points) for n in indices]

@@ -19,12 +19,11 @@ from deltashell import (
     cross_section_e_unitarized,
     cross_section_exact,
     cross_section_k_unitarized,
-    decay_energy_spectrum,
     enumerate_poles,
     find_anti_resonance,
     find_resonance,
     find_virtual_state,
-    interference_spectrum,
+    interference_curve,
     lambert_w,
     lambert_w_residual,
     observables_record,
@@ -32,7 +31,6 @@ from deltashell import (
     transcendental_residual,
 )
 from conftest import TABLE_LAMBDAS, assert_printed, golden_rows, sigfig_tol
-from grid_helpers import multi_spectrum
 from quadrature_oracle import QuadratureRequest, integrate_semi_infinite, perturbation_rhs
 
 
@@ -143,7 +141,7 @@ def _spectrum_normalization(spec, pole):
         peak_center=pole.e_R, peak_halfwidth=hw,
         oscillation_wavenumber=math.pi,
     )
-    value, _ = integrate_semi_infinite(lambda e: decay_energy_spectrum(spec, pole, e), req)
+    value, _ = integrate_semi_infinite(lambda e: spectrum_curve(spec, pole, e).dP_dE, req)
     return value
 
 
@@ -169,11 +167,11 @@ def test_criterion_09_lineshape_properties(specs):
     spec = specs[100.0]
     pole = find_resonance(spec, 3)
     grid = np.linspace(pole.e_R - 2 * pole.gamma_R, pole.e_R + 2 * pole.gamma_R, 40001)
-    values = decay_energy_spectrum(spec, pole, grid)
+    values = spectrum_curve(spec, pole, grid).dP_dE
     e_peak = grid[np.argmax(values)]
     assert pole.e_R - pole.gamma_R <= e_peak <= pole.e_R + pole.gamma_R
-    up = decay_energy_spectrum(spec, pole, pole.e_R + pole.gamma_R)
-    down = decay_energy_spectrum(spec, pole, pole.e_R - pole.gamma_R)
+    up = spectrum_curve(spec, pole, pole.e_R + pole.gamma_R).dP_dE
+    down = spectrum_curve(spec, pole, pole.e_R - pole.gamma_R).dP_dE
     assert abs(up - down) > 1e-3 * max(up, down)
 
     # (b) broad resonance: threshold bump, i.e. an interior low-energy local
@@ -181,7 +179,7 @@ def test_criterion_09_lineshape_properties(specs):
     # threshold itself, so the enhancement shows up as this bump)
     spec10 = specs[10.0]
     pole10 = find_resonance(spec10, 3)
-    curve = spectrum_curve(spec10, pole10, 1e-3, 0.3 * pole10.e_R, 4001)
+    curve = spectrum_curve(spec10, pole10, np.linspace(1e-3, 0.3 * pole10.e_R, 4001))
     i_bump = int(np.argmax(curve.dP_dE))
     assert 0 < i_bump < len(curve.grid) - 1
     assert curve.grid[i_bump] < 0.1 * pole10.e_R
@@ -190,13 +188,15 @@ def test_criterion_09_lineshape_properties(specs):
 
     # (c) virtual state: threshold spike, strictly decreasing beyond it
     specv = specs[-0.5]
-    vcurve = spectrum_curve(specv, find_virtual_state(specv), 1e-3, 2.0, 8001)
+    vcurve = spectrum_curve(specv, find_virtual_state(specv), np.linspace(1e-3, 2.0, 8001))
     i_peak = int(np.argmax(vcurve.dP_dE))
     assert vcurve.grid[i_peak] <= 0.15
     assert np.all(np.diff(vcurve.dP_dE[i_peak:]) < 0.0)
 
     # (d) normalized peak heights decrease with resonance order
-    curves = multi_spectrum(specs[100.0], [1, 2, 3], 1.0, 120.0, 60001)
+    grid = np.linspace(1.0, 120.0, 60001)
+    curves = [spectrum_curve(specs[100.0], find_resonance(specs[100.0], n), grid)
+              for n in (1, 2, 3)]
     peaks = [float(np.max(c.dP_dE)) for c in curves]
     assert peaks[0] > peaks[1] > peaks[2]
     report(9, "lineshape properties: sharp asymmetric peak, threshold bump, "
@@ -237,17 +237,17 @@ def test_criterion_11_interference_sanity(specs):
     grid = np.linspace(2.0, 60.0, 500)
 
     gamma = observables_record(spec, p1).gamma
-    raw = interference_spectrum(
+    raw = interference_curve(
         spec, p1, p2, InterferenceConfig(c1=1.0, c2=0.0, renormalize=False), grid
-    )
-    single = gamma * decay_energy_spectrum(spec, p1, grid)
+    ).dP_dE
+    single = gamma * spectrum_curve(spec, p1, grid).dP_dE
     assert np.allclose(raw, single, rtol=1e-12, atol=1e-300)
 
     cfg = InterferenceConfig(c1=0.6, c2=0.3 + 0.2j, renormalize=False)
     swapped = InterferenceConfig(c1=0.3 + 0.2j, c2=0.6, renormalize=False)
     assert np.array_equal(
-        interference_spectrum(spec, p1, p2, cfg, grid),
-        interference_spectrum(spec, p2, p1, swapped, grid),
+        interference_curve(spec, p1, p2, cfg, grid).dP_dE,
+        interference_curve(spec, p2, p1, swapped, grid).dP_dE,
     )
 
     cfg_norm = InterferenceConfig()
@@ -257,7 +257,7 @@ def test_criterion_11_interference_sanity(specs):
     )
     extra = tuple(p2.e_R + s * j * 0.5 * p2.gamma_R for j in (1, 2, 4, 8) for s in (-1, 1))
     area, _ = integrate_semi_infinite(
-        lambda x: interference_spectrum(spec, p1, p2, cfg_norm, x), req, extra_edges=extra
+        lambda x: interference_curve(spec, p1, p2, cfg_norm, x).dP_dE, req, extra_edges=extra
     )
     assert abs(area - 1.0) <= 1e-6
     report(11, "interference reduction, swap symmetry, unit renormalized area")

@@ -321,6 +321,54 @@ def test_oversized_points_exits_2(argv, points, capsys):
     assert captured.err.startswith("error: ")
 
 
+_GRID_LINES = {
+    "spectrum": ["spectrum", "--lambda", "100", "--index", "1"],
+    "interfere": ["interfere", "--lambda", "100", "--indices", "1,2"],
+    "cross-section": ["cross-section", "--lambda", "100", "--index", "1"],
+}
+_WINDOW_REFUSED = "error: need 0 < e_min < e_max < inf\n"
+
+
+@pytest.mark.parametrize("command", sorted(_GRID_LINES))
+def test_grid_validation(command, capsys):
+    # the command line builds every curve's grid: each window or point count it
+    # refuses exits 2 with one line, before any curve is formed. 10**15 points
+    # (8 PB) is past any address space, so the allocator refuses it untouched
+    for flags, err in [
+        (["--emin", "5", "--emax", "1"], _WINDOW_REFUSED),
+        (["--emin", "5", "--emax", "5"], _WINDOW_REFUSED),
+        (["--emin", "-1", "--emax", "10"], _WINDOW_REFUSED),
+        (["--emin", "0", "--emax", "10"], _WINDOW_REFUSED),
+        (["--emin", "nan", "--emax", "10"], _WINDOW_REFUSED),
+        (["--emin", "1", "--emax", "inf"], _WINDOW_REFUSED),
+        (["--emin", "1", "--emax", "10", "--points", "1"],
+         "error: need at least two grid points\n"),
+        (["--emin", "1", "--emax", "10", "--points", "1000000000000000"],
+         "error: cannot allocate a grid of 1000000000000000 points\n"),
+    ]:
+        assert cli.main(_GRID_LINES[command] + flags) == 2, flags
+        assert capsys.readouterr() == ("", err), flags
+
+
+@pytest.mark.parametrize("flag, value, radius, side, edge", [
+    ("--emin", "100", "1", "below the default upper", "15.93161283602775"),
+    ("--emax", "0.1", "1", "above the default lower", "0.620443883708572"),
+    ("--emax", "-1", "1", "above the default lower", "0.620443883708572"),
+    ("--emax", "0.1", "2", "above the default lower", "0.155110970927143"),
+])
+def test_cross_section_edge_given_past_the_default_one_is_named(flag, value, radius, side,
+                                                                  edge, capsys):
+    # the default window [0.62, 15.93] is not empty: the one edge given lies past the
+    # defaulted one, so the refusal names that flag, its value and the edge it meets,
+    # in the units of the flag (E / a^2 at radius a)
+    argv = ["cross-section", "--lambda", "10", "--index", "1", "--radius", radius, flag, value]
+    assert cli.main(argv) == 2
+    other = "--emax" if flag == "--emin" else "--emin"
+    assert capsys.readouterr() == ("", (
+        f"error: {flag} {float(value)!r} is not {side} edge {edge} of the window "
+        f"E_R +/- 10 Gamma_R of resonance 1 at strength 10.0; give {other} too\n"))
+
+
 @pytest.mark.parametrize("argv, zero_columns", [
     (["spectrum", "--lambda", "5", "--index", "1"], ["dP_dE", "breit_wigner"]),
     (["cross-section", "--lambda", "5", "--index", "1"],
@@ -860,7 +908,7 @@ TABLE_CASES = [(0.5, 8), (-0.5, 8), (100.0, 8), (-100.0, 8), (-700.0, 4), (0.05,
 
 def _spectrum_case(companions):
     spec = PotentialSpec(lam=100.0)
-    curve = spectrum_curve(spec, find_resonance(spec, 3), 80.0, 94.0, 401)
+    curve = spectrum_curve(spec, find_resonance(spec, 3), np.linspace(80.0, 94.0, 401))
     argv = ["spectrum", "--lambda", "100", "--index", "3",
             "--emin", "80", "--emax", "94", "--points", "401"]
     names, series = ["E", "dP_dE"], [curve.grid, curve.dP_dE]
@@ -876,7 +924,7 @@ def _interfere_case():
     spec = PotentialSpec(lam=-17.5)
     cfg = InterferenceConfig(c1=0.8, c2=complex(0.2, 0.1))
     curve = interference_curve(
-        spec, find_resonance(spec, 3), find_resonance(spec, 4), cfg, 20.0, 120.0, 401
+        spec, find_resonance(spec, 3), find_resonance(spec, 4), cfg, np.linspace(20.0, 120.0, 401)
     )
     argv = ["interfere", "--lambda", "-17.5", "--indices", "3,4", "--c1", "0.8,0",
             "--c2", "0.2,0.1", "--emin", "20", "--emax", "120", "--points", "401"]
@@ -884,7 +932,11 @@ def _interfere_case():
 
 
 def _cross_section_case():
-    bundle = cross_section_bundle(PotentialSpec(lam=100.0), 1, points=401, second_index=2)
+    # the command line's default window, E_R +/- 10 Gamma_R
+    spec = PotentialSpec(lam=100.0)
+    pole = find_resonance(spec, 1)
+    grid = np.linspace(pole.e_R - 10.0 * pole.gamma_R, pole.e_R + 10.0 * pole.gamma_R, 401)
+    bundle = cross_section_bundle(spec, pole, grid, second_index=2)
     argv = ["cross-section", "--lambda", "100", "--index", "1", "--second-index", "2",
             "--points", "401"]
     names = ["E", "exact", "laurent", "e_unitarized", "k_unitarized", "two_pole"]
@@ -1212,7 +1264,7 @@ def test_curve_bytes_do_not_depend_on_log10(shift, monkeypatch):
 def test_virtual_spectrum_zero_column_matches_per_cell_format(fmt, capsys):
     # a zero-width pole has an all-zero Breit-Wigner: every JSON cell is flagged
     spec = PotentialSpec(lam=-0.5)
-    curve = spectrum_curve(spec, find_virtual_state(spec), 0.001, 2.0, 401)
+    curve = spectrum_curve(spec, find_virtual_state(spec), np.linspace(0.001, 2.0, 401))
     assert not curve.breit_wigner.any()
     argv = ["spectrum", "--lambda", "-0.5", "--virtual", "--emin", "0.001", "--emax", "2",
             "--points", "401", "--format", fmt]
@@ -1280,13 +1332,13 @@ def test_public_names_resolve_lazily():
     run_python("""
 import importlib, sys
 import deltashell
-lazy = {"CrossSectionBundle", "matrix_element", "spectrum_curve", "decay_energy_spectrum",
-        "interference_curve"}
+lazy = {"CrossSectionBundle", "matrix_element", "spectrum_curve", "interference_curve"}
 removed = {"QuadratureRequest", "integrate_semi_infinite", "ToleranceNotMet", "perturbation_rhs",
            "NormalizationData", "JostPair", "s_matrix_energy", "resonant_wavefunction",
            "multi_spectrum", "jost", "s_matrix", "PoleHit", "decay_width_total",
            "decay_constant_total", "golden_rule_sharp", "decay_width_differential",
-           "decay_constant_differential", "unitarized_ratio"}
+           "decay_constant_differential", "unitarized_ratio", "decay_energy_spectrum",
+           "interference_spectrum"}
 assert not removed & set(deltashell.__all__)
 for name in removed:
     try:
@@ -1324,10 +1376,12 @@ for module in ("errors", "lambertw", "potential", "poles", "observables", "cli",
 
 # the package's public names at the release before each module's __all__
 # became the only list of them, less jost, s_matrix and PoleHit, which left
-# when the exact cross section stopped calling the Jost functions, and less
-# the six that only re-read a table row or fed the test-side checks
+# when the exact cross section stopped calling the Jost functions, less the
+# six that only re-read a table row or fed the test-side checks, and less the
+# two pointwise lineshapes, whose curves now take the energies
 _DELETED = ("decay_width_total", "decay_constant_total", "golden_rule_sharp",
-            "decay_width_differential", "decay_constant_differential", "unitarized_ratio")
+            "decay_width_differential", "decay_constant_differential", "unitarized_ratio",
+            "decay_energy_spectrum", "interference_spectrum")
 _PUBLIC_NAMES = {
     "__version__", "DegeneratePole", "DeltaShellError", "InvalidInput", "NonConvergence",
     "NoSuchPole", "ObservablesRecord", "Pole", "PoleKind", "PotentialSpec",
@@ -1338,15 +1392,14 @@ _PUBLIC_NAMES = {
     "cross_section_exact", "cross_section_k_unitarized", "cross_section_laurent",
     "cross_section_two_pole",
     "matrix_element", "matrix_element_squared",
-    "InterferenceConfig", "SpectrumCurve", "decay_energy_spectrum", "interference_curve",
-    "interference_spectrum", "spectrum_curve",
+    "InterferenceConfig", "SpectrumCurve", "interference_curve", "spectrum_curve",
 }
 
 
 def test_public_surface_comes_from_the_modules():
     # deltashell.__all__ is built from the modules' own lists; _GRID names the
     # grid layer's lists without importing numpy, so a test ties the two
-    assert len(deltashell.__all__) == len(set(deltashell.__all__)) == 36
+    assert len(deltashell.__all__) == len(set(deltashell.__all__)) == 34
     assert set(deltashell.__all__) == _PUBLIC_NAMES
     for name in _DELETED:
         assert name not in deltashell.__all__, name

@@ -36,6 +36,7 @@ from deltashell import (
     find_bound_state,
     find_resonance,
     find_virtual_state,
+    interference_curve,
     matrix_element_squared,
     observables_record,
 )
@@ -257,10 +258,10 @@ def test_interference_norm_matches_quadrature_and_mpmath(lam, i1, i2):
     p1, p2 = find_resonance(spec, i1), find_resonance(spec, i2)
     cfg = InterferenceConfig(c1=0.6 - 0.2j, c2=-0.3 + 0.7j)
     raw = InterferenceConfig(c1=cfg.c1, c2=cfg.c2, renormalize=False)
-    norm = spectra._interference(spec, p1, p2, cfg, 1.0)[1]
+    norm = interference_curve(spec, p1, p2, cfg, 1.0).normalization_used
 
     extra = tuple(p2.e_R + s * j * 0.5 * p2.gamma_R for j in (1, 2, 4, 8, 16, 32) for s in (-1, 1))
-    quad = _quad(lambda e: spectra._interference(spec, p1, p2, raw, e)[0],
+    quad = _quad(lambda e: interference_curve(spec, p1, p2, raw, e).dP_dE,
                  p1.e_R, 0.5 * p1.gamma_R, norm, extra=extra)
     assert norm == pytest.approx(quad, rel=2e-11)
 
@@ -291,8 +292,8 @@ def test_interference_norm_keeps_its_bits_when_the_poles_are_swapped():
             p1, p2 = find_resonance(spec, i), find_resonance(spec, j)
         except NonConvergence:  # the absolute pole gate, at large |lam|
             continue
-        norm = spectra._interference(spec, p1, p2, InterferenceConfig(c1=c1, c2=c2), 1.0)[1]
-        swapped = spectra._interference(spec, p2, p1, InterferenceConfig(c1=c2, c2=c1), 1.0)[1]
+        norm = interference_curve(spec, p1, p2, InterferenceConfig(c1, c2), 1.0).normalization_used
+        swapped = interference_curve(spec, p2, p1, InterferenceConfig(c2, c1), 1.0).normalization_used
         assert norm.hex() == swapped.hex(), (lam, i, j, c1, c2)
         checked += 1
     assert checked > 300
@@ -311,9 +312,10 @@ def test_production_path_runs_no_quadrature(monkeypatch):
     for lam in (100.0, -0.5, -10.0, 0.05):
         cli.table_records(PotentialSpec(lam=lam), 6)
     spec = PotentialSpec(lam=-0.5)
-    curve = cli.spectrum_curve(spec, find_virtual_state(spec), 0.01, 5.0, 101)
+    curve = cli.spectrum_curve(spec, find_virtual_state(spec), np.linspace(0.01, 5.0, 101))
     assert curve.normalization_used > 0.0
     spec = PotentialSpec(lam=10.0)
     p1, p2 = find_resonance(spec, 1), find_resonance(spec, 2)
-    curve = cli.interference_curve(spec, p1, p2, InterferenceConfig(), 1.0, 60.0, 101)
+    grid = np.linspace(1.0, 60.0, 101)
+    curve = cli.interference_curve(spec, p1, p2, InterferenceConfig(), grid)
     assert curve.normalization_used > 0.0

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import deltashell
+import deltashell.cli as cli
 from deltashell import (
     InvalidInput,
     PotentialSpec,
@@ -241,39 +242,54 @@ def test_column_past_the_largest_float_is_refused_not_inf(name, e):
     assert cross_section_exact(spec, first) == pytest.approx(4 * math.pi * 144 / 169)
 
 
-def test_bundle_columns_and_window():
+def _cli_energies(argv, capsys):
+    """The E column of a cross-section command line."""
+    assert cli.main(["cross-section", *argv]) == 0
+    return [float(row.split(",")[0]) for row in capsys.readouterr().out.splitlines()[1:]]
+
+
+def test_bundle_columns_and_window(capsys):
+    # the bundle is every column on the energies it is given; the command line
+    # builds them, by default on E_R +/- 10 Gamma_R
     spec = PotentialSpec(lam=100.0)
-    bundle = cross_section_bundle(spec, 3, points=501)
     pole = find_resonance(spec, 3)
-    assert bundle.grid[0] == pytest.approx(pole.e_R - 10 * pole.gamma_R)
-    assert bundle.grid[-1] == pytest.approx(pole.e_R + 10 * pole.gamma_R)
-    assert bundle.two_pole is None
+    grid = np.linspace(pole.e_R - 10 * pole.gamma_R, pole.e_R + 10 * pole.gamma_R, 501)
+    bundle = cross_section_bundle(spec, pole, grid)
+    assert bundle.grid is grid and bundle.two_pole is None
     assert np.all(bundle.exact <= 4 * np.pi / bundle.grid + 1e-9)
-    with_second = cross_section_bundle(spec, 1, points=101, second_index=2)
+    with_second = cross_section_bundle(spec, find_resonance(spec, 1), np.linspace(1.0, 60.0, 101),
+                                       second_index=2)
     assert with_second.two_pole is not None and len(with_second.two_pole) == 101
+    energies = _cli_energies(["--lambda", "100", "--index", "3", "--points", "501"], capsys)
+    assert len(energies) == 501
+    assert energies[0] == pytest.approx(pole.e_R - 10 * pole.gamma_R)
+    assert energies[-1] == pytest.approx(pole.e_R + 10 * pole.gamma_R)
 
 
-def test_bundle_window_clipped_positive_for_broad_pole():
-    spec = PotentialSpec(lam=0.5)
-    bundle = cross_section_bundle(spec, 1, points=101)
-    assert bundle.grid[0] > 0.0
+def test_bundle_window_clipped_positive_for_broad_pole(capsys):
+    # the command line's default lower edge is clipped to 1e-6 E_R > 0
+    pole = find_resonance(PotentialSpec(lam=0.5), 1)
+    assert pole.e_R - 10 * pole.gamma_R < 0.0
+    energies = _cli_energies(["--lambda", "0.5", "--index", "1", "--points", "101"], capsys)
+    assert energies[0] > 0.0 and energies[0] == pytest.approx(1e-6 * pole.e_R)
 
 
 @pytest.mark.parametrize("lam", (-1e-200, -1e-150))
-def test_bundle_refuses_an_empty_default_window_by_name(lam):
+def test_bundle_refuses_an_empty_default_window_by_name(lam, capsys):
     # E_R < 0 and Gamma_R << |E_R|: E_R +/- 10 Gamma_R holds no positive energy,
-    # and the refusal names the pole and its window, not bounds never given
+    # and the command line's refusal names the pole and its window, not bounds
+    # never given; a given window answers
     spec = PotentialSpec(lam=lam)
     pole = find_resonance(spec, 1)
     assert pole.e_R + 10.0 * pole.gamma_R < 0.0
     message = (f"the default window E_R +/- 10 Gamma_R of resonance 1 at strength {lam!r} "
                f"(E_R = {pole.e_R!r}, Gamma_R = {pole.gamma_R!r}) is empty once clipped "
                "to positive energies; give one with --emin and --emax")
-    for window in ({}, {"e_min": 1.0}):
-        with pytest.raises(InvalidInput) as info:
-            cross_section_bundle(spec, 1, points=11, **window)
-        assert str(info.value) == message
-    bundle = cross_section_bundle(spec, 1, 1.0, 2.0, points=11)
-    assert bundle.grid[0] == 1.0 and bundle.grid[-1] == 2.0
-    with pytest.raises(InvalidInput, match=r"^need 0 < e_min < e_max < inf$"):
-        cross_section_bundle(spec, 1, 2.0, 1.0, points=11)
+    line = ["cross-section", "--lambda", repr(lam), "--index", "1", "--points", "11"]
+    for window in ([], ["--emin", "1"]):
+        assert cli.main(line + window) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+    energies = _cli_energies(line[1:] + ["--emin", "1", "--emax", "2"], capsys)
+    assert energies[0] == 1.0 and energies[-1] == 2.0
+    assert cli.main(line + ["--emin", "2", "--emax", "1"]) == 2
+    assert capsys.readouterr() == ("", "error: need 0 < e_min < e_max < inf\n")

@@ -22,7 +22,6 @@ from deltashell import (
     Pole,
     PoleKind,
     PotentialSpec,
-    decay_energy_spectrum,
     enumerate_poles,
     find_anti_resonance,
     find_bound_state,
@@ -30,6 +29,7 @@ from deltashell import (
     find_virtual_state,
     matrix_element_squared,
     observables_record,
+    spectrum_curve,
     table_records,
 )
 from conftest import TABLE_LAMBDAS, assert_printed, golden_rows, place_tol, sigfig_tol
@@ -135,14 +135,14 @@ def test_differential_relations():
     gbar = observables_record(spec, pole).gamma_bar
     grid = np.linspace(0.5, 120.0, 700)
     dgbar = pole.gamma_R * matrix_element_squared(spec, pole, grid) / np.abs(grid - pole.z) ** 2
-    assert np.allclose(dgbar, gbar * decay_energy_spectrum(spec, pole, grid), rtol=1e-13, atol=0.0)
+    assert np.allclose(dgbar, gbar * spectrum_curve(spec, pole, grid).dP_dE, rtol=1e-13, atol=0.0)
     # peak value collapses to (4 / Gamma_R) M^2(E_R)
-    peak = gbar * decay_energy_spectrum(spec, pole, pole.e_R)
+    peak = gbar * spectrum_curve(spec, pole, pole.e_R).dP_dE
     assert peak == pytest.approx(
         4.0 / pole.gamma_R * matrix_element_squared(spec, pole, pole.e_R), rel=1e-13
     )
     for m in (1, 3, 7):
-        assert gbar * decay_energy_spectrum(spec, pole, (m * math.pi) ** 2) < 1e-18
+        assert gbar * spectrum_curve(spec, pole, (m * math.pi) ** 2).dP_dE < 1e-18
 
 
 def test_gamma_is_width_over_pole_width(all_records):
@@ -197,7 +197,7 @@ def test_anti_resonance_rejected():
     with pytest.raises(InvalidInput):
         observables_record(spec, anti)
     with pytest.raises(InvalidInput):
-        decay_energy_spectrum(spec, anti, 5.0)
+        spectrum_curve(spec, anti, 5.0)
 
 
 def test_decay_constant_trend(all_records):

@@ -177,17 +177,17 @@ def _curve_cases(lam):
     cfg = InterferenceConfig(c1=0.6 + 0.2j, c2=-0.3 + 0.7j)
 
     def spectrum(lo, hi):
-        c = spectrum_curve(spec, p1, lo, hi, 301)
+        c = spectrum_curve(spec, p1, np.linspace(lo, hi, 301))
         return [("E", c.grid, -2), ("dP_dE", c.dP_dE, 2), ("breit_wigner", c.breit_wigner, 2),
                 ("matrix_element", c.matrix_element, -2)]
 
     def cross_section(lo, hi):
-        b = cross_section_bundle(spec, 1, lo, hi, 301, second_index=2)
+        b = cross_section_bundle(spec, p1, np.linspace(lo, hi, 301), second_index=2)
         return [("E", b.grid, -2)] + [(name, getattr(b, name), 2) for name in (
             "exact", "laurent", "e_unitarized", "k_unitarized", "two_pole")]
 
     def interfere(lo, hi):
-        c = interference_curve(spec, p1, p2, cfg, lo, hi, 301)
+        c = interference_curve(spec, p1, p2, cfg, np.linspace(lo, hi, 301))
         return [("E", c.grid, -2), ("dP_dE", c.dP_dE, 2)]
 
     return (lo, hi), [
@@ -272,7 +272,7 @@ def test_curve_scaling_whose_radius_squared_overflows(monkeypatch):
     curve = json.loads(_run(argv + ["--no-companions", "--format", "json"])[1])["curve"]
     spec = PotentialSpec(lam=3.0)
     lo, hi = Fraction(1e-300) * Fraction(1e160) ** 2, Fraction(2e-300) * Fraction(1e160) ** 2
-    unit = spectrum_curve(spec, find_resonance(spec, 1), float(lo), float(hi), 3)
+    unit = spectrum_curve(spec, find_resonance(spec, 1), np.linspace(float(lo), float(hi), 3))
     for got, x in zip(curve["dP_dE"], unit.dP_dE.tolist(), strict=True):
         assert _exact_ulps(got, Fraction(x) * Fraction(1e160) ** 2) <= 3
     assert curve["E"][0] == 1e-300

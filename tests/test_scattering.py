@@ -317,11 +317,14 @@ def test_anti_resonance_rejected_by_matrix_element(spec100):
 
 _CFG = InterferenceConfig()
 # every public evaluator of energies, each as f(spec, pole, e); a pole-pair
-# evaluator takes resonance 1 of the spec as its second pole
+# evaluator takes resonance 1 of the spec as its second pole. A curve returns
+# its record, whose grid is e and whose columns are 0-d for a scalar e
 _ENERGY_EVALUATORS = {
-    "decay_energy_spectrum": spectra.decay_energy_spectrum,
-    "interference_spectrum": lambda spec, pole, e: spectra.interference_spectrum(
+    "spectrum_curve": spectra.spectrum_curve,
+    "interference_curve": lambda spec, pole, e: spectra.interference_curve(
         spec, pole, find_resonance(spec, 1), _CFG, e),
+    "cross_section_bundle": lambda spec, pole, e: cross_sections.cross_section_bundle(
+        spec, pole, e, second_index=1),
     "matrix_element_squared": matrix_element_squared,
     "matrix_element": matrix_element,
     "cross_section_exact": lambda spec, pole, e: cross_sections.cross_section_exact(spec, e),
@@ -332,15 +335,26 @@ _ENERGY_EVALUATORS = {
         spec, pole, find_resonance(spec, 1), e),
 }
 _ANY_POLE = {"matrix_element_squared", "matrix_element", "cross_section_exact"}
+_CURVES = {"spectrum_curve", "interference_curve", "cross_section_bundle"}
 
 
 @pytest.mark.parametrize("name", sorted(_ENERGY_EVALUATORS))
 def test_energy_evaluator_returns_a_scalar_for_a_scalar(name, spec100):
     f = _ENERGY_EVALUATORS[name]
     pole = find_resonance(spec100, 2)
-    assert type(f(spec100, pole, 7.5)) in (float, complex)
-    out = f(spec100, pole, np.array([2.0, 7.5, 30.0]))
-    assert type(out) is np.ndarray and out.shape == (3,)
+    if name in _CURVES:
+        curve = f(spec100, pole, 7.5)
+        assert curve.grid.shape == () and curve.grid == 7.5
+        assert all(np.shape(col) == () for col in vars(curve).values() if col is not None)
+        grid = np.array([2.0, 7.5, 30.0])
+        curve = f(spec100, pole, grid)
+        assert np.array_equal(curve.grid, grid)
+        columns = [col for col in vars(curve).values() if isinstance(col, np.ndarray)]
+        assert len(columns) >= 2 and all(col.shape == (3,) for col in columns)
+    else:
+        assert type(f(spec100, pole, 7.5)) in (float, complex)
+        out = f(spec100, pole, np.array([2.0, 7.5, 30.0]))
+        assert type(out) is np.ndarray and out.shape == (3,)
     for e in (0.0, -1.0, np.array([2.0, 0.0, 30.0])):
         with pytest.raises(InvalidInput, match="^scattering energy must be positive$"):
             f(spec100, pole, e)

@@ -15,17 +15,14 @@ from deltashell import (
     InterferenceConfig,
     InvalidInput,
     PotentialSpec,
-    decay_energy_spectrum,
     find_anti_resonance,
     find_resonance,
     find_virtual_state,
     interference_curve,
-    interference_spectrum,
     matrix_element_squared,
     observables_record,
     spectrum_curve,
 )
-from grid_helpers import multi_spectrum
 from quadrature_oracle import QuadratureRequest, integrate_semi_infinite
 
 
@@ -37,7 +34,7 @@ def spectrum_norm(spec, pole, rel_tol=1e-9):
         oscillation_wavenumber=math.pi,
         rel_tol=rel_tol,
     )
-    value, _ = integrate_semi_infinite(lambda e: decay_energy_spectrum(spec, pole, e), req)
+    value, _ = integrate_semi_infinite(lambda e: spectrum_curve(spec, pole, e).dP_dE, req)
     return value
 
 
@@ -58,7 +55,7 @@ def test_spectrum_equals_width_spectrum_pointwise():
     pole = find_resonance(spec, 3)
     grid = np.linspace(1.0, 160.0, 800)
     gbar = observables_record(spec, pole).gamma_bar
-    lhs = decay_energy_spectrum(spec, pole, grid)
+    lhs = spectrum_curve(spec, pole, grid).dP_dE
     dgbar = pole.gamma_R * matrix_element_squared(spec, pole, grid) / np.abs(grid - pole.z) ** 2
     rhs = dgbar / gbar
     assert np.allclose(lhs, rhs, rtol=1e-12, atol=0.0)
@@ -69,11 +66,15 @@ def test_spectrum_curve_columns_have_the_bits_of_each_function(lam, n):
     # the kernel forms M^2 and |E - z|^2 once and reads every column from them
     spec = PotentialSpec(lam=lam)
     pole = find_resonance(spec, n) if n else find_virtual_state(spec)
-    curve = spectrum_curve(spec, pole, 0.01, 160.0, 801)
-    grid = curve.grid
-    assert curve.dP_dE.tobytes() == decay_energy_spectrum(spec, pole, grid).tobytes()
-    assert curve.matrix_element.tobytes() == matrix_element_squared(spec, pole, grid).tobytes()
+    grid = np.linspace(0.01, 160.0, 801)
+    curve = spectrum_curve(spec, pole, grid)
+    assert curve.grid is grid
+    m2, gamma = matrix_element_squared(spec, pole, grid), observables_record(spec, pole).gamma
+    # dP/dE = M^2 / |E - z|^2 / Gamma, with |E - z|^2 formed as the kernel forms it
+    assert np.allclose(curve.dP_dE, m2 / np.abs(grid - pole.z) ** 2 / gamma, rtol=1e-14, atol=0)
     hw = 0.5 * pole.gamma_R
+    assert curve.dP_dE.tobytes() == (m2 / ((grid - pole.e_R) ** 2 + hw * hw) / gamma).tobytes()
+    assert curve.matrix_element.tobytes() == m2.tobytes()
     if n:
         lorentzian = (hw / np.pi) / ((grid - pole.e_R) ** 2 + hw * hw)
         assert curve.breit_wigner.tobytes() == lorentzian.tobytes()
@@ -90,7 +91,7 @@ def test_spectrum_curve_forms_m2_and_the_denominator_once(monkeypatch):
             return _real(*args)
         monkeypatch.setattr(spectra, name, counted)
     spec = PotentialSpec(lam=12.0)
-    spectrum_curve(spec, find_resonance(spec, 2), 0.01, 160.0, 20001)
+    spectrum_curve(spec, find_resonance(spec, 2), np.linspace(0.01, 160.0, 20001))
     assert calls == {"matrix_element_squared": 1, "_lorentz_denominator": 1}
 
 
@@ -110,7 +111,7 @@ def test_differentials_check_the_energies_once(name, monkeypatch):
     spec = PotentialSpec(lam=12.0)
     pole = find_resonance(spec, 2)
     grid = np.linspace(0.01, 160.0, 801)
-    out = decay_energy_spectrum(spec, pole, grid)
+    out = spectrum_curve(spec, pole, grid).dP_dE
     assert calls == {"_energies": 1}
     m2 = matrix_element_squared(spec, pole, grid)
     hw = 0.5 * pole.gamma_R
@@ -128,7 +129,7 @@ def test_zeros_inherited_from_matrix_element():
     spec = PotentialSpec(lam=100.0)
     pole = find_resonance(spec, 3)
     for m in (2, 4, 6):
-        val = decay_energy_spectrum(spec, pole, (m * math.pi) ** 2)
+        val = spectrum_curve(spec, pole, (m * math.pi) ** 2).dP_dE
         assert val < 1e-22
 
 
@@ -136,13 +137,13 @@ def test_sharp_peak_location_and_asymmetry():
     spec = PotentialSpec(lam=100.0)
     pole = find_resonance(spec, 3)
     grid = np.linspace(pole.e_R - 2 * pole.gamma_R, pole.e_R + 2 * pole.gamma_R, 20001)
-    values = decay_energy_spectrum(spec, pole, grid)
+    values = spectrum_curve(spec, pole, grid).dP_dE
     peak = grid[np.argmax(values)]
     assert pole.e_R - pole.gamma_R <= peak <= pole.e_R + pole.gamma_R
     assert abs(peak - pole.e_R) > 5.0 * (grid[1] - grid[0])  # skewed off the pole energy
     delta = pole.gamma_R
-    up = decay_energy_spectrum(spec, pole, pole.e_R + delta)
-    down = decay_energy_spectrum(spec, pole, pole.e_R - delta)
+    up = spectrum_curve(spec, pole, pole.e_R + delta).dP_dE
+    down = spectrum_curve(spec, pole, pole.e_R - delta).dP_dE
     assert abs(up - down) > 1e-3 * max(up, down)
 
 
@@ -153,7 +154,7 @@ def test_sharp_spectrum_tracks_breit_wigner_near_peak():
     spec = PotentialSpec(lam=100.0)
     pole = find_resonance(spec, 3)
     curve = spectrum_curve(
-        spec, pole, pole.e_R - 5 * pole.gamma_R, pole.e_R + 5 * pole.gamma_R, 8001
+        spec, pole, np.linspace(pole.e_R - 5 * pole.gamma_R, pole.e_R + 5 * pole.gamma_R, 8001)
     )
     gamma_sharp = observables_record(spec, pole).gamma_sharp
     gamma = curve.normalization_used
@@ -177,8 +178,8 @@ def test_breit_wigner_column_symmetric_spectrum_not():
         (e - pole.e_R) ** 2 + (0.5 * pole.gamma_R) ** 2
     )
     assert np.allclose(bw(pole.e_R + delta), bw(pole.e_R - delta), rtol=1e-14)
-    up = decay_energy_spectrum(spec, pole, pole.e_R + delta)
-    down = decay_energy_spectrum(spec, pole, pole.e_R - delta)
+    up = spectrum_curve(spec, pole, pole.e_R + delta).dP_dE
+    down = spectrum_curve(spec, pole, pole.e_R - delta).dP_dE
     assert np.all(np.abs(up - down) > 1e-4 * np.maximum(up, down))
 
 
@@ -188,7 +189,7 @@ def test_threshold_enhancement_for_broad_resonance():
     # Breit-Wigner which rises monotonically toward E_R on (0, E_R)
     spec = PotentialSpec(lam=10.0)
     pole = find_resonance(spec, 3)
-    curve = spectrum_curve(spec, pole, 1e-3, 0.3 * pole.e_R, 4001)
+    curve = spectrum_curve(spec, pole, np.linspace(1e-3, 0.3 * pole.e_R, 4001))
     i_bump = int(np.argmax(curve.dP_dE))
     assert 0 < i_bump < len(curve.grid) - 1  # interior local maximum
     assert curve.grid[i_bump] < 0.1 * pole.e_R  # sits essentially at threshold
@@ -202,7 +203,7 @@ def test_virtual_spectrum_threshold_peak():
     # of the window, strictly decreasing beyond it, large peak-to-edge ratio
     spec = PotentialSpec(lam=-0.5)
     pole = find_virtual_state(spec)
-    curve = spectrum_curve(spec, pole, 1e-3, 2.0, 8001)
+    curve = spectrum_curve(spec, pole, np.linspace(1e-3, 2.0, 8001))
     i_peak = int(np.argmax(curve.dP_dE))
     assert curve.grid[i_peak] <= 0.15
     tail = curve.dP_dE[i_peak:]
@@ -212,29 +213,10 @@ def test_virtual_spectrum_threshold_peak():
 
 def test_multi_spectrum_peak_ordering():
     spec = PotentialSpec(lam=100.0)
-    curves = multi_spectrum(spec, [1, 2, 3], 1.0, 120.0, 60001)
+    grid = np.linspace(1.0, 120.0, 60001)
+    curves = [spectrum_curve(spec, find_resonance(spec, n), grid) for n in (1, 2, 3)]
     peaks = [float(np.max(c.dP_dE)) for c in curves]
     assert peaks[0] > peaks[1] > peaks[2]
-
-
-def test_multi_spectrum_wrappers():
-    spec = PotentialSpec(lam=100.0)
-    assert multi_spectrum(spec, [], 1.0, 10.0, 5) == []
-    single = multi_spectrum(spec, [2], 1.0, 50.0, 101)[0]
-    direct = spectrum_curve(spec, find_resonance(spec, 2), 1.0, 50.0, 101)
-    assert np.array_equal(single.dP_dE, direct.dP_dE)
-    assert single.normalization_used == direct.normalization_used
-
-
-def test_grid_validation():
-    spec = PotentialSpec(lam=100.0)
-    pole = find_resonance(spec, 1)
-    with pytest.raises(InvalidInput):
-        spectrum_curve(spec, pole, -1.0, 10.0, 100)
-    with pytest.raises(InvalidInput):
-        spectrum_curve(spec, pole, 5.0, 1.0, 100)
-    with pytest.raises(InvalidInput):
-        spectrum_curve(spec, pole, 1.0, 10.0, 1)
 
 
 @pytest.mark.parametrize("c1, c2", [
@@ -253,8 +235,8 @@ def test_interference_single_pole_reduction():
     cfg = InterferenceConfig(c1=0.8 + 0.1j, c2=0.0, renormalize=False)
     grid = np.linspace(2.0, 60.0, 400)
     gamma = observables_record(spec, p1).gamma
-    raw = interference_spectrum(spec, p1, p2, cfg, grid)
-    single = abs(cfg.c1) ** 2 * gamma * decay_energy_spectrum(spec, p1, grid)
+    raw = interference_curve(spec, p1, p2, cfg, grid).dP_dE
+    single = abs(cfg.c1) ** 2 * gamma * spectrum_curve(spec, p1, grid).dP_dE
     assert np.allclose(raw, single, rtol=1e-12, atol=1e-300)
 
 
@@ -263,12 +245,12 @@ def test_interference_swap_symmetry():
     p1 = find_resonance(spec, 1)
     p2 = find_resonance(spec, 2)
     grid = np.linspace(2.0, 60.0, 200)
-    direct = interference_spectrum(
+    direct = interference_curve(
         spec, p1, p2, InterferenceConfig(c1=0.6, c2=0.3 + 0.2j, renormalize=False), grid
-    )
-    swapped = interference_spectrum(
+    ).dP_dE
+    swapped = interference_curve(
         spec, p2, p1, InterferenceConfig(c1=0.3 + 0.2j, c2=0.6, renormalize=False), grid
-    )
+    ).dP_dE
     assert np.array_equal(direct, swapped)
 
 
@@ -284,7 +266,7 @@ def test_interference_renormalized_integrates_to_one():
     )
     extra = tuple(p2.e_R + s * j * 0.5 * p2.gamma_R for j in (1, 2, 4, 8) for s in (-1, 1))
     value, _ = integrate_semi_infinite(
-        lambda e: interference_spectrum(spec, p1, p2, cfg, e), req, extra_edges=extra
+        lambda e: interference_curve(spec, p1, p2, cfg, e).dP_dE, req, extra_edges=extra
     )
     assert abs(value - 1.0) <= 1e-6
 
@@ -295,11 +277,12 @@ def test_interference_cross_term_present_and_bounded():
     p2 = find_resonance(spec, 2)
     cfg = InterferenceConfig(renormalize=False)
     mid = 0.5 * (p1.e_R + p2.e_R)
-    both = interference_spectrum(spec, p1, p2, cfg, mid)
-    only1 = interference_spectrum(spec, p1, p2, InterferenceConfig(c1=cfg.c1, c2=0.0, renormalize=False), mid)
-    only2 = interference_spectrum(spec, p1, p2, InterferenceConfig(c1=0.0, c2=cfg.c2, renormalize=False), mid)
-    cross = both - only1 - only2
-    peak1 = interference_spectrum(spec, p1, p2, InterferenceConfig(c1=cfg.c1, c2=0.0, renormalize=False), p1.e_R)
+    def raw(c1, c2, e):
+        return interference_curve(spec, p1, p2, InterferenceConfig(c1, c2, False), e).dP_dE
+
+    both = raw(cfg.c1, cfg.c2, mid)
+    cross = both - raw(cfg.c1, 0.0, mid) - raw(0.0, cfg.c2, mid)
+    peak1 = raw(cfg.c1, 0.0, p1.e_R)
     assert cross != 0.0
     assert abs(cross) < peak1
 
@@ -309,10 +292,10 @@ def test_interference_requires_resonances():
     res = find_resonance(spec, 1)
     virt = find_virtual_state(spec)
     with pytest.raises(InvalidInput):
-        interference_spectrum(spec, res, virt, InterferenceConfig(), 1.0)
+        interference_curve(spec, res, virt, InterferenceConfig(), 1.0)
     anti = find_anti_resonance(spec, 1)
     with pytest.raises(InvalidInput):
-        interference_spectrum(spec, res, anti, InterferenceConfig(), 1.0)
+        interference_curve(spec, res, anti, InterferenceConfig(), 1.0)
 
 
 @pytest.mark.parametrize("lam, kinds", (
@@ -332,9 +315,9 @@ def test_interference_curve_and_spectrum_require_resonances(lam, kinds):
     }
     p1, p2 = (make[kind](i) for i, kind in enumerate(kinds, start=1))
     with pytest.raises(InvalidInput, match="operation defined for resonance poles"):
-        interference_spectrum(spec, p1, p2, InterferenceConfig(), 1.0)
+        interference_curve(spec, p1, p2, InterferenceConfig(), 1.0)
     with pytest.raises(InvalidInput, match="operation defined for resonance poles"):
-        interference_curve(spec, p1, p2, InterferenceConfig(), 1.0, 50.0, 5)
+        interference_curve(spec, p1, p2, InterferenceConfig(), np.linspace(1.0, 50.0, 5))
 
 
 def test_interference_config_validation():
@@ -350,12 +333,12 @@ def test_interference_curve_normalization_used():
     p2 = find_resonance(spec, 2)
     for cfg in (InterferenceConfig(), InterferenceConfig(c1=1.0, c2=1.0),
                 InterferenceConfig(c1=1.0, c2=0.0), InterferenceConfig(c1=1e-3, c2=0.0)):
-        curve = interference_curve(spec, p1, p2, cfg, 2.0, 60.0, 301)
+        grid = np.linspace(2.0, 60.0, 301)
+        curve = interference_curve(spec, p1, p2, cfg, grid)
+        assert curve.grid is grid
         assert curve.breit_wigner is None and curve.matrix_element is None
         assert curve.normalization_used > 0.0
-        raw = interference_curve(
-            spec, p1, p2, replace(cfg, renormalize=False), 2.0, 60.0, 301
-        )
+        raw = interference_curve(spec, p1, p2, replace(cfg, renormalize=False), grid)
         assert raw.normalization_used == 1.0
         assert np.allclose(raw.dP_dE / curve.normalization_used, curve.dP_dE, rtol=1e-14)
 
@@ -377,11 +360,11 @@ def test_renormalized_interference_bits_do_not_depend_on_a_common_scale(lam, fir
     assume(c1 != 0 or c2 != 0)
     spec = PotentialSpec(lam=lam)
     p1, p2 = find_resonance(spec, first), find_resonance(spec, first + 1)
-    window = (0.5 * p1.e_R, 1.5 * p2.e_R, 64)
-    base = interference_curve(spec, p1, p2, InterferenceConfig(c1=c1, c2=c2), *window)
+    grid = np.linspace(0.5 * p1.e_R, 1.5 * p2.e_R, 64)
+    base = interference_curve(spec, p1, p2, InterferenceConfig(c1=c1, c2=c2), grid)
     scale = 2.0**k
     scaled = interference_curve(
-        spec, p1, p2, InterferenceConfig(c1=c1 * scale, c2=c2 * scale), *window
+        spec, p1, p2, InterferenceConfig(c1=c1 * scale, c2=c2 * scale), grid
     )
     assert np.isfinite(base.dP_dE).all()
     assert np.array_equal(base.dP_dE.view(np.uint64), scaled.dP_dE.view(np.uint64))
@@ -400,9 +383,9 @@ def test_raw_interference_past_the_largest_float_is_refused():
     cfg = InterferenceConfig(c1=1e160, c2=1.0, renormalize=False)
     message = "interference spectrum at strength 12.0 exceeds the largest float at E = 30.0"
     with pytest.raises(InvalidInput, match=f"^{message}$"):
-        interference_curve(spec, p1, p2, cfg, 30.0, 60.0, 3)
+        interference_curve(spec, p1, p2, cfg, np.linspace(30.0, 60.0, 3))
     with pytest.raises(InvalidInput, match="exceeds the largest float"):
-        interference_spectrum(spec, p1, p2, cfg, 45.0)
+        interference_curve(spec, p1, p2, cfg, 45.0)
 
 
 def test_wide_grid_trapezoid_area():
@@ -414,21 +397,22 @@ def test_wide_grid_trapezoid_area():
     coarse = np.geomspace(1e-4, 2000.0, 30001)
     fine = np.linspace(pole.e_R - 20 * pole.gamma_R, pole.e_R + 20 * pole.gamma_R, 30001)
     grid = np.unique(np.concatenate([coarse, fine]))
-    area = np.trapezoid(decay_energy_spectrum(spec, pole, grid), grid)
+    area = np.trapezoid(spectrum_curve(spec, pole, grid).dP_dE, grid)
     assert 0.95 <= area <= 1.0
 
     specv = PotentialSpec(lam=-0.5)
     pole_v = find_virtual_state(specv)
     grid_v = np.geomspace(1e-6, 5000.0, 60001)
-    area_v = np.trapezoid(decay_energy_spectrum(specv, pole_v, grid_v), grid_v)
+    area_v = np.trapezoid(spectrum_curve(specv, pole_v, grid_v).dP_dE, grid_v)
     assert 0.95 <= area_v <= 1.0
 
 
 def test_nonnegative_everywhere():
     spec = PotentialSpec(lam=10.0)
     pole = find_resonance(spec, 1)
-    curve = spectrum_curve(spec, pole, 1e-3, 300.0, 3000)
+    grid = np.linspace(1e-3, 300.0, 3000)
+    curve = spectrum_curve(spec, pole, grid)
     assert np.all(curve.dP_dE >= 0.0)
     p2 = find_resonance(spec, 2)
-    icurve = interference_curve(spec, pole, p2, InterferenceConfig(), 1e-3, 300.0, 3000)
+    icurve = interference_curve(spec, pole, p2, InterferenceConfig(), grid)
     assert np.all(icurve.dP_dE >= 0.0)
