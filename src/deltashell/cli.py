@@ -11,7 +11,8 @@ once per format at import (_LAYOUTS). A float is written as `%.9g` in CSV
 and as float("%.9g" % x) in JSON, a str or an int as itself, None as an
 empty cell and as null. Row bodies are written by `%` templates (_emit_rows)
 and curve bodies by a numpy kernel (_cells), with no Python code per cell,
-in the bytes of formatting value by value.
+in the bytes of formatting value by value. A curve is written block by block,
+as the kernel makes each (_write), and every refusal comes before its first byte.
 
 Units. The library works in units of the radius and in reduced units
 (a = 1, ħ²/2m = 1, E = k²). This module alone owns a and ħ²/2m =
@@ -112,12 +113,13 @@ def _meta(spec=None, a=1.0, units="reduced") -> dict:
     return meta
 
 
-def _write(args, text: str) -> None:
+def _write(args, *parts) -> None:
+    """Each part, an iterable of str, written in order to stdout or to the --output file."""
     if args.output:
         with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(chain.from_iterable(parts))
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chain.from_iterable(parts))
 
 
 _TINY = sys.float_info.min  # the smallest normal float
@@ -197,14 +199,14 @@ def _emit_rows(args, spec, columns, rows, scales=None) -> None:
         payload = [dict(zip(names, map(_json_value, row))) for row in rows]
         meta = _meta() if spec is None else _meta(spec, args.radius, args.units)
         doc = json.dumps({"meta": meta, "rows": payload}, separators=(",", ":"))
-        _write(args, doc + "\n")
+        _write(args, [doc + "\n"])
         return
     lines = [header] + [
         template if None not in row
         else ",".join("%.0s" if x is None else cell for cell, x in zip(cells, row))
         for row in rows
     ]
-    _write(args, "\n".join(lines) % tuple(chain.from_iterable(rows)) + "\n")
+    _write(args, ["\n".join(lines) % tuple(chain.from_iterable(rows)) + "\n"])
 
 
 _PLOT_SCRIPT = """\
@@ -348,10 +350,13 @@ def _cells(block, json_tokens: bool = False) -> str:
     return text % tuple(tokens) if tokens else text
 
 
-def _json_array(col) -> str:
-    """A float64 array as the JSON array json.dumps writes for its `%.9g` roundings."""
-    cells = "".join(_cells(col[i:i + _BLOCK, None], True) for i in range(0, len(col), _BLOCK))
-    return f"[{cells[:-1]}]"
+def _json_array(col):
+    """col as json.dumps writes its `%.9g` roundings, a kernel block at a time: '[', the
+    blocks as they are made, the last one's ',' made ']'."""
+    yield "["
+    for i in range(0, len(col), _BLOCK):
+        cells = _cells(col[i:i + _BLOCK, None], True)
+        yield cells if i + _BLOCK < len(col) else cells[:-1] + "]"
 
 
 def _scaled_column(col, scale):
@@ -405,9 +410,9 @@ def _grid(args, scales, pole=None):
 
 
 def _emit_curve(args, spec, scales, grid, columns) -> None:
-    """columns: ordered (name, array-or-None) pairs; None columns are dropped, and
-    the rest scaled as _emit_rows scales a row. The kernel (_cells) writes CSV in
-    blocks of whole rows and JSON column by column (see _json_array)."""
+    """columns: ordered (name, array-or-None) pairs; None columns are dropped, and the rest
+    scaled as _emit_rows scales a row, all before the first byte. Each block of the kernel
+    (_cells), whole CSV rows or one JSON column's cells, is written as it is made."""
     import numpy as np  # curves are numpy arrays already; row commands never get here
 
     kept = [("E", grid)] + [(name, col) for name, col in columns if col is not None]
@@ -417,14 +422,15 @@ def _emit_curve(args, spec, scales, grid, columns) -> None:
                   for name, col in kept]
     if args.format == "json":
         meta = json.dumps(_meta(spec, args.radius), separators=(",", ":"))
-        curve = ",".join(f"{json.dumps(name)}:{_json_array(col)}"
-                         for name, col in zip(names, series))
-        _write(args, f'{{"meta":{meta},"curve":{{{curve}}}}}\n')
+        heads = [f'{{"meta":{meta},"curve":{{'] + [","] * (len(names) - 1)
+        parts = [([f"{head}{json.dumps(name)}:"], _json_array(col))
+                 for head, name, col in zip(heads, names, series)]
+        _write(args, *chain.from_iterable(parts), ["}}\n"])
         return
     table = np.column_stack(series)
     step = _BLOCK // len(series)
-    body = "".join(_cells(table[i:i + step]) for i in range(0, len(table), step))
-    _write(args, f"{','.join(names)}\n{body}")
+    _write(args, [f"{','.join(names)}\n"],
+           (_cells(table[i:i + step]) for i in range(0, len(table), step)))
     if args.emit_plot_script:  # main has checked --output and --format csv
         with open(args.output + "_plot.py", "w", encoding="utf-8", newline="\n") as fh:
             fh.write(_PLOT_SCRIPT.format(csv=args.output))

@@ -64,6 +64,14 @@ def _residue_e(spec: PotentialSpec, pole: Pole) -> complex:
     return -2j * pole.k * zeldovich_norm(spec, pole)
 
 
+def _finite(f, spec: PotentialSpec, e, out):
+    """f's values out at energies e; InvalidInput names the first energy where one is not finite."""
+    if not (finite := np.isfinite(out)).all():
+        raise InvalidInput(f"{f.__name__} at strength {spec.lam!r} exceeds the largest "
+                           f"float at E = {float(e[~finite].flat[0])!r}")
+    return out
+
+
 def _column(f):
     """f(spec, *poles, e) on resonances and checked energies, its numpy warnings silenced:
     a scalar or array, or InvalidInput naming the first energy past the largest float."""
@@ -74,18 +82,16 @@ def _column(f):
             _require_kind(pole, PoleKind.RESONANCE)
         e = _energies(e)
         with np.errstate(all="ignore"):  # a non-finite cell is refused below
-            out = f(spec, *poles, e)
-        if not (finite := np.isfinite(out)).all():
-            raise InvalidInput(f"{f.__name__} at strength {spec.lam!r} exceeds the largest "
-                               f"float at E = {float(e[~finite].flat[0])!r}")
-        return _scalar_or_array(out)
+            return _scalar_or_array(_finite(f, spec, e, f(spec, *poles, e)))
     return column
 
 
 def _one_minus_sinc(x):
     """1 - sin(x)/x for x > 0; below x = 1/2, where the difference cancels, its series."""
-    return np.piecewise(x, [x < 0.5], [lambda x: x * x * np.polyval(_SINC_SERIES, x * x),
-                                       lambda x: 1.0 - np.sin(x) / x])
+    out = np.asarray(1.0 - np.sin(x) / x)
+    if (small := x < 0.5).any():
+        out[small] = (x2 := x[small] * x[small]) * np.polyval(_SINC_SERIES, x2)
+    return out
 
 
 @_column
@@ -145,17 +151,21 @@ def cross_section_bundle(spec: PotentialSpec, pole: Pole, e,
                          second_index: int | None = None) -> CrossSectionBundle:
     """Every column at energies e around resonance ``pole``, the grid being e, checked.
 
-    With second_index, the two-pole column of ``pole`` and that resonance, found after
-    the other columns. Raises InvalidInput where a column exceeds the largest float
-    (pi/E alone does below E ~ 1.7e-308).
+    The energies and the pole's kind are checked once; each column's body (__wrapped__)
+    runs on them, refused as the column refuses. With second_index, the two-pole column of
+    ``pole`` and that resonance, found after the other columns. A scalar e gives 0-d columns.
     """
     grid = _energies(e)
-    return CrossSectionBundle(
-        grid=grid,
-        exact=cross_section_exact(spec, grid),
-        laurent=cross_section_laurent(spec, pole, grid),
-        e_unitarized=cross_section_e_unitarized(spec, pole, grid),
-        k_unitarized=cross_section_k_unitarized(spec, pole, grid),
-        two_pole=None if second_index is None else cross_section_two_pole(
-            spec, pole, find_resonance(spec, second_index), grid),
-    )
+    _require_kind(pole, PoleKind.RESONANCE)
+    def column(f, *poles):
+        return np.asarray(_finite(f, spec, grid, f.__wrapped__(spec, *poles, grid)))
+    with np.errstate(all="ignore"):  # a non-finite cell is refused in column
+        return CrossSectionBundle(
+            grid=grid,
+            exact=column(cross_section_exact),
+            laurent=column(cross_section_laurent, pole),
+            e_unitarized=column(cross_section_e_unitarized, pole),
+            k_unitarized=column(cross_section_k_unitarized, pole),
+            two_pole=None if second_index is None else column(
+                cross_section_two_pole, pole, find_resonance(spec, second_index)),
+        )

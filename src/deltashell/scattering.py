@@ -77,8 +77,9 @@ def matrix_element(spec: PotentialSpec, pole: Pole, e):
     u = N exp(i k_R) with N the principal root of N^2. The squared
     modulus reproduces matrix_element_squared exactly.
     """
-    e = _energies(e)
-    k = np.sqrt(e)
-    chi = np.sqrt(1.0 / np.pi) * e ** (-0.25) * np.sin(k)
-    out = spec.lam * chi * _shell_amplitude(spec, pole)
-    return _scalar_or_array(out)
+    return _scalar_or_array(_lambda_chi(spec, _energies(e)) * _shell_amplitude(spec, pole))
+
+
+def _lambda_chi(spec: PotentialSpec, e):
+    """lam chi(E), the pole-free factor of matrix_element, at checked energies e."""
+    return spec.lam * (np.sqrt(1.0 / np.pi) * e ** (-0.25) * np.sin(np.sqrt(e)))

@@ -36,13 +36,8 @@ import numpy as np
 from .errors import InvalidInput
 from .observables import _require_kind, observables_record
 from .potential import PotentialSpec, Pole, PoleKind
-from .scattering import (
-    _energies,
-    _lorentz_denominator,
-    _shell_amplitude,
-    matrix_element,
-    matrix_element_squared,
-)
+from .scattering import (_energies, _lambda_chi, _lorentz_denominator, _shell_amplitude,
+                         matrix_element_squared)
 
 __all__ = [
     "SpectrumCurve",
@@ -90,17 +85,17 @@ def spectrum_curve(spec: PotentialSpec, pole: Pole, e) -> SpectrumCurve:
 
     Gamma, the decay constant, is read first from the pole's table row, which checks
     the kind; M^2 then checks the energies. M^2 and |E - z|^2 are formed once each and
-    every column is read from them; a scalar e gives a 0-d grid and scalar columns.
+    every column is read from them; a scalar e gives a 0-d grid and 0-d columns.
     """
     gamma_total = observables_record(spec, pole).gamma
-    m2 = matrix_element_squared(spec, pole, e)  # checks the energies
+    m2 = np.asarray(matrix_element_squared(spec, pole, e))  # checks the energies
     grid = np.asarray(e, dtype=float)
     lor = _lorentz_denominator(pole, grid)
     hw = 0.5 * pole.gamma_R
     return SpectrumCurve(
         grid=grid,
-        dP_dE=m2 / lor / gamma_total,
-        breit_wigner=np.zeros_like(grid) if hw <= 0.0 else (hw / np.pi) / lor,
+        dP_dE=np.asarray(m2 / lor / gamma_total),
+        breit_wigner=np.zeros_like(grid) if hw <= 0.0 else np.asarray((hw / np.pi) / lor),
         matrix_element=m2,
         normalization_used=gamma_total,
     )
@@ -124,22 +119,25 @@ def interference_curve(spec: PotentialSpec, pole1: Pole, pole2: Pole, cfg: Inter
     term c_i conj(c_j) m_i conj(m_j) / ((z_i - E)(conj z_j - E)) integrates to
     (lam^2/pi) c_i conj(c_j) u_i conj(u_j) S(-k_i, conj k_j) (:func:`_residue_pair`);
     the (2, 1) term is the conjugate of the (1, 2) one, so a swap keeps the bits.
-    No companion columns; a scalar e gives a 0-d grid.
+    lam chi(E) and each u_i are formed once; m_i has the bits of matrix_element.
+    No companion columns; a scalar e gives a 0-d grid and a 0-d column.
     """
     _require_kind(pole1, PoleKind.RESONANCE)
     _require_kind(pole2, PoleKind.RESONANCE)
     e = _energies(e)
+    u1, u2 = _shell_amplitude(spec, pole1), _shell_amplitude(spec, pole2)
     c1, c2, norm, shift = cfg.c1, cfg.c2, 1.0, 0
     if cfg.renormalize:  # a common scale leaves the curve; exact 2^shift: max part in [1/2, 1)
         shift = -math.frexp(max(abs(part) for c in (c1, c2) for part in (c.real, c.imag)))[1]
         c1, c2 = (complex(math.ldexp(c.real, shift), math.ldexp(c.imag, shift)) for c in (c1, c2))
-        one, two = [(c * _shell_amplitude(spec, p), p.k, 1.0 / (spec.lam - 2j * p.k))
-                    for c, p in ((c1, pole1), (c2, pole2))]
+        one, two = [(c * u, p.k, 1.0 / (spec.lam - 2j * p.k))
+                    for c, u, p in ((c1, u1, pole1), (c2, u2, pole2))]
         total = _residue_pair(*one, *one) + _residue_pair(*two, *two)
         norm = spec.lam**2 / math.pi * (total + 2.0 * _residue_pair(*one, *two)).real
     with np.errstate(all=None if cfg.renormalize else "ignore"):  # raw: refused below
-        amp = c1 * matrix_element(spec, pole1, e) / (pole1.z - e)
-        values = np.abs(amp + c2 * matrix_element(spec, pole2, e) / (pole2.z - e)) ** 2 / norm
+        lam_chi = _lambda_chi(spec, e)
+        amp = c1 * (lam_chi * u1) / (pole1.z - e)
+        values = np.asarray(np.abs(amp + c2 * (lam_chi * u2) / (pole2.z - e)) ** 2 / norm)
     if not cfg.renormalize and not (finite := np.isfinite(values)).all():
         raise InvalidInput(f"interference spectrum at strength {spec.lam!r} exceeds the largest "
                            f"float at E = {float(e[~finite].flat[0])!r}")

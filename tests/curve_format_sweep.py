@@ -39,11 +39,11 @@ def first_difference(values: np.ndarray) -> float | None:
     rows = values[: values.size - values.size % COLUMNS].reshape(-1, COLUMNS)
     floats = values.tolist()
     if (_cells(rows) == csv_reference(floats[: rows.size])
-            and _json_array(values) == json_reference(floats)):
+            and "".join(_json_array(values)) == json_reference(floats)):
         return None
     for x in floats:  # one value at a time, to name it
         one = np.array([[x]])
-        if _cells(one) != "%.9g\n" % x or _json_array(one.ravel()) != json_reference([x]):
+        if _cells(one) != "%.9g\n" % x or "".join(_json_array(one.ravel())) != json_reference([x]):
             return x
     raise AssertionError("a block differs but none of its values alone")
 

@@ -20,6 +20,7 @@ import deltashell
 import deltashell.cli as cli
 from deltashell import (
     InterferenceConfig,
+    InvalidInput,
     NonConvergence,
     PotentialSpec,
     cross_section_bundle,
@@ -1274,6 +1275,85 @@ def test_virtual_spectrum_zero_column_matches_per_cell_format(fmt, capsys):
     series = [getattr(curve, "grid" if name == "E" else name) for name in names]
     meta = json.loads(out)["meta"] if fmt == "json" else None
     assert out == per_cell_curve_bytes(fmt, names, series, meta)
+
+
+# -- the streamed writer: a curve is written one kernel block at a time
+
+
+class _Sink(io.StringIO):
+    """A text stream that keeps each write apart."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return super().write(text)
+
+
+_STREAMED = ["cross-section", "--lambda", "12", "--index", "2", "--second-index", "3",
+             "--emin", "1", "--emax", "90"]
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "output"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("points", [2, cli._BLOCK, cli._BLOCK + 1, 20001])
+def test_curve_is_written_block_by_block(points, fmt, to_file, tmp_path, monkeypatch):
+    # the writes joined are the per-cell bytes, and none holds more than one
+    # kernel block (at most 17 characters a cell) past a short header
+    sinks, target = [], tmp_path / "curve.out"
+
+    def sink_open(path, *args, **kwargs):  # --output: the file becomes a sink
+        assert path == str(target)
+        sinks.append(_Sink())
+        return sinks[-1]
+
+    monkeypatch.setattr(cli, "open", sink_open, raising=False)
+    monkeypatch.setattr(sys, "stdout", _Sink())
+    argv = _STREAMED + ["--points", str(points), "--format", fmt]
+    assert cli.main(argv + (["--output", str(target)] if to_file else [])) == 0
+    (sink,) = sinks if to_file else [sys.stdout]
+    assert (sys.stdout.writes == []) == to_file
+    out = "".join(sink.writes)
+    spec = PotentialSpec(lam=12.0)
+    bundle = cross_section_bundle(spec, find_resonance(spec, 2), np.linspace(1.0, 90.0, points),
+                                  second_index=3)
+    names = ["E", "exact", "laurent", "e_unitarized", "k_unitarized", "two_pole"]
+    series = [getattr(bundle, "grid" if name == "E" else name) for name in names]
+    meta = json.loads(out)["meta"] if fmt == "json" else None
+    assert out == per_cell_curve_bytes(fmt, names, series, meta)
+    head, *rest = sink.writes
+    assert len(head) < 100 and max(map(len, rest)) <= 17 * cli._BLOCK
+    assert len(rest) >= points * len(names) // cli._BLOCK  # a write per block at least
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "output"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_refused_curve_writes_nothing(fmt, to_file, tmp_path, monkeypatch, capsys):
+    # a window refused as it scales in, and a curve whose last column is refused
+    # as it scales out: exit 2 with no byte written and no --output file made
+    target = tmp_path / "curve.out"
+    base = ["spectrum", "--lambda", "12", "--index", "2", "--emin", "1", "--emax", "90",
+            "--format", fmt] + (["--output", str(target)] if to_file else [])
+    assert cli.main(base + ["--radius", "1e-200"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and not target.exists()
+    assert err.startswith("error: 1.0 scaled by ") and err.endswith(" loses its digits\n")
+
+    scaled, calls = cli._scaled_column, []
+
+    def refuse_the_last(col, scale):
+        calls.append(col)
+        if len(calls) == 4:  # E, dP_dE, breit_wigner, matrix_element
+            raise InvalidInput("the last column is refused")
+        return scaled(col, scale)
+
+    monkeypatch.setattr(cli, "_scaled_column", refuse_the_last)
+    assert cli.main(base + ["--radius", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert len(calls) == 4 and out == "" and not target.exists()
+    assert err == "error: the last column is refused\n"
 
 
 # -- import graph: the row commands run on the scalar layer alone

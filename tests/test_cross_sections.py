@@ -3,12 +3,14 @@
 import math
 import sys
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import deltashell
 import deltashell.cli as cli
+import deltashell.cross_sections as cross_sections
 from deltashell import (
     InvalidInput,
     PotentialSpec,
@@ -246,6 +248,55 @@ def _cli_energies(argv, capsys):
     """The E column of a cross-section command line."""
     assert cli.main(["cross-section", *argv]) == 0
     return [float(row.split(",")[0]) for row in capsys.readouterr().out.splitlines()[1:]]
+
+
+def _one_minus_sinc_piecewise(x):
+    """1 - sin(x)/x as np.piecewise once formed it: the reference for its bits."""
+    series = cross_sections._SINC_SERIES
+    return np.piecewise(x, [x < 0.5], [lambda x: x * x * np.polyval(series, x * x),
+                                       lambda x: 1.0 - np.sin(x) / x])
+
+
+_HALF = np.nextafter(0.5, 0.0)
+
+
+@pytest.mark.parametrize("x", [
+    np.float64(0.25), np.float64(_HALF), np.float64(0.5), np.float64(3.0), np.float64(1e-300),
+    np.asarray(0.49), np.asarray(0.5), np.asarray(7.0),
+    np.linspace(1e-3, 2.0, 1001), np.geomspace(1e-300, 10.0, 513),
+    np.array([_HALF, 0.5, np.nextafter(0.5, 1.0)]), np.linspace(0.01, 0.4, 17),
+    np.linspace(0.6, 100.0, 19), *(np.linspace(0.3, 0.7, size) for size in range(1, 10)),
+    np.random.default_rng(30).uniform(0.0, 1.0, 4099),
+], ids=lambda x: f"{np.ndim(x)}d-{np.size(x)}")
+def test_one_minus_sinc_has_the_bits_of_its_piecewise_form(x):
+    # the series overwrites the x < 1/2 cells of 1 - sin(x)/x formed on all of x
+    out, expected = cross_sections._one_minus_sinc(x), _one_minus_sinc_piecewise(x)
+    assert isinstance(out, np.ndarray) and out.shape == np.shape(x)
+    assert out.tobytes() == np.asarray(expected).tobytes()
+
+
+def test_bundle_checks_the_energies_and_the_pole_once(monkeypatch):
+    # the bundle runs each column's body on energies and a pole it checked once; every
+    # column keeps the bits of its public function
+    calls = Counter()
+    for name in ("_energies", "_require_kind"):
+        def counted(*args, _name=name, _real=getattr(cross_sections, name)):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(cross_sections, name, counted)
+    spec = PotentialSpec(lam=12.0)
+    pole, second = find_resonance(spec, 2), find_resonance(spec, 3)
+    grid = np.linspace(1.0, 90.0, 2001)
+    bundle = cross_section_bundle(spec, pole, grid, second_index=3)
+    assert calls == {"_energies": 1, "_require_kind": 1}
+    assert bundle.grid is grid
+    columns = {"exact": cross_section_exact(spec, grid),
+               "laurent": cross_section_laurent(spec, pole, grid),
+               "e_unitarized": cross_section_e_unitarized(spec, pole, grid),
+               "k_unitarized": cross_section_k_unitarized(spec, pole, grid),
+               "two_pole": cross_section_two_pole(spec, pole, second, grid)}
+    for name, column in columns.items():
+        assert getattr(bundle, name).tobytes() == column.tobytes(), name
 
 
 def test_bundle_columns_and_window(capsys):

@@ -65,7 +65,7 @@ def _clean(code, out, fmt):
 def _full_precision(monkeypatch):
     """Write JSON rows and curves with every bit (repr), not rounded to 9 digits."""
     monkeypatch.setattr(cli, "_json_value", lambda x: x)
-    monkeypatch.setattr(cli, "_json_array", lambda col: json.dumps(col.tolist()))
+    monkeypatch.setattr(cli, "_json_array", lambda col: [json.dumps(col.tolist())])
 
 
 def _row_values(record):

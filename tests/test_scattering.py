@@ -346,6 +346,10 @@ def test_energy_evaluator_returns_a_scalar_for_a_scalar(name, spec100):
         curve = f(spec100, pole, 7.5)
         assert curve.grid.shape == () and curve.grid == 7.5
         assert all(np.shape(col) == () for col in vars(curve).values() if col is not None)
+        columns = [col for field, col in vars(curve).items()
+                   if field != "normalization_used" and col is not None]
+        assert len(columns) >= 2  # every column a 0-d array, like the grid
+        assert all(isinstance(col, np.ndarray) and col.shape == () for col in columns)
         grid = np.array([2.0, 7.5, 30.0])
         curve = f(spec100, pole, grid)
         assert np.array_equal(curve.grid, grid)

@@ -19,6 +19,7 @@ from deltashell import (
     find_resonance,
     find_virtual_state,
     interference_curve,
+    matrix_element,
     matrix_element_squared,
     observables_record,
     spectrum_curve,
@@ -123,6 +124,36 @@ def test_differentials_check_the_energies_once(name, monkeypatch):
     else:
         differential, total = m2 / lor, rec.gamma
     assert np.allclose(out, differential / total, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("renormalize", [True, False], ids=["renormalized", "raw"])
+@pytest.mark.parametrize("lam, indices, window", [
+    (-17.5, (3, 4), (20.0, 120.0)), (12.0, (1, 2), (1.0, 90.0)), (100.0, (2, 3), (1e-3, 150.0)),
+])
+def test_interference_curve_has_the_bits_of_two_matrix_elements(lam, indices, window,
+                                                                renormalize, monkeypatch):
+    # lam chi(E) is formed once, and each pole's term is it times the pole's shell
+    # amplitude: the bits of c1 m1 / (z1 - E) + c2 m2 / (z2 - E), m_i = matrix_element,
+    # with the energies checked once. The largest part of c1, c2 lies in [1/2, 1), so
+    # the renormalized curve scales neither them nor its norm.
+    calls = Counter()
+
+    def counted(e, _real=scattering._energies):
+        calls["_energies"] += 1
+        return _real(e)
+
+    monkeypatch.setattr(scattering, "_energies", counted)
+    monkeypatch.setattr(spectra, "_energies", counted)
+    spec = PotentialSpec(lam=lam)
+    pole1, pole2 = (find_resonance(spec, n) for n in indices)
+    cfg = InterferenceConfig(c1=complex(0.8, 0.0), c2=complex(0.2, -0.1), renormalize=renormalize)
+    grid = np.linspace(*window, 4001)
+    curve = interference_curve(spec, pole1, pole2, cfg, grid)
+    assert calls == {"_energies": 1}
+    m1, m2 = matrix_element(spec, pole1, grid), matrix_element(spec, pole2, grid)
+    norm = curve.normalization_used if renormalize else 1.0
+    expected = np.abs(cfg.c1 * m1 / (pole1.z - grid) + cfg.c2 * m2 / (pole2.z - grid)) ** 2 / norm
+    assert curve.dP_dE.tobytes() == expected.tobytes()
 
 
 def test_zeros_inherited_from_matrix_element():
