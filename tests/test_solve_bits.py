@@ -32,10 +32,19 @@ error of any resonance unchanged at 1.1e-16 relative; and 25 refusals and
 their mirrors, whose messages print a residual moved in its fourth digit.
 No pole went from a value to a refusal or back.
 
+A third digest covers the cross-section bundle: every column's bits, or the
+message of its refusal, over a fixed sweep of strengths, resonances, energy
+grids (sub-normal energies among them) and second indices. It was pinned
+while each approximant still had a public function of its own beside the
+bundle, so removing those functions, or moving a column's overflow check,
+must leave it as it is.
+
 The digests hold for one libm and one set of complex-arithmetic rules. A
 canary digest of the libm and complex values the solver rests on is
 checked first; where it differs, the pinned digests say nothing about this
-code, and the two digest tests are skipped.
+code, and the digest tests are skipped. The cross-section digest rests on
+numpy's ufuncs as well, whose SIMD kernels can differ from libm in the last
+bit, so a second canary of those is checked before it.
 """
 
 from __future__ import annotations
@@ -49,14 +58,17 @@ import numpy as np
 import pytest
 
 from deltashell import (
-    NonConvergence, PotentialSpec, find_anti_resonance, find_bound_state, find_resonance,
-    find_virtual_state, lambert_w,
+    DeltaShellError, NonConvergence, PotentialSpec, cross_section_bundle, cross_section_exact,
+    find_anti_resonance, find_bound_state, find_resonance, find_virtual_state, lambert_w,
 )
+from deltashell.cross_sections import _SINC_SERIES
 from deltashell.lambertw import _halley
 
 POLE_DIGEST = "fb110c7b7870de3554d023ec2f4cae3d9a4e2a7ad55bfff9fe9b2f7db6b784e1"
 LAMBERT_W_DIGEST = "337faf1dc43ab9f521bc0816d1d099374a6f7c78101ccb41d15acca16c746262"
 CANARY_DIGEST = "c1a067106ccac1a85d72ad81124395380c2e09e92cc40518e24104d91f77759c"
+CROSS_SECTION_DIGEST = "375f015d66815553910f170b7d83e0d6d8fcdf9032d03fa30d5705528d185694"
+NUMPY_CANARY_DIGEST = "9fd6e49ee7af5ae36998c403af593b5bf325ddfb3416b8cb2abd2b8108c32471"
 
 INV_E = math.exp(-1.0)
 BRANCHES = range(-12, 13)
@@ -155,6 +167,58 @@ def lambert_w_lines():
             yield f"{n!r} {_hex(complex(z))} {_hex(w)}"
 
 
+def numpy_canary_lines():
+    """The numpy ufuncs and array arithmetic the cross-section columns' bits rest on."""
+    x = np.concatenate([np.geomspace(5e-324, 1e300, 2001), np.linspace(0.01, 1e4, 2001)])
+    k = np.sqrt(x)
+    z = complex(30.5, -0.75)
+    with np.errstate(all="ignore"):
+        rows = (k, np.sin(k), np.sin(2.0 * k), np.polyval(_SINC_SERIES, np.minimum(x, 0.25)),
+                (x - 40.0) ** 2, 1.0 / (x - z), np.pi / x)
+    for row in rows:
+        yield row.tobytes().hex()
+
+
+def cross_section_lines():
+    """Every bundle column, with and without a second resonance, or the refusal it raises,
+    for resonances n <= 5 of each strength on four grids: the default command-line window,
+    a log-spaced sweep over the normal range, sub-normal energies, and a scalar at E_R.
+    Then the exact cross section alone on the sweep and at one energy, and the bundle of an
+    anti-resonance."""
+    sweep = np.geomspace(1e-300, 1e300, 257)
+    tiny = np.array([5e-324, 1e-310, 2.2e-308, 1e-300, 1.0])
+    for lam in (700.0, -700.0, 100.0, -100.0, 12.0, 10.0, 3.0, 0.5, -0.5, -1.0, -5.0):
+        spec = PotentialSpec(lam=lam)
+        for n in range(1, 6):
+            try:
+                pole = find_resonance(spec, n)
+            except DeltaShellError as exc:
+                yield f"{lam.hex()} {n} {type(exc).__name__}: {exc}"
+                continue
+            window = np.linspace(max(pole.e_R - 10.0 * pole.gamma_R, 1e-6 * pole.e_R),
+                                 pole.e_R + 10.0 * pole.gamma_R, 201)
+            for g, grid in enumerate((window, sweep, tiny, pole.e_R)):
+                for second in (None, n % 5 + 1):
+                    head = f"{lam.hex()} {n} {g} {second}"
+                    try:
+                        bundle = cross_section_bundle(spec, pole, grid, second_index=second)
+                    except DeltaShellError as exc:
+                        yield f"{head} {type(exc).__name__}: {exc}"
+                        continue
+                    cols = [col for col in vars(bundle).values() if col is not None]
+                    yield f"{head} " + " ".join(f"{col.shape} {col.tobytes().hex()}" for col in cols)
+        try:
+            exact, at = cross_section_exact(spec, sweep), cross_section_exact(spec, 7.5)
+        except DeltaShellError as exc:
+            yield f"{lam.hex()} exact {type(exc).__name__}: {exc}"
+        else:
+            yield f"{lam.hex()} exact {exact.tobytes().hex()} {type(at).__name__} {at.hex()}"
+        try:
+            cross_section_bundle(spec, find_anti_resonance(spec, 1), 7.5)
+        except DeltaShellError as exc:
+            yield f"{lam.hex()} anti {type(exc).__name__}: {exc}"
+
+
 @pytest.fixture(scope="module")
 def same_arithmetic():
     got = _digest(canary_lines())
@@ -168,6 +232,13 @@ def test_pole_bits_match_their_pinned_digest(same_arithmetic):
 
 def test_lambert_w_bits_match_their_pinned_digest(same_arithmetic):
     assert _digest(lambert_w_lines()) == LAMBERT_W_DIGEST
+
+
+def test_cross_section_bits_match_their_pinned_digest(same_arithmetic):
+    got = _digest(numpy_canary_lines())
+    if got != NUMPY_CANARY_DIGEST:
+        pytest.skip(f"numpy's ufuncs differ from where the digest was pinned ({got})")
+    assert _digest(cross_section_lines()) == CROSS_SECTION_DIGEST
 
 
 def test_halley_at_w_minus_one_returns_none():
