@@ -36,11 +36,7 @@ from .potential import *
 # Grid-layer names, by module and in the order of its __all__: bound on first
 # access, since their modules import numpy and the scalar layer above does not.
 _GRID = {
-    "cross_sections": (
-        "CrossSectionBundle", "cross_section_exact", "cross_section_laurent",
-        "cross_section_e_unitarized", "cross_section_k_unitarized", "cross_section_two_pole",
-        "cross_section_bundle",
-    ),
+    "cross_sections": ("CrossSectionBundle", "cross_section_exact", "cross_section_bundle"),
     "scattering": ("matrix_element_squared", "matrix_element"),
     "spectra": ("SpectrumCurve", "InterferenceConfig", "spectrum_curve", "interference_curve"),
 }

@@ -12,33 +12,28 @@ tan delta = -lam sin^2(k) / (k + lam sin(k) cos(k)), is compared against
   expansion and adds their interference.
 
 The e- and k-unitarized forms differ by the exact algebraic ratio
-4 alpha^2 / ((k + alpha)^2 + beta^2), close to one near a sharp peak. No
-column returns inf: past the largest float it raises InvalidInput. The bundle
-reads every column at the energies it is given; the command line builds the
-grid, and its default window E_R +/- 10 Gamma_R.
+4 alpha^2 / ((k + alpha)^2 + beta^2), close to one near a sharp peak. The
+bundle is the approximants' one evaluator; the exact sigma, needing no pole,
+is public as well. No column returns inf: past the largest float it raises
+InvalidInput. The bundle reads every column at the energies it is given; the
+command line builds the grid, and its default window E_R +/- 10 Gamma_R.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput
 from .observables import _require_kind
 from .poles import find_resonance, zeldovich_norm
 from .potential import PotentialSpec, Pole, PoleKind
-from .scattering import _energies, _lorentz_denominator, _scalar_or_array
+from .scattering import _energies, _finite, _lorentz_denominator, _scalar_or_array
 
 __all__ = [
     "CrossSectionBundle",
     "cross_section_exact",
-    "cross_section_laurent",
-    "cross_section_e_unitarized",
-    "cross_section_k_unitarized",
-    "cross_section_two_pole",
     "cross_section_bundle",
 ]
 
@@ -64,28 +59,6 @@ def _residue_e(spec: PotentialSpec, pole: Pole) -> complex:
     return -2j * pole.k * zeldovich_norm(spec, pole)
 
 
-def _finite(f, spec: PotentialSpec, e, out):
-    """f's values out at energies e; InvalidInput names the first energy where one is not finite."""
-    if not (finite := np.isfinite(out)).all():
-        raise InvalidInput(f"{f.__name__} at strength {spec.lam!r} exceeds the largest "
-                           f"float at E = {float(e[~finite].flat[0])!r}")
-    return out
-
-
-def _column(f):
-    """f(spec, *poles, e) on resonances and checked energies, its numpy warnings silenced:
-    a scalar or array, or InvalidInput naming the first energy past the largest float."""
-    @functools.wraps(f)
-    def column(spec, *args):
-        *poles, e = args
-        for pole in poles:
-            _require_kind(pole, PoleKind.RESONANCE)
-        e = _energies(e)
-        with np.errstate(all="ignore"):  # a non-finite cell is refused below
-            return _scalar_or_array(_finite(f, spec, e, f(spec, *poles, e)))
-    return column
-
-
 def _one_minus_sinc(x):
     """1 - sin(x)/x for x > 0; below x = 1/2, where the difference cancels, its series."""
     out = np.asarray(1.0 - np.sin(x) / x)
@@ -94,9 +67,16 @@ def _one_minus_sinc(x):
     return out
 
 
-@_column
 def cross_section_exact(spec: PotentialSpec, e):
-    """(4 pi/k^2) sin^2(delta) at real energy E = k^2 (vectorized).
+    """(4 pi/k^2) sin^2(delta) at real energies E = k^2 > 0: a scalar or an array, or
+    InvalidInput naming the first energy past the largest float."""
+    e = _energies(e)
+    with np.errstate(all="ignore"):  # a non-finite cell is refused by _finite
+        return _scalar_or_array(_finite("cross_section_exact", spec, e, _exact(spec, e)))
+
+
+def _exact(spec: PotentialSpec, e):
+    """The exact cross section at checked energies e.
 
     With q = sin(k)/k and d = (1 + lam) - lam (1 - sin(2k)/2k), which is
     k + lam sin(k) cos(k) over k, sigma = 4 pi lam^2 q^4 / (d^2 + (lam q sin k)^2).
@@ -111,28 +91,24 @@ def cross_section_exact(spec: PotentialSpec, e):
     return 4.0 * np.pi * (lam * q * q) ** 2 / (d * d + (lam * q * s) ** 2)
 
 
-@_column
-def cross_section_laurent(spec: PotentialSpec, pole: Pole, e):
+def _laurent(spec: PotentialSpec, pole: Pole, e):
     """Breit-Wigner form (pi/k^2) |r_R|^2 / ((E-E_R)^2 + (Gamma_R/2)^2)."""
     r_e = abs(_residue_e(spec, pole))
     return np.pi / e * r_e**2 / _lorentz_denominator(pole, e)
 
 
-@_column
-def cross_section_e_unitarized(spec: PotentialSpec, pole: Pole, e):
+def _e_unitarized(spec: PotentialSpec, pole: Pole, e):
     """(pi/k^2) Gamma_R^2 / ((E-E_R)^2 + (Gamma_R/2)^2); peak value 4 pi / E_R."""
     return np.pi / e * pole.gamma_R**2 / _lorentz_denominator(pole, e)
 
 
-@_column
-def cross_section_k_unitarized(spec: PotentialSpec, pole: Pole, e):
+def _k_unitarized(spec: PotentialSpec, pole: Pole, e):
     """(pi/k^2) (2 beta_R)^2 / ((k-alpha_R)^2 + beta_R^2), k = sqrt(E)."""
     k = np.sqrt(e)
     return np.pi / e * (2.0 * pole.beta_R) ** 2 / ((k - pole.alpha_R) ** 2 + pole.beta_R**2)
 
 
-@_column
-def cross_section_two_pole(spec: PotentialSpec, pole1: Pole, pole2: Pole, e):
+def _two_pole(spec: PotentialSpec, pole1: Pole, pole2: Pole, e):
     """Two-pole cross section: two Lorentzians plus their interference.
 
     (pi/k^2) [ |r1|^2/D1 + |r2|^2/D2
@@ -151,21 +127,24 @@ def cross_section_bundle(spec: PotentialSpec, pole: Pole, e,
                          second_index: int | None = None) -> CrossSectionBundle:
     """Every column at energies e around resonance ``pole``, the grid being e, checked.
 
-    The energies and the pole's kind are checked once; each column's body (__wrapped__)
-    runs on them, refused as the column refuses. With second_index, the two-pole column of
-    ``pole`` and that resonance, found after the other columns. A scalar e gives 0-d columns.
+    The energies and the pole's kind are checked once, and each column's body runs on
+    them in field order; the first non-finite cell is refused with InvalidInput naming
+    cross_section_<column>, its strength and its energy. With second_index, the two-pole
+    column of ``pole`` and that resonance, found after the other columns. A scalar e
+    gives 0-d columns.
     """
     grid = _energies(e)
     _require_kind(pole, PoleKind.RESONANCE)
-    def column(f, *poles):
-        return np.asarray(_finite(f, spec, grid, f.__wrapped__(spec, *poles, grid)))
+    def column(body, *poles):  # body _laurent is the column cross_section_laurent
+        return np.asarray(_finite(f"cross_section{body.__name__}", spec, grid,
+                                  body(spec, *poles, grid)))
     with np.errstate(all="ignore"):  # a non-finite cell is refused in column
         return CrossSectionBundle(
             grid=grid,
-            exact=column(cross_section_exact),
-            laurent=column(cross_section_laurent, pole),
-            e_unitarized=column(cross_section_e_unitarized, pole),
-            k_unitarized=column(cross_section_k_unitarized, pole),
+            exact=column(_exact),
+            laurent=column(_laurent, pole),
+            e_unitarized=column(_e_unitarized, pole),
+            k_unitarized=column(_k_unitarized, pole),
             two_pole=None if second_index is None else column(
-                cross_section_two_pole, pole, find_resonance(spec, second_index)),
+                _two_pole, pole, find_resonance(spec, second_index)),
         )

@@ -2,9 +2,10 @@
 
 Energies are real, E = k^2 > 0 with k = sqrt(E), in units of
 ħ^2/(2m a^2). Every evaluator accepts a scalar or a numpy array of
-energies; the positive-energy check, the scalar-or-array return and the
-Lorentzian denominator live here once. The residue normalization the
-matrix element rests on is scalar and lives in :mod:`deltashell.poles`.
+energies; the positive-energy check, the scalar-or-array return, the
+overflow refusal and the Lorentzian denominator live here once. The residue
+normalization the matrix element rests on is scalar and lives in
+:mod:`deltashell.poles`.
 """
 
 from __future__ import annotations
@@ -32,6 +33,15 @@ def _energies(e) -> np.ndarray:
     if np.any(e <= 0):
         raise InvalidInput("scattering energy must be positive")
     return e
+
+
+def _finite(what: str, spec: PotentialSpec, e, out):
+    """out, the values of ``what`` at checked energies e, if every one is finite; else
+    InvalidInput naming ``what``, the strength and the first energy past the largest float."""
+    if not (finite := np.isfinite(out)).all():
+        raise InvalidInput(f"{what} at strength {spec.lam!r} exceeds the largest "
+                           f"float at E = {float(e[~finite].flat[0])!r}")
+    return out
 
 
 def _lorentz_denominator(pole: Pole, e):

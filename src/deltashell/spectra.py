@@ -36,8 +36,8 @@ import numpy as np
 from .errors import InvalidInput
 from .observables import _require_kind, observables_record
 from .potential import PotentialSpec, Pole, PoleKind
-from .scattering import (_energies, _lambda_chi, _lorentz_denominator, _shell_amplitude,
-                         matrix_element_squared)
+from .scattering import (_energies, _finite, _lambda_chi, _lorentz_denominator,
+                         _shell_amplitude, matrix_element_squared)
 
 __all__ = [
     "SpectrumCurve",
@@ -138,9 +138,8 @@ def interference_curve(spec: PotentialSpec, pole1: Pole, pole2: Pole, cfg: Inter
         lam_chi = _lambda_chi(spec, e)
         amp = c1 * (lam_chi * u1) / (pole1.z - e)
         values = np.asarray(np.abs(amp + c2 * (lam_chi * u2) / (pole2.z - e)) ** 2 / norm)
-    if not cfg.renormalize and not (finite := np.isfinite(values)).all():
-        raise InvalidInput(f"interference spectrum at strength {spec.lam!r} exceeds the largest "
-                           f"float at E = {float(e[~finite].flat[0])!r}")
+    if not cfg.renormalize:
+        _finite("interference spectrum", spec, e, values)
     with np.errstate(over="ignore"):  # the norm of (c1, c2) as given, scaled back exactly
         norm = float(np.ldexp(norm, -2 * shift))
     return SpectrumCurve(grid=e, dP_dE=values, breit_wigner=None, matrix_element=None,

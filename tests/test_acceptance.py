@@ -16,9 +16,8 @@ import pytest
 from deltashell import (
     InterferenceConfig,
     PoleKind,
-    cross_section_e_unitarized,
+    cross_section_bundle,
     cross_section_exact,
-    cross_section_k_unitarized,
     enumerate_poles,
     find_anti_resonance,
     find_resonance,
@@ -214,17 +213,15 @@ def test_criterion_10_cross_section_properties(specs):
 
     # the e-/k-unitarized ratio in closed form, 4 alpha^2 / ((k + alpha)^2 + beta^2)
     ratio = 4.0 * pole.alpha_R**2 / ((np.sqrt(e) + pole.alpha_R) ** 2 + pole.beta_R**2)
-    quotient = cross_section_e_unitarized(spec, pole, e) / cross_section_k_unitarized(
-        spec, pole, e
-    )
+    bundle = cross_section_bundle(spec, pole, e)
+    quotient = bundle.e_unitarized / bundle.k_unitarized
     assert np.max(np.abs(ratio - quotient)) <= 1e-12 * np.max(np.abs(ratio))
 
-    sig_e = cross_section_e_unitarized(spec, pole, e)
-    sig_k = cross_section_k_unitarized(spec, pole, e)
+    sig_e, sig_k = bundle.e_unitarized, bundle.k_unitarized
     deviation = np.max(np.abs(sig_e - sig_k)) / np.max(sig_e)
     assert deviation <= 1e-3
 
-    peak = cross_section_e_unitarized(spec, pole, pole.e_R)
+    peak = float(cross_section_bundle(spec, pole, pole.e_R).e_unitarized)
     assert peak == pytest.approx(4.0 * math.pi / pole.e_R, rel=1e-14)
     report(10, f"cross-section bound, ratio identity, e/k agreement ({deviation:.2e}), "
                "exact peak value")

@@ -1418,7 +1418,8 @@ removed = {"QuadratureRequest", "integrate_semi_infinite", "ToleranceNotMet", "p
            "multi_spectrum", "jost", "s_matrix", "PoleHit", "decay_width_total",
            "decay_constant_total", "golden_rule_sharp", "decay_width_differential",
            "decay_constant_differential", "unitarized_ratio", "decay_energy_spectrum",
-           "interference_spectrum"}
+           "interference_spectrum", "cross_section_laurent", "cross_section_e_unitarized",
+           "cross_section_k_unitarized", "cross_section_two_pole"}
 assert not removed & set(deltashell.__all__)
 for name in removed:
     try:
@@ -1457,20 +1458,20 @@ for module in ("errors", "lambertw", "potential", "poles", "observables", "cli",
 # the package's public names at the release before each module's __all__
 # became the only list of them, less jost, s_matrix and PoleHit, which left
 # when the exact cross section stopped calling the Jost functions, less the
-# six that only re-read a table row or fed the test-side checks, and less the
-# two pointwise lineshapes, whose curves now take the energies
+# six that only re-read a table row or fed the test-side checks, less the two
+# pointwise lineshapes, whose curves now take the energies, and less the four
+# approximants, now columns of the cross-section bundle alone
 _DELETED = ("decay_width_total", "decay_constant_total", "golden_rule_sharp",
             "decay_width_differential", "decay_constant_differential", "unitarized_ratio",
-            "decay_energy_spectrum", "interference_spectrum")
+            "decay_energy_spectrum", "interference_spectrum", "cross_section_laurent",
+            "cross_section_e_unitarized", "cross_section_k_unitarized", "cross_section_two_pole")
 _PUBLIC_NAMES = {
     "__version__", "DegeneratePole", "DeltaShellError", "InvalidInput", "NonConvergence",
     "NoSuchPole", "ObservablesRecord", "Pole", "PoleKind", "PotentialSpec",
     "enumerate_poles", "find_anti_resonance", "find_bound_state", "find_resonance",
     "find_virtual_state", "lambert_w", "lambert_w_residual", "observables_record",
     "table_records", "transcendental_residual", "zeldovich_norm",
-    "CrossSectionBundle", "cross_section_bundle", "cross_section_e_unitarized",
-    "cross_section_exact", "cross_section_k_unitarized", "cross_section_laurent",
-    "cross_section_two_pole",
+    "CrossSectionBundle", "cross_section_bundle", "cross_section_exact",
     "matrix_element", "matrix_element_squared",
     "InterferenceConfig", "SpectrumCurve", "interference_curve", "spectrum_curve",
 }
@@ -1479,7 +1480,7 @@ _PUBLIC_NAMES = {
 def test_public_surface_comes_from_the_modules():
     # deltashell.__all__ is built from the modules' own lists; _GRID names the
     # grid layer's lists without importing numpy, so a test ties the two
-    assert len(deltashell.__all__) == len(set(deltashell.__all__)) == 34
+    assert len(deltashell.__all__) == len(set(deltashell.__all__)) == 30
     assert set(deltashell.__all__) == _PUBLIC_NAMES
     for name in _DELETED:
         assert name not in deltashell.__all__, name

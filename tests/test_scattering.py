@@ -328,11 +328,6 @@ _ENERGY_EVALUATORS = {
     "matrix_element_squared": matrix_element_squared,
     "matrix_element": matrix_element,
     "cross_section_exact": lambda spec, pole, e: cross_sections.cross_section_exact(spec, e),
-    "cross_section_laurent": cross_sections.cross_section_laurent,
-    "cross_section_e_unitarized": cross_sections.cross_section_e_unitarized,
-    "cross_section_k_unitarized": cross_sections.cross_section_k_unitarized,
-    "cross_section_two_pole": lambda spec, pole, e: cross_sections.cross_section_two_pole(
-        spec, pole, find_resonance(spec, 1), e),
 }
 _ANY_POLE = {"matrix_element_squared", "matrix_element", "cross_section_exact"}
 _CURVES = {"spectrum_curve", "interference_curve", "cross_section_bundle"}
