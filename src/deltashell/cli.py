@@ -484,7 +484,7 @@ def _config_tokens(path: str, command: str) -> list[str]:
     keys. main puts them right after the subcommand, so argparse checks each like a
     flag, and explicit flags, later on the line, win."""
     keys, tokens = _build_parser()[2][command], []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for raw in fh:
             line = raw.strip()
             if not line or line.startswith("#"):

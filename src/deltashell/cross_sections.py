@@ -29,7 +29,7 @@ import numpy as np
 from .observables import _require_kind
 from .poles import find_resonance, zeldovich_norm
 from .potential import PotentialSpec, Pole, PoleKind
-from .scattering import _energies, _finite, _lorentz_denominator, _scalar_or_array
+from .scattering import _energies, _finite, _lorentz_denominator
 
 __all__ = [
     "CrossSectionBundle",
@@ -68,11 +68,11 @@ def _one_minus_sinc(x):
 
 
 def cross_section_exact(spec: PotentialSpec, e):
-    """(4 pi/k^2) sin^2(delta) at real energies E = k^2 > 0: a scalar or an array, or
-    InvalidInput naming the first energy past the largest float."""
+    """(4 pi/k^2) sin^2(delta) at real energies E = k^2 > 0: an array shaped like the
+    energies, or InvalidInput naming the first energy past the largest float."""
     e = _energies(e)
     with np.errstate(all="ignore"):  # a non-finite cell is refused by _finite
-        return _scalar_or_array(_finite("cross_section_exact", spec, e, _exact(spec, e)))
+        return np.asarray(_finite("cross_section_exact", spec, e, _exact(spec, e)))
 
 
 def _exact(spec: PotentialSpec, e):

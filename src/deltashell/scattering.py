@@ -2,10 +2,10 @@
 
 Energies are real, E = k^2 > 0 with k = sqrt(E), in units of
 ħ^2/(2m a^2). Every evaluator accepts a scalar or a numpy array of
-energies; the positive-energy check, the scalar-or-array return, the
-overflow refusal and the Lorentzian denominator live here once. The residue
-normalization the matrix element rests on is scalar and lives in
-:mod:`deltashell.poles`.
+energies and returns an array shaped like them, 0-d for a scalar; the
+positive-energy check, the overflow refusal and the Lorentzian denominator
+live here once. The residue normalization the matrix element rests on is
+scalar and lives in :mod:`deltashell.poles`.
 """
 
 from __future__ import annotations
@@ -20,11 +20,6 @@ __all__ = [
     "matrix_element_squared",
     "matrix_element",
 ]
-
-
-def _scalar_or_array(out):
-    """A Python float or complex for a 0-d result, else the array itself."""
-    return out.item() if out.ndim == 0 else out
 
 
 def _energies(e) -> np.ndarray:
@@ -75,8 +70,7 @@ def matrix_element_squared(spec: PotentialSpec, pole: Pole, e):
     e = _energies(e)
     k = np.sqrt(e)
     s = np.sin(k)
-    out = _shell_weight(spec, pole, spec.lam**2 / np.pi) * (s / k) * s
-    return _scalar_or_array(out)
+    return np.asarray(_shell_weight(spec, pole, spec.lam**2 / np.pi) * (s / k) * s)
 
 
 def matrix_element(spec: PotentialSpec, pole: Pole, e):
@@ -87,7 +81,7 @@ def matrix_element(spec: PotentialSpec, pole: Pole, e):
     u = N exp(i k_R) with N the principal root of N^2. The squared
     modulus reproduces matrix_element_squared exactly.
     """
-    return _scalar_or_array(_lambda_chi(spec, _energies(e)) * _shell_amplitude(spec, pole))
+    return np.asarray(_lambda_chi(spec, _energies(e)) * _shell_amplitude(spec, pole))
 
 
 def _lambda_chi(spec: PotentialSpec, e):

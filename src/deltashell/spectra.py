@@ -88,7 +88,7 @@ def spectrum_curve(spec: PotentialSpec, pole: Pole, e) -> SpectrumCurve:
     every column is read from them; a scalar e gives a 0-d grid and 0-d columns.
     """
     gamma_total = observables_record(spec, pole).gamma
-    m2 = np.asarray(matrix_element_squared(spec, pole, e))  # checks the energies
+    m2 = matrix_element_squared(spec, pole, e)  # checks the energies
     grid = np.asarray(e, dtype=float)
     lor = _lorentz_denominator(pole, grid)
     hw = 0.5 * pole.gamma_R

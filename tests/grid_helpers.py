@@ -4,7 +4,8 @@ The Jost functions, the S-matrix (wave-number and energy plane) and the
 resonant state's wavefunction are checks of the library, not parts of it:
 the library forms sigma from the phase shift and N^2 from the pole's
 Lambert-W value, so the Jost route here stays the independent check of both. Units are the library's: k and r in units of the
-radius, E = k^2.
+radius, E = k^2. Like the library's grid layer, each returns arrays shaped like
+its input, 0-d for a scalar.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 from deltashell import InvalidInput, zeldovich_norm
-from deltashell.scattering import _scalar_or_array
 
 
 def jost(spec, k):
@@ -26,7 +26,7 @@ def jost(spec, k):
         raise InvalidInput("Jost functions are singular at k = 0")
     j1 = (-2j * k + spec.lam * (np.exp(-2j * k) - 1.0)) / (4.0 * k)
     j2 = (2j * k + spec.lam * (np.exp(2j * k) - 1.0)) / (4.0 * k)
-    return _scalar_or_array(j1), _scalar_or_array(j2)
+    return np.asarray(j1), np.asarray(j2)
 
 
 def s_matrix(spec, k):
@@ -34,10 +34,10 @@ def s_matrix(spec, k):
 
     Raises ZeroDivisionError where |J2| <= 1e-13 max(1, |J1|), on top of a pole.
     """
-    j1, j2 = map(np.asarray, jost(spec, k))
+    j1, j2 = jost(spec, k)
     if np.any(np.abs(j2) <= 1e-13 * np.maximum(1.0, np.abs(j1))):
         raise ZeroDivisionError("S-matrix evaluated on top of a pole")
-    return _scalar_or_array(-j1 / j2)
+    return np.asarray(-j1 / j2)
 
 
 def s_matrix_energy(spec, e):
@@ -61,4 +61,4 @@ def resonant_wavefunction(spec, pole, r):
         raise InvalidInput("radius must be nonnegative")
     n_r = np.sqrt(zeldovich_norm(spec, pole))
     inside = n_r * np.sin(pole.k * r) / jost(spec, pole.k)[0]
-    return _scalar_or_array(np.where(r < 1.0, inside, n_r * np.exp(1j * pole.k * r)))
+    return np.where(r < 1.0, inside, n_r * np.exp(1j * pole.k * r))

@@ -5,6 +5,7 @@ import importlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import warnings
@@ -529,6 +530,60 @@ def test_output_file_and_plot_script(tmp_path, capsys):
     assert str(out_path) in script.read_text()
 
 
+# a stand-in for matplotlib.pyplot that records what a plot script draws, as JSON
+_PYPLOT_STUB = """\
+import json
+import os
+
+_calls = []
+
+
+def plot(x, y, label=None):
+    _calls.append(["plot", list(x), list(y), label])
+
+
+def xlabel(text):
+    _calls.append(["xlabel", text])
+
+
+def legend():
+    _calls.append(["legend"])
+
+
+def tight_layout():
+    pass
+
+
+def show():
+    _calls.append(["show"])
+    with open(os.environ["PLOT_CALLS"], "w") as fh:
+        json.dump(_calls, fh)
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--lambda", "100", "--index", "3", "--emin", "80", "--emax", "94"],
+    ["cross-section", "--lambda", "100", "--index", "3", "--second-index", "2"],
+], ids=["spectrum", "cross-section-two-pole"])
+def test_emitted_plot_script_plots_every_column_against_e(argv, tmp_path, capsys):
+    (tmp_path / "matplotlib").mkdir()
+    (tmp_path / "matplotlib" / "__init__.py").write_text("")
+    (tmp_path / "matplotlib" / "pyplot.py").write_text(_PYPLOT_STUB)
+    out_path, calls = tmp_path / "curve.csv", tmp_path / "calls.json"
+    code, _ = run_main(argv + ["--points", "11", "--output", str(out_path),
+                               "--emit-plot-script"], capsys)
+    assert code == 0
+    proc = subprocess.run(
+        [sys.executable, str(tmp_path / "curve.csv_plot.py")], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(tmp_path), "PLOT_CALLS": str(calls)})
+    assert proc.returncode == 0, proc.stderr
+    header, rows = parse_csv(out_path.read_text())
+    assert header[0] == "E" and len(header) >= 4
+    e = [float(row["E"]) for row in rows]
+    plots = [["plot", e, [float(row[name]) for row in rows], name] for name in header[1:]]
+    assert json.loads(calls.read_text()) == plots + [["xlabel", "E"], ["legend"], ["show"]]
+
+
 def test_plot_script_requires_output(capsys):
     code, _ = run_main(
         [
@@ -572,6 +627,19 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     assert out.startswith("kind,")
     _, rows = parse_csv(out)
     assert float(rows[0]["re_k"]) == pytest.approx(2.8776, abs=1e-4)
+
+
+@pytest.mark.parametrize("body", ["lambda=10\nformat=json\n", "# run\nlambda=10\nformat=json\n"],
+                         ids=["key-first", "comment-first"])
+def test_config_file_with_a_byte_order_mark(body, tmp_path, capsys):
+    # an editor's UTF-8 byte-order mark before the first line is not part of a key
+    plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+    plain.write_text(body, encoding="utf-8")
+    marked.write_text(body, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    code, out = run_main(["poles", "--config", str(plain), "--count", "3"], capsys)
+    assert code == 0 and json.loads(out)["meta"]["lambda"] == 10.0
+    assert run_main(["poles", "--config", str(marked), "--count", "3"], capsys) == (0, out)
 
 
 def test_unknown_config_key_exits_2(tmp_path, capsys):

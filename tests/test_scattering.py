@@ -351,9 +351,9 @@ def test_energy_evaluator_returns_a_scalar_for_a_scalar(name, spec100):
         columns = [col for col in vars(curve).values() if isinstance(col, np.ndarray)]
         assert len(columns) >= 2 and all(col.shape == (3,) for col in columns)
     else:
-        assert type(f(spec100, pole, 7.5)) in (float, complex)
-        out = f(spec100, pole, np.array([2.0, 7.5, 30.0]))
-        assert type(out) is np.ndarray and out.shape == (3,)
+        for e, shape in ((7.5, ()), (np.array([2.0, 7.5, 30.0]), (3,))):
+            out = f(spec100, pole, e)
+            assert type(out) is np.ndarray and out.shape == shape
     for e in (0.0, -1.0, np.array([2.0, 0.0, 30.0])):
         with pytest.raises(InvalidInput, match="^scattering energy must be positive$"):
             f(spec100, pole, e)
@@ -365,8 +365,8 @@ def test_energy_evaluator_returns_a_scalar_for_a_scalar(name, spec100):
 @pytest.mark.parametrize("f", [s_matrix, lambda spec, k: jost(spec, k)[0],
                                lambda spec, k: jost(spec, k)[1]], ids=["s_matrix", "j1", "j2"])
 def test_wave_number_evaluator_returns_a_scalar_for_a_scalar(f, spec100):
-    assert type(f(spec100, 2.5)) is complex
-    out = f(spec100, np.array([0.5, 2.5, 7.0]))
-    assert type(out) is np.ndarray and out.shape == (3,)
+    for k, shape in ((2.5, ()), (np.array([0.5, 2.5, 7.0]), (3,))):
+        out = f(spec100, k)
+        assert type(out) is np.ndarray and out.dtype == complex and out.shape == shape
     with pytest.raises(InvalidInput):
         f(spec100, 0.0)

@@ -67,7 +67,7 @@ from deltashell.lambertw import _halley
 POLE_DIGEST = "fb110c7b7870de3554d023ec2f4cae3d9a4e2a7ad55bfff9fe9b2f7db6b784e1"
 LAMBERT_W_DIGEST = "337faf1dc43ab9f521bc0816d1d099374a6f7c78101ccb41d15acca16c746262"
 CANARY_DIGEST = "c1a067106ccac1a85d72ad81124395380c2e09e92cc40518e24104d91f77759c"
-CROSS_SECTION_DIGEST = "375f015d66815553910f170b7d83e0d6d8fcdf9032d03fa30d5705528d185694"
+CROSS_SECTION_DIGEST = "152ed01917c7a5de4eb4d7215572451efa274b8747ee286e0efc93355b13ea27"
 NUMPY_CANARY_DIGEST = "9fd6e49ee7af5ae36998c403af593b5bf325ddfb3416b8cb2abd2b8108c32471"
 
 INV_E = math.exp(-1.0)
@@ -212,7 +212,8 @@ def cross_section_lines():
         except DeltaShellError as exc:
             yield f"{lam.hex()} exact {type(exc).__name__}: {exc}"
         else:
-            yield f"{lam.hex()} exact {exact.tobytes().hex()} {type(at).__name__} {at.hex()}"
+            at = np.asarray(at)
+            yield f"{lam.hex()} exact {exact.tobytes().hex()} {at.shape} {at.tobytes().hex()}"
         try:
             cross_section_bundle(spec, find_anti_resonance(spec, 1), 7.5)
         except DeltaShellError as exc:
