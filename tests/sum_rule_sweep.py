@@ -1,14 +1,14 @@
 #!/usr/bin/env python3
 """Sweep the pole-set sum rule of test_sum_rule.py over seeded random strengths.
 
-    PYTHONPATH=src python tests/sum_rule_sweep.py [--strengths N] [--seed S] [--tol T]
+    PYTHONPATH=src python tests/sum_rule_sweep.py [--strengths N] [--seed S]
 
 Draws N strengths with |lam| log-uniform in [1e-3, 100] and a random sign,
 leaving out those within 1e-2 of -1, where the threshold pole's k^-6 term is so
 large that a relative check sees no resonance. For each it compares the sum of
 k^-6 over the library's threshold pole, resonances 1..15, their mirrors and the
 asymptotic tail with -6 [k^6] log J(k) at 50 digits. Exits 1 if any relative
-error exceeds T. A strength whose first 15 resonances the library refuses is
+error exceeds TOL = 1e-7. A strength whose first 15 resonances the library refuses is
 printed with the refusal, counted in the summary, and not checked. The name
 does not start with test_, so pytest does not collect it.
 """
@@ -24,6 +24,7 @@ from deltashell import DeltaShellError
 from test_sum_rule import sum_rule_error
 
 NEAR_MINUS_ONE = 1e-2
+TOL = 1e-7
 
 
 def strengths(count: int, seed: int) -> list[float]:
@@ -40,7 +41,6 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--strengths", type=int, default=200)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--tol", type=float, default=1e-7)
     args = ap.parse_args(argv)
     failed, refused, worst = [], [], (0.0, None)
     for lam in strengths(args.strengths, args.seed):
@@ -52,9 +52,9 @@ def main(argv=None) -> int:
             continue
         if err > worst[0]:
             worst = (err, lam)
-        if not err <= args.tol:
+        if not err <= TOL:
             failed.append(lam)
-            print(f"FAIL lam={lam!r}: relative error {err:.3e} > {args.tol:g}")
+            print(f"FAIL lam={lam!r}: relative error {err:.3e} > {TOL:g}")
     checked = args.strengths - len(refused)
     print(f"{checked} of {args.strengths} strengths checked, worst relative error "
           f"{worst[0]:.3e} at lam={worst[1]!r}; {len(refused)} refused, {len(failed)} failed")
