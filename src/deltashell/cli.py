@@ -6,9 +6,10 @@ Outputs are deterministic: floats are printed with 9 significant digits,
 lowercase exponent, '.' decimal separator; CSV uses a header line and LF
 newlines; JSON carries a `meta` object plus `rows` or `curve`.
 
-Each row command (poles, table, lambertw) has one column spec, laid out
-once per format at import (_LAYOUTS). A float is written as `%.9g` in CSV
-and as float("%.9g" % x) in JSON, a str or an int as itself, None as an
+Each command writes from one column spec, (name, attribute path, dimension),
+shared by CSV and JSON; one that writes fewer columns passes a shorter spec.
+A row spec is laid out once at import (_LAYOUTS). A float is written as `%.9g` in
+CSV and as float("%.9g" % x) in JSON, a str or an int as itself, None as an
 empty cell and as null. Row bodies are written by `%` templates (_emit_rows)
 and curve bodies by a numpy kernel (_cells), with no Python code per cell,
 in the bytes of formatting value by value. A curve is written block by block,
@@ -48,6 +49,7 @@ import functools
 import json
 import math
 import operator
+import os
 import re
 import sys
 from itertools import chain, product
@@ -82,14 +84,14 @@ def _curve(name):
 # Column specs: (name, attribute path, dimension). "%s" marks a str or an int,
 # written as itself; every other column is a float written as %.9g after scaling
 # by its dimension's output scale (see _scales): "k" a wave number, "E" an energy,
-# "L" a length, "1" none. A kind is read as the member's plain-str _value_,
-# without enum's value descriptor.
+# "1/E" a density or a cross section, "L" a length, "1" none. A kind is read as
+# the member's plain-str _value_, without enum's value descriptor.
 _POLE_COLUMNS = (
     ("kind", "kind._value_", "%s"), ("index", "index", "%s"), ("branch", "branch", "%s"),
     ("re_k", "k.real", "k"), ("im_k", "k.imag", "k"),
     ("re_z", "z.real", "E"), ("im_z", "z.imag", "E"), ("gamma_R", "gamma_R", "E"),
 )
-# an ObservablesRecord carries the pole columns except the branch
+# an ObservablesRecord carries the pole columns except the branch; C, last, is JSON-only
 _TABLE_COLUMNS = _POLE_COLUMNS[:2] + _POLE_COLUMNS[3:] + (
     ("gamma_bar", "gamma_bar", "E"), ("gamma", "gamma", "1"),
     ("gamma_bar_sharp", "gamma_bar_sharp", "E"), ("gamma_sharp", "gamma_sharp", "1"),
@@ -99,7 +101,13 @@ _LAMBERTW_COLUMNS = (
     ("branch", "branch", "%s"), ("re_z", "z.real", "1"), ("im_z", "z.imag", "1"),
     ("re_w", "w.real", "1"), ("im_w", "w.imag", "1"), ("residual", "residual", "1"),
 )
-_JSON_ONLY = ("c_value",)  # the constant C is left out of the CSV
+# a curve record's columns: its grid, then densities and M^2, or cross sections
+_SPECTRUM_COLUMNS = (
+    ("E", "grid", "E"), ("dP_dE", "dP_dE", "1/E"), ("breit_wigner", "breit_wigner", "1/E"),
+    ("matrix_element", "matrix_element", "E"),
+)
+_CROSS_SECTION_COLUMNS = (("E", "grid", "E"),) + tuple(
+    (name, name, "1/E") for name in ("exact", "laurent", "e_unitarized", "k_unitarized", "two_pole"))
 
 
 def _json_value(x):
@@ -161,25 +169,17 @@ def _scaled(value: float, scale: tuple[float, float, int]) -> float:
     return scaled
 
 
-def _layout(columns, fmt):
-    """A column spec laid out for one format: (names of the kept columns, CSV
-    header, one attrgetter, dimensions, CSV cells, CSV template of a row with
-    no None). A JSON layout keeps every column and has no CSV parts."""
-    if fmt == "csv":
-        columns = tuple(column for column in columns if column[0] not in _JSON_ONLY)
+def _layout(columns):
+    """A row spec laid out for both formats: (names, CSV header, one attrgetter,
+    dimensions, CSV cells, CSV template of a row with no None)."""
     names, paths, dims = zip(*columns)
-    getter = operator.attrgetter(*paths)
-    if fmt == "json":
-        return names, None, getter, dims, None, None
     cells = tuple("%s" if dim == "%s" else "%.9g" for dim in dims)
-    return names, ",".join(names), getter, dims, cells, ",".join(cells)
+    return names, ",".join(names), operator.attrgetter(*paths), dims, cells, ",".join(cells)
 
 
-# Every row layout, built once: (column spec, format) -> layout.
-_LAYOUTS = {
-    (columns, fmt): _layout(columns, fmt)
-    for columns in (_POLE_COLUMNS, _TABLE_COLUMNS, _LAMBERTW_COLUMNS) for fmt in ("csv", "json")
-}
+# Every row layout, built once: column spec -> layout.
+_LAYOUTS = {columns: _layout(columns) for columns in
+            (_POLE_COLUMNS, _TABLE_COLUMNS, _TABLE_COLUMNS[:-1], _LAMBERTW_COLUMNS)}
 
 
 def _emit_rows(args, spec, columns, rows, scales=None) -> None:
@@ -189,7 +189,7 @@ def _emit_rows(args, spec, columns, rows, scales=None) -> None:
     rows' templates, which hold `%.0s` (an empty cell) for a None. A value
     is scaled by its dimension's scale (see _scales) unless that is 1/1,
     and refused, before anything is written, where _scaled refuses it."""
-    names, header, getter, dims, cells, template = _LAYOUTS[columns, args.format]
+    names, header, getter, dims, cells, template = _LAYOUTS[columns]
     rows = list(map(getter, rows))
     if scales is not None:
         factors = [scales.get(dim, (1.0, 1.0, 0)) for dim in dims]
@@ -211,12 +211,13 @@ def _emit_rows(args, spec, columns, rows, scales=None) -> None:
 
 _PLOT_SCRIPT = """\
 #!/usr/bin/env python3
-# Plot the columns of {csv!r} against its first column.
+# Plot the columns of {csv!r}, beside this script, against its first column.
 import csv
+from pathlib import Path
 
 import matplotlib.pyplot as plt
 
-with open({csv!r}, newline="") as fh:
+with open(Path(__file__).with_name({csv!r}), newline="") as fh:
     rows = list(csv.reader(fh))
 header, data = rows[0], rows[1:]
 cols = {{name: [float(r[i]) if r[i] else float("nan") for r in data]
@@ -272,7 +273,8 @@ def cmd_poles(args) -> None:
 
 def cmd_table(args) -> None:
     spec, scales = _spec_from_args(args)
-    _emit_rows(args, spec, _TABLE_COLUMNS, table_records(spec, args.count), scales)
+    columns = _TABLE_COLUMNS if args.format == "json" else _TABLE_COLUMNS[:-1]
+    _emit_rows(args, spec, columns, table_records(spec, args.count), scales)
 
 
 # Cells per call of the curve kernel (_cells): whole CSV rows, or one JSON column.
@@ -409,17 +411,17 @@ def _grid(args, scales, pole=None):
         raise InvalidInput(f"cannot allocate a grid of {args.points} points") from exc
 
 
-def _emit_curve(args, spec, scales, grid, columns) -> None:
-    """columns: ordered (name, array-or-None) pairs; None columns are dropped, and the rest
-    scaled as _emit_rows scales a row, all before the first byte. Each block of the kernel
-    (_cells), whole CSV rows or one JSON column's cells, is written as it is made."""
+def _emit_curve(args, spec, scales, record, columns) -> None:
+    """A curve record written by a column spec: each column, a float64 array, read off the
+    record by its path, a None column left out, and the rest scaled by their dimensions as
+    _emit_rows scales a row, all before the first byte. Each block of the kernel (_cells),
+    whole CSV rows or one JSON column's cells, is written as it is made."""
     import numpy as np  # curves are numpy arrays already; row commands never get here
 
-    kept = [("E", grid)] + [(name, col) for name, col in columns if col is not None]
-    names, series = zip(*kept)  # the library returns every column as a float64 array
-    if scales is not None:  # the grid and M^2 are energies; densities and areas 1/E
-        series = [_scaled_column(col, scales["E" if name in ("E", "matrix_element") else "1/E"])
-                  for name, col in kept]
+    names, series, dims = zip(*[(name, col, dim) for name, path, dim in columns
+                                if (col := operator.attrgetter(path)(record)) is not None])
+    if scales is not None:
+        series = [_scaled_column(col, scales[dim]) for col, dim in zip(series, dims)]
     if args.format == "json":
         meta = json.dumps(_meta(spec, args.radius), separators=(",", ":"))
         heads = [f'{{"meta":{meta},"curve":{{'] + [","] * (len(names) - 1)
@@ -433,15 +435,15 @@ def _emit_curve(args, spec, scales, grid, columns) -> None:
            (_cells(table[i:i + step]) for i in range(0, len(table), step)))
     if args.emit_plot_script:  # main has checked --output and --format csv
         with open(args.output + "_plot.py", "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(_PLOT_SCRIPT.format(csv=args.output))
+            fh.write(_PLOT_SCRIPT.format(csv=os.path.basename(args.output)))
 
 
 def cmd_spectrum(args) -> None:
     spec, scales = _spec_from_args(args)
     pole = find_virtual_state(spec) if args.virtual else find_resonance(spec, args.index)
     curve = _curve("spectrum_curve")(spec, pole, _grid(args, scales))
-    names = ("dP_dE", "breit_wigner", "matrix_element") if args.with_companions else ("dP_dE",)
-    _emit_curve(args, spec, scales, curve.grid, [(name, getattr(curve, name)) for name in names])
+    columns = _SPECTRUM_COLUMNS if args.with_companions else _SPECTRUM_COLUMNS[:2]
+    _emit_curve(args, spec, scales, curve, columns)
 
 
 # argparse types; the name is in argparse's message for a bad value
@@ -460,7 +462,7 @@ def cmd_interfere(args) -> None:
     cfg = _curve("InterferenceConfig")(c1=args.c1, c2=args.c2, renormalize=args.renormalize)
     pole1, pole2 = (find_resonance(spec, i) for i in args.indices)
     curve = _curve("interference_curve")(spec, pole1, pole2, cfg, _grid(args, scales))
-    _emit_curve(args, spec, scales, curve.grid, [("dP_dE", curve.dP_dE)])
+    _emit_curve(args, spec, scales, curve, _SPECTRUM_COLUMNS[:2])
 
 
 def cmd_cross_section(args) -> None:
@@ -468,8 +470,7 @@ def cmd_cross_section(args) -> None:
     pole = find_resonance(spec, args.index)
     bundle = _curve("cross_section_bundle")(spec, pole, _grid(args, scales, pole),
                                             args.second_index)
-    names = ("exact", "laurent", "e_unitarized", "k_unitarized", "two_pole")
-    _emit_curve(args, spec, scales, bundle.grid, [(name, getattr(bundle, name)) for name in names])
+    _emit_curve(args, spec, scales, bundle, _CROSS_SECTION_COLUMNS)
 
 
 def cmd_lambertw(args) -> None:

@@ -90,12 +90,11 @@ def spectrum_curve(spec: PotentialSpec, pole: Pole, e) -> SpectrumCurve:
     gamma_total = observables_record(spec, pole).gamma
     m2 = matrix_element_squared(spec, pole, e)  # checks the energies
     grid = np.asarray(e, dtype=float)
-    lor = _lorentz_denominator(pole, grid)
-    hw = 0.5 * pole.gamma_R
+    lor = _lorentz_denominator(pole, grid)  # > 0 or inf, so a zero width gives +0.0
     return SpectrumCurve(
         grid=grid,
         dP_dE=np.asarray(m2 / lor / gamma_total),
-        breit_wigner=np.zeros_like(grid) if hw <= 0.0 else np.asarray((hw / np.pi) / lor),
+        breit_wigner=np.asarray((0.5 * pole.gamma_R / np.pi) / lor),
         matrix_element=m2,
         normalization_used=gamma_total,
     )
@@ -134,12 +133,11 @@ def interference_curve(spec: PotentialSpec, pole1: Pole, pole2: Pole, cfg: Inter
                     for c, u, p in ((c1, u1, pole1), (c2, u2, pole2))]
         total = _residue_pair(*one, *one) + _residue_pair(*two, *two)
         norm = spec.lam**2 / math.pi * (total + 2.0 * _residue_pair(*one, *two)).real
-    with np.errstate(all=None if cfg.renormalize else "ignore"):  # raw: refused below
+    with np.errstate(all="ignore"):  # a non-finite value is refused by _finite
         lam_chi = _lambda_chi(spec, e)
         amp = c1 * (lam_chi * u1) / (pole1.z - e)
         values = np.asarray(np.abs(amp + c2 * (lam_chi * u2) / (pole2.z - e)) ** 2 / norm)
-    if not cfg.renormalize:
-        _finite("interference spectrum", spec, e, values)
+    _finite("interference spectrum", spec, e, values)
     with np.errstate(over="ignore"):  # the norm of (c1, c2) as given, scaled back exactly
         norm = float(np.ldexp(norm, -2 * shift))
     return SpectrumCurve(grid=e, dP_dE=values, breit_wigner=None, matrix_element=None,

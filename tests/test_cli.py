@@ -527,7 +527,7 @@ def test_output_file_and_plot_script(tmp_path, capsys):
     assert text.startswith("E,dP_dE")
     script = tmp_path / "curve.csv_plot.py"
     assert script.exists()
-    assert str(out_path) in script.read_text()
+    assert repr(out_path.name) in script.read_text()
 
 
 # a stand-in for matplotlib.pyplot that records what a plot script draws, as JSON
@@ -561,27 +561,52 @@ def show():
 """
 
 
+def _run_plot_script(tmp_path, script, cwd):
+    """The plot script run from cwd against the stub pyplot; the calls it recorded."""
+    (tmp_path / "matplotlib").mkdir()
+    (tmp_path / "matplotlib" / "__init__.py").write_text("")
+    (tmp_path / "matplotlib" / "pyplot.py").write_text(_PYPLOT_STUB)
+    calls = tmp_path / "calls.json"
+    proc = subprocess.run(
+        [sys.executable, script], cwd=cwd, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(tmp_path), "PLOT_CALLS": str(calls)})
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(calls.read_text())
+
+
+def _expected_plot_calls(csv_text):
+    header, rows = parse_csv(csv_text)
+    e = [float(row["E"]) for row in rows]
+    plots = [["plot", e, [float(row[name]) for row in rows], name] for name in header[1:]]
+    return plots + [["xlabel", header[0]], ["legend"], ["show"]]
+
+
 @pytest.mark.parametrize("argv", [
     ["spectrum", "--lambda", "100", "--index", "3", "--emin", "80", "--emax", "94"],
     ["cross-section", "--lambda", "100", "--index", "3", "--second-index", "2"],
 ], ids=["spectrum", "cross-section-two-pole"])
 def test_emitted_plot_script_plots_every_column_against_e(argv, tmp_path, capsys):
-    (tmp_path / "matplotlib").mkdir()
-    (tmp_path / "matplotlib" / "__init__.py").write_text("")
-    (tmp_path / "matplotlib" / "pyplot.py").write_text(_PYPLOT_STUB)
-    out_path, calls = tmp_path / "curve.csv", tmp_path / "calls.json"
+    out_path = tmp_path / "curve.csv"
     code, _ = run_main(argv + ["--points", "11", "--output", str(out_path),
                                "--emit-plot-script"], capsys)
     assert code == 0
-    proc = subprocess.run(
-        [sys.executable, str(tmp_path / "curve.csv_plot.py")], capture_output=True, text=True,
-        env={**os.environ, "PYTHONPATH": str(tmp_path), "PLOT_CALLS": str(calls)})
-    assert proc.returncode == 0, proc.stderr
-    header, rows = parse_csv(out_path.read_text())
+    calls = _run_plot_script(tmp_path, str(tmp_path / "curve.csv_plot.py"), tmp_path)
+    header, _ = parse_csv(out_path.read_text())
     assert header[0] == "E" and len(header) >= 4
-    e = [float(row["E"]) for row in rows]
-    plots = [["plot", e, [float(row[name]) for row in rows], name] for name in header[1:]]
-    assert json.loads(calls.read_text()) == plots + [["xlabel", "E"], ["legend"], ["show"]]
+    assert calls == _expected_plot_calls(out_path.read_text())
+
+
+def test_plot_script_of_a_relative_output_runs_from_another_directory(
+        tmp_path, capsys, monkeypatch):
+    # the script opens the CSV beside itself, not the --output path as given
+    monkeypatch.chdir(tmp_path)
+    code, _ = run_main(["spectrum", "--lambda", "100", "--index", "3", "--emin", "80",
+                        "--emax", "94", "--points", "11", "--output", "curve.csv",
+                        "--emit-plot-script"], capsys)
+    assert code == 0
+    (tmp_path / "sub").mkdir()
+    calls = _run_plot_script(tmp_path, os.path.join("..", "curve.csv_plot.py"), tmp_path / "sub")
+    assert calls == _expected_plot_calls((tmp_path / "curve.csv").read_text())
 
 
 def test_plot_script_requires_output(capsys):
@@ -701,6 +726,17 @@ def test_vanishing_well_answers_or_exits_with_one_typed_line(lam, command, capsy
     else:
         assert code in (2, 3) and out == "", (code, out)
         assert err.count("\n") == 1 and err.startswith(("error: ", "numerical failure: ")), err
+
+
+def test_virtual_spectrum_refuses_a_subnormal_gamma(capsys):
+    # the spectrum divides by Gamma, which is subnormal for the virtual state at -1e-305
+    code = cli.main(["spectrum", "--lambda", "-1e-305", "--virtual", "--emin", "1e-3",
+                     "--emax", "1", "--points", "3"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    head, tail = "error: virtual-state Gamma ", " at -1e-305 loses its digits\n"
+    assert err.startswith(head) and err.endswith(tail), err
+    assert 0.0 < float(err[len(head):-len(tail)]) < sys.float_info.min
 
 
 @pytest.mark.parametrize("command", [
@@ -1251,8 +1287,9 @@ def test_curve_edge_values_match_per_cell_format(length, fmt, capsys):
     grid = np.arange(1.0, edge.size + 1.0)
     args = SimpleNamespace(format=fmt, output=None, emit_plot_script=False, radius=1.0)
     spec = PotentialSpec(lam=10.0)
-    columns = [("v", edge), ("skipped", None), ("w", edge[::-1]), ("u", -edge)]
-    cli._emit_curve(args, spec, None, grid, columns)
+    record = SimpleNamespace(grid=grid, v=edge, skipped=None, w=edge[::-1], u=-edge)
+    columns = [("E", "grid", "E")] + [(name, name, "1/E") for name in ("v", "skipped", "w", "u")]
+    cli._emit_curve(args, spec, None, record, columns)
     out = capsys.readouterr().out
     meta = cli._meta(spec) if fmt == "json" else None
     series = [grid, edge, edge[::-1], -edge]
@@ -1279,7 +1316,8 @@ def assert_curve_matches_per_cell_format(v):
     for fmt in ("csv", "json"):
         args = SimpleNamespace(format=fmt, output=None, emit_plot_script=False, radius=1.0)
         with contextlib.redirect_stdout(io.StringIO()) as out:
-            cli._emit_curve(args, spec, None, grid, [("v", v), ("w", w)])
+            cli._emit_curve(args, spec, None, SimpleNamespace(grid=grid, v=v, w=w),
+                            [("E", "grid", "E"), ("v", "v", "1/E"), ("w", "w", "1/E")])
         meta = cli._meta(spec) if fmt == "json" else None
         assert out.getvalue() == per_cell_curve_bytes(fmt, ["E", "v", "w"], [grid, v, w], meta)
 
@@ -1604,8 +1642,7 @@ _OTHER_VALUES = {
     "--index": "2", "--indices": "1,3", "--c1": "0.5,0.5", "--c2": "0.5,-0.5",
     "--second-index": "3", "--branch": "-1", "--re": "2", "--im": "0.5",
 }
-_CONFIG_LINES = {"poles": "count=3", "table": "count=3", "spectrum": "points=4",
-                 "interfere": "points=4", "cross-section": "points=4", "lambertw": "re=2"}
+_CONFIG_LINE = "format=json"  # a config key of all six commands
 
 
 def _exit_and_stdout(argv):
@@ -1618,14 +1655,14 @@ def _exit_and_stdout(argv):
     return code, out.getvalue()
 
 
-def _changed(base, action, tmp_path, command):
+def _changed(base, action, tmp_path):
     """base with the option of action set to another value, or a flag toggled."""
     option = max(action.option_strings, key=len)
     if action.nargs == 0:  # a flag: toggle it
         return [w for w in base if w != option] if option in base else base + [option]
     if option == "--config":
-        path = tmp_path / f"{command}.cfg"
-        path.write_text(_CONFIG_LINES[command] + "\n")
+        path = tmp_path / "run.cfg"
+        path.write_text(_CONFIG_LINE + "\n")
         value = str(path)
     else:
         value = str(tmp_path / "out") if option == "--output" else _OTHER_VALUES[option]
@@ -1644,6 +1681,8 @@ def test_every_flag_changes_stdout_or_exits_2(command, tmp_path):
         base_code, base_out = _exit_and_stdout([command, *base])
         assert base_code == 0 and base_out, base
         for action in actions:
-            argv = [command, *_changed(base, action, tmp_path, command)]
+            argv = [command, *_changed(base, action, tmp_path)]
             code, out = _exit_and_stdout(argv)
-            assert (code == 0 and out != base_out) or (code == 2 and out == ""), (argv, code)
+            refusable = action.dest != "config"  # a config file's key is read, never refused
+            assert ((code == 0 and out != base_out)
+                    or (refusable and code == 2 and out == "")), (argv, code)

@@ -79,6 +79,16 @@ def test_virtual_state_decay_constant():
     assert abs(gamma - 0.18817) <= 1e-3 * 0.18817
 
 
+@pytest.mark.parametrize("lam", [-3e-303, -1e-305])
+def test_virtual_state_gamma_below_the_normal_range_is_refused(lam):
+    # Gamma of the virtual state leaves the normal range from |lam| ~ 3e-303 down;
+    # a subnormal Gamma would divide every density of its spectrum
+    spec = PotentialSpec(lam=lam)
+    pole = find_virtual_state(spec)
+    with pytest.raises(InvalidInput, match=rf"^virtual-state Gamma \S+ at {lam!r} loses its digits$"):
+        observables_record(spec, pole)
+
+
 def _mp_threshold_pole(lam):
     """Im k and the decay constant of the bound or virtual pole at lam (a = 1), in 50 digits.
 

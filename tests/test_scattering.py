@@ -182,6 +182,23 @@ def test_zeldovich_norm_scalar_and_matches_mpmath(lam, count):
         assert abs(mp.mpc(n2) - true) / abs(true) <= 1e-14, (pole, n2, true)
 
 
+@pytest.mark.parametrize("lam", [-1e-306, -1e-307])
+def test_zeldovich_norm_of_a_virtual_state_past_the_exponential_overflow(lam):
+    # lam e^{2ik} overflows at the virtual pole from |lam| ~ 5e-306 down, so t is formed
+    # as lam - 2ik there; the absolute gate refuses the resonances of these strengths
+    spec = PotentialSpec(lam=lam)
+    pole = find_virtual_state(spec)
+    n2 = zeldovich_norm(spec, pole)
+    assert type(n2) is complex
+    # e^{2ik} of the closed form turns the rounding of 2ik, |2k| ~ 711 ulps of 1, into a
+    # relative error of about 1e-13 (3.7e-14 at -1e-307); lam - 2ik keeps the digits
+    ref = _mp_closed_form(spec, pole.k)
+    assert abs(mp.mpc(n2) - ref) / abs(ref) <= 2e-13, (n2, ref)
+    k_true, true = _mp_true_norm(spec, pole)
+    assert abs(mp.mpc(pole.k) - k_true) <= 1e-15 * abs(k_true), (pole, k_true)
+    assert abs(mp.mpc(n2) - true) / abs(true) <= 1e-15, (n2, true)
+
+
 @pytest.mark.parametrize("offset, raises", [
     (0.0, True), (4e-14, True), (-4e-14, True), (6e-14, False), (-6e-14, False),
 ])

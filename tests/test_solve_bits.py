@@ -39,6 +39,12 @@ while each approximant still had a public function of its own beside the
 bundle, so removing those functions, or moving a column's overflow check,
 must leave it as it is.
 
+A fourth digest covers the command line's curve bytes: the stdout of spectrum,
+interfere and cross-section in CSV and JSON at radius 1 and 3, and of table in
+physical units. It was pinned while the curve commands still named their
+columns by hand and scaled each by its name, so writing every command from a
+column spec must leave it as it is.
+
 The digests hold for one libm and one set of complex-arithmetic rules. A
 canary digest of the libm and complex values the solver rests on is
 checked first; where it differs, the pinned digests say nothing about this
@@ -50,13 +56,16 @@ bit, so a second canary of those is checked before it.
 from __future__ import annotations
 
 import cmath
+import contextlib
 import hashlib
+import io
 import math
 
 import mpmath
 import numpy as np
 import pytest
 
+from deltashell import cli
 from deltashell import (
     DeltaShellError, NonConvergence, PotentialSpec, cross_section_bundle, cross_section_exact,
     find_anti_resonance, find_bound_state, find_resonance, find_virtual_state, lambert_w,
@@ -69,6 +78,7 @@ LAMBERT_W_DIGEST = "337faf1dc43ab9f521bc0816d1d099374a6f7c78101ccb41d15acca16c74
 CANARY_DIGEST = "c1a067106ccac1a85d72ad81124395380c2e09e92cc40518e24104d91f77759c"
 CROSS_SECTION_DIGEST = "152ed01917c7a5de4eb4d7215572451efa274b8747ee286e0efc93355b13ea27"
 NUMPY_CANARY_DIGEST = "9fd6e49ee7af5ae36998c403af593b5bf325ddfb3416b8cb2abd2b8108c32471"
+CLI_CURVE_DIGEST = "6ee75884678dc03444cca61f2627e3b98db902cdc78cc9ba33d793eae1b17995"
 
 INV_E = math.exp(-1.0)
 BRANCHES = range(-12, 13)
@@ -220,6 +230,36 @@ def cross_section_lines():
             yield f"{lam.hex()} anti {type(exc).__name__}: {exc}"
 
 
+def cli_curve_lines():
+    """Each command line, its exit code, stdout and stderr: the curve commands in CSV and
+    JSON at radius 1 and 3, and table in physical units (mass 2, hbar 1.5)."""
+    window = ["--points", "41"]
+    curves = [
+        ["spectrum", "--lambda", "100", "--index", "3", "--emin", "80", "--emax", "94"],
+        ["spectrum", "--lambda", "10", "--index", "1", "--emin", "1", "--emax", "30",
+         "--no-companions"],
+        ["spectrum", "--lambda", "-0.5", "--virtual", "--emin", "0.01", "--emax", "2"],
+        ["spectrum", "--lambda", "-1e-100", "--virtual", "--emin", "1e-300", "--emax", "1e-299"],
+        ["interfere", "--lambda", "12", "--indices", "1,2", "--emin", "30", "--emax", "60"],
+        ["interfere", "--lambda", "12", "--indices", "2,3", "--c1", "-0.5,0.3", "--c2", "0.5,0.5",
+         "--emin", "30", "--emax", "90", "--no-renormalize"],
+        ["cross-section", "--lambda", "5", "--index", "1"],
+        ["cross-section", "--lambda", "100", "--index", "3", "--second-index", "2"],
+        ["cross-section", "--lambda", "12", "--index", "1", "--emin", "1e-20", "--emax", "1e-8"],
+    ]
+    lines = [argv + window for argv in curves]
+    lines += [["table", "--lambda", lam, "--count", "5", "--units", "physical", "--mass", "2",
+               "--hbar", "1.5"] for lam in ("100", "10", "0.5", "-0.5", "-10", "-700")]
+    for argv in lines:
+        for radius in ("1", "3"):
+            for fmt in ("csv", "json"):
+                line = argv + ["--radius", radius, "--format", fmt]
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = cli.main(line)
+                yield f"{' '.join(line)} {code}\n{out.getvalue()}{err.getvalue()}"
+
+
 @pytest.fixture(scope="module")
 def same_arithmetic():
     got = _digest(canary_lines())
@@ -240,6 +280,13 @@ def test_cross_section_bits_match_their_pinned_digest(same_arithmetic):
     if got != NUMPY_CANARY_DIGEST:
         pytest.skip(f"numpy's ufuncs differ from where the digest was pinned ({got})")
     assert _digest(cross_section_lines()) == CROSS_SECTION_DIGEST
+
+
+def test_cli_curve_bytes_match_their_pinned_digest(same_arithmetic):
+    got = _digest(numpy_canary_lines())
+    if got != NUMPY_CANARY_DIGEST:
+        pytest.skip(f"numpy's ufuncs differ from where the digest was pinned ({got})")
+    assert _digest(cli_curve_lines()) == CLI_CURVE_DIGEST
 
 
 def test_halley_at_w_minus_one_returns_none():
