@@ -25,11 +25,12 @@ hdr = f"{'row':<10} {'pole width':>12} {'decay width':>12} {'constant':>10} {'sh
 print(hdr)
 print("-" * len(hdr))
 for rec in rows:
-    name = rec.kind.value if rec.kind.value != "resonance" else f"res n={rec.index}"
+    pole = rec.pole
+    name = pole.kind.value if pole.kind.value != "resonance" else f"res n={pole.index}"
     sharp_w = "" if rec.gamma_bar_sharp is None else f"{rec.gamma_bar_sharp:10.4f}"
     sharp_c = "" if rec.gamma_sharp is None else f"{rec.gamma_sharp:10.4f}"
     print(
-        f"{name:<10} {rec.gamma_R:>12.4f} {rec.gamma_bar:>12.4f} "
+        f"{name:<10} {pole.gamma_R:>12.4f} {rec.gamma_bar:>12.4f} "
         f"{rec.gamma:>10.4f} {sharp_w:>10} {sharp_c:>10}"
     )
 
@@ -44,5 +45,6 @@ print(
 print("perturbative width equation, RHS / pole width (would be 1 if the")
 print("perturbative identity held):")
 for rec in rows:
-    if rec.kind.value == "resonance" and rec.index <= 3:
-        print(f"  n={rec.index}:  {rec.gamma_bar / rec.gamma_R:.4f}")
+    pole = rec.pole
+    if pole.kind.value == "resonance" and pole.index <= 3:
+        print(f"  n={pole.index}:  {rec.gamma_bar / pole.gamma_R:.4f}")

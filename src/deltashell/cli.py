@@ -91,8 +91,8 @@ _POLE_COLUMNS = (
     ("re_k", "k.real", "k"), ("im_k", "k.imag", "k"),
     ("re_z", "z.real", "E"), ("im_z", "z.imag", "E"), ("gamma_R", "gamma_R", "E"),
 )
-# an ObservablesRecord carries the pole columns except the branch; C, last, is JSON-only
-_TABLE_COLUMNS = _POLE_COLUMNS[:2] + _POLE_COLUMNS[3:] + (
+# a table row: its pole's columns but the branch, then its observables; C, last, is JSON-only
+_TABLE_COLUMNS = tuple((n, "pole." + p, d) for n, p, d in _POLE_COLUMNS if n != "branch") + (
     ("gamma_bar", "gamma_bar", "E"), ("gamma", "gamma", "1"),
     ("gamma_bar_sharp", "gamma_bar_sharp", "E"), ("gamma_sharp", "gamma_sharp", "1"),
     ("c_value", "c_value", "L"),

@@ -31,8 +31,8 @@ Gbar_sharp = 2 pi M^2(E_R), Gamma_sharp = Gbar_sharp / Gamma_R.
 
 One row kernel, :func:`observables_record`, forms a whole table row: it
 reads each pole field once, forms a resonance's residue normalization
-2 lam^2 |N|^2 exp(2 beta) once, and every observable inline from it; each
-width, constant and sharp value is a field of its record.
+2 lam^2 |N|^2 exp(2 beta) once, and every observable inline from it; the
+record holds the pole, and each width, constant and sharp value is a field.
 Units are those of :mod:`deltashell.potential` (a = 1). The command line
 scales a row to radius a: k by 1/a, energies and widths by 1/a^2, C by a.
 
@@ -62,7 +62,7 @@ _ROW_KINDS = (_RESONANCE, _BOUND, _VIRTUAL_STATE)
 
 @dataclass(frozen=True)
 class ObservablesRecord:
-    """One table row: pole identity plus every decay observable.
+    """One table row: the pole it was formed from plus every decay observable.
 
     gamma_bar is also the right-hand side of the second-order perturbation-theory
     width equation; were that equation exact it would equal Gamma_R, but the
@@ -81,25 +81,16 @@ class ObservablesRecord:
     the dataclass semantics are those of the generated init.
     """
 
-    kind: PoleKind
-    index: int
-    k: complex
-    z: complex
-    gamma_R: float
+    pole: Pole
     gamma_bar: float
     gamma: float
     gamma_bar_sharp: float | None
     gamma_sharp: float | None
     c_value: float | None
 
-    def __init__(self, kind, index, k, z, gamma_R, gamma_bar, gamma,
-                 gamma_bar_sharp, gamma_sharp, c_value):
+    def __init__(self, pole, gamma_bar, gamma, gamma_bar_sharp, gamma_sharp, c_value):
         fields = self.__dict__
-        fields["kind"] = kind
-        fields["index"] = index
-        fields["k"] = k
-        fields["z"] = z
-        fields["gamma_R"] = gamma_R
+        fields["pole"] = pole
         fields["gamma_bar"] = gamma_bar
         fields["gamma"] = gamma
         fields["gamma_bar_sharp"] = gamma_bar_sharp
@@ -119,14 +110,14 @@ def observables_record(spec: PotentialSpec, pole: Pole) -> ObservablesRecord:
     kind = pole.kind
     if kind not in _ROW_KINDS:
         _require_kind(pole, *_ROW_KINDS)
-    k, z, gamma_R = pole.k, pole.z, pole.gamma_R
+    k = pole.k
     if kind is not _RESONANCE:
         # Gamma = -lam (1 + lam) / (t (1 + t)) with t = lam + 2 Im k real; 1 if bound
         lam, x = spec.lam, 2.0 * k.imag
         gamma = 1.0 if kind is _BOUND else -lam * (1.0 + lam) / ((lam + x) * ((1.0 + lam) + x))
         if gamma < sys.float_info.min:  # a virtual state from |lam| ~ 3e-303 down
             raise InvalidInput(f"virtual-state Gamma {gamma!r} at {lam!r} loses its digits")
-        return ObservablesRecord(kind, pole.index, k, z, gamma_R, 0.0, gamma, None, None, None)
+        return ObservablesRecord(pole, 0.0, gamma, None, None, None)
     # 2 lam^2 |N|^2 exp(2 beta): the one residue normalization of a row
     prefactor = _shell_weight(spec, pole, 2.0 * spec.lam**2)
     # C = int (1/pi) (G/2)/((E-E_R)^2+(G/2)^2) sin^2(k)/k dE
@@ -136,13 +127,13 @@ def observables_record(spec: PotentialSpec, pole: Pole) -> ObservablesRecord:
     c_value = 2.0 * k.real / (t.real * t.real + t.imag * t.imag)
     gamma_bar = prefactor * c_value
     gbs = gs = None
-    e_R = z.real  # pole.e_R, without the property call
+    gamma_R = pole.gamma_R
+    e_R = pole.z.real  # pole.e_R, without the property call
     if e_R > 0.0:
         kt = math.sqrt(e_R)
         gbs = prefactor * math.sin(kt) ** 2 / kt
         gs = gbs / gamma_R
-    return ObservablesRecord(kind, pole.index, k, z, gamma_R, gamma_bar,
-                             gamma_bar / gamma_R, gbs, gs, c_value)
+    return ObservablesRecord(pole, gamma_bar, gamma_bar / gamma_R, gbs, gs, c_value)
 
 
 def table_records(spec: PotentialSpec, count: int) -> list[ObservablesRecord]:

@@ -84,7 +84,7 @@ def test_criterion_04_decay_observables(all_records):
     for lam in TABLE_LAMBDAS:
         for rec, row in zip(all_records[lam], golden_rows(lam)):
             tag = f"lam={lam} {row['kind']} {row['index']}"
-            if rec.kind is not PoleKind.RESONANCE:
+            if rec.pole.kind is not PoleKind.RESONANCE:
                 assert rec.gamma_bar == 0.0, f"{tag} gamma_bar"
                 assert_printed(rec.gamma, row["gamma"], f"{tag} gamma",
                                tol=1e-3 * max(float(row["gamma"]), 1.0))
@@ -106,14 +106,14 @@ def test_criterion_04_decay_observables(all_records):
 def test_criterion_05_bound_state_closure(specs, all_records):
     for lam in (-10.0, -100.0):
         rec = all_records[lam][0]
-        assert rec.kind is PoleKind.BOUND
+        assert rec.pole.kind is PoleKind.BOUND
         assert abs(rec.gamma - 1.0) <= 1e-3
     report(5, "bound-state decay constant equals 1 within 1e-3 by direct quadrature")
 
 
 def test_criterion_06_virtual_state_constant(all_records):
     rec = all_records[-0.5][0]
-    assert rec.kind is PoleKind.VIRTUAL_STATE
+    assert rec.pole.kind is PoleKind.VIRTUAL_STATE
     assert abs(rec.gamma - 0.18817) <= 1e-3 * 0.18817
     report(6, f"virtual-state decay constant {rec.gamma:.6f} matches 0.18817 within 1e-3")
 
@@ -123,9 +123,9 @@ def test_criterion_07_perturbation_refutation(specs, all_records):
     for lam in TABLE_LAMBDAS:
         spec = specs[lam]
         for rec in all_records[lam]:
-            if rec.kind is not PoleKind.RESONANCE:
+            if rec.pole.kind is not PoleKind.RESONANCE:
                 continue
-            pole = find_resonance(spec, rec.index)
+            pole = rec.pole
             ratio = perturbation_rhs(spec, pole) / pole.gamma_R
             assert ratio == pytest.approx(rec.gamma, rel=1e-6)
             assert abs(ratio - 1.0) > 0.05

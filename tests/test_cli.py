@@ -991,8 +991,8 @@ def _table_case(lam, count, physical=False, mass="2", hbar="1.5"):
     names = ["kind", "index", "re_k", "im_k", "re_z", "im_z", "gamma_R", "gamma_bar",
              "gamma", "gamma_bar_sharp", "gamma_sharp", "c_value"]
     rows = [
-        [r.kind.value, r.index, r.k.real, r.k.imag, r.z.real * s, r.z.imag * s,
-         r.gamma_R * s, r.gamma_bar * s, r.gamma,
+        [r.pole.kind.value, r.pole.index, r.pole.k.real, r.pole.k.imag, r.pole.z.real * s,
+         r.pole.z.imag * s, r.pole.gamma_R * s, r.gamma_bar * s, r.gamma,
          None if r.gamma_bar_sharp is None else r.gamma_bar_sharp * s, r.gamma_sharp,
          r.c_value]
         for r in table_records(spec, count)

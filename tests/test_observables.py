@@ -44,7 +44,7 @@ def test_reference_observables(lam, all_records):
     assert len(records) == len(rows)
     for rec, row in zip(records, rows):
         tag = f"lam={lam} {row['kind']} n={row['index']}"
-        if rec.kind is PoleKind.RESONANCE:
+        if rec.pole.kind is PoleKind.RESONANCE:
             assert_printed(
                 rec.gamma_bar, row["gamma_bar"], f"{tag} gamma_bar",
                 tol=sigfig_tol(row["gamma_bar"], 3),
@@ -158,8 +158,8 @@ def test_differential_relations():
 def test_gamma_is_width_over_pole_width(all_records):
     for records in all_records.values():
         for rec in records:
-            if rec.kind is PoleKind.RESONANCE:
-                assert rec.gamma == rec.gamma_bar / rec.gamma_R
+            if rec.pole.kind is PoleKind.RESONANCE:
+                assert rec.gamma == rec.gamma_bar / rec.pole.gamma_R
 
 
 def test_golden_rule_identity_and_reference():
@@ -213,7 +213,7 @@ def test_anti_resonance_rejected():
 def test_decay_constant_trend(all_records):
     # narrower pole (smaller gamma_R) couples more strongly: gamma falls with n
     for records in all_records.values():
-        gammas = [r.gamma for r in records if r.kind is PoleKind.RESONANCE]
+        gammas = [r.gamma for r in records if r.pole.kind is PoleKind.RESONANCE]
         assert all(a > b for a, b in zip(gammas, gammas[1:]))
 
 
@@ -223,7 +223,7 @@ def test_decay_width_trend(all_records):
     for lam, records in all_records.items():
         if lam == 0.5:
             continue
-        gbars = [r.gamma_bar for r in records if r.kind is PoleKind.RESONANCE]
+        gbars = [r.gamma_bar for r in records if r.pole.kind is PoleKind.RESONANCE]
         assert all(a < b for a, b in zip(gbars, gbars[1:]))
 
 
@@ -231,7 +231,7 @@ def test_sharp_limit_property(all_records):
     # sharp poles have gamma_sharp within 5 percent of unity
     for lam in (100.0, -100.0):
         for rec in all_records[lam]:
-            if rec.kind is PoleKind.RESONANCE and rec.index <= 3:
+            if rec.pole.kind is PoleKind.RESONANCE and rec.pole.index <= 3:
                 assert abs(rec.gamma_sharp - 1.0) < 0.05
 
 
@@ -329,7 +329,7 @@ def test_rows_match_the_50_digit_reference():
                 assert rec.gamma_bar_sharp is None and rec.gamma_sharp is None, tag
                 checked[pole.kind.value] += 1
                 continue
-            gamma_r_error = _relative_error(rec.gamma_R, ref["gamma_R"])
+            gamma_r_error = _relative_error(pole.gamma_R, ref["gamma_R"])
             assert _relative_error(rec.gamma_bar, ref["gamma_bar"]) <= rounding, tag
             assert _relative_error(rec.c_value, ref["c_value"]) <= rounding, tag
             assert _relative_error(rec.gamma, ref["gamma"]) <= gamma_r_error + rounding, tag

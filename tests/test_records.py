@@ -25,6 +25,7 @@ from deltashell import (
     find_bound_state,
     find_resonance,
     find_virtual_state,
+    observables_record,
     table_records,
 )
 
@@ -71,10 +72,14 @@ def test_fields_are_frozen(record):
 def test_replace_asdict_pickle_and_copy_round_trip(record):
     cls = type(record)
     values = {f.name: getattr(record, f.name) for f in dataclasses.fields(record)}
-    assert dataclasses.asdict(record) == values
+    # asdict recurses into a table row's pole, which it gives as the pole's own asdict
+    assert dataclasses.asdict(record) == {
+        name: dataclasses.asdict(v) if dataclasses.is_dataclass(v) else v
+        for name, v in values.items()
+    }
     clones = [
         dataclasses.replace(record),
-        cls(**dataclasses.asdict(record)),
+        cls(**values),
         cls(*values.values()),
         pickle.loads(pickle.dumps(record)),
         copy.copy(record),
@@ -88,6 +93,16 @@ def test_replace_asdict_pickle_and_copy_round_trip(record):
         assert dataclasses.astuple(clone) == dataclasses.astuple(record)
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(clone, dataclasses.fields(cls)[0].name, None)
+
+
+def test_a_table_row_holds_its_pole():
+    # the row keeps the pole it was formed from, not copies of the pole's fields
+    assert [f.name for f in dataclasses.fields(ObservablesRecord)] == [
+        "pole", "gamma_bar", "gamma", "gamma_bar_sharp", "gamma_sharp", "c_value"]
+    well, shallow = PotentialSpec(lam=-10.0), PotentialSpec(lam=-0.5)
+    for spec, pole in ((well, find_bound_state(well)), (shallow, find_virtual_state(shallow)),
+                       (well, find_resonance(well, 2))):
+        assert observables_record(spec, pole).pole is pole
 
 
 def test_replace_makes_a_new_valid_record():
