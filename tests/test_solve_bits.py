@@ -30,7 +30,13 @@ the 8,372 pole lines 1,656 moved: 803 resonances and their 803 mirrors,
 404 of them closer to tests/reference.py and 399 farther, the largest
 error of any resonance unchanged at 1.1e-16 relative; and 25 refusals and
 their mirrors, whose messages print a residual moved in its fourth digit.
-No pole went from a value to a refusal or back.
+No pole went from a value to a refusal or back. The Lambert W digest and the
+canary were pinned again when the log-spaced sweeps stopped forming hi / lo,
+which overflowed for the canary's range and the tiny arguments and gave nan
+and inf points: 343 of the 441 canary lines had held a nan, and 10,725 of the
+65,537 Lambert W lines a non-finite argument, which tested only the refusal.
+With the same solver, the corrected tiny arguments gave 22 NonConvergence
+lines, at 5e-324 and 8.07e-316 on branches -1 and 1.
 
 A third digest covers the cross-section bundle: every column's bits, or the
 message of its refusal, over a fixed sweep of strengths, resonances, energy
@@ -74,8 +80,8 @@ from deltashell.cross_sections import _SINC_SERIES
 from deltashell.lambertw import _halley
 
 POLE_DIGEST = "fb110c7b7870de3554d023ec2f4cae3d9a4e2a7ad55bfff9fe9b2f7db6b784e1"
-LAMBERT_W_DIGEST = "337faf1dc43ab9f521bc0816d1d099374a6f7c78101ccb41d15acca16c746262"
-CANARY_DIGEST = "c1a067106ccac1a85d72ad81124395380c2e09e92cc40518e24104d91f77759c"
+LAMBERT_W_DIGEST = "5bc7a96761ded23b6ff085495978592547ad3dae7ae255c74668bd8cf1810f72"
+CANARY_DIGEST = "a23daf14ae19429b3bd8c0d96a600e8a6a76b131ab4619ff7a6b9bf1343209ce"
 CROSS_SECTION_DIGEST = "152ed01917c7a5de4eb4d7215572451efa274b8747ee286e0efc93355b13ea27"
 NUMPY_CANARY_DIGEST = "9fd6e49ee7af5ae36998c403af593b5bf325ddfb3416b8cb2abd2b8108c32471"
 CLI_CURVE_DIGEST = "6ee75884678dc03444cca61f2627e3b98db902cdc78cc9ba33d793eae1b17995"
@@ -97,8 +103,11 @@ def _hex(z: complex) -> str:
 
 
 def _log_spaced(lo: float, hi: float, count: int) -> list[float]:
-    step = math.log(hi / lo) / (count - 1)
-    return [lo * math.exp(i * step) for i in range(count - 1)] + [hi]
+    """count points from lo to hi, log-spaced; formed from the logs of the ends, so
+    neither hi / lo nor lo e^{i step} overflows at the ends of the float range."""
+    start = math.log(lo)
+    step = (math.log(hi) - start) / (count - 1)
+    return [math.exp(start + i * step) for i in range(count - 1)] + [hi]
 
 
 def canary_lines():
@@ -116,8 +125,10 @@ def canary_lines():
 
 
 def strengths() -> list[float]:
-    """lam log-spaced over [0.15, 700] and [-700, -0.15]."""
-    mags = _log_spaced(0.15, 700.0, 161)
+    """lam log-spaced over [0.15, 700] and [-700, -0.15], as 0.15 e^{i step}: the
+    pole digest was pinned on these bits, which _log_spaced rounds differently."""
+    step = math.log(700.0 / 0.15) / 160
+    mags = [0.15 * math.exp(i * step) for i in range(160)] + [700.0]
     return [sign * mag for mag in mags for sign in (1.0, -1.0)]
 
 
