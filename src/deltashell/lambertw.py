@@ -21,7 +21,11 @@ Algorithm
   ``L1 - L2 + L2/L1 + L2(L2 - 2)/(2 L1^2)``, ``L2 = Log L1``. The root is the
   step taken from a w with ``|h| <= 4 eps (|w| + |Log w| + |L1|)``, sized at
   the seed (1-3 steps, cap 64). No e^w is formed, so nothing overflows.
-* Branches 0 and -1: the asymptotic seed ``w0 = L1 - L2 + L2/L1``.
+* The same log form serves branches 0 and -1 where Halley's e^w leaves the
+  normal floats: |z| > 2**1023 on both, and |z| < 2**-1012 on branch -1. On
+  branch -1's real segment (-1/e, 0) it solves the real form
+  ``w + log(-w) = log(-z)``, so W is real there.
+* Branches 0 and -1 elsewhere: the asymptotic seed ``w0 = L1 - L2 + L2/L1``.
   Special seeds cover the regions where the asymptotic form degrades:
   on branch 0 a Taylor seed near z = 0, ``Log(1 + z)`` for |z| < 4, and a
   park seed -0.3 + 1.3i (next to W_0(-1)) in the band just above the cut
@@ -72,6 +76,12 @@ _STEP_TOL = 1e-15
 _MAX_ITER = 64
 _RESIDUAL_TOL = 1e-13
 _LOG_TOL = 4.0 * 2.0**-52  # |h| relative to the sum of |h's terms|
+# The |z| band of Halley on branches 0 and -1. Below it e^w = z / w, |w| < 2**10, can
+# be subnormal (W_0 is near z there, so only branch -1). Above it complex division by
+# Halley's e^w (1 + w) ~ z (1 + 1/w) forms up to sqrt(2) |divisor|, which overflows to
+# a zero step from |z| ~ 1.27e308 on.
+_HALLEY_MIN = 2.0**-1012
+_HALLEY_MAX = 2.0**1023
 
 
 def _branch_point_series(p: complex) -> complex:
@@ -115,19 +125,32 @@ def _halley(w: complex, z: complex) -> complex | None:
 
 
 def _unwound(n: int, z: complex) -> complex | None:
-    """W_n(z) for n not 0 or -1 if Newton passes the acceptance test, else None."""
-    l1 = cmath.log(z) + 1j * _TWO_PI * n
-    l2 = cmath.log(l1)
+    """W_n(z) if Newton on the log form passes the acceptance test, else None. On
+    branch -1's real segment (-1/e, 0) the unwound form fails (Log w is log|w| + i pi
+    on a real w), so the real form w + log(-w) = log(-z) is solved, from the same
+    series in L1 = log(-z), L2 = log(-L1), and W is real."""
+    if n == -1 and z.imag == 0.0 and -_INV_E < z.real < 0.0:
+        l1 = math.log(-z.real)
+        l2 = math.log(-l1)
+        log = _log_of_negated
+    else:
+        l1 = cmath.log(z) + 1j * _TWO_PI * n
+        l2 = cmath.log(l1)
+        log = cmath.log
     q = l2 / l1  # formed as quotients, so no L1^2 overflows for huge n
     w = l1 - l2 + q + 0.5 * q * ((l2 - 2.0) / l1)
     tol = _LOG_TOL * (abs(w) + abs(l2) + abs(l1))
     for _ in range(_MAX_ITER):
-        h = (w - l1) + cmath.log(w)  # w and l1 are close: their difference first
+        h = (w - l1) + log(w)  # w and l1 are close: their difference first
         step = w - h * w / (w + 1.0)
         if abs(h) <= tol:
-            return step
+            return complex(step)
         w = step
     return None
+
+
+def _log_of_negated(w: float) -> float:
+    return math.log(-w)
 
 
 def _seed(branch: int, z: complex) -> complex:
@@ -168,10 +191,11 @@ def lambert_w(branch: int, z: complex) -> complex:
     Returns
     -------
     complex
-        w in the standard strip of the requested branch: on branches 0 and -1
-        (0 and 1 below the cut) ``|w * exp(w) - z| <= 1e-13 * max(1, |z|)``,
-        on the others the Newton step past ``|h| <= 4 eps (...)`` of the
-        Algorithm, whose forward residual has a floor of about ``eps |w| |z|``.
+        w in the standard strip of the requested branch: where Halley runs
+        (branches 0 and -1, 0 and 1 below the cut, inside its |z| band)
+        ``|w * exp(w) - z| <= 1e-13 * max(1, |z|)``, elsewhere the Newton step
+        past ``|h| <= 4 eps (...)`` of the Algorithm, whose forward residual
+        has a floor of about ``eps |w| |z|``.
 
     Raises
     ------
@@ -179,9 +203,9 @@ def lambert_w(branch: int, z: complex) -> complex:
         If branch is not an integer (``operator.index`` refuses it), z or
         its modulus is non-finite, or z = 0 with branch != 0.
     NonConvergence
-        On branches 0 and -1, if Halley fails the acceptance test or e^w
-        overflows; the others form no e^w and fail only past |n| = 2.8e307,
-        where 2 pi n overflows (and n has no float from 2**1024 on).
+        On branches 0 and -1, if Halley or the log form fails its acceptance
+        test or e^w overflows; the others form no e^w and fail only past
+        |n| = 2.8e307, where 2 pi n overflows (and n has no float from 2**1024 on).
     """
     if type(branch) is not int:
         try:
@@ -207,6 +231,8 @@ def lambert_w(branch: int, z: complex) -> complex:
             w = _unwound(n, u)
         elif near_branch_point:  # the series, at machine precision; Halley degenerates at w = -1
             w = _seed(n, u)
+        elif (size := abs(u)) > _HALLEY_MAX or (n and size < _HALLEY_MIN):
+            w = _unwound(n, u)
         else:
             w = _halley(_seed(n, u), u)
     except OverflowError:  # e^w overflowed on the way, or |n| >= 2**1024 has no float

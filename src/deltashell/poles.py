@@ -20,8 +20,8 @@ for some branch n of the Lambert W function. Branch bookkeeping:
 * bound state (lam < -1): branch 0.  virtual state (-1 < lam < 0): branch -1,
   as printed: neither evaluates W. With the root k = 0 divided out, the
   pole k = i y solves F(y) = y - log(sinh y / y) = log(-lam) by Newton;
-  F is increasing and concave, and log(-lam) = log1p(-1 - lam) is exact
-  next to the threshold lam = -1.
+  F is increasing and concave, and log(-lam) keeps its digits next to the
+  threshold lam = -1, as -lam is exact.
 
 Each resonance root is polished with two Newton steps on f(k) = 0 itself,
 which drive its residual to the evaluation noise floor (~1e-13 for
@@ -179,7 +179,7 @@ def _deflated(y: float) -> tuple[float, float]:
 def _threshold_pole(spec: PotentialSpec, kind: PoleKind) -> Pole:
     """The bound or virtual pole; ``kind`` is ``_threshold_kind(spec)``, checked by the caller."""
     lam = spec.lam
-    target = math.log1p(-1.0 - lam) if -2.0 < lam < -0.5 else math.log(-lam)
+    target = math.log(-lam)
     # seed: F(y) ~ log(2y) in a deep well, ~ 2y + log(-2y) in a weak one, ~ y between
     y = (-0.5 * lam if target > 1.0 else
          0.5 * (target - math.log(-target)) if target < -1.0 else target)

@@ -2,12 +2,13 @@
 
 import cmath
 import math
+import sys
 
 import mpmath
 import numpy as np
 import pytest
 import scipy.special
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import deltashell.lambertw as lambertw_module
@@ -249,3 +250,55 @@ def test_log_form_branches_match_mpmath(n, log_r, phase, on_axis, below):
         z, n, ref = z.conjugate(), -n, mpmath.conj(ref)
     w = lambert_w(n, z)
     assert abs(mpmath.mpc(w) - ref) <= 6e-16 * abs(ref), (n, z, w)
+
+
+@pytest.mark.parametrize("branch, z", [
+    (-1, -1e-310),
+    (-1, -5e-324),
+    (1, complex(-1e-310, -0.0)),
+    (-1, 5e-324),
+    (-1, complex(-8e-316, 3e-316)),
+    (0, sys.float_info.max),
+    (-1, sys.float_info.max),
+    (0, complex(-1.3e308, 0.0)),
+    (-1, cmath.rect(1.5e308, 0.8)),
+])
+def test_w_at_the_ends_of_the_float_range_matches_mpmath(branch, z):
+    # Halley on w e^w = z refused these: at a tiny z branch -1's e^w is subnormal, and
+    # at a huge z complex division by e^w (1 + w) overflows to a zero step; the log
+    # form answers, and on branch -1's real segment its real form gives a real W
+    with mpmath.workdps(30):
+        if math.copysign(1.0, complex(z).imag) < 0.0:  # mpmath reads -0.0 as +0.0
+            ref = mpmath.conj(mpmath.lambertw(mpmath.mpc(complex(z).conjugate()), -branch))
+        else:
+            ref = mpmath.lambertw(mpmath.mpc(z), branch)
+        w = lambert_w(branch, z)
+        assert abs(mpmath.mpc(w) - ref) <= 2.0**-51 * abs(ref), (branch, z, w)
+    if complex(z).imag == 0.0 and -INV_E < complex(z).real < 0.0:
+        assert w.imag == 0.0
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    n=st.sampled_from((0, -1)),
+    log_r=st.one_of(st.floats(math.log(5e-324), math.log(1e-290)),
+                    st.floats(math.log(1e300), math.log(1.79e308))),
+    phase=st.floats(0.0, math.pi),
+    on_axis=st.booleans(),
+    below=st.booleans(),
+)
+def test_branches_0_and_minus_1_at_the_ends_of_the_float_range(n, log_r, phase, on_axis, below):
+    # |z| from the smallest subnormal to 1e-290 and from 1e300 to 1.79e308, at any angle
+    # and on the negative real axis, each mirrored below the cut as in the log-form
+    # test: no refusal, within 2^-51 |w| of 30-digit mpmath, and real on the segment
+    r = math.exp(log_r)
+    z = complex(-r, 0.0) if on_axis else cmath.rect(r, phase)
+    assume(z != 0)  # both parts of a subnormal z can round to zero
+    with mpmath.workdps(30):
+        ref = mpmath.lambertw(mpmath.mpc(z.real, z.imag), n)
+    if below:
+        z, n, ref = z.conjugate(), -n, mpmath.conj(ref)
+    w = lambert_w(n, z)
+    assert abs(mpmath.mpc(w) - ref) <= 2.0**-51 * abs(ref), (n, z, w)
+    if on_axis and r < INV_E and n != 0:
+        assert w.imag == 0.0, (n, z, w)

@@ -36,7 +36,13 @@ which overflowed for the canary's range and the tiny arguments and gave nan
 and inf points: 343 of the 441 canary lines had held a nan, and 10,725 of the
 65,537 Lambert W lines a non-finite argument, which tested only the refusal.
 With the same solver, the corrected tiny arguments gave 22 NonConvergence
-lines, at 5e-324 and 8.07e-316 on branches -1 and 1.
+lines, at 5e-324 and 8.07e-316 on branches -1 and 1. The Lambert W digest
+was pinned once more when branches 0 and -1 (after the conjugation) left
+Halley for the log form where |z| > 2**1023 or, on branch -1, |z| < 2**-1012:
+53 lines moved. The 22 refusals became values within 1.8e-16 relative of
+30-digit mpmath; 10 values at |z| = 1.3e-307 moved, none farther from
+mpmath, to at most 7.5e-17 relative; 21 values at |z| = 1e308 went from at most 4.1e-17 to at
+most 2.0e-16 relative, the log form's one bit. No other line moved.
 
 A third digest covers the cross-section bundle: every column's bits, or the
 message of its refusal, over a fixed sweep of strengths, resonances, energy
@@ -80,7 +86,7 @@ from deltashell.cross_sections import _SINC_SERIES
 from deltashell.lambertw import _halley
 
 POLE_DIGEST = "fb110c7b7870de3554d023ec2f4cae3d9a4e2a7ad55bfff9fe9b2f7db6b784e1"
-LAMBERT_W_DIGEST = "5bc7a96761ded23b6ff085495978592547ad3dae7ae255c74668bd8cf1810f72"
+LAMBERT_W_DIGEST = "abfca8884d8696b8a37bda8bc0a52b2ecf3fa9597401d95649f0dce786f75759"
 CANARY_DIGEST = "a23daf14ae19429b3bd8c0d96a600e8a6a76b131ab4619ff7a6b9bf1343209ce"
 CROSS_SECTION_DIGEST = "152ed01917c7a5de4eb4d7215572451efa274b8747ee286e0efc93355b13ea27"
 NUMPY_CANARY_DIGEST = "9fd6e49ee7af5ae36998c403af593b5bf325ddfb3416b8cb2abd2b8108c32471"
@@ -298,6 +304,20 @@ def test_cli_curve_bytes_match_their_pinned_digest(same_arithmetic):
     if got != NUMPY_CANARY_DIGEST:
         pytest.skip(f"numpy's ufuncs differ from where the digest was pinned ({got})")
     assert _digest(cli_curve_lines()) == CLI_CURVE_DIGEST
+
+
+@pytest.mark.parametrize("z", [
+    26.370099513148944 + 46.95835094742933j,  # leaves by the step test
+    -36.563575588759875 + 42.371686846861635j,  # leaves by the rounding floor
+])
+def test_halley_refuses_a_root_past_the_residual_tolerance(monkeypatch, z):
+    # no admitted input is known to reach a refused Halley root, so a zero tolerance
+    # stands in for one: each exit leaves with f != 0 here, and each must refuse it
+    import deltashell.lambertw as lambertw_module
+
+    monkeypatch.setattr(lambertw_module, "_RESIDUAL_TOL", 0.0)
+    with pytest.raises(NonConvergence, match="W_0"):
+        lambert_w(0, z)
 
 
 def test_halley_at_w_minus_one_returns_none():
