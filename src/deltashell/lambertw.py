@@ -23,8 +23,8 @@ Algorithm
   the seed (1-3 steps, cap 64). No e^w is formed, so nothing overflows.
 * The same log form serves branches 0 and -1 where Halley's e^w leaves the
   normal floats: |z| > 2**1023 on both, and |z| < 2**-1012 on branch -1. On
-  branch -1's real segment (-1/e, 0) it solves the real form
-  ``w + log(-w) = log(-z)``, so W is real there.
+  branch -1's real segment (-1/e, 0) the real form ``w + log(-w) = log(-z)``
+  is solved instead, so W is real there.
 * Branches 0 and -1 elsewhere: the asymptotic seed ``w0 = L1 - L2 + L2/L1``.
   Special seeds cover the regions where the asymptotic form degrades:
   on branch 0 a Taylor seed near z = 0, ``Log(1 + z)`` for |z| < 4, and a
@@ -125,32 +125,36 @@ def _halley(w: complex, z: complex) -> complex | None:
 
 
 def _unwound(n: int, z: complex) -> complex | None:
-    """W_n(z) if Newton on the log form passes the acceptance test, else None. On
-    branch -1's real segment (-1/e, 0) the unwound form fails (Log w is log|w| + i pi
-    on a real w), so the real form w + log(-w) = log(-z) is solved, from the same
-    series in L1 = log(-z), L2 = log(-L1), and W is real."""
-    if n == -1 and z.imag == 0.0 and -_INV_E < z.real < 0.0:
-        l1 = math.log(-z.real)
-        l2 = math.log(-l1)
-        log = _log_of_negated
-    else:
-        l1 = cmath.log(z) + 1j * _TWO_PI * n
-        l2 = cmath.log(l1)
-        log = cmath.log
+    """W_n(z) if Newton on the log form passes the acceptance test, else None."""
+    l1 = cmath.log(z) + 1j * _TWO_PI * n
+    l2 = cmath.log(l1)
     q = l2 / l1  # formed as quotients, so no L1^2 overflows for huge n
     w = l1 - l2 + q + 0.5 * q * ((l2 - 2.0) / l1)
     tol = _LOG_TOL * (abs(w) + abs(l2) + abs(l1))
     for _ in range(_MAX_ITER):
-        h = (w - l1) + log(w)  # w and l1 are close: their difference first
+        h = (w - l1) + cmath.log(w)  # w and l1 are close: their difference first
         step = w - h * w / (w + 1.0)
         if abs(h) <= tol:
-            return complex(step)
+            return step
         w = step
     return None
 
 
-def _log_of_negated(w: float) -> float:
-    return math.log(-w)
+def _real_segment(x: float) -> complex | None:
+    """W_-1(x) for tiny x < 0 by Newton on the real form w + log(-w) = log(-x), as
+    _unwound solves the log form: on branch -1's real segment (-1/e, 0) Log w is
+    log|w| + i pi, and the unwound form has no root."""
+    l1 = math.log(-x)
+    l2 = math.log(-l1)
+    w = l1 - l2 + l2 / l1
+    tol = _LOG_TOL * (abs(w) + abs(l2) + abs(l1))
+    for _ in range(_MAX_ITER):
+        h = (w - l1) + math.log(-w)
+        step = w - h * w / (w + 1.0)
+        if abs(h) <= tol:
+            return complex(step, 0.0)
+        w = step
+    return None
 
 
 def _seed(branch: int, z: complex) -> complex:
@@ -231,8 +235,10 @@ def lambert_w(branch: int, z: complex) -> complex:
             w = _unwound(n, u)
         elif near_branch_point:  # the series, at machine precision; Halley degenerates at w = -1
             w = _seed(n, u)
-        elif (size := abs(u)) > _HALLEY_MAX or (n and size < _HALLEY_MIN):
+        elif (size := abs(u)) > _HALLEY_MAX:
             w = _unwound(n, u)
+        elif n and size < _HALLEY_MIN:  # e^w of branch -1 is subnormal
+            w = _real_segment(u.real) if u.imag == 0.0 and u.real < 0.0 else _unwound(n, u)
         else:
             w = _halley(_seed(n, u), u)
     except OverflowError:  # e^w overflowed on the way, or |n| >= 2**1024 has no float
