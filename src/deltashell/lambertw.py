@@ -237,7 +237,7 @@ def lambert_w(branch: int, z: complex) -> complex:
             w = _seed(n, u)
         elif (size := abs(u)) > _HALLEY_MAX:
             w = _unwound(n, u)
-        elif n and size < _HALLEY_MIN:  # e^w of branch -1 is subnormal
+        elif n and size < _HALLEY_MIN:  # branch -1, whose e^w can be subnormal
             w = _real_segment(u.real) if u.imag == 0.0 and u.real < 0.0 else _unwound(n, u)
         else:
             w = _halley(_seed(n, u), u)

@@ -367,9 +367,12 @@ def test_index_ten_thousand_keeps_its_bits(same_arithmetic):
 def test_w_of_huge_arguments_matches_mpmath(branch):
     # the rounding-floor bound 2e-16 (|w e^w| + |z|) is formed from halves:
     # the plain sum overflows to inf once |z| passes about 9e307, and the
-    # floor test then passed at the seed, which the acceptance test refused
+    # floor test then passed at the seed, which the acceptance test refused;
+    # from |z| ~ 1.27e308 complex division by Halley's divisor e^w (1 + w)
+    # overflows to a zero step, so branches 0 and -1 take the log form there
     with mpmath.workdps(30):
-        for z in (1e308, -1e308, 1.7e308, complex(1e308, 5e307)):
+        for z in (1e308, -1e308, 1.7e308, complex(1e308, 5e307), 1.7976931348623157e308,
+                  complex(-1.3e308, 0.0), cmath.rect(1.5e308, 0.8)):
             ref = mpmath.lambertw(mpmath.mpc(z), branch)
             w = lambert_w(branch, z)
             assert abs(mpmath.mpc(w) - ref) <= 1e-15 * abs(ref), (branch, z, w)
