@@ -21,7 +21,8 @@ for some branch n of the Lambert W function. Branch bookkeeping:
   as printed: neither evaluates W. With the root k = 0 divided out, the
   pole k = i y solves F(y) = y - log(sinh y / y) = log(-lam) by Newton;
   F is increasing and concave, and log(-lam) keeps its digits next to the
-  threshold lam = -1, as -lam is exact.
+  threshold lam = -1, as -lam is exact, down to the floats next to it. At
+  lam = -1 itself the two meet at k = 0, where N^2 is 0/0: DegeneratePole.
 
 Each resonance root is polished with two Newton steps on f(k) = 0 itself,
 which drive its residual to the evaluation noise floor (~1e-13 for
@@ -61,7 +62,6 @@ __all__ = [
 ]
 
 _RESIDUAL_TOL = 1e-12
-_DEGENERACY_BAND = 1e-10  # |lam + 1| below this: branch-point collision at k = 0
 _DEGENERATE_TOL = 1e-13
 _COMPLEX_STEPS = 2  # Newton steps polishing a resonance
 _AXIS_STEPS = 8  # cap on the Newton steps of a bound or virtual state (4 at most seen)
@@ -125,7 +125,7 @@ def find_resonance(spec: PotentialSpec, n: int) -> Pole:
         w = lambert_w(-m, spec._w_argument)
         try:
             k, resid = _polish_complex(spec, (spec.lam - w) / 2j)
-        except OverflowError:  # e^{2ik} past the largest float, for |lam| ~ 4e-310 to 4e-306
+        except OverflowError:  # e^{2ik} past the largest float, for |lam| up to ~3.9e-306
             raise NonConvergence(f"pole resonance n={n} at strength {spec.lam!r}: "
                                  "e^(2ik) overflows in the polish") from None
         try:  # Pole checks the fourth quadrant
@@ -153,14 +153,12 @@ def find_anti_resonance(spec: PotentialSpec, n: int) -> Pole:
 
 
 def _threshold_kind(spec: PotentialSpec) -> PoleKind | None:
-    """BOUND for lam < -1, VIRTUAL_STATE for -1 < lam < 0, else None.
-
-    None also inside the degeneracy band around lam = -1, where both
-    threshold poles collide with the branch point at k = 0.
-    """
-    if spec.lam >= 0.0 or abs(spec.lam + 1.0) < _DEGENERACY_BAND:
-        return None
-    return _BOUND if spec.lam < -1.0 else _VIRTUAL_STATE
+    """BOUND for lam < -1, VIRTUAL_STATE for -1 < lam < 0, None for lam > 0; DegeneratePole
+    at lam = -1, where the pole sits at k = 0 and N^2 = 2k^2 / (t (1 + t)) is 0/0."""
+    if spec.lam == -1.0:
+        raise DegeneratePole(f"the bound and virtual states meet at k = 0 at strength "
+                             f"{spec.lam!r}, where N^2 is 0/0")
+    return None if spec.lam > 0.0 else _BOUND if spec.lam < -1.0 else _VIRTUAL_STATE
 
 
 def _deflated(y: float) -> tuple[float, float]:

@@ -143,13 +143,14 @@ def test_residue_pair_matches_quadrature_and_mpmath(lam, i, j):
     assert abs(got - ref) <= 1e-14 * abs(ref)
 
 
-@pytest.mark.parametrize("mu", [1e-2, 1e-4, 1e-6, 1e-8, 1e-10])
+@pytest.mark.parametrize("mu", [1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12, 1e-14, 2.0**-53])
 @pytest.mark.parametrize("find", [find_bound_state, find_virtual_state])
 def test_threshold_gamma_next_to_threshold_matches_mpmath(mu, find):
     # Gamma = 1 (bound) and -lam (1 + lam) / (t (1 + t)) (virtual) against the
     # double-pole residue sum S(i kappa, i kappa) of the exponentials, which
-    # cancels to about kappa^2 next to threshold: hence the extra digits
-    spec = PotentialSpec(lam=-1.0 - mu if find is find_bound_state else -1.0 + mu)
+    # cancels to about kappa^2 next to threshold: hence the extra digits. mu = 2^-53
+    # takes the floats next to -1, -1 + 2^-53 and -1 - 2^-52 (-1 - 2^-53 rounds to -1)
+    spec = PotentialSpec(lam=-1.0 - max(mu, 2.0**-52) if find is find_bound_state else -1.0 + mu)
     pole = find(spec)
     gamma = observables_record(spec, pole).gamma
     with mp.workdps(DIGITS + 30):

@@ -107,12 +107,14 @@ def _mp_threshold_pole(lam):
 
 
 @settings(max_examples=60, deadline=None)
-@given(log_mu=st.floats(-10.0, -2.0), sign=st.sampled_from((1.0, -1.0)))
-@example(log_mu=-10.0, sign=1.0)
-@example(log_mu=-10.0, sign=-1.0)
+@given(log_mu=st.floats(-16.0, -2.0), sign=st.sampled_from((1.0, -1.0)))
+@example(log_mu=-53.0 * math.log10(2.0), sign=1.0)
+@example(log_mu=-52.0 * math.log10(2.0), sign=-1.0)
 def test_threshold_decay_constant_against_mpmath(log_mu, sign):
-    # bound (lam < -1) and virtual (lam > -1) k and Gamma for 1e-10 <= |lam + 1| <= 1e-2
-    spec = PotentialSpec(lam=-1.0 + sign * 10.0**log_mu)
+    # bound (lam < -1) and virtual (lam > -1) k and Gamma for |lam + 1| <= 1e-2, down to
+    # the floats next to -1, -1 + 2^-53 and -1 - 2^-52 (the examples): -1 - 2^-53 rounds to -1
+    mu = 10.0**log_mu if sign > 0.0 else max(10.0**log_mu, 2.0**-52)
+    spec = PotentialSpec(lam=-1.0 + sign * mu)
     pole = find_bound_state(spec) if spec.lam < -1.0 else find_virtual_state(spec)
     im_k, ref = _mp_threshold_pole(spec.lam)
     assert abs(pole.k.imag - im_k) <= 1e-15 * abs(im_k), (spec.lam, im_k)

@@ -13,6 +13,7 @@ import pytest
 import deltashell.cli as cli
 import deltashell.poles as poles_module
 from deltashell import (
+    DegeneratePole,
     InvalidInput,
     NonConvergence,
     NoSuchPole,
@@ -107,11 +108,29 @@ def test_no_such_pole_conditions():
         find_virtual_state(PotentialSpec(lam=0.5))
     with pytest.raises(NoSuchPole, match=r"^no virtual state for strength -10\.0$"):
         find_virtual_state(PotentialSpec(lam=-10.0))
-    # degeneracy guard at the branch-point collision
-    with pytest.raises(NoSuchPole):
-        find_bound_state(PotentialSpec(lam=-1.0 - 1e-12))
-    with pytest.raises(NoSuchPole):
-        find_virtual_state(PotentialSpec(lam=-1.0 + 1e-12))
+    # next to the threshold each side has its pole on the imaginary axis, at the 50-digit root
+    for lam, find, kind in ((-1.0 - 1e-12, find_bound_state, PoleKind.BOUND),
+                            (-1.0 + 1e-12, find_virtual_state, PoleKind.VIRTUAL_STATE)):
+        pole = find(PotentialSpec(lam=lam))
+        ref = mp.im(reference_pole(lam, pole.branch))
+        assert pole.kind is kind and pole.k.real == 0.0
+        assert abs(pole.k.imag - ref) <= 1e-15 * abs(ref), (lam, pole.k, ref)
+    # at lam = -1 the two meet at k = 0, where N^2 is 0/0: a typed refusal, not a missing row
+    spec = PotentialSpec(lam=-1.0)
+    for find in (find_bound_state, find_virtual_state, lambda s: enumerate_poles(s, 1)):
+        with pytest.raises(DegeneratePole, match=r" at strength -1\.0, "):
+            find(spec)
+
+
+@pytest.mark.parametrize("argv", [
+    ["table", "--count", "1"], ["poles", "--count", "1"],
+    ["spectrum", "--virtual", "--emin", "0.1", "--emax", "1", "--points", "3"],
+])
+def test_threshold_strength_minus_one_exits_3(argv, capsys):
+    assert cli.main([*argv, "--lambda", "-1"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == ("numerical failure: the bound and virtual states meet at "
+                                 "k = 0 at strength -1.0, where N^2 is 0/0\n")
 
 
 def test_virtual_state_near_collision_still_resolves():
